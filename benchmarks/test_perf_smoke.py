@@ -4,21 +4,19 @@ Measurements, written to ``BENCH_perf.json`` at the repo root:
 
 - ``engine_visits_per_sec``: line-visits/second of one fixed-seed engine
   run (db / 1 core / discontinuity / bypass at the same instruction budget
-  ``scripts/profile_engine.py`` uses) on the compiled-trace fast path,
-  trace generation excluded, with ``raw_visits_per_sec`` alongside for the
-  lazy-lowering path.  This is the metric the hot-loop optimizations in
-  ``repro.core.engine`` and ``repro.caches.cache`` are validated against.
-- ``backends.reference`` / ``backends.vectorized`` / ``backends.jit``:
-  best-of-3 ``visits_per_sec`` for each engine backend on that same
-  configuration, plus ``speedup`` (vectorized over reference) and
+  ``scripts/profile_engine.py`` uses), trace generation excluded.  This is
+  the metric the hot-loop optimizations in ``repro.core.engine`` and
+  ``repro.caches.cache`` are validated against.
+- ``backends.reference`` / ``backends.jit``: best-of-3 ``visits_per_sec``
+  for each engine backend on that same configuration, plus
   ``jit_speedup``.  ``engine_visits_per_sec`` remains the reference
-  backend's number so the metric's history stays comparable across this
-  change.  The jit kernel is built (or cache-loaded) before timing;
-  ``jit_compile_seconds`` records that one-time cost separately.
+  backend's number so the metric's history stays comparable.  The jit
+  kernel is built (or cache-loaded) before timing; ``jit_compile_seconds``
+  records that one-time cost separately.
 - ``engine_4c``: the same per-backend sweep on the db / 4-core CMP
   configuration — the case the jit backend exists for (its interleave
-  loop runs compiled instead of span-of-1 stepping), so the multi-core
-  claim is tracked, not asserted.
+  loop runs compiled instead of one Python step per visit), so the
+  multi-core claim is tracked, not asserted.
 - ``trace_compile_seconds`` and the store's cold/warm load times: how much
   one-time work the packed format costs and how cheap reloading it is.
 - ``ingest``: external-trace ingestion throughput on the checked-in
@@ -44,7 +42,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.envvars import REPRO_CACHE_DIR, REPRO_COMPILED_TRACES
+from repro.envvars import REPRO_CACHE_DIR
 from repro.eval import executor
 from repro.eval.experiment import run_experiment
 from repro.eval.registry import get_experiment
@@ -54,6 +52,7 @@ from repro.eval.runner import (
     get_compiled_traces,
     get_traces,
     run_system,
+    trace_budget,
 )
 from repro.trace import store
 from repro.trace.compiled import compile_traces
@@ -69,9 +68,74 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
+def _best_run(workload, cores, prefetcher, policy, backend, reps=3):
+    """Best-of-*reps* ``(result, seconds)``; min wall-clock rejects noise."""
+    total, _ = trace_budget(BENCH_SCALE, cores)
+    # Prime run_system's memo so only the engine loop is timed.
+    get_compiled_traces(workload, cores, total, DEFAULT_SEED, 64)
+
+    def once():
+        return run_system(
+            workload,
+            cores,
+            prefetcher,
+            scale=BENCH_SCALE,
+            l2_policy=policy,
+            seed=DEFAULT_SEED,
+            engine_backend=backend,
+        )
+
+    # Untimed warm-up: the first run on a cold process pays page faults,
+    # allocator growth and branch-predictor warm-up that best-of-N alone
+    # cannot reject when every rep is cold.
+    once()
+    best = None
+    for _ in range(reps):
+        result, elapsed = _timed(once)
+        if best is None or elapsed < best[1]:
+            best = (result, elapsed)
+    return best
+
+
+def _backend_rates(workload, cores, prefetcher, policy) -> dict:
+    """Per-backend timings of one configuration, plus the jit speedup.
+
+    The backends must be bit-identical (the parity suite checks every
+    stat; the bench just refuses to record numbers from diverging runs).
+    """
+    from repro.core import jitted
+
+    # Build (or cache-load) the jit kernel before any timed region.
+    jit_ok = jitted.jit_available()
+    result, ref_elapsed = _best_run(workload, cores, prefetcher, policy, "reference")
+    visits = sum(core.l1i_fetches for core in result.cores)
+    reference_rate = visits / ref_elapsed
+    report = {
+        "config": f"{workload}/{cores}c/{prefetcher}/{policy}",
+        "line_visits": visits,
+        "backends": {
+            "reference": {
+                "seconds": round(ref_elapsed, 4),
+                "visits_per_sec": round(reference_rate, 1),
+            },
+        },
+        "aggregate_ipc": result.aggregate_ipc,
+    }
+    if jit_ok:
+        jit_result, jit_elapsed = _best_run(workload, cores, prefetcher, policy, "jit")
+        assert repr(jit_result.aggregate_ipc) == repr(result.aggregate_ipc)
+        jit_rate = visits / jit_elapsed
+        report["backends"]["jit"] = {
+            "seconds": round(jit_elapsed, 4),
+            "visits_per_sec": round(jit_rate, 1),
+        }
+        report["jit_speedup"] = round(jit_rate / reference_rate, 2)
+    return report
+
+
 def _measure_engine() -> dict:
     """Visits/sec of the profile_engine.py reference configuration."""
-    workload, cores, prefetcher, policy = "db", 1, "discontinuity", "bypass"
+    workload, cores = "db", 1
     total = BENCH_SCALE.single_total
     raw = get_traces(workload, cores, total, DEFAULT_SEED)
 
@@ -87,98 +151,19 @@ def _measure_engine() -> dict:
     _, cold_load = _timed(lambda: store.load(**key))
     _, warm_load = _timed(lambda: store.load(**key))
 
-    def run(path_on: bool, backend: str = "reference", reps: int = 1):
-        """Best-of-*reps* timing (min wall-clock rejects scheduler noise)."""
-        os.environ[REPRO_COMPILED_TRACES] = "1" if path_on else "0"
-        if path_on:  # prime run_system's memo so only the engine loop is timed
-            get_compiled_traces(workload, cores, total, DEFAULT_SEED, 64)
-        if reps > 1:
-            # Untimed warm-up: the first run on a cold process pays page
-            # faults, allocator growth and branch-predictor warm-up that
-            # best-of-N alone cannot reject when every rep is cold.
-            run_system(
-                workload,
-                cores,
-                prefetcher,
-                scale=BENCH_SCALE,
-                l2_policy=policy,
-                seed=DEFAULT_SEED,
-                engine_backend=backend,
-            )
-        best = None
-        for _ in range(reps):
-            result, elapsed = _timed(
-                lambda: run_system(
-                    workload,
-                    cores,
-                    prefetcher,
-                    scale=BENCH_SCALE,
-                    l2_policy=policy,
-                    seed=DEFAULT_SEED,
-                    engine_backend=backend,
-                )
-            )
-            if best is None or elapsed < best[1]:
-                best = (result, elapsed)
-        return best
+    report = _backend_rates(workload, cores, "discontinuity", "bypass")
+    reference = report["backends"]["reference"]
+    report.update(
+        measure_instructions=BENCH_SCALE.measure_instructions,
+        seconds=reference["seconds"],
+        engine_visits_per_sec=reference["visits_per_sec"],
+        trace_compile_seconds=round(compile_seconds, 4),
+        store_cold_load_seconds=round(cold_load, 5),
+        store_warm_load_seconds=round(warm_load, 5),
+    )
+    if "jit" in report["backends"]:
+        from repro.core import jitted
 
-    # Build (or cache-load) the jit kernel before any timed region.
-    from repro.core import jitted
-
-    jit_ok = jitted.jit_available()
-
-    previous = os.environ.get(REPRO_COMPILED_TRACES)
-    try:
-        result, compiled_elapsed = run(True, "reference", reps=3)
-        vec_result, vec_elapsed = run(True, "vectorized", reps=3)
-        jit_best = run(True, "jit", reps=3) if jit_ok else None
-        raw_result, raw_elapsed = run(False)
-    finally:
-        if previous is None:
-            os.environ.pop(REPRO_COMPILED_TRACES, None)
-        else:
-            os.environ[REPRO_COMPILED_TRACES] = previous
-
-    assert raw_result.aggregate_ipc == result.aggregate_ipc
-    # The backends must be bit-identical (the parity suite checks every
-    # stat; the bench just refuses to record numbers from diverging runs).
-    assert repr(vec_result.aggregate_ipc) == repr(result.aggregate_ipc)
-    visits = sum(core.l1i_fetches for core in result.cores)
-    reference_rate = visits / compiled_elapsed
-    vectorized_rate = visits / vec_elapsed
-    backends = {
-        "reference": {
-            "seconds": round(compiled_elapsed, 4),
-            "visits_per_sec": round(reference_rate, 1),
-        },
-        "vectorized": {
-            "seconds": round(vec_elapsed, 4),
-            "visits_per_sec": round(vectorized_rate, 1),
-        },
-    }
-    report = {
-        "config": f"{workload}/{cores}c/{prefetcher}/{policy}",
-        "measure_instructions": BENCH_SCALE.measure_instructions,
-        "line_visits": visits,
-        "seconds": round(compiled_elapsed, 4),
-        "engine_visits_per_sec": round(reference_rate, 1),
-        "raw_visits_per_sec": round(visits / raw_elapsed, 1),
-        "backends": backends,
-        "speedup": round(vectorized_rate / reference_rate, 2),
-        "trace_compile_seconds": round(compile_seconds, 4),
-        "store_cold_load_seconds": round(cold_load, 5),
-        "store_warm_load_seconds": round(warm_load, 5),
-        "aggregate_ipc": result.aggregate_ipc,
-    }
-    if jit_best is not None:
-        jit_result, jit_elapsed = jit_best
-        assert repr(jit_result.aggregate_ipc) == repr(result.aggregate_ipc)
-        jit_rate = visits / jit_elapsed
-        backends["jit"] = {
-            "seconds": round(jit_elapsed, 4),
-            "visits_per_sec": round(jit_rate, 1),
-        }
-        report["jit_speedup"] = round(jit_rate / reference_rate, 2)
         report["jit_compile_seconds"] = round(jitted.kernel_compile_seconds(), 4)
     return report
 
@@ -187,80 +172,11 @@ def _measure_engine_cmp() -> dict:
     """Per-backend visits/sec on the 4-core CMP configuration.
 
     This is the configuration the jit backend exists for: the reference
-    Python interleave loop steps one visit at a time, the vectorized
-    backend degrades to span-of-1 stepping (~0.9x), and the jit backend
-    runs the whole interleave loop compiled.
+    Python interleave loop steps one visit at a time, while the jit
+    backend runs the whole interleave loop compiled.
     """
-    from repro.core import jitted
-
-    workload, cores, prefetcher, policy = "db", 4, "discontinuity", "bypass"
-    total = BENCH_SCALE.cmp_total_per_core
-
-    def run(backend: str, reps: int = 3):
-        os.environ[REPRO_COMPILED_TRACES] = "1"
-        get_compiled_traces(workload, cores, total, DEFAULT_SEED, 64)
-
-        def once():
-            return run_system(
-                workload,
-                cores,
-                prefetcher,
-                scale=BENCH_SCALE,
-                l2_policy=policy,
-                seed=DEFAULT_SEED,
-                engine_backend=backend,
-            )
-
-        once()  # untimed warm-up rep
-        best = None
-        for _ in range(reps):
-            result, elapsed = _timed(once)
-            if best is None or elapsed < best[1]:
-                best = (result, elapsed)
-        return best
-
-    jit_ok = jitted.jit_available()
-    previous = os.environ.get(REPRO_COMPILED_TRACES)
-    try:
-        result, ref_elapsed = run("reference")
-        vec_result, vec_elapsed = run("vectorized")
-        jit_best = run("jit") if jit_ok else None
-    finally:
-        if previous is None:
-            os.environ.pop(REPRO_COMPILED_TRACES, None)
-        else:
-            os.environ[REPRO_COMPILED_TRACES] = previous
-
-    assert repr(vec_result.aggregate_ipc) == repr(result.aggregate_ipc)
-    visits = sum(core.l1i_fetches for core in result.cores)
-    reference_rate = visits / ref_elapsed
-    vectorized_rate = visits / vec_elapsed
-    report = {
-        "config": f"{workload}/{cores}c/{prefetcher}/{policy}",
-        "measure_instructions_per_core": BENCH_SCALE.cmp_measure_instructions,
-        "line_visits": visits,
-        "backends": {
-            "reference": {
-                "seconds": round(ref_elapsed, 4),
-                "visits_per_sec": round(reference_rate, 1),
-            },
-            "vectorized": {
-                "seconds": round(vec_elapsed, 4),
-                "visits_per_sec": round(vectorized_rate, 1),
-            },
-        },
-        "speedup": round(vectorized_rate / reference_rate, 2),
-        "aggregate_ipc": result.aggregate_ipc,
-    }
-    if jit_best is not None:
-        jit_result, jit_elapsed = jit_best
-        assert repr(jit_result.aggregate_ipc) == repr(result.aggregate_ipc)
-        jit_rate = visits / jit_elapsed
-        report["backends"]["jit"] = {
-            "seconds": round(jit_elapsed, 4),
-            "visits_per_sec": round(jit_rate, 1),
-        }
-        report["jit_speedup"] = round(jit_rate / reference_rate, 2)
+    report = _backend_rates("db", 4, "discontinuity", "bypass")
+    report["measure_instructions_per_core"] = BENCH_SCALE.cmp_measure_instructions
     return report
 
 
@@ -365,11 +281,6 @@ def test_perf_smoke(scale, tmp_path):
     # untimed warm-up rep above keeps cold-start noise out of the record).
     assert engine["line_visits"] > 0
     assert engine["engine_visits_per_sec"] > 5_000
-    # The vectorized backend consistently measures 2-3.4x on this config
-    # (see docs/performance.md); assert well below that so machine noise
-    # never flakes the benchmark, while still catching a regression to
-    # reference-backend speed.
-    assert engine["speedup"] > 1.5
     # The jit backend measures ~10-16x single-core and ~20-27x on the
     # 4-core config here (compile cost excluded — the kernel is built
     # before the timed region).  The asserted floors are the targets the

@@ -4,7 +4,8 @@
 Behaviourally mutates one fingerprinted reference hot path
 (``CoreEngine._process_visit``) by inserting a statement into its body,
 expects ``python -m repro.lint --rules R6`` to exit non-zero naming the
-vectorized counterpart, then restores the file byte-for-byte.  A zero exit
+jit counterpart (the C kernel source), then restores the file
+byte-for-byte.  A zero exit
 from the mutated tree means the drift detector has gone silent — this
 script (and the CI lint job running it) fails in that case.
 
@@ -21,7 +22,7 @@ import sys
 TARGET = pathlib.Path("src/repro/core/engine.py")
 CLASS_NAME = "CoreEngine"
 FUNC_NAME = "_process_visit"
-COUNTERPART = "_fast_span"
+COUNTERPART = "kernel_source"
 
 
 def mutate(source: str) -> str:
@@ -67,7 +68,7 @@ def main() -> int:
     if COUNTERPART not in proc.stdout:
         print(
             "R6 mutation check FAILED: the violation does not name the "
-            f"vectorized counterpart ({COUNTERPART})",
+            f"jit counterpart ({COUNTERPART})",
             file=sys.stderr,
         )
         return 1

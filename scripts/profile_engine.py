@@ -18,25 +18,21 @@ Usage::
     PYTHONPATH=src python scripts/profile_engine.py --workload web --cores 4
     PYTHONPATH=src python scripts/profile_engine.py --backend all
     PYTHONPATH=src python scripts/profile_engine.py --verify
-    PYTHONPATH=src python scripts/profile_engine.py --no-compiled   # raw A/B
 
-``--compiled`` (default) feeds the engine packed compiled traces — the
-production path; ``--no-compiled`` forces the raw-trace lazy lowering so
-the two engine paths can be A/B'd on identical inputs.  The on-disk trace
-store is bypassed either way (every phase is measured live).
+The on-disk trace store is bypassed (every phase is measured live).
 
-``--backend`` selects the engine backend to time: ``reference``,
-``vectorized``, ``jit``, or ``all`` to time every backend and print the
-speedups.  The jit backend's one-time kernel compile runs (and is
-reported) outside the timed region — visits/sec excludes it.
+``--backend`` selects the engine backend to time: ``reference``, ``jit``,
+or ``all`` to time both and print the jit speedup.  The jit backend's
+one-time kernel compile runs (and is reported) outside the timed region
+— visits/sec excludes it.
 
 ``--verify`` proves backend equivalence the hard way: it steps a
-``reference`` system and a system on the backend under test through the
-*same* trace in lockstep, comparing the stepping core's clock and full
+``reference`` system and a ``jit`` system through the *same* trace in
+lockstep, comparing the stepping core's clock and full
 :class:`~repro.core.metrics.CoreStats` after **every visit**, and prints
 the first divergent visit index and field name if the backends ever
 disagree.  (It also cross-checks every compiled trace against the live
-lowering, as before.)  Exit status 1 on any divergence.
+lowering.)  Exit status 1 on any divergence.
 """
 
 from __future__ import annotations
@@ -47,10 +43,15 @@ import os
 import pstats
 import time
 
-from repro.envvars import REPRO_COMPILED_TRACES, REPRO_TRACE_STORE
+from repro.envvars import REPRO_TRACE_STORE
 from repro.eval.profiles import ExperimentScale
-from repro.eval.runner import DEFAULT_SEED, get_traces, run_system
-from repro.trace.compiled import compile_traces
+from repro.eval.runner import (
+    DEFAULT_SEED,
+    get_compiled_traces,
+    get_traces,
+    run_system,
+)
+from repro.trace.compiled import compile_traces, visits_equal
 
 #: fixed instruction budget so visits/sec is comparable across runs.
 BENCH_SCALE = ExperimentScale(
@@ -61,7 +62,7 @@ BENCH_SCALE = ExperimentScale(
 )
 
 
-def _diff_field(ref_engine, vec_engine):
+def _diff_field(ref_engine, jit_engine):
     """Name of the first field where the two engines disagree, or None.
 
     Floats are compared by ``repr`` so any bit-level divergence registers
@@ -70,27 +71,27 @@ def _diff_field(ref_engine, vec_engine):
     """
     from repro.eval.diskcache import _core_to_dict
 
-    if repr(ref_engine.cycle) != repr(vec_engine.cycle):
+    if repr(ref_engine.cycle) != repr(jit_engine.cycle):
         return "cycle"
     ref_data = _core_to_dict(ref_engine.stats)
-    vec_data = _core_to_dict(vec_engine.stats)
+    jit_data = _core_to_dict(jit_engine.stats)
     for key, ref_value in ref_data.items():
-        vec_value = vec_data[key]
+        jit_value = jit_data[key]
         if isinstance(ref_value, dict):
             for sub in ref_value:
-                if repr(ref_value[sub]) != repr(vec_value.get(sub)):
+                if repr(ref_value[sub]) != repr(jit_value.get(sub)):
                     return f"{key}.{sub}"
-        elif repr(ref_value) != repr(vec_value):
+        elif repr(ref_value) != repr(jit_value):
             return key
     return None
 
 
-def _verify_backends(args, traces, other: str) -> int:
-    """Lockstep per-visit reference-vs-*other* cross-check.
+def _verify_backends(args, traces) -> int:
+    """Lockstep per-visit reference-vs-jit cross-check.
 
     Mirrors ``System.run``'s smallest-clock interleaving on the reference
-    system and drives the *other* backend's system with the *same* core
-    choice, so both process the identical global visit sequence.  Returns
+    system and drives the jit system with the *same* core choice, so both
+    process the identical global visit sequence.  Returns
     0 when every visit matches, 1 (after printing the first divergence)
     otherwise.
     """
@@ -108,25 +109,25 @@ def _verify_backends(args, traces, other: str) -> int:
         )
         return System(config, traces)
 
-    ref_sys, vec_sys = build("reference"), build(other)
+    ref_sys, jit_sys = build("reference"), build("jit")
     active_ref = list(ref_sys.engines)
-    active_vec = list(vec_sys.engines)
+    active_jit = list(jit_sys.engines)
     visit = 0
     while active_ref:
         index = 0
         for candidate in range(1, len(active_ref)):
             if active_ref[candidate].cycle < active_ref[index].cycle:
                 index = candidate
-        ref_engine, vec_engine = active_ref[index], active_vec[index]
-        ref_alive, vec_alive = ref_engine.step(), vec_engine.step()
+        ref_engine, jit_engine = active_ref[index], active_jit[index]
+        ref_alive, jit_alive = ref_engine.step(), jit_engine.step()
         core = ref_engine.config.core_id
-        if ref_alive != vec_alive:
+        if ref_alive != jit_alive:
             print(
                 f"VERIFY FAILED: backends diverge at visit {visit} "
                 f"(core {core}, field trace-exhaustion)"
             )
             return 1
-        field = _diff_field(ref_engine, vec_engine)
+        field = _diff_field(ref_engine, jit_engine)
         if field is not None:
             print(
                 f"VERIFY FAILED: backends diverge at visit {visit} "
@@ -134,11 +135,9 @@ def _verify_backends(args, traces, other: str) -> int:
             )
             return 1
         if not ref_alive:
-            del active_ref[index], active_vec[index]
+            del active_ref[index], active_jit[index]
         visit += 1
-    print(
-        f"verify           : reference/{other} bit-identical over {visit} visits"
-    )
+    print(f"verify           : reference/jit bit-identical over {visit} visits")
     return 0
 
 
@@ -152,22 +151,16 @@ def main() -> int:
     parser.add_argument(
         "--backend",
         default="reference",
-        choices=("reference", "vectorized", "jit", "all"),
-        help="engine backend to time ('all' times every backend and prints "
-        "the speedups)",
-    )
-    parser.add_argument(
-        "--compiled",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="feed the engine packed compiled traces (--no-compiled: raw path)",
+        choices=("reference", "jit", "all"),
+        help="engine backend to time ('all' times both and prints the jit "
+        "speedup)",
     )
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="per-visit lockstep cross-check of the selected backend(s) "
-        "against reference (prints the first divergent visit index and "
-        "field), plus the compiled-trace-vs-live-lowering check",
+        help="per-visit lockstep cross-check of jit against reference "
+        "(prints the first divergent visit index and field), plus the "
+        "compiled-trace-vs-live-lowering check",
     )
     parser.add_argument(
         "--profile", action="store_true", help="print a cProfile table of the run"
@@ -175,9 +168,8 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=20, help="profile rows to print")
     args = parser.parse_args()
 
-    # The script measures each phase itself; route run_system accordingly
-    # and keep the on-disk store out of the loop so timings are live.
-    os.environ[REPRO_COMPILED_TRACES] = "1" if args.compiled else "0"
+    # The script measures each phase itself; keep the on-disk store out of
+    # the loop so timings are live.
     os.environ[REPRO_TRACE_STORE] = "0"
 
     total = (
@@ -187,37 +179,22 @@ def main() -> int:
     raw = get_traces(args.workload, args.cores, total, args.seed)
     synth_seconds = time.perf_counter() - started
 
-    compile_seconds = 0.0
-    compiled_set = None
-    if args.compiled:
-        started = time.perf_counter()
-        compiled_set = compile_traces(
-            raw, 64, workload=args.workload, seed=args.seed, n_instructions=total
-        )
-        compile_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    compiled_set = compile_traces(
+        raw, 64, workload=args.workload, seed=args.seed, n_instructions=total
+    )
+    compile_seconds = time.perf_counter() - started
 
-    if args.verify and compiled_set is not None:
-        from repro.trace.compiled import visits_equal
-
+    if args.verify:
         for core, compiled in enumerate(compiled_set):
             equal, mismatch = visits_equal(compiled, raw[core])
             if not equal:
                 print(f"VERIFY FAILED: core {core} diverges at visit {mismatch}")
                 return 1
         print(f"verify           : {len(compiled_set)} compiled trace(s) exact")
-
-    verify_against = (
-        ("vectorized", "jit")
-        if args.backend == "all"
-        else (args.backend if args.backend != "reference" else "vectorized",)
-    )
-    if args.verify:
-        for other in verify_against:
-            status = _verify_backends(
-                args, compiled_set if compiled_set is not None else raw, other
-            )
-            if status:
-                return status
+        status = _verify_backends(args, compiled_set)
+        if status:
+            return status
 
     def simulate(backend: str):
         return run_system(
@@ -231,25 +208,16 @@ def main() -> int:
         )
 
     # Prime run_system's compiled-trace memo outside the timed region so
-    # `simulate` times the engine loop alone on both paths.
-    if args.compiled:
-        from repro.eval.runner import get_compiled_traces
+    # `simulate` times the engine loop alone.
+    get_compiled_traces(args.workload, args.cores, total, args.seed, 64)
 
-        get_compiled_traces(args.workload, args.cores, total, args.seed, 64)
-
-    backends = (
-        ("reference", "vectorized", "jit")
-        if args.backend == "all"
-        else (args.backend,)
-    )
-    path = "compiled (packed columns)" if args.compiled else "raw (lazy lowering)"
+    backends = ("reference", "jit") if args.backend == "all" else (args.backend,)
     print(
         f"{args.workload}/{args.cores}c/{args.prefetcher}/{args.l2_policy} "
-        f"seed={args.seed}  [{path}]"
+        f"seed={args.seed}"
     )
     print(f"synthesize       : {synth_seconds:.2f}s")
-    if args.compiled:
-        print(f"lower+compile    : {compile_seconds:.2f}s")
+    print(f"lower+compile    : {compile_seconds:.2f}s")
     if "jit" in backends:
         # Build (or load from cache) the jit kernel outside the timed
         # region: the one-time compile cost is reported separately.
@@ -278,13 +246,8 @@ def main() -> int:
         print(f"visits/sec       : {rates[backend]:,.0f}")
         print(f"aggregate IPC    : {result.aggregate_ipc:.6f}")
 
-    if len(rates) > 1 and "reference" in rates:
-        for backend in backends:
-            if backend != "reference":
-                print(
-                    f"speedup [{backend:<10}]: "
-                    f"{rates[backend] / rates['reference']:.2f}x"
-                )
+    if len(rates) > 1:
+        print(f"speedup [jit]    : {rates['jit'] / rates['reference']:.2f}x")
 
     for backend, profiler in profilers.items():
         print(f"\n--- cProfile [{backend}] ---")

@@ -21,7 +21,7 @@ from repro.caches.cache import SetAssociativeCache
 from repro.caches.config import DEFAULT_HIERARCHY, HierarchyConfig
 from repro.caches.missclass import MissBreakdown
 from repro.cmp.link import OffChipLink
-from repro.core.backends import create_engine
+from repro.core.backends import create_engine, validate_backend
 from repro.core.engine import CoreEngine, EngineConfig
 from repro.core.l2policy import get_policy
 from repro.core.metrics import CoreStats
@@ -70,8 +70,8 @@ class SystemConfig:
     #: cache replacement policies ("lru", "fifo", "plru", "random").
     l1_replacement: str = "lru"
     l2_replacement: str = "lru"
-    #: engine backend ("reference", "vectorized", "jit", or "auto" to defer
-    #: to the REPRO_ENGINE_BACKEND environment variable).  Never affects
+    #: engine backend ("reference", "jit", or "auto" to defer to the
+    #: REPRO_ENGINE_BACKEND environment variable).  Never affects
     #: results — backends are bit-identical — so it is not part of any
     #: cache key.
     engine_backend: str = "auto"
@@ -84,6 +84,7 @@ class SystemConfig:
                 f"unknown prefetcher {self.prefetcher!r}; "
                 f"available: {PREFETCHER_NAMES}"
             )
+        validate_backend(self.engine_backend)
 
     def resolve_bandwidth(self) -> float:
         if self.offchip_gbps is not None:

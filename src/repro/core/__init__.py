@@ -4,7 +4,6 @@ from repro.core.backends import (
     AUTO_BACKEND,
     BACKEND_NAMES,
     ENGINE_BACKEND_ENV,
-    EngineBackend,
     create_engine,
     resolve_backend,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "AUTO_BACKEND",
     "BACKEND_NAMES",
     "ENGINE_BACKEND_ENV",
-    "EngineBackend",
     "create_engine",
     "resolve_backend",
     "CoreEngine",

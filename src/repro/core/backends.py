@@ -1,34 +1,24 @@
 """Engine backend selection.
 
-Three interchangeable engine implementations exist:
+Two interchangeable engine implementations exist:
 
 ``reference``
     :class:`~repro.core.engine.CoreEngine` — the plain per-visit
     interpreter.  Always available; its source is the readable
     specification of the simulation semantics.
-``vectorized``
-    :class:`~repro.core.vectorized.VectorizedCoreEngine` — batch visit
-    processing over the compiled trace's packed columns (requires NumPy).
-    Bit-identical results, measured 2-3× faster on the single-core profile
-    configuration (see ``docs/performance.md`` for why not more).
 ``jit``
     :class:`~repro.core.jitted.JittedCoreEngine` — the per-visit scalar
     semantics compiled to native code (requires a C compiler on PATH;
-    the kernel is built once and cached).  Bit-identical results, and the
-    only backend whose *multi-core* interleave loop also runs compiled:
-    CMP runs get faster instead of degrading to span-of-1 stepping.
+    the kernel is built once and cached).  Bit-identical results; its
+    multi-core interleave loop also runs compiled.
 
-Selection order: an explicit backend name (``EngineConfig``/``RunSpec``/
-CLI ``--backend``) wins; ``"auto"`` defers to the ``REPRO_ENGINE_BACKEND``
-environment variable; unset means ``reference`` on single-core systems.
-Multi-core systems resolving ``auto`` prefer ``jit`` whenever its kernel
-is buildable — the environment can still pin ``reference`` or ``jit``
-explicitly, but ``vectorized`` is never auto-selected there: shared-L2
-lockstep forces it into span-of-1 stepping, which measures ~0.9× the
-reference interpreter (see ``docs/performance.md``), so deferring to it
-would be a silent pessimization.  Requesting ``vectorized`` without NumPy
-(or ``jit`` without a C compiler) falls back to ``reference`` with a
-logged warning — results are identical either way, only slower.
+Selection: an explicit backend name (``EngineConfig``/``RunSpec``/CLI
+``--backend``) wins; ``"auto"`` defers to the ``REPRO_ENGINE_BACKEND``
+environment variable; unset means ``reference`` on single-core systems
+and ``jit`` (when its kernel is buildable, else ``reference``) on
+multi-core ones.  Requesting ``jit`` without a C compiler falls back to
+``reference`` with a logged warning — results are identical either way,
+only slower.
 
 The backend never affects simulated results, so it is deliberately *not*
 part of a run's cache key (``RunSpec.canonical_dict``) — cached results
@@ -39,86 +29,49 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Optional, Protocol
+from typing import Optional
 
 from repro.core.engine import CoreEngine
 from repro.envvars import REPRO_ENGINE_BACKEND
-from repro.core.metrics import CoreStats
 
 logger = logging.getLogger(__name__)
 
 #: environment variable consulted when the backend is ``"auto"``.
 ENGINE_BACKEND_ENV = REPRO_ENGINE_BACKEND
 
-#: the selectable backends, in preference-documentation order.
-BACKEND_NAMES = ("reference", "vectorized", "jit")
+#: the selectable backends.
+BACKEND_NAMES = ("reference", "jit")
 
-#: sentinel meaning "defer to the environment, default to reference".
+#: sentinel meaning "defer to the environment, else pick by core count".
 AUTO_BACKEND = "auto"
 
 
-class EngineBackend(Protocol):
-    """The narrow surface the system/executor drive an engine through.
-
-    Both backends satisfy this structurally (``VectorizedCoreEngine``
-    subclasses ``CoreEngine``); new backends only need these members.
-    """
-
-    stats: CoreStats
-    cycle: float
-    total_instructions: int
-    l2_eviction_hook: Optional[object]
-
-    @property
-    def finished(self) -> bool: ...
-
-    def step(self) -> bool: ...
-
-    def run(self) -> CoreStats: ...
+def validate_backend(name: str) -> None:
+    """Reject anything but a concrete backend name or ``"auto"``."""
+    if name not in BACKEND_NAMES and name != AUTO_BACKEND:
+        raise ValueError(
+            f"unknown engine backend {name!r}; available: "
+            f"{', '.join(BACKEND_NAMES)} (or {AUTO_BACKEND!r})"
+        )
 
 
 def resolve_backend(name: Optional[str] = None, n_cores: int = 1) -> str:
     """Resolve an explicit/auto backend request to a concrete name.
 
-    Resolution table (explicit names always win; *n_cores* only matters
-    for ``auto``/None/empty requests; "jit buildable" is whether the jit
-    kernel can be compiled/loaded in this environment)::
-
-        request       n_cores  REPRO_ENGINE_BACKEND  ->  backend
-        ------------  -------  --------------------      ----------
-        reference     any      any                       reference
-        vectorized    any      any                       vectorized
-        jit           any      any                       jit
-        auto/None     1        unset                     reference
-        auto/None     1        reference                 reference
-        auto/None     1        vectorized                vectorized
-        auto/None     1        jit                       jit
-        auto/None     >1       reference                 reference
-        auto/None     >1       jit                       jit
-        auto/None     >1       unset/vectorized          jit if buildable
-                                                         else reference
-
-    Multi-core ``auto`` prefers ``jit`` because only its interleave loop
-    runs compiled; ``vectorized`` is never auto-selected there (span-of-1
-    stepping measures ~0.9x reference — see ``docs/performance.md``).
+    The request is the explicit *name*, or else (``auto``/None/empty) the
+    ``REPRO_ENGINE_BACKEND`` value; either is validated the same way for
+    every core count.  A request that is still ``auto`` (or unset)
+    resolves to ``reference`` on one core and to ``jit`` if its kernel
+    is buildable, else ``reference``, on more — only jit runs the
+    multi-core interleave loop compiled.
     """
-    if name is None or name == "" or name == AUTO_BACKEND:
-        env = os.environ.get(ENGINE_BACKEND_ENV, "")
-        if n_cores > 1:
-            if env in ("reference", "jit"):
-                name = env
-            else:
-                # Unset or vectorized: prefer the jit kernel (the one
-                # backend whose multi-core stepping is compiled); without
-                # a C toolchain, reference remains the safe choice.
-                name = "jit" if _jit_available() else "reference"
-        else:
-            name = env or "reference"
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown engine backend {name!r}; available: "
-            f"{', '.join(BACKEND_NAMES)} (or {AUTO_BACKEND!r})"
-        )
+    if not name or name == AUTO_BACKEND:
+        name = os.environ.get(ENGINE_BACKEND_ENV, "") or AUTO_BACKEND
+    validate_backend(name)
+    if name == AUTO_BACKEND:
+        if n_cores > 1 and _jit_available():
+            return "jit"
+        return "reference"
     return name
 
 
@@ -129,25 +82,6 @@ def _jit_available() -> bool:
     except ImportError:
         return False
     return jitted.jit_available()
-
-
-_fallback_warned = False
-
-
-def _vectorized_engine_cls():
-    """Import the vectorized backend, or None when NumPy is missing."""
-    global _fallback_warned
-    try:
-        from repro.core.vectorized import VectorizedCoreEngine
-    except ImportError:
-        if not _fallback_warned:
-            logger.warning(
-                "vectorized engine backend unavailable (NumPy not importable); "
-                "falling back to the reference backend"
-            )
-            _fallback_warned = True
-        return None
-    return VectorizedCoreEngine
 
 
 _jit_fallback_warned = False
@@ -183,11 +117,8 @@ def create_engine(
     *n_cores* is the size of the system this engine joins — multi-core
     ``auto`` prefers ``jit``, falling back to ``reference``.
     """
-    backend = resolve_backend(backend, n_cores=n_cores)
     engine_cls = None
-    if backend == "vectorized":
-        engine_cls = _vectorized_engine_cls()
-    elif backend == "jit":
+    if resolve_backend(backend, n_cores=n_cores) == "jit":
         engine_cls = _jitted_engine_cls()
     if engine_cls is not None:
         return engine_cls(

@@ -28,7 +28,7 @@ interleave cores in global cycle order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterator, Optional
+from typing import Callable, FrozenSet, Optional
 
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.line import LineState
@@ -36,13 +36,12 @@ from repro.caches.mshr import OutstandingRequestTracker
 from repro.cmp.link import OffChipLink
 from repro.core.l2policy import NORMAL_INSTALL, L2InstallPolicy
 from repro.core.metrics import CoreStats
-from repro.isa.classify import MissClass, classify_transition, is_discontinuity
+from repro.isa.classify import MissClass, classify_transition
 from repro.isa.kinds import TransitionKind
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.queue import PrefetchQueue
 from repro.timing.params import TimingParams
 from repro.trace.compiled import CompiledTrace, TraceLike
-from repro.trace.stream import LineVisit, iter_line_visits
 
 #: at most this many prefetches are issued per visit, bounding queue-drain
 #: work even across very long stalls.
@@ -79,6 +78,23 @@ class CoreEngine:
         queue: PrefetchQueue,
         timing: TimingParams,
     ) -> None:
+        # The engine steps one format: packed CompiledTrace columns read by
+        # index (no generator frame, no LineVisit allocation per visit).  A
+        # raw Trace is compiled once here, under its own provenance.
+        if not isinstance(trace, CompiledTrace):
+            trace = CompiledTrace.compile(
+                trace,
+                line_size,
+                workload=trace.name,
+                seed=trace.seed,
+                core=config.core_id,
+                n_instructions=trace.total_instructions,
+            )
+        elif trace.line_size != line_size:
+            raise ValueError(
+                f"trace compiled for line_size={trace.line_size}, "
+                f"engine configured for {line_size}"
+            )
         self.config = config
         self.trace = trace
         self.l1i = l1i
@@ -93,29 +109,14 @@ class CoreEngine:
         self.cycle: float = 0.0
         self.total_instructions: int = 0
         self._line_shift = line_size.bit_length() - 1
-        # Fast path: a CompiledTrace is consumed by index from its packed
-        # columns (no generator frame, no LineVisit allocation per visit);
-        # a raw Trace keeps the lazy lowering.  Both paths funnel into
-        # _process_visit, so their arithmetic is identical by construction.
-        if isinstance(trace, CompiledTrace):
-            if trace.line_size != line_size:
-                raise ValueError(
-                    f"trace compiled for line_size={trace.line_size}, "
-                    f"engine configured for {line_size}"
-                )
-            self._compiled: Optional[CompiledTrace] = trace
-            self._visits: Optional[Iterator[LineVisit]] = None
-            self._visit_index = 0
-            self._c_lines = trace.lines
-            self._c_kinds = trace.kinds
-            self._c_ninstr = trace.ninstr
-            self._c_data = trace.data
-            self._c_offsets = trace.offsets
-            self._c_disc = trace.disc
-            self._c_count = trace.visit_count
-        else:
-            self._compiled = None
-            self._visits = iter_line_visits(trace.events, line_size)
+        self._visit_index = 0
+        self._c_lines = trace.lines
+        self._c_kinds = trace.kinds
+        self._c_ninstr = trace.ninstr
+        self._c_data = trace.data
+        self._c_offsets = trace.offsets
+        self._c_disc = trace.disc
+        self._c_count = trace.visit_count
         self._prev_line = -1
         self._slot_credit = 0.0
         self._last_slot_cycle = 0.0
@@ -129,10 +130,9 @@ class CoreEngine:
         # step() and its callees run once per line visit — the simulator's
         # hottest loop.  Everything below is immutable for the engine's
         # lifetime, so hoist the repeated attribute chains (timing scalars,
-        # bound methods of the caches/queue/prefetcher, TransitionKind
-        # members) into locals-at-one-load distance.  l2_eviction_hook is
-        # deliberately NOT hoisted: the system wires it up after
-        # construction.
+        # bound methods of the caches/queue/prefetcher) into
+        # locals-at-one-load distance.  l2_eviction_hook is deliberately NOT
+        # hoisted: the system wires it up after construction.
         self._fetch_stall_exposed = timing.fetch_stall_exposed_fraction
         self._slot_rate = timing.prefetch_slot_rate
         self._l2_latency = float(timing.l2_latency)
@@ -154,7 +154,6 @@ class CoreEngine:
         self._pf_on_discontinuity = prefetcher.on_discontinuity
         self._pf_credit = prefetcher.credit
         self._pf_overhead = prefetcher.consume_overhead_cycles
-        self._kind_members = list(TransitionKind)
         #: optional callback invoked with the line index of every L2
         #: victim this engine causes; the CMP system uses it to implement
         #: inclusive-L2 back-invalidation of all cores' L1s.
@@ -175,30 +174,10 @@ class CoreEngine:
 
     def step(self) -> bool:
         """Process the next line visit; return False when the trace ends."""
-        if self._compiled is not None:
-            return self._step_compiled()
-        return self._step_stream()
-
-    def _step_stream(self) -> bool:
-        """Slow path: pull the next visit from the lazy lowering."""
-        visits = self._visits
-        assert visits is not None  # only called when no compiled trace
-        visit = next(visits, None)
-        if visit is None:
-            self._finished = True
-            self.stats.cycles = self.cycle - self._cycle_mark
-            return False
-        line, kind, ninstr, data = visit
-        prev = self._prev_line
-        disc = (
-            prev >= 0
-            and line != prev
-            and is_discontinuity(self._kind_members[kind], prev, line)
-        )
-        return self._process_visit(line, kind, ninstr, data, disc)
+        return self._step_compiled()
 
     def _step_compiled(self) -> bool:
-        """Fast path: read the packed columns by index, allocation-free."""
+        """Read the next visit's packed columns by index, allocation-free."""
         i = self._visit_index
         if i >= self._c_count:
             self._finished = True
@@ -216,7 +195,7 @@ class CoreEngine:
         )
 
     def _process_visit(self, line, kind, ninstr, data, disc) -> bool:
-        """Steps (1)-(6) for one visit; shared by both trace paths."""
+        """Steps (1)-(6) for one visit."""
         now = self.cycle
         stats = self.stats
 
@@ -268,7 +247,7 @@ class CoreEngine:
                 stall = 0.0
 
         # (3) discontinuity observation (flag precomputed at trace-compile
-        # time on the fast path; live classification on the slow path).
+        # time).
         if disc:
             self._pf_on_discontinuity(self._prev_line, line, was_miss)
         self._prev_line = line
@@ -332,7 +311,7 @@ class CoreEngine:
 
     def run(self) -> CoreStats:
         """Run the whole trace; return the measurement-window stats."""
-        step = self._step_compiled if self._compiled is not None else self._step_stream
+        step = self._step_compiled
         while step():
             pass
         return self.stats

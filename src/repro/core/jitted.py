@@ -3,12 +3,11 @@
 :class:`JittedCoreEngine` executes the reference
 :class:`~repro.core.engine.CoreEngine` per-visit semantics inside one
 compiled kernel and produces **bit-identical** results — same stats, same
-floats, same eviction order.  Unlike the vectorized backend it also owns
-the *multi-core* interleave loop: :meth:`JittedCoreEngine.run_multicore`
-runs the whole smallest-clock-first core interleave of
+floats, same eviction order.  It also owns the *multi-core* interleave
+loop: :meth:`JittedCoreEngine.run_multicore` runs the whole
+smallest-clock-first core interleave of
 :meth:`repro.cmp.system.System.run` inside the kernel, so ``n_cores > 1``
-is batch-stepped instead of span-of-1 (the vectorized backend's ~0.9x
-multi-core regression becomes a multiple-x speedup).
+is batch-stepped instead of one Python step per visit.
 
 How it is compiled
 ------------------
@@ -17,11 +16,10 @@ The kernel is plain C, embedded below as a source string
 (:func:`kernel_source`), compiled once per source hash with the system C
 compiler (``cc -O2 -fPIC -shared -ffp-contract=off``) into a shared object
 cached under ``REPRO_JIT_CACHE_DIR`` (default ``.repro-cache/jit``), and
-loaded through :mod:`ctypes`.  This needs no third-party package: numba
-(the ``[fast]`` extra's declared JIT escape hatch) generates the same kind
-of machine loop, but a toolchain-compiled kernel is available wherever a C
-compiler is — environments with neither fall back to the reference
-backend with one logged warning (:func:`jit_available`).
+loaded through :mod:`ctypes`.  This needs no third-party package: the
+kernel is available wherever a C compiler is — environments without one
+fall back to the reference backend with one logged warning
+(:func:`jit_available`).
 
 Why the results are exactly equal
 ---------------------------------
@@ -42,10 +40,9 @@ with explicit arrays:
 - the discontinuity table becomes three flat arrays (``None`` sources
   encoded as ``-1``).
 
-Eligibility mirrors the vectorized backend's: a compiled trace, all-LRU
-caches, no inclusive-L2 back-invalidation hook, and a prefetcher whose
-semantics the kernel replicates (the ``none``/sequential/lookahead/
-discontinuity families).  Anything else degrades to exact reference
+Eligibility: all-LRU caches, no inclusive-L2 back-invalidation hook, and
+a prefetcher whose semantics the kernel replicates (the ``none``/
+sequential/lookahead/discontinuity families).  Anything else degrades to exact reference
 stepping via ``super()`` — never to approximate fast behavior — so every
 registered prefetcher passes the backend parity suite by construction.
 
@@ -1362,8 +1359,7 @@ class JittedCoreEngine(CoreEngine):
         if ok is None:
             prefetcher = self.prefetcher
             ok = (
-                self._compiled is not None
-                and self.l2_eviction_hook is None
+                self.l2_eviction_hook is None
                 and self.l1i._is_lru
                 and self.l1d._is_lru
                 and self.l2._is_lru
@@ -1388,7 +1384,7 @@ class JittedCoreEngine(CoreEngine):
         lib = _kernel()
         assert lib is not None  # guarded by jit_available() in _twin_ready
         self._lib = lib
-        trace = self._compiled
+        trace = self.trace
         c = _CCore()
         keep = self._buffers
 

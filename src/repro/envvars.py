@@ -31,7 +31,6 @@ REPRO_PROFILE = "REPRO_PROFILE"
 REPRO_JOBS = "REPRO_JOBS"
 REPRO_CACHE_DIR = "REPRO_CACHE_DIR"
 REPRO_DISK_CACHE = "REPRO_DISK_CACHE"
-REPRO_COMPILED_TRACES = "REPRO_COMPILED_TRACES"
 REPRO_ENGINE_BACKEND = "REPRO_ENGINE_BACKEND"
 REPRO_JIT_CACHE_DIR = "REPRO_JIT_CACHE_DIR"
 REPRO_TRACE_DIR = "REPRO_TRACE_DIR"
@@ -80,22 +79,15 @@ REGISTRY: Tuple[EnvVar, ...] = (
         "Set to `0`/`off`/`false`/`no` to disable the disk cache entirely.",
     ),
     EnvVar(
-        REPRO_COMPILED_TRACES,
-        "`1`",
-        "Set to `0`/`off`/`false`/`no` to feed the engine raw traces (lazy "
-        "per-visit lowering) instead of compiled packed columns.  Results "
-        "are bit-identical either way.",
-    ),
-    EnvVar(
         REPRO_ENGINE_BACKEND,
         "`reference`",
         "Engine backend used when a run asks for `auto` (the default "
-        "everywhere): `reference`, `vectorized` or `jit`.  Backends are "
-        "bit-identical — this changes speed, not results — so it is *not* "
-        "part of any cache key.  Multi-core systems resolve `auto` to "
-        "`jit` when a C compiler is available and to `reference` otherwise "
-        "(never `vectorized`: its span-of-1 stepping measures ~0.9x "
-        "there).  `repro-experiment --backend` overrides it per "
+        "everywhere): `reference` or `jit`.  Backends are bit-identical — "
+        "this changes speed, not results — so it is *not* part of any cache "
+        "key.  Unset, single-core systems resolve `auto` to `reference`; "
+        "multi-core systems resolve it to `jit` when a C compiler is "
+        "available and to `reference` otherwise.  Any other value is an "
+        "error.  `repro-experiment --backend` overrides it per "
         "invocation; see [Engine backends](#engine-backends).",
     ),
     EnvVar(

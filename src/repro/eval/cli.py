@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=(*BACKEND_NAMES, AUTO_BACKEND),
         help="engine backend for every run (default: $REPRO_ENGINE_BACKEND, "
-        "else 'reference'); backends are bit-identical — this changes "
-        "speed, not results",
+        "else 'auto': reference on one core, jit on more when it builds); "
+        "backends are bit-identical — this changes speed, not results",
     )
     parser.add_argument(
         "--progress",
@@ -263,12 +263,9 @@ def _run_check(names: List[str], scale, seed: Optional[int]) -> int:
 
 def _run_precompile(names: List[str], scale, seed: Optional[int]) -> int:
     """The ``precompile`` verb: warm the trace store, simulate nothing."""
-    from repro.eval.runner import compiled_traces_enabled, precompile_for_specs
+    from repro.eval.runner import precompile_for_specs
     from repro.trace import store as trace_store
 
-    if not compiled_traces_enabled():
-        print("error: compiled traces are disabled (REPRO_COMPILED_TRACES)", file=sys.stderr)
-        return 2
     try:
         by_experiment = collect_specs_by_experiment(names, scale=scale, seed=seed)
     except KeyError as error:

@@ -7,12 +7,10 @@ be comparable.  Two layers keep that cheap:
 - :func:`get_traces` memoizes raw generated traces by
   ``(workload, n_cores, seed, n_instructions)`` within the process;
 - :func:`get_compiled_traces` serves the packed
-  :class:`~repro.trace.compiled.CompiledTrace` form the engine's fast path
-  consumes, backed by its own memo **and** the persistent on-disk trace
-  store (:mod:`repro.trace.store`, ``$REPRO_TRACE_DIR``) — a store hit
-  skips synthesis *and* lowering entirely, across processes and sessions.
-  Set ``REPRO_COMPILED_TRACES=0`` to force the raw-generator path (A/B
-  profiling; results are bit-identical either way).
+  :class:`~repro.trace.compiled.CompiledTrace` form the engine consumes,
+  backed by its own memo **and** the persistent on-disk trace store
+  (:mod:`repro.trace.store`, ``$REPRO_TRACE_DIR``) — a store hit skips
+  synthesis *and* lowering entirely, across processes and sessions.
 
 Result caching is layered (see :mod:`repro.eval.executor`): an in-process
 memo, then the persistent on-disk cache of :mod:`repro.eval.diskcache`.
@@ -28,17 +26,17 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.caches.config import DEFAULT_HIERARCHY, HierarchyConfig
 from repro.cmp.system import System, SystemConfig, SystemResult
-from repro.envvars import REPRO_COMPILED_TRACES, REPRO_SYNTH_LOG
+from repro.envvars import REPRO_SYNTH_LOG
 from repro.eval.profiles import ExperimentScale, get_scale
 from repro.eval.runspec import DEFAULT_SEED, RunSpec
 from repro.isa.classify import MissClass
 from repro.timing.params import DEFAULT_TIMING, TimingParams
 from repro.trace import store as trace_store
-from repro.trace.compiled import CompiledTrace, TraceLike
+from repro.trace.compiled import CompiledTrace
 from repro.trace.source import traces_for
 from repro.trace.stream import Trace
 
@@ -48,16 +46,11 @@ __all__ = [
     "get_compiled_traces",
     "precompile_for_specs",
     "trace_budget",
-    "compiled_traces_enabled",
     "clear_trace_cache",
     "run_system",
     "run_system_cached",
     "clear_result_cache",
 ]
-
-#: set to ``0``/``off`` to bypass compiled traces (and the trace store) and
-#: feed the engine raw traces through the lazy lowering instead.
-COMPILED_ENV = REPRO_COMPILED_TRACES
 
 #: when set to a path, every *actual* trace synthesis appends one JSON line
 #: ``{"pid": ..., "workload": ...}`` there — lets tests assert that pool
@@ -69,16 +62,6 @@ _COMPILED_CACHE: Dict[Tuple[str, int, int, int, int], List[CompiledTrace]] = {}
 
 #: number of make_traces calls this process has performed (test observability).
 _synthesis_count = 0
-
-
-def compiled_traces_enabled() -> bool:
-    """Feed the engine compiled traces?  ``REPRO_COMPILED_TRACES=0`` opts out."""
-    return os.environ.get(COMPILED_ENV, "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
 
 
 def synthesis_count() -> int:
@@ -197,12 +180,9 @@ def precompile_for_specs(
     process), ``"store"`` (loaded from disk) or ``"compiled"`` (synthesized
     and persisted).  The executor calls this in the parent before
     dispatching a pool, so workers only ever *load* packed files; the
-    ``precompile`` CLI verb exposes it directly.  No-op when compiled
-    traces are disabled.
+    ``precompile`` CLI verb exposes it directly.
     """
     outcomes: Dict[Tuple[str, int, int, int, int], str] = {}
-    if not compiled_traces_enabled():
-        return outcomes
     for spec in specs:
         total, _ = trace_budget(spec.scale, spec.n_cores)
         key = (spec.workload, spec.n_cores, spec.seed, total, spec.hierarchy.line_size)
@@ -250,11 +230,7 @@ def run_system(
     """Run one fully specified configuration and return its results."""
     scale = scale or get_scale()
     total, warm = trace_budget(scale, n_cores)
-    traces: Sequence[TraceLike]
-    if compiled_traces_enabled():
-        traces = get_compiled_traces(workload, n_cores, total, seed, hierarchy.line_size)
-    else:
-        traces = get_traces(workload, n_cores, total, seed)
+    traces = get_compiled_traces(workload, n_cores, total, seed, hierarchy.line_size)
     config = SystemConfig(
         n_cores=n_cores,
         hierarchy=hierarchy,

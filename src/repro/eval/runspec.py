@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.caches.config import DEFAULT_HIERARCHY, HierarchyConfig
+from repro.core.backends import validate_backend
 from repro.eval.profiles import ExperimentScale, get_scale
 from repro.isa.classify import MissClass
 from repro.prefetch.registry import PREFETCHER_NAMES
@@ -65,7 +66,7 @@ class RunSpec:
     #: the executing process; replaces the ``prefetcher`` registry name).
     software_prefetch: bool = False
     seed: int = DEFAULT_SEED
-    #: engine backend ("reference"/"vectorized"/"auto", see
+    #: engine backend ("reference"/"jit"/"auto", see
     #: :mod:`repro.core.backends`).  Backends are bit-identical, so this is
     #: deliberately *excluded* from :meth:`canonical_dict` — keying the
     #: persistent cache on it would split identical results across entries
@@ -97,17 +98,19 @@ class RunSpec:
     ) -> "RunSpec":
         """Build a spec, resolving the scale and normalizing the overrides.
 
-        Rejects unregistered prefetcher names and unresolvable workload
-        names up front (the workload check routes through the trace-source
-        registry, so synthetic profiles, ``mix`` and ingested
-        ``external:<name>`` streams are all accepted), so catalog typos
-        fail at declaration time rather than deep inside a worker process.
+        Rejects unregistered prefetcher names, unresolvable workload names
+        and unknown engine backends up front (the workload check routes
+        through the trace-source registry, so synthetic profiles, ``mix``
+        and ingested ``external:<name>`` streams are all accepted), so
+        catalog typos fail at declaration time rather than deep inside a
+        worker process.
         """
         if not software_prefetch and prefetcher not in PREFETCHER_NAMES:
             raise ValueError(
                 f"unknown prefetcher {prefetcher!r}; available: {PREFETCHER_NAMES}"
             )
         validate_workload(workload)
+        validate_backend(engine_backend)
         if scale is None or isinstance(scale, str):
             scale = get_scale(scale or "")
         overrides = tuple(sorted((prefetcher_overrides or {}).items()))

@@ -80,9 +80,6 @@ TRACE_PATHS = (
 #: lines), so editing them should not demand a schema bump.
 BEHAVIOR_EXCLUDE = frozenset({"src/repro/util/clock.py"})
 
-#: the vectorized engine backend: every vec counterpart lives here.
-VECTORIZED_MODULE = "src/repro/core/vectorized.py"
-
 #: the jit engine backend: every jit counterpart lives here.
 JITTED_MODULE = "src/repro/core/jitted.py"
 
@@ -90,28 +87,25 @@ JITTED_MODULE = "src/repro/core/jitted.py"
 class Pair(NamedTuple):
     """One fingerprinted reference hot path, optionally twinned.
 
-    With a ``vec_qualname`` (and/or ``jit_qualname``), the pair is a
-    must-stay-in-sync reference/fast-backend implementation pair.  The
-    vectorized backend inlines most reference hot paths into one flat
-    span interpreter, and the jit backend compiles them all into the one
-    C kernel returned by ``kernel_source``, so several reference
-    functions legitimately map to the same counterpart (many → one).
-    Rule R6 fingerprints every side; a drifted reference fingerprint with
-    an unchanged counterpart fingerprint is the "silent divergence"
-    failure mode this exists to catch before the (slow) runtime parity
-    suite does.
+    With a ``jit_qualname``, the pair is a must-stay-in-sync reference/jit
+    implementation pair.  The jit backend compiles every paired reference
+    hot path into the one C kernel returned by ``kernel_source``, so
+    several reference functions legitimately map to the same counterpart
+    (many → one).  Rule R6 fingerprints both sides; a drifted reference
+    fingerprint with an unchanged counterpart fingerprint is the "silent
+    divergence" failure mode this exists to catch before the (slow)
+    runtime parity suite does.
 
-    With both counterparts ``None`` the pair is *reference-only*: every
-    backend executes the same function (the fast backends fall back to
-    reference stepping for prefetchers outside their compiled set), so
-    silent divergence is impossible — the fingerprint exists so edits to
-    the hot path still demand an explicit manifest refresh, and so every
-    prefetcher family is visible to R6's completeness check.
+    With no counterpart the pair is *reference-only*: both backends
+    execute the same function (jit falls back to reference stepping for
+    prefetchers outside its compiled set), so silent divergence is
+    impossible — the fingerprint exists so edits to the hot path still
+    demand an explicit manifest refresh, and so every prefetcher family is
+    visible to R6's completeness check.
     """
 
     ref_module: str
     ref_qualname: str
-    vec_qualname: Optional[str] = None  #: qualname inside VECTORIZED_MODULE
     jit_qualname: Optional[str] = None  #: qualname inside JITTED_MODULE
 
 
@@ -124,39 +118,36 @@ _MKV = "src/repro/prefetch/markov.py"
 _FDP = "src/repro/prefetch/fdp.py"
 _MANA = "src/repro/prefetch/mana.py"
 _SHADOW = "src/repro/prefetch/shadow.py"
-_SPAN = "VectorizedCoreEngine._fast_span"
 _KSRC = "kernel_source"
 
-#: the fingerprinted hot-path pairs.  ``_fast_span`` inlines the per-visit
-#: reference pipeline (visit processing, queue drain + issue, fills,
-#: installs, data-miss timing, and the DiscontinuityPrefetcher trigger
-#: path), so it is the vectorized counterpart of nearly everything; the
-#: jit backend compiles the same pipeline — plus the sequential prefetcher
-#: family, which the vectorized backend runs through reference stepping —
-#: into the one C kernel string returned by ``kernel_source``.  The
-#: remaining prefetcher families run through the reference stepping path
-#: on every backend, so their hot paths are fingerprinted reference-only.
+#: the fingerprinted hot-path pairs.  The jit backend compiles the
+#: per-visit reference pipeline (visit processing, queue drain + issue,
+#: fills, installs, data-miss timing, the DiscontinuityPrefetcher trigger
+#: path and the sequential prefetcher family) into the one C kernel string
+#: returned by ``kernel_source``.  The remaining prefetcher families run
+#: through the reference stepping path on both backends, so their hot
+#: paths are fingerprinted reference-only.
 PAIRS: Tuple[Pair, ...] = (
-    Pair(_ENGINE, "CoreEngine._process_visit", _SPAN, _KSRC),
-    Pair(_ENGINE, "CoreEngine._step_compiled", _SPAN, _KSRC),
-    Pair(_ENGINE, "CoreEngine._issue_prefetches", _SPAN, _KSRC),
-    Pair(_ENGINE, "CoreEngine._issue_one", _SPAN, _KSRC),
-    Pair(_ENGINE, "CoreEngine._demand_fill", _SPAN, _KSRC),
-    Pair(_ENGINE, "CoreEngine._install_l1i", _SPAN, _KSRC),
-    Pair(_ENGINE, "CoreEngine._install_l2", _SPAN, _KSRC),
-    Pair(_ENGINE, "CoreEngine._data_miss", _SPAN, _KSRC),
-    Pair(_QUEUE, "PrefetchQueue.offer", _SPAN, _KSRC),
-    Pair(_QUEUE, "PrefetchQueue.pop_ready", _SPAN, _KSRC),
-    Pair(_QUEUE, "PrefetchQueue.note_demand_fetch", _SPAN, _KSRC),
-    Pair(_DISC, "DiscontinuityTable.observe", _SPAN, _KSRC),
-    Pair(_DISC, "DiscontinuityTable.predict", _SPAN, _KSRC),
-    Pair(_DISC, "DiscontinuityTable.credit", _SPAN, _KSRC),
-    Pair(_DISC, "DiscontinuityPrefetcher.on_demand_fetch", _SPAN, _KSRC),
-    Pair(_SEQ, "NextLineAlways.on_demand_fetch", None, _KSRC),
-    Pair(_SEQ, "NextLineOnMiss.on_demand_fetch", None, _KSRC),
-    Pair(_SEQ, "NextLineTagged.on_demand_fetch", None, _KSRC),
-    Pair(_SEQ, "NextNLineTagged.on_demand_fetch", None, _KSRC),
-    Pair(_SEQ, "LookaheadN.on_demand_fetch", None, _KSRC),
+    Pair(_ENGINE, "CoreEngine._process_visit", _KSRC),
+    Pair(_ENGINE, "CoreEngine._step_compiled", _KSRC),
+    Pair(_ENGINE, "CoreEngine._issue_prefetches", _KSRC),
+    Pair(_ENGINE, "CoreEngine._issue_one", _KSRC),
+    Pair(_ENGINE, "CoreEngine._demand_fill", _KSRC),
+    Pair(_ENGINE, "CoreEngine._install_l1i", _KSRC),
+    Pair(_ENGINE, "CoreEngine._install_l2", _KSRC),
+    Pair(_ENGINE, "CoreEngine._data_miss", _KSRC),
+    Pair(_QUEUE, "PrefetchQueue.offer", _KSRC),
+    Pair(_QUEUE, "PrefetchQueue.pop_ready", _KSRC),
+    Pair(_QUEUE, "PrefetchQueue.note_demand_fetch", _KSRC),
+    Pair(_DISC, "DiscontinuityTable.observe", _KSRC),
+    Pair(_DISC, "DiscontinuityTable.predict", _KSRC),
+    Pair(_DISC, "DiscontinuityTable.credit", _KSRC),
+    Pair(_DISC, "DiscontinuityPrefetcher.on_demand_fetch", _KSRC),
+    Pair(_SEQ, "NextLineAlways.on_demand_fetch", _KSRC),
+    Pair(_SEQ, "NextLineOnMiss.on_demand_fetch", _KSRC),
+    Pair(_SEQ, "NextLineTagged.on_demand_fetch", _KSRC),
+    Pair(_SEQ, "NextNLineTagged.on_demand_fetch", _KSRC),
+    Pair(_SEQ, "LookaheadN.on_demand_fetch", _KSRC),
     Pair(_TGT, "TargetPrefetcher.on_demand_fetch"),
     Pair(_MKV, "MarkovPrefetcher.on_demand_fetch"),
     Pair(_FDP, "FetchDirectedPrefetcher.on_demand_fetch"),
@@ -187,21 +178,16 @@ def _function_fingerprint(
 def pair_fingerprints(project: Project) -> Dict[str, Dict[str, Optional[str]]]:
     """Current fingerprints of every side of every pair.
 
-    ``{pair_id: {"ref": fp-or-None, "vec": fp-or-None, "jit":
-    fp-or-None}}`` — a ``None`` ref fingerprint means the function (or
-    its module) is missing from the tree, which R6 reports as its own
-    violation; a ``None`` counterpart fingerprint is the normal state of
-    a pair without that counterpart (and a violation otherwise).
+    ``{pair_id: {"ref": fp-or-None, "jit": fp-or-None}}`` — a ``None``
+    ref fingerprint means the function (or its module) is missing from
+    the tree, which R6 reports as its own violation; a ``None`` jit
+    fingerprint is the normal state of a reference-only pair (and a
+    violation otherwise).
     """
     out: Dict[str, Dict[str, Optional[str]]] = {}
     for pair in PAIRS:
         out[pair_id(pair)] = {
             "ref": _function_fingerprint(project, pair.ref_module, pair.ref_qualname),
-            "vec": (
-                _function_fingerprint(project, VECTORIZED_MODULE, pair.vec_qualname)
-                if pair.vec_qualname is not None
-                else None
-            ),
             "jit": (
                 _function_fingerprint(project, JITTED_MODULE, pair.jit_qualname)
                 if pair.jit_qualname is not None
@@ -212,9 +198,9 @@ def pair_fingerprints(project: Project) -> Dict[str, Dict[str, Optional[str]]]:
 
 
 def pairs_active(project: Project) -> bool:
-    """Pair checking applies only when the vectorized backend exists (the
-    lint suite's small synthetic fixture trees have no backends)."""
-    return project.exists(VECTORIZED_MODULE)
+    """Pair checking applies only when the jit backend exists (the lint
+    suite's small synthetic fixture trees have no backends)."""
+    return project.exists(JITTED_MODULE)
 
 
 class Artifact(NamedTuple):

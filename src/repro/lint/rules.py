@@ -16,7 +16,7 @@ Each rule encodes one contract the reproduction's results depend on:
 - **R5 catalog sync** — every catalog ``Experiment`` declaration carries a
   grid, panels and expectations, and is registered exactly once.
 - **R6 backend drift** — fingerprinted reference hot paths may not change
-  while their vectorized counterparts stand still (see the pair manifest
+  while their jit kernel counterpart stands still (see the pair manifest
   in :mod:`repro.lint.manifest`).
 - **R7 env registry** — every ``REPRO_*`` environment read goes through a
   constant declared in :mod:`repro.envvars`, and the docs env table stays
@@ -1210,12 +1210,11 @@ class BackendDriftRule(Rule):
 
     The paired-implementation manifest (:data:`repro.lint.manifest.PAIRS`)
     links each hot-path function in the reference engine / prefetchers to
-    its counterparts in ``src/repro/core/vectorized.py`` and/or
-    ``src/repro/core/jitted.py`` (where the counterpart is the C kernel
-    string returned by ``kernel_source``).  Fingerprints are structural
+    its counterpart in ``src/repro/core/jitted.py`` (the C kernel string
+    returned by ``kernel_source``).  Fingerprints are structural
     (comment-, formatting- and docstring-insensitive), so only behavioural
     edits move them.  The dangerous state — a reference-side fingerprint
-    drifted while a counterpart's stands still — fails lint with both
+    drifted while the counterpart's stands still — fails lint with both
     sites named; any other drift just asks for a manifest refresh,
     mirroring the R2 workflow.
 
@@ -1225,7 +1224,7 @@ class BackendDriftRule(Rule):
     ``src/repro/prefetch``: any module defining an ``on_demand_fetch``
     hook that no pair fingerprints fails lint, so a newly added prefetcher
     family cannot bypass drift tracking.  The rule deactivates on trees
-    without the vectorized backend (the lint suite's synthetic fixtures).
+    without the jit backend (the lint suite's synthetic fixtures).
     """
 
     name = "R6"
@@ -1283,24 +1282,10 @@ class BackendDriftRule(Rule):
                     )
                 )
                 continue
-            # (label, record key, module, qualname) per declared counterpart.
-            counterparts = []
-            if pair.vec_qualname is not None:
-                counterparts.append(
-                    (
-                        "vectorized",
-                        "vec",
-                        manifest_mod.VECTORIZED_MODULE,
-                        pair.vec_qualname,
-                    )
-                )
-            if pair.jit_qualname is not None:
-                counterparts.append(
-                    ("jit", "jit", manifest_mod.JITTED_MODULE, pair.jit_qualname)
-                )
-            entries = {}
-            missing = False
-            for label, key, module, qualname in counterparts:
+            module = manifest_mod.JITTED_MODULE
+            qualname = pair.jit_qualname
+            entry = None
+            if qualname is not None:
                 entry = (
                     project.facts(module)["functions"].get(qualname)
                     if project.exists(module)
@@ -1311,16 +1296,12 @@ class BackendDriftRule(Rule):
                         self.violation(
                             module,
                             0,
-                            f"{label} counterpart {qualname!r} of "
+                            f"jit counterpart {qualname!r} of "
                             f"{pair.ref_module}::{pair.ref_qualname} is missing",
                             "restore the function or update manifest.PAIRS",
                         )
                     )
-                    missing = True
                     continue
-                entries[key] = entry
-            if missing:
-                continue
             record = recorded_pairs.get(pid)
             if not isinstance(record, dict):
                 violations.append(
@@ -1334,43 +1315,38 @@ class BackendDriftRule(Rule):
                 )
                 continue
             ref_changed = record.get("ref") != ref_entry["fingerprint"]
-            if not counterparts:
-                # Reference-only: every backend shares this code, so a
+            if entry is None:
+                # Reference-only: both backends share this code, so a
                 # drifted fingerprint is at worst stale — never divergent.
                 if ref_changed:
                     stale.setdefault(
                         (pair.ref_module, pair.ref_qualname), ref_entry["lineno"]
                     )
                 continue
-            any_counterpart_stale = False
-            for label, key, module, qualname in counterparts:
-                entry = entries[key]
-                counterpart_changed = record.get(key) != entry["fingerprint"]
-                if ref_changed and not counterpart_changed:
-                    counterpart_site = f"{module}::{qualname}"
-                    violations.append(
-                        self.violation(
-                            pair.ref_module,
-                            ref_entry["lineno"],
-                            f"reference hot path {pair.ref_qualname!r} changed "
-                            f"but its {label} counterpart {qualname!r} did "
-                            "not — the backends may no longer be bit-identical",
-                            R6_HINT_TEMPLATE.format(
-                                counterpart_site=counterpart_site
-                            ),
-                        )
+            counterpart_changed = record.get("jit") != entry["fingerprint"]
+            if ref_changed and not counterpart_changed:
+                violations.append(
+                    self.violation(
+                        pair.ref_module,
+                        ref_entry["lineno"],
+                        f"reference hot path {pair.ref_qualname!r} changed "
+                        f"but its jit counterpart {qualname!r} did "
+                        "not — the backends may no longer be bit-identical",
+                        R6_HINT_TEMPLATE.format(
+                            counterpart_site=f"{module}::{qualname}"
+                        ),
                     )
-                elif counterpart_changed:
-                    # the counterpart moved (with or without the reference
-                    # side): behaviourally fine, but the manifest must be
-                    # refreshed so the *next* lone reference edit cannot
-                    # hide behind stale fingerprints.
-                    any_counterpart_stale = True
-                    stale.setdefault((module, qualname), entry["lineno"])
-            if ref_changed and any_counterpart_stale:
-                stale.setdefault(
-                    (pair.ref_module, pair.ref_qualname), ref_entry["lineno"]
                 )
+            elif counterpart_changed:
+                # the counterpart moved (with or without the reference
+                # side): behaviourally fine, but the manifest must be
+                # refreshed so the *next* lone reference edit cannot hide
+                # behind stale fingerprints.
+                stale.setdefault((module, qualname), entry["lineno"])
+                if ref_changed:
+                    stale.setdefault(
+                        (pair.ref_module, pair.ref_qualname), ref_entry["lineno"]
+                    )
         for (module, qualname), line in sorted(stale.items()):
             violations.append(
                 self.violation(
@@ -1408,7 +1384,7 @@ class BackendDriftRule(Rule):
                     "manifest.PAIRS entry fingerprints it — hot-path edits "
                     "here are invisible to drift checking",
                     "add a Pair(module, qualname) entry (reference-only "
-                    "pairs omit the vectorized counterpart) and run "
+                    "pairs omit the jit counterpart) and run "
                     "`python -m repro.lint --update-manifest`",
                 )
             )

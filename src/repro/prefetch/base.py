@@ -41,23 +41,6 @@ class Prefetcher:
     #: short identifier used in registries and result tables.
     name = "base"
 
-    #: True iff the scheme is provably inert on *transparent* visits — a
-    #: demand fetch that hit an unprefetched L1I line.  Concretely, the
-    #: class guarantees all three of:
-    #:
-    #: 1. ``on_demand_fetch(line, False, False, kind)`` returns ``[]`` and
-    #:    mutates no internal state;
-    #: 2. ``on_discontinuity(src, dst, caused_miss=False)`` mutates no
-    #:    internal state;
-    #: 3. ``consume_overhead_cycles()`` always returns ``0.0``.
-    #:
-    #: The vectorized engine backend relies on this contract to skip the
-    #: prefetcher hooks entirely while batch-processing L1I-hit visits
-    #: (``repro.core.vectorized``); schemes that train, probe, or accrue
-    #: overhead on every fetch must leave it False, which disables
-    #: batching but stays bit-identical.
-    hit_transparent = False
-
     def on_demand_fetch(
         self,
         line: int,
@@ -104,4 +87,3 @@ class NullPrefetcher(Prefetcher):
     """No prefetching — the paper's baseline configuration."""
 
     name = "none"
-    hit_transparent = True

@@ -159,10 +159,6 @@ class DiscontinuityTable:
 class DiscontinuityPrefetcher(Prefetcher):
     """Discontinuity table + next-N-line sequential prefetcher (§4)."""
 
-    # Triggers only on miss / first-use, and allocates only for missing
-    # discontinuities — inert on transparent hits.
-    hit_transparent = True
-
     def __init__(
         self,
         table_entries: int = 8192,

@@ -26,10 +26,6 @@ Structures, adapted to this repo's line-granularity front end:
 Replacement inside a set prefers the lowest-confidence entry (ties fall
 to LRU age); :meth:`ManaPrefetcher.credit` reinforces entries whose
 replayed lines were demand-used, mirroring the §4 eviction-counter idea.
-
-The recorder trains on *every* demand fetch, so the scheme is not
-``hit_transparent``: the vectorized engine backend degrades to reference
-stepping (bit-identical) for it.
 """
 
 from __future__ import annotations
@@ -162,9 +158,6 @@ class ManaTable:
 
 class ManaPrefetcher(Prefetcher):
     """Record/replay over spatial regions (SAB recorder + trigger table)."""
-
-    # The recorder observes every demand fetch, hits included.
-    hit_transparent = False
 
     def __init__(
         self,

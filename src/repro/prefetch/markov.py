@@ -146,8 +146,6 @@ class MarkovPrefetcher(Prefetcher):
     prefetcher so experiments isolate the table design.
     """
 
-    hit_transparent = True
-
     def __init__(
         self,
         capacity: int = 4096,

@@ -29,8 +29,6 @@ class NextLineAlways(Prefetcher):
     """Prefetch L+1 on every demand fetch."""
 
     name = "next-line-always"
-    # Emits a candidate on *every* fetch, hits included — not transparent.
-    hit_transparent = False
 
     def on_demand_fetch(self, line, was_miss, first_use_of_prefetch, kind):
         return [PrefetchCandidate(line + 1, _SEQ_PROVENANCE)]
@@ -40,8 +38,6 @@ class NextLineOnMiss(Prefetcher):
     """Prefetch L+1 only when the demand fetch of L missed."""
 
     name = "next-line-on-miss"
-    hit_transparent = True
-
     def on_demand_fetch(self, line, was_miss, first_use_of_prefetch, kind):
         if was_miss:
             return [PrefetchCandidate(line + 1, _SEQ_PROVENANCE)]
@@ -52,8 +48,6 @@ class NextLineTagged(Prefetcher):
     """Prefetch L+1 on a miss or on first use of a prefetched line."""
 
     name = "next-line-tagged"
-    hit_transparent = True
-
     def on_demand_fetch(self, line, was_miss, first_use_of_prefetch, kind):
         if was_miss or first_use_of_prefetch:
             return [PrefetchCandidate(line + 1, _SEQ_PROVENANCE)]
@@ -62,8 +56,6 @@ class NextLineTagged(Prefetcher):
 
 class NextNLineTagged(Prefetcher):
     """Prefetch L+1 .. L+N on a tagged trigger (paper default N=4)."""
-
-    hit_transparent = True
 
     def __init__(self, degree: int = 4) -> None:
         if degree < 1:
@@ -87,8 +79,6 @@ class LookaheadN(Prefetcher):
     the cost of gaps in the prefetched stream when control transfers occur
     (paper §2.1) — included as a baseline for exactly that comparison.
     """
-
-    hit_transparent = True
 
     def __init__(self, distance: int = 4) -> None:
         if distance < 1:

@@ -23,10 +23,6 @@ along the *predicted-taken* path).  Run-ahead then works in two stages:
    knows a target for it, the shadow target and its next
    ``shadow_degree - 1`` lines are enqueued too, recovering coverage
    where the direction predictor decays on large footprints.
-
-Training touches predictor state on every fetch (inherited from the fdp
-base), so the scheme is not ``hit_transparent``; the vectorized backend
-degrades to reference stepping (bit-identical) for it.
 """
 
 from __future__ import annotations

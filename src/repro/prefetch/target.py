@@ -22,10 +22,6 @@ from repro.prefetch.base import PrefetchCandidate, Prefetcher
 class TargetPrefetcher(Prefetcher):
     """Line-target history table probed with the current line."""
 
-    # Probes (and LRU-refreshes) the table on every demand fetch and learns
-    # every discontinuity, hit or miss — not transparent.
-    hit_transparent = False
-
     def __init__(self, capacity: int = 8192, degree: int = 1) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")

@@ -71,11 +71,6 @@ class TestPrecompile:
         clear_trace_cache()
         assert set(precompile_for_specs(tiny_specs()).values()) == {"store"}
 
-    def test_disabled_is_a_noop(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_TRACES", "0")
-        assert precompile_for_specs(tiny_specs()) == {}
-        assert store.entry_count() == 0
-
     def test_synthesis_shared_across_line_sizes(self):
         from repro.caches.config import DEFAULT_HIERARCHY
 

@@ -1,6 +1,6 @@
 """Property-based tests for compiled traces: round-trip exactness.
 
-The engine's fast path trusts :class:`CompiledTrace` columns blindly, so
+The engine trusts :class:`CompiledTrace` columns blindly, so
 these properties are the load-bearing guarantee: compiling then replaying
 (in memory or through the binary form) reproduces the live
 :func:`iter_line_visits` output *exactly* — same lines, kinds, instruction

@@ -1,32 +1,26 @@
-"""Backend equivalence: ``vectorized`` and ``jit`` must be bit-identical
-to ``reference``.
+"""Backend equivalence: ``jit`` must be bit-identical to ``reference``.
 
-The vectorized engine wins its speed through batch decoding and flat-span
-interpretation, the jit engine through compiling the per-visit scalar
-semantics to native code — but the repo's contract is that a backend is an
+The jit engine wins its speed by compiling the per-visit scalar semantics
+to native code — but the repo's contract is that a backend is an
 *execution strategy*, never a semantic: every stat, every cycle count,
 every eviction order must match the reference engine exactly (which is why
 the backend is excluded from the result-cache key, and why the golden
 spec-parity hashes are pinned across backends).
 
 This suite sweeps every registered prefetcher × {1, 4} cores ×
-{normal, bypass} L2 policy × both fast backends at smoke scale and
-compares the **full** :class:`~repro.core.metrics.CoreStats` of every
-core — scalars, miss-class breakdowns and prefetch counters — plus the
-off-chip link stats, using ``repr`` equality so even a signed-zero or
-last-ulp float divergence fails.  It also covers the graceful
-degradations: non-LRU replacement (where the fast backends fall back to
-reference stepping internally), a missing NumPy (where 'vectorized'
-selection falls back to the reference engine with a logged warning), and
-an unbuildable jit kernel (same, for 'jit').
+{normal, bypass} L2 policy at smoke scale and compares the **full**
+:class:`~repro.core.metrics.CoreStats` of every core — scalars, miss-class
+breakdowns and prefetch counters — plus the off-chip link stats, using
+``repr`` equality so even a signed-zero or last-ulp float divergence
+fails.  It also covers the graceful degradations: non-LRU replacement
+(where jit falls back to reference stepping internally) and an unbuildable
+jit kernel (where 'jit' selection falls back to the reference engine with
+a logged warning).
 """
 
 from __future__ import annotations
 
-import builtins
-import importlib
 import logging
-import sys
 
 import pytest
 
@@ -78,11 +72,11 @@ def _run(backend: str, **kwargs) -> SystemResult:
     return run_system(engine_backend=backend, **kwargs)
 
 
-#: both fast backends are checked against reference in every sweep.
-FAST_BACKENDS = ("vectorized", "jit")
+#: the fast backends checked against reference in every sweep.
+FAST_BACKENDS = ("jit",)
 
 #: memoized reference fingerprints so each config's reference run happens
-#: once even though two fast backends compare against it.
+#: once however many fast backends compare against it.
 _REFERENCE_MEMO: dict = {}
 
 
@@ -138,55 +132,22 @@ def test_parity_other_workload() -> None:
     )
 
 
-def test_missing_numpy_falls_back_with_warning(monkeypatch, caplog) -> None:
-    """Without NumPy, 'vectorized' degrades to the reference engine."""
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError("No module named 'numpy'")
-        return real_import(name, *args, **kwargs)
-
-    # Force the lazy import in backends to re-run; ``import numpy`` inside
-    # the module always routes through ``__import__``, so intercepting it
-    # is enough — numpy itself stays importable/cached for other tests.
-    monkeypatch.delitem(sys.modules, "repro.core.vectorized", raising=False)
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    monkeypatch.setattr(backends, "_fallback_warned", False)
-
-    with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-        engine_cls = backends._vectorized_engine_cls()
-    assert engine_cls is None
-    assert any(
-        "falling back to the reference backend" in record.message
-        for record in caplog.records
-    )
-
-    # A second request stays quiet (the warning is once per process) but
-    # still reports the backend as unavailable.
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-        assert backends._vectorized_engine_cls() is None
-    assert not caplog.records
-
-    # Restore the real import and confirm the backend loads again.
-    monkeypatch.setattr(builtins, "__import__", real_import)
-    importlib.invalidate_caches()
-    assert backends._vectorized_engine_cls() is not None
-
-
 def test_resolve_backend_rejects_unknown() -> None:
     with pytest.raises(ValueError, match="unknown engine backend"):
         backends.resolve_backend("simd")
 
 
 def test_resolve_backend_env(monkeypatch) -> None:
-    monkeypatch.setenv(backends.ENGINE_BACKEND_ENV, "vectorized")
-    assert backends.resolve_backend("auto") == "vectorized"
-    assert backends.resolve_backend(None) == "vectorized"
+    monkeypatch.setenv(backends.ENGINE_BACKEND_ENV, "jit")
+    assert backends.resolve_backend("auto") == "jit"
+    assert backends.resolve_backend(None) == "jit"
     assert backends.resolve_backend("reference") == "reference"
     monkeypatch.delenv(backends.ENGINE_BACKEND_ENV)
     assert backends.resolve_backend("auto") == "reference"
+
+
+#: expected outcome of a request that must be rejected as unknown.
+UNKNOWN = ValueError
 
 
 @pytest.mark.parametrize(
@@ -196,38 +157,34 @@ def test_resolve_backend_env(monkeypatch) -> None:
         # whether the jit kernel is buildable (the graceful fallback to
         # reference happens at engine-construction time, not resolution).
         ("reference", 1, None, True, "reference"),
-        ("reference", 4, "vectorized", True, "reference"),
-        ("vectorized", 1, None, True, "vectorized"),
-        ("vectorized", 4, "vectorized", True, "vectorized"),
+        ("reference", 4, "jit", True, "reference"),
         ("jit", 1, None, True, "jit"),
         ("jit", 1, None, False, "jit"),
         ("jit", 4, "reference", True, "jit"),
-        ("jit", 4, "vectorized", False, "jit"),
-        # Single-core auto defers to the environment, default reference;
-        # jit availability is never probed here.
+        # Otherwise the environment is the request; unset (or "auto")
+        # means reference on one core, jit-if-buildable on more.
         ("auto", 1, None, True, "reference"),
         ("auto", 1, None, False, "reference"),
         ("auto", 1, "reference", True, "reference"),
-        ("auto", 1, "vectorized", True, "vectorized"),
-        ("auto", 1, "vectorized", False, "vectorized"),
         ("auto", 1, "jit", True, "jit"),
         ("auto", 1, "jit", False, "jit"),
-        (None, 1, "vectorized", True, "vectorized"),
-        ("", 1, "vectorized", True, "vectorized"),
-        # Multi-core auto: an explicit env pin of reference or jit is
-        # honored; unset or vectorized prefers jit when its kernel is
-        # buildable and reference otherwise (never vectorized: span-of-1
-        # stepping measures ~0.9x; see docs/performance.md).
+        (None, 1, "jit", True, "jit"),
+        ("", 1, "jit", True, "jit"),
         ("auto", 2, None, True, "jit"),
         ("auto", 2, None, False, "reference"),
-        ("auto", 4, "vectorized", True, "jit"),
-        ("auto", 4, "vectorized", False, "reference"),
+        ("auto", 4, "auto", True, "jit"),
         ("auto", 4, "reference", True, "reference"),
         ("auto", 4, "reference", False, "reference"),
         ("auto", 4, "jit", True, "jit"),
         ("auto", 4, "jit", False, "jit"),
-        (None, 4, "vectorized", True, "jit"),
-        (None, 4, "vectorized", False, "reference"),
+        # A misspelled environment value is rejected the same way on
+        # every core count, never silently replaced by the default.
+        ("auto", 1, "refrence", True, UNKNOWN),
+        ("auto", 4, "refrence", True, UNKNOWN),
+        ("auto", 4, "refrence", False, UNKNOWN),
+        # The retired vectorized backend is an unknown name everywhere.
+        ("vectorized", 1, None, True, UNKNOWN),
+        (None, 4, "vectorized", True, UNKNOWN),
     ],
 )
 def test_resolve_backend_table(monkeypatch, request_name, n_cores, env, jit_ok, expected):
@@ -236,7 +193,11 @@ def test_resolve_backend_table(monkeypatch, request_name, n_cores, env, jit_ok, 
     else:
         monkeypatch.setenv(backends.ENGINE_BACKEND_ENV, env)
     monkeypatch.setattr(backends, "_jit_available", lambda: jit_ok)
-    assert backends.resolve_backend(request_name, n_cores=n_cores) == expected
+    if expected is UNKNOWN:
+        with pytest.raises(ValueError, match="unknown engine backend"):
+            backends.resolve_backend(request_name, n_cores=n_cores)
+    else:
+        assert backends.resolve_backend(request_name, n_cores=n_cores) == expected
 
 
 def test_jit_unavailable_falls_back_with_warning(monkeypatch, caplog) -> None:
@@ -262,24 +223,20 @@ def test_jit_unavailable_falls_back_with_warning(monkeypatch, caplog) -> None:
     assert not caplog.records
 
 
-def test_multicore_system_never_auto_selects_vectorized(monkeypatch) -> None:
-    """Multi-core auto resolves to jit (kernel buildable) or reference —
-    never to the vectorized backend, even when the environment asks for
-    it; single-core auto still honors the environment."""
-    pytest.importorskip("numpy")
+def test_auto_system_engines_follow_core_count(monkeypatch) -> None:
+    """Unset-environment auto builds jit engines for a multi-core system
+    (when the kernel is buildable) and a plain reference engine for a
+    single-core one."""
     from repro.cmp.system import System, SystemConfig
-    from repro.core.vectorized import VectorizedCoreEngine
+    from repro.core.engine import CoreEngine
     from repro.eval.runner import get_traces
 
-    monkeypatch.setenv(backends.ENGINE_BACKEND_ENV, "vectorized")
+    monkeypatch.delenv(backends.ENGINE_BACKEND_ENV, raising=False)
     system = System(
         SystemConfig(n_cores=2, engine_backend="auto"),
         get_traces("db", 2, 2_000),
     )
     assert len(system.engines) == 2
-    assert not any(
-        isinstance(engine, VectorizedCoreEngine) for engine in system.engines
-    )
     if backends._jit_available():
         from repro.core.jitted import JittedCoreEngine
 
@@ -291,7 +248,7 @@ def test_multicore_system_never_auto_selects_vectorized(monkeypatch) -> None:
         SystemConfig(n_cores=1, engine_backend="auto"),
         get_traces("db", 1, 2_000),
     )
-    assert isinstance(single.engines[0], VectorizedCoreEngine)
+    assert type(single.engines[0]) is CoreEngine
 
 
 def test_multicore_auto_without_jit_uses_reference(monkeypatch) -> None:

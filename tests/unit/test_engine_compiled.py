@@ -1,9 +1,10 @@
-"""Compiled-trace fast path vs raw-trace slow path: bit-identical stats.
+"""Raw-trace input vs compiled-trace input: bit-identical stats.
 
-The engine keeps two step implementations (packed columns vs the lazy
-lowering).  These tests pin the load-bearing claim from
-``docs/performance.md``: for identical inputs the two paths produce
-*identical* statistics — every counter and every float, not approximately.
+The engine steps one format, packed :class:`CompiledTrace` columns; a raw
+:class:`Trace` handed to it is compiled once at construction.  These tests
+pin that an engine handed a raw trace produces *identical* statistics to
+one handed its compiled form — every counter and every float, not
+approximately — on one core, on a CMP, and with the two mixed across cores.
 """
 
 import dataclasses
@@ -76,34 +77,54 @@ def test_line_size_mismatch_rejected():
         System(SystemConfig(n_cores=1), [compiled]).run()
 
 
-def test_engine_step_counts_match():
-    """step() yields the same number of visits on both paths."""
+def _engine(trace):
     from repro.caches.cache import SetAssociativeCache
     from repro.caches.config import DEFAULT_HIERARCHY
     from repro.cmp.link import OffChipLink
-    from repro.prefetch.registry import create_prefetcher
     from repro.prefetch.queue import PrefetchQueue
+    from repro.prefetch.registry import create_prefetcher
     from repro.timing.params import DEFAULT_TIMING
 
+    hierarchy = DEFAULT_HIERARCHY
+    return CoreEngine(
+        EngineConfig(core_id=0),
+        trace,
+        64,
+        SetAssociativeCache("L1I", hierarchy.l1i),
+        SetAssociativeCache("L1D", hierarchy.l1d),
+        SetAssociativeCache("L2", hierarchy.l2),
+        OffChipLink(3.2, 64),
+        create_prefetcher("none"),
+        PrefetchQueue(),
+        DEFAULT_TIMING,
+    )
+
+
+def test_raw_trace_is_compiled_at_construction():
+    """A raw trace becomes a CompiledTrace carrying its own provenance."""
+    raw = generate_trace("db", 5, 4_000)
+    engine = _engine(raw)
+    assert isinstance(engine.trace, CompiledTrace)
+    assert engine.trace.name == raw.name
+    assert engine.trace.seed == raw.seed
+    assert engine.trace.core == 0
+    assert engine.trace.n_instructions == raw.total_instructions
+    assert list(engine.trace.iter_visits()) == list(
+        CompiledTrace.compile(
+            raw, 64, workload="db", seed=5, core=0, n_instructions=4_000
+        ).iter_visits()
+    )
+
+
+def test_engine_step_counts_match():
+    """step() yields the same number of visits for raw and compiled input."""
     raw = generate_trace("db", 5, 4_000)
     compiled = CompiledTrace.compile(
         raw, 64, workload="db", seed=5, core=0, n_instructions=4_000
     )
 
     def count_steps(trace):
-        hierarchy = DEFAULT_HIERARCHY
-        engine = CoreEngine(
-            EngineConfig(core_id=0),
-            trace,
-            64,
-            SetAssociativeCache("L1I", hierarchy.l1i),
-            SetAssociativeCache("L1D", hierarchy.l1d),
-            SetAssociativeCache("L2", hierarchy.l2),
-            OffChipLink(3.2, 64),
-            create_prefetcher("none"),
-            PrefetchQueue(),
-            DEFAULT_TIMING,
-        )
+        engine = _engine(trace)
         steps = 0
         while engine.step():
             steps += 1

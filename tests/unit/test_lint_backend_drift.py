@@ -1,9 +1,9 @@
 """R6 (backend drift): fingerprinted reference hot paths must move in
-lockstep with their vectorized counterparts.
+lockstep with their jit counterpart (the C kernel source string).
 
 The tests pin the rule to a single synthetic pair (monkeypatching
 ``manifest.PAIRS`` so ``update_manifest`` records it) rather than the real
-fifteen, so fixture trees need only one tiny engine/vectorized module each.
+table, so fixture trees need only one tiny engine/jitted module each.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from tests.unit.conftest import write_tree_file
 PAIR = manifest_mod.Pair(
     ref_module="src/repro/core/engine.py",
     ref_qualname="CoreEngine._process_visit",
-    vec_qualname="VectorizedCoreEngine._fast_span",
+    jit_qualname="kernel_source",
 )
 
 ENGINE_V1 = """
@@ -44,16 +44,14 @@ ENGINE_V2 = """
             return visit + 2
     """
 
-VEC_V1 = """
-    class VectorizedCoreEngine:
-        def _fast_span(self, span):
-            return span + 1
+JIT_V1 = """
+    def kernel_source():
+        return "void repro_run(void) { }"
     """
 
-VEC_V2 = """
-    class VectorizedCoreEngine:
-        def _fast_span(self, span):
-            return span + 2
+JIT_V2 = """
+    def kernel_source():
+        return "void repro_run(void) { /* changed */ } int x;"
     """
 
 
@@ -65,11 +63,11 @@ def rule() -> BackendDriftRule:
 def drift_tree(lint_tree, monkeypatch):
     """Build the base tree with the synthetic pair installed."""
 
-    def build(engine=ENGINE_V1, vectorized=VEC_V1, with_manifest=True):
+    def build(engine=ENGINE_V1, jitted=JIT_V1, with_manifest=True):
         monkeypatch.setattr(manifest_mod, "PAIRS", (PAIR,))
         overrides = {"src/repro/core/engine.py": engine}
-        if vectorized is not None:
-            overrides[manifest_mod.VECTORIZED_MODULE] = vectorized
+        if jitted is not None:
+            overrides[manifest_mod.JITTED_MODULE] = jitted
         return lint_tree(overrides, with_manifest=with_manifest)
 
     return build
@@ -79,8 +77,16 @@ def test_clean_tree_passes(drift_tree):
     assert rule().check(drift_tree()) == []
 
 
-def test_rule_is_inactive_without_the_vectorized_module(drift_tree):
-    project = drift_tree(vectorized=None)
+def test_fingerprints_record_the_jit_side(drift_tree):
+    fingerprints = manifest_mod.pair_fingerprints(drift_tree())
+    (sides,) = fingerprints.values()
+    assert set(sides) == {"ref", "jit"}
+    assert sides["ref"] is not None
+    assert sides["jit"] is not None
+
+
+def test_rule_is_inactive_without_the_jit_module(drift_tree):
+    project = drift_tree(jitted=None)
     # Even a behavioural reference edit stays silent: fixture trees
     # without backends are out of R6's scope by design.
     project = write_tree_file(project.root, PAIR.ref_module, ENGINE_V2)
@@ -102,10 +108,10 @@ def test_reference_only_edit_names_both_sites(drift_tree):
     assert finding.path == PAIR.ref_module
     assert finding.line > 0
     assert "'CoreEngine._process_visit'" in finding.message
-    assert "'VectorizedCoreEngine._fast_span'" in finding.message
+    assert "jit counterpart 'kernel_source'" in finding.message
     assert "bit-identical" in finding.message
     # the hint names the exact counterpart site and both escape hatches.
-    assert f"{manifest_mod.VECTORIZED_MODULE}::{PAIR.vec_qualname}" in finding.hint
+    assert f"{manifest_mod.JITTED_MODULE}::{PAIR.jit_qualname}" in finding.hint
     assert "test_backend_parity" in finding.hint
     assert "--update-manifest" in finding.hint
 
@@ -121,25 +127,25 @@ def test_update_manifest_acks_reference_only_drift(drift_tree):
 def test_both_sides_edited_reports_stale_fingerprints(drift_tree):
     project = drift_tree()
     project = write_tree_file(project.root, PAIR.ref_module, ENGINE_V2)
-    project = write_tree_file(project.root, manifest_mod.VECTORIZED_MODULE, VEC_V2)
+    project = write_tree_file(project.root, manifest_mod.JITTED_MODULE, JIT_V2)
     violations = rule().check(project)
     # both moved together: no divergence warning, one stale entry per side.
     assert len(violations) == 2
     assert all("stale in the manifest" in v.message for v in violations)
     assert {v.path for v in violations} == {
         PAIR.ref_module,
-        manifest_mod.VECTORIZED_MODULE,
+        manifest_mod.JITTED_MODULE,
     }
     manifest_mod.update_manifest(project)
     assert rule().check(Project(project.root)) == []
 
 
-def test_vectorized_only_edit_asks_for_a_refresh(drift_tree):
+def test_counterpart_only_edit_asks_for_a_refresh(drift_tree):
     project = drift_tree()
-    project = write_tree_file(project.root, manifest_mod.VECTORIZED_MODULE, VEC_V2)
+    project = write_tree_file(project.root, manifest_mod.JITTED_MODULE, JIT_V2)
     violations = rule().check(project)
     assert len(violations) == 1
-    assert violations[0].path == manifest_mod.VECTORIZED_MODULE
+    assert violations[0].path == manifest_mod.JITTED_MODULE
     assert "stale in the manifest" in violations[0].message
 
 
@@ -152,10 +158,10 @@ def test_missing_manifest_is_reported(drift_tree):
 
 
 def test_manifest_without_pairs_section_is_reported(drift_tree):
-    # Manifest recorded while the tree had no vectorized backend; adding
-    # the backend afterwards must demand a refresh, not pass silently.
-    project = drift_tree(vectorized=None)
-    project = write_tree_file(project.root, manifest_mod.VECTORIZED_MODULE, VEC_V1)
+    # Manifest recorded while the tree had no jit backend; adding the
+    # backend afterwards must demand a refresh, not pass silently.
+    project = drift_tree(jitted=None)
+    project = write_tree_file(project.root, manifest_mod.JITTED_MODULE, JIT_V1)
     violations = rule().check(project)
     assert len(violations) == 1
     assert "no pair-fingerprint section" in violations[0].message
@@ -180,22 +186,113 @@ def test_missing_reference_function_is_reported(drift_tree):
     assert "is missing" in violations[0].message
 
 
-def test_missing_vectorized_counterpart_is_reported(drift_tree):
-    project = drift_tree()
-    project = write_tree_file(
-        project.root,
-        manifest_mod.VECTORIZED_MODULE,
+def test_missing_jit_counterpart_is_reported(drift_tree):
+    project = drift_tree(
+        jitted="""
+        def renamed():
+            return ""
         """
-        class VectorizedCoreEngine:
-            def renamed(self, span):
-                return span + 1
-        """,
     )
     violations = rule().check(project)
     assert len(violations) == 1
-    assert violations[0].path == manifest_mod.VECTORIZED_MODULE
-    assert "'VectorizedCoreEngine._fast_span'" in violations[0].message
+    assert violations[0].path == manifest_mod.JITTED_MODULE
+    assert "jit counterpart 'kernel_source'" in violations[0].message
     assert "is missing" in violations[0].message
+
+
+#: Two reference hot paths ported into the same C kernel string, the shape
+#: of the real PAIRS table (every jit pair names ``kernel_source``).
+SHARED_PAIRS = (
+    PAIR,
+    manifest_mod.Pair(
+        ref_module="src/repro/core/engine.py",
+        ref_qualname="CoreEngine._demand_fill",
+        jit_qualname="kernel_source",
+    ),
+)
+
+TWO_PATH_ENGINE_V1 = """
+    class CoreEngine:
+        def _process_visit(self, visit):
+            return visit + 1
+
+        def _demand_fill(self, line):
+            return line * 2
+    """
+
+TWO_PATH_ENGINE_V2 = """
+    class CoreEngine:
+        def _process_visit(self, visit):
+            return visit + 2
+
+        def _demand_fill(self, line):
+            return line * 3
+    """
+
+
+class TestJitCounterpart:
+    """Several reference paths share one jit counterpart (the kernel)."""
+
+    def rule(self):
+        return BackendDriftRule(pairs=SHARED_PAIRS)
+
+    @pytest.fixture
+    def jit_tree(self, lint_tree, monkeypatch):
+        def build(engine=TWO_PATH_ENGINE_V1, jitted=JIT_V1):
+            monkeypatch.setattr(manifest_mod, "PAIRS", SHARED_PAIRS)
+            return lint_tree(
+                {
+                    "src/repro/core/engine.py": engine,
+                    manifest_mod.JITTED_MODULE: jitted,
+                }
+            )
+
+        return build
+
+    def test_clean_tree_passes(self, jit_tree):
+        assert self.rule().check(jit_tree()) == []
+
+    def test_reference_edit_without_either_twin_names_both(self, jit_tree):
+        # Only _process_visit moves; the kernel it shares with
+        # _demand_fill stands still, so exactly that one pair diverges.
+        project = jit_tree()
+        edited = TWO_PATH_ENGINE_V1.replace("visit + 1", "visit + 2")
+        project = write_tree_file(project.root, PAIR.ref_module, edited)
+        violations = self.rule().check(project)
+        assert len(violations) == 1
+        finding = violations[0]
+        assert "'CoreEngine._process_visit'" in finding.message
+        assert "_demand_fill" not in finding.message
+        assert "jit counterpart 'kernel_source'" in finding.message
+        assert f"{manifest_mod.JITTED_MODULE}::kernel_source" in finding.hint
+
+    def test_all_three_sides_moved_is_stale_only(self, jit_tree):
+        # Both reference paths and their shared kernel moved together:
+        # nothing diverges, and the kernel is reported stale only once.
+        project = jit_tree()
+        project = write_tree_file(project.root, PAIR.ref_module, TWO_PATH_ENGINE_V2)
+        project = write_tree_file(project.root, manifest_mod.JITTED_MODULE, JIT_V2)
+        violations = self.rule().check(project)
+        assert len(violations) == 3
+        assert all("stale in the manifest" in v.message for v in violations)
+        assert sum(v.path == manifest_mod.JITTED_MODULE for v in violations) == 1
+        manifest_mod.update_manifest(project)
+        assert self.rule().check(Project(project.root)) == []
+
+    def test_missing_jit_counterpart_is_reported(self, jit_tree):
+        project = jit_tree(
+            jitted="""
+            def renamed():
+                return ""
+            """
+        )
+        violations = self.rule().check(project)
+        # one finding per pair, each naming the reference site it serves.
+        assert len(violations) == 2
+        assert all(v.path == manifest_mod.JITTED_MODULE for v in violations)
+        messages = "\n".join(v.message for v in violations)
+        assert "CoreEngine._process_visit is missing" in messages
+        assert "CoreEngine._demand_fill is missing" in messages
 
 
 REF_ONLY_PAIR = manifest_mod.Pair(
@@ -206,14 +303,14 @@ REF_ONLY_PAIR = manifest_mod.Pair(
 
 @pytest.fixture
 def ref_only_tree(lint_tree, monkeypatch):
-    """Tree whose synthetic pair has no vectorized counterpart."""
+    """Tree whose synthetic pair has no jit counterpart."""
 
     def build(engine=ENGINE_V1):
         monkeypatch.setattr(manifest_mod, "PAIRS", (REF_ONLY_PAIR,))
         return lint_tree(
             {
                 "src/repro/core/engine.py": engine,
-                manifest_mod.VECTORIZED_MODULE: VEC_V1,
+                manifest_mod.JITTED_MODULE: JIT_V1,
             }
         )
 
@@ -246,12 +343,12 @@ class TestReferenceOnlyPairs:
         manifest_mod.update_manifest(project)
         assert self.rule().check(Project(project.root)) == []
 
-    def test_fingerprints_record_a_null_vec_side(self, ref_only_tree):
+    def test_fingerprints_record_a_null_jit_side(self, ref_only_tree):
         project = ref_only_tree()
         fingerprints = manifest_mod.pair_fingerprints(project)
         (sides,) = fingerprints.values()
         assert sides["ref"] is not None
-        assert sides["vec"] is None
+        assert sides["jit"] is None
 
     def test_missing_reference_function_still_reported(self, ref_only_tree):
         project = ref_only_tree()
@@ -302,7 +399,7 @@ class TestUnpairedPrefetcherCompleteness:
         project = lint_tree(
             {
                 "src/repro/core/engine.py": ENGINE_V1,
-                manifest_mod.VECTORIZED_MODULE: VEC_V1,
+                manifest_mod.JITTED_MODULE: JIT_V1,
                 "src/repro/prefetch/custom.py": UNPAIRED_PREFETCHER,
             }
         )
@@ -334,105 +431,6 @@ class TestUnpairedPrefetcherCompleteness:
         assert rule().check(project) == []
 
 
-JIT_PAIR = manifest_mod.Pair(
-    ref_module="src/repro/core/engine.py",
-    ref_qualname="CoreEngine._process_visit",
-    vec_qualname="VectorizedCoreEngine._fast_span",
-    jit_qualname="kernel_source",
-)
-
-JIT_V1 = """
-    def kernel_source():
-        return "void repro_run(void) { }"
-    """
-
-JIT_V2 = """
-    def kernel_source():
-        return "void repro_run(void) { /* changed */ } int x;"
-    """
-
-
-class TestJitCounterpart:
-    """Pairs with a jit side must track the C kernel string too."""
-
-    def rule(self):
-        return BackendDriftRule(pairs=(JIT_PAIR,))
-
-    @pytest.fixture
-    def jit_tree(self, lint_tree, monkeypatch):
-        def build(engine=ENGINE_V1, vectorized=VEC_V1, jitted=JIT_V1):
-            monkeypatch.setattr(manifest_mod, "PAIRS", (JIT_PAIR,))
-            return lint_tree(
-                {
-                    "src/repro/core/engine.py": engine,
-                    manifest_mod.VECTORIZED_MODULE: vectorized,
-                    manifest_mod.JITTED_MODULE: jitted,
-                }
-            )
-
-        return build
-
-    def test_clean_tree_passes(self, jit_tree):
-        assert self.rule().check(jit_tree()) == []
-
-    def test_fingerprints_record_the_jit_side(self, jit_tree):
-        fingerprints = manifest_mod.pair_fingerprints(jit_tree())
-        (sides,) = fingerprints.values()
-        assert sides["ref"] is not None
-        assert sides["vec"] is not None
-        assert sides["jit"] is not None
-
-    def test_reference_edit_without_either_twin_names_both(self, jit_tree):
-        project = jit_tree()
-        project = write_tree_file(project.root, JIT_PAIR.ref_module, ENGINE_V2)
-        violations = self.rule().check(project)
-        assert len(violations) == 2
-        messages = "\n".join(v.message for v in violations)
-        assert "vectorized counterpart" in messages or "_fast_span" in messages
-        assert "'kernel_source'" in messages
-        hints = "\n".join(v.hint for v in violations)
-        assert f"{manifest_mod.JITTED_MODULE}::kernel_source" in hints
-
-    def test_vec_ported_but_jit_not_still_fails(self, jit_tree):
-        # The dangerous middle state: the reference and vectorized sides
-        # moved together but the C kernel stood still.
-        project = jit_tree()
-        project = write_tree_file(project.root, JIT_PAIR.ref_module, ENGINE_V2)
-        project = write_tree_file(
-            project.root, manifest_mod.VECTORIZED_MODULE, VEC_V2
-        )
-        violations = self.rule().check(project)
-        divergent = [v for v in violations if "bit-identical" in v.message]
-        assert len(divergent) == 1
-        assert "jit counterpart 'kernel_source'" in divergent[0].message
-
-    def test_all_three_sides_moved_is_stale_only(self, jit_tree):
-        project = jit_tree()
-        project = write_tree_file(project.root, JIT_PAIR.ref_module, ENGINE_V2)
-        project = write_tree_file(
-            project.root, manifest_mod.VECTORIZED_MODULE, VEC_V2
-        )
-        project = write_tree_file(project.root, manifest_mod.JITTED_MODULE, JIT_V2)
-        violations = self.rule().check(project)
-        assert violations and all(
-            "stale in the manifest" in v.message for v in violations
-        )
-        manifest_mod.update_manifest(project)
-        assert self.rule().check(Project(project.root)) == []
-
-    def test_missing_jit_counterpart_is_reported(self, jit_tree):
-        project = jit_tree(
-            jitted="""
-            def renamed():
-                return ""
-            """
-        )
-        violations = self.rule().check(project)
-        assert len(violations) == 1
-        assert violations[0].path == manifest_mod.JITTED_MODULE
-        assert "jit counterpart 'kernel_source'" in violations[0].message
-
-
 def test_real_pairs_all_point_at_existing_functions():
     """Every entry of the real PAIRS table resolves in the live tree."""
     from pathlib import Path
@@ -443,13 +441,9 @@ def test_real_pairs_all_point_at_existing_functions():
     by_id = {manifest_mod.pair_id(pair): pair for pair in manifest_mod.PAIRS}
     for pair_id, sides in fingerprints.items():
         assert sides["ref"] is not None, f"{pair_id}: reference side missing"
-        if by_id[pair_id].vec_qualname is None:
-            # No vectorized counterpart: that backend runs the reference
-            # code, so no vectorized fingerprint exists by construction.
-            assert sides["vec"] is None, f"{pair_id}: unexpected vec side"
-        else:
-            assert sides["vec"] is not None, f"{pair_id}: vectorized side missing"
         if by_id[pair_id].jit_qualname is None:
+            # No jit counterpart: that backend runs the reference code, so
+            # no jit fingerprint exists by construction.
             assert sides["jit"] is None, f"{pair_id}: unexpected jit side"
         else:
             assert sides["jit"] is not None, f"{pair_id}: jit side missing"

@@ -16,7 +16,7 @@ from repro.lint import manifest as manifest_mod
 from repro.lint.cache import CACHE_REL_PATH
 from repro.lint.cli import main
 from tests.unit.conftest import write_tree_file
-from tests.unit.test_lint_backend_drift import ENGINE_V1, PAIR, VEC_V1
+from tests.unit.test_lint_backend_drift import ENGINE_V1, JIT_V1, PAIR
 from tests.unit.test_lint_env_registry import (
     READER_MODULE,
     REGISTRY_MODULE,
@@ -295,7 +295,7 @@ def test_update_manifest_reports_backend_pairs(lint_tree, monkeypatch, capsys):
     project = lint_tree(
         {
             PAIR.ref_module: ENGINE_V1,
-            manifest_mod.VECTORIZED_MODULE: VEC_V1,
+            manifest_mod.JITTED_MODULE: JIT_V1,
         },
         with_manifest=False,
     )

@@ -103,10 +103,10 @@ def test_benign_time_and_os_uses_pass(lint_tree):
 
 
 def test_numpy_random_forbidden_but_numpy_allowed(lint_tree):
-    """Vectorized engine code may use numpy freely — except numpy.random."""
+    """Engine code may use numpy freely — except numpy.random."""
     project = lint_tree(
         {
-            "src/repro/core/vectorized.py": """
+            "src/repro/core/kernels.py": """
             import numpy as np
 
 
@@ -121,7 +121,7 @@ def test_numpy_random_forbidden_but_numpy_allowed(lint_tree):
 def test_numpy_random_import_forms_are_reported(lint_tree):
     project = lint_tree(
         {
-            "src/repro/core/vectorized.py": """
+            "src/repro/core/kernels.py": """
             import numpy as np
             import numpy.random
             from numpy.random import default_rng

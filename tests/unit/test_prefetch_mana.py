@@ -113,11 +113,6 @@ class TestRecordReplayRoundtrip:
 
 
 class TestManaPrefetcher:
-    def test_not_hit_transparent(self):
-        # The recorder needs every demand fetch, so the vectorized
-        # backend must fall back to reference stepping.
-        assert ManaPrefetcher.hit_transparent is False
-
     def test_state_bytes(self):
         pf = ManaPrefetcher(table_entries=64, region_lines=8)
         # 64 entries x (32 tag + 8 footprint + 32 successor + 2 conf) bits.

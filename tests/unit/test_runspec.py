@@ -41,6 +41,15 @@ class TestCreate:
         assert not s.software_prefetch
         assert s.free_miss_classes == frozenset()
 
+    def test_unknown_engine_backend_rejected_at_build(self):
+        # A stale or typo'd backend fails before any trace is synthesized,
+        # and the error lists what is available.
+        with pytest.raises(ValueError, match="'vectorized'; available: reference, jit"):
+            spec(engine_backend="vectorized")
+        with pytest.raises(ValueError, match="unknown engine backend 'simd'"):
+            spec(engine_backend="simd")
+        assert spec(engine_backend="jit").engine_backend == "jit"
+
     def test_hashable_and_picklable(self):
         s = spec(free_miss_classes=frozenset({MissClass.BRANCH}))
         assert hash(s) == hash(spec(free_miss_classes=frozenset({MissClass.BRANCH})))

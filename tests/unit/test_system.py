@@ -87,6 +87,10 @@ class TestSystem:
         with pytest.raises(ValueError, match="unknown prefetcher"):
             SystemConfig(n_cores=1, prefetcher="nope")
 
+    def test_bad_engine_backend_raises(self):
+        with pytest.raises(ValueError, match="unknown engine backend 'simd'"):
+            SystemConfig(n_cores=1, engine_backend="simd")
+
     def test_prefetcher_factory_bypasses_name_validation(self):
         from repro.prefetch.base import NullPrefetcher
 
