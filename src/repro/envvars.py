@@ -76,7 +76,9 @@ REGISTRY: Tuple[EnvVar, ...] = (
     EnvVar(
         REPRO_DISK_CACHE,
         "`1`",
-        "Set to `0`/`off`/`false`/`no` to disable the disk cache entirely.",
+        "Set to `0`/`false`/`no`/`off` to disable the disk cache entirely; "
+        "`1`/`true`/`yes`/`on` or empty keeps it on.  Case-insensitive; any "
+        "other value is an error.",
     ),
     EnvVar(
         REPRO_ENGINE_BACKEND,
@@ -106,8 +108,9 @@ REGISTRY: Tuple[EnvVar, ...] = (
     EnvVar(
         REPRO_TRACE_STORE,
         "`1`",
-        "Set to `0`/`off`/`false`/`no` to skip the on-disk trace store "
-        "while keeping the in-memory compiled path.",
+        "Set to `0`/`false`/`no`/`off` to skip the on-disk trace store "
+        "while keeping the in-memory compiled path; `1`/`true`/`yes`/`on` or "
+        "empty keeps it on.  Case-insensitive; any other value is an error.",
     ),
     EnvVar(
         REPRO_EXTERNAL_TRACES,
@@ -130,8 +133,10 @@ REGISTRY: Tuple[EnvVar, ...] = (
         "unset",
         "Set to `1`/`true`/`yes`/`on` to make `repro-experiment` exit "
         "non-zero when any declared paper-expectation verdict fails (same "
-        "as `--strict`).  CI sets it on the replication-check step; see "
-        "[experiments.md](experiments.md) for the declared bands.",
+        "as `--strict`); `0`/`false`/`no`/`off` or empty leaves it off.  "
+        "Case-insensitive; any other value is an error.  CI sets it on the "
+        "replication-check step; see [experiments.md](experiments.md) for "
+        "the declared bands.",
     ),
 )
 

@@ -1,52 +1,55 @@
 """The declarative experiment catalog.
 
-Every experiment in this repo is declared once, as an
-:class:`repro.eval.experiment.Experiment`, in one of the modules listed
-in :data:`CATALOG_MODULES`.  Each module exposes its declarations as a
-module-level ``EXPERIMENTS`` tuple; this package assembles them into
-:data:`CATALOG`, the single name → experiment mapping the registry, CLI,
-benchmarks and docs all introspect.
-
-Lint rule R5 statically cross-checks the declarations against this
-module list; underscore-prefixed modules (``_util``) are plumbing and
-carry no declarations.
+Every experiment in this repo is declared once, as a module-level
+:class:`repro.eval.experiment.Experiment` in one of the modules listed
+in :data:`CATALOG_MODULES`; declaring it is registering it.  This
+package assembles the declarations, module by module and in
+declaration order, into :data:`CATALOG`, the single name → experiment
+mapping the registry, CLI, benchmarks and docs all introspect.
+Underscore-prefixed modules (``_util``) are plumbing and carry no
+declarations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from types import ModuleType
+from typing import Dict, List, Sequence, Tuple
 
 from repro.eval.catalog import ablations, comparisons, figures, replication, scenarios
 from repro.eval.experiment import Experiment
 
-#: the catalog modules, in registry order (kept a literal for static lint).
-CATALOG_MODULES: Tuple[str, ...] = (
-    "figures",
-    "ablations",
-    "comparisons",
-    "replication",
-    "scenarios",
+#: the catalog modules, in registry order.
+CATALOG_MODULES: Tuple[ModuleType, ...] = (
+    figures,
+    ablations,
+    comparisons,
+    replication,
+    scenarios,
 )
 
-_MODULES = {
-    "figures": figures,
-    "ablations": ablations,
-    "comparisons": comparisons,
-    "replication": replication,
-    "scenarios": scenarios,
-}
+
+def _declarations(module: ModuleType) -> List[Experiment]:
+    """The module's top-level ``Experiment`` instances, in declaration order."""
+    return [value for value in vars(module).values() if isinstance(value, Experiment)]
 
 
-def _build_catalog() -> Dict[str, Experiment]:
+def _build_catalog(
+    modules: Sequence[ModuleType] = CATALOG_MODULES,
+) -> Dict[str, Experiment]:
     catalog: Dict[str, Experiment] = {}
-    for module_name in CATALOG_MODULES:
-        module = _MODULES[module_name]
-        for experiment in module.EXPERIMENTS:
+    for module in modules:
+        for experiment in _declarations(module):
             if experiment.name in catalog:
                 raise ValueError(
                     f"duplicate experiment name {experiment.name!r} "
-                    f"(redeclared in catalog module {module_name!r})"
+                    f"(redeclared in catalog module {module.__name__!r})"
                 )
+            for field in ("panels", "expectations"):
+                if not getattr(experiment, field):
+                    raise ValueError(
+                        f"experiment {experiment.name!r} in {module.__name__!r} "
+                        f"declares no {field}; a catalog entry must assert something"
+                    )
             catalog[experiment.name] = experiment
     return catalog
 

@@ -1,8 +1,7 @@
 """Shared axis and cell helpers for the catalog declarations.
 
 Underscore-prefixed modules in this package hold plumbing, not
-experiments; lint rule R5 skips them when checking declaration
-completeness.
+experiments, and are not catalog modules.
 """
 
 from __future__ import annotations
@@ -11,7 +10,8 @@ from typing import Any, Callable, Sequence, Tuple
 
 from repro.eval.experiment import Runs
 from repro.prefetch.registry import prefetcher_display_name
-from repro.trace.synth.workloads import DISPLAY_NAMES, workload_names
+from repro.trace.source import source_display_name
+from repro.trace.synth.workloads import workload_names
 
 #: the four base commercial workloads, in canonical order.
 BASE: Tuple[str, ...] = tuple(workload_names())
@@ -22,7 +22,7 @@ CMP: Tuple[str, ...] = BASE + ("mix",)
 
 def workload_axis(ids: Sequence[str]) -> Tuple[Tuple[str, str], ...]:
     """Panel axis of (display label, workload id) pairs."""
-    return tuple((DISPLAY_NAMES[w], w) for w in ids)
+    return tuple((source_display_name(w), w) for w in ids)
 
 
 def scheme_axis(schemes: Sequence[str]) -> Tuple[Tuple[str, str], ...]:

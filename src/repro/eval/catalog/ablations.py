@@ -715,16 +715,3 @@ ABLATION_REPLACEMENT = Experiment(
         ),
     ),
 )
-
-#: this module's declarations, registry order.
-EXPERIMENTS = (
-    ABLATION_FILTERING,
-    ABLATION_EVICTION_COUNTER,
-    ABLATION_PREFETCH_AHEAD,
-    ABLATION_PROBE_AHEAD,
-    ABLATION_QUEUE_DISCIPLINE,
-    ABLATION_TABLE_DESIGN,
-    ABLATION_USELESS_HINT,
-    ABLATION_INCLUSION,
-    ABLATION_REPLACEMENT,
-)

@@ -1,12 +1,13 @@
 """Beyond-the-paper comparisons against the alternative prefetching
 styles the paper's §2 surveys, plus two sensitivity extensions.
 
-Six experiments: every prefetching style head-to-head on the 4-way CMP,
-the fetch-directed prefetcher across BTB sizes (the §2.2 predictor-state
-argument), an off-chip bandwidth sweep exposing the §7 accuracy
-crossover, a core-count scaling extension, the §2.3 cooperative software
-split vs. the all-hardware scheme, and all six prefetcher families at
-matched storage budgets (``repro.prefetch.budget``).
+Six experiments, in catalog order: every prefetching style head-to-head
+on the 4-way CMP, an off-chip bandwidth sweep exposing the §7 accuracy
+crossover, a core-count scaling extension, the fetch-directed prefetcher
+across BTB sizes (the §2.2 predictor-state argument), the §2.3
+cooperative software split vs. the all-hardware scheme, and all six
+prefetcher families at matched storage budgets
+(``repro.prefetch.budget``).
 """
 
 from __future__ import annotations
@@ -147,106 +148,6 @@ COMPARISON_ALTERNATIVES = Experiment(
             other_row="Target prefetcher",
             op=">",
             note="discontinuity covers more misses than the target prefetcher",
-        ),
-    ),
-)
-
-# --------------------------------------------------------------------------
-# §2.2 — fetch-directed prefetching vs BTB size
-
-#: BTB sweep for the execution-based comparison.
-FDP_BTB_SIZES = (1024, 4096, 16384, 65536)
-
-_FDP_NOTE = (
-    "paper §2.2: execution-based prefetching needs impractically large "
-    "predictor state on commercial footprints"
-)
-
-
-def _fdp_build(ctx: ExperimentContext, workload: str) -> List[RunSpec]:
-    return (
-        [ctx.spec(workload, 4)]
-        + [
-            ctx.spec(
-                workload,
-                4,
-                "fdp",
-                l2_policy="bypass",
-                prefetcher_overrides={"btb_entries": btb},
-            )
-            for btb in FDP_BTB_SIZES
-        ]
-        + [ctx.spec(workload, 4, "discontinuity", l2_policy="bypass")]
-    )
-
-
-def _fdp_result(runs: Runs, btb: Any, workload: Any) -> Any:
-    if btb is None:
-        return runs.result(workload, 4, "discontinuity", l2_policy="bypass")
-    return runs.result(
-        workload, 4, "fdp", l2_policy="bypass", prefetcher_overrides={"btb_entries": btb}
-    )
-
-
-def _fdp_coverage(runs: Runs, btb: Any, workload: Any) -> float:
-    return 100.0 * _fdp_result(runs, btb, workload).l1i_coverage
-
-
-def _fdp_speedup(runs: Runs, btb: Any, workload: Any) -> float:
-    if btb is None:
-        return runs.speedup(workload, 4, "discontinuity", l2_policy="bypass")
-    return runs.speedup(
-        workload, 4, "fdp", l2_policy="bypass", prefetcher_overrides={"btb_entries": btb}
-    )
-
-
-_FDP_ROWS = tuple((f"FDP {btb}-entry BTB", btb) for btb in FDP_BTB_SIZES) + (
-    ("Discontinuity 8K (paper)", None),
-)
-
-COMPARISON_EXECUTION_BASED = Experiment(
-    name="comparison-execution-based",
-    title="Fetch-directed prefetching vs BTB size (4-way CMP)",
-    paper="§2.2 (execution-based prefetching)",
-    tags=("comparison", "fdp"),
-    grid=Grid(axes=(("workload", BASE),), build=_fdp_build),
-    panels=(
-        PanelDef(
-            id="comparison-fdp-coverage",
-            title="Fetch-directed prefetching: L1 coverage vs BTB size (CMP)",
-            rows=_FDP_ROWS,
-            cols=workload_axis(BASE),
-            cell=_fdp_coverage,
-            unit="% coverage",
-            fmt=".1f",
-            notes=(_FDP_NOTE,),
-        ),
-        PanelDef(
-            id="comparison-fdp-speedup",
-            title="Fetch-directed prefetching: speedup vs BTB size (CMP)",
-            rows=_FDP_ROWS,
-            cols=workload_axis(BASE),
-            cell=_fdp_speedup,
-            unit="speedup, X",
-            notes=(_FDP_NOTE,),
-        ),
-    ),
-    expectations=(
-        Compare(
-            panel="comparison-fdp-coverage",
-            row="FDP 65536-entry BTB",
-            other_row="FDP 1024-entry BTB",
-            op=">=",
-            offset=-2.0,
-            note="coverage grows (or holds) with predictor state",
-        ),
-        Compare(
-            panel="comparison-fdp-coverage",
-            row="Discontinuity 8K (paper)",
-            other_row="FDP 65536-entry BTB",
-            op=">",
-            offset=5.0,
-            note="an 8K-entry discontinuity table beats even a 64K-entry BTB",
         ),
     ),
 )
@@ -418,6 +319,106 @@ COMPARISON_CORE_SCALING = Experiment(
         ),
     ),
     bench_scale="default",
+)
+
+# --------------------------------------------------------------------------
+# §2.2 — fetch-directed prefetching vs BTB size
+
+#: BTB sweep for the execution-based comparison.
+FDP_BTB_SIZES = (1024, 4096, 16384, 65536)
+
+_FDP_NOTE = (
+    "paper §2.2: execution-based prefetching needs impractically large "
+    "predictor state on commercial footprints"
+)
+
+
+def _fdp_build(ctx: ExperimentContext, workload: str) -> List[RunSpec]:
+    return (
+        [ctx.spec(workload, 4)]
+        + [
+            ctx.spec(
+                workload,
+                4,
+                "fdp",
+                l2_policy="bypass",
+                prefetcher_overrides={"btb_entries": btb},
+            )
+            for btb in FDP_BTB_SIZES
+        ]
+        + [ctx.spec(workload, 4, "discontinuity", l2_policy="bypass")]
+    )
+
+
+def _fdp_result(runs: Runs, btb: Any, workload: Any) -> Any:
+    if btb is None:
+        return runs.result(workload, 4, "discontinuity", l2_policy="bypass")
+    return runs.result(
+        workload, 4, "fdp", l2_policy="bypass", prefetcher_overrides={"btb_entries": btb}
+    )
+
+
+def _fdp_coverage(runs: Runs, btb: Any, workload: Any) -> float:
+    return 100.0 * _fdp_result(runs, btb, workload).l1i_coverage
+
+
+def _fdp_speedup(runs: Runs, btb: Any, workload: Any) -> float:
+    if btb is None:
+        return runs.speedup(workload, 4, "discontinuity", l2_policy="bypass")
+    return runs.speedup(
+        workload, 4, "fdp", l2_policy="bypass", prefetcher_overrides={"btb_entries": btb}
+    )
+
+
+_FDP_ROWS = tuple((f"FDP {btb}-entry BTB", btb) for btb in FDP_BTB_SIZES) + (
+    ("Discontinuity 8K (paper)", None),
+)
+
+COMPARISON_EXECUTION_BASED = Experiment(
+    name="comparison-execution-based",
+    title="Fetch-directed prefetching vs BTB size (4-way CMP)",
+    paper="§2.2 (execution-based prefetching)",
+    tags=("comparison", "fdp"),
+    grid=Grid(axes=(("workload", BASE),), build=_fdp_build),
+    panels=(
+        PanelDef(
+            id="comparison-fdp-coverage",
+            title="Fetch-directed prefetching: L1 coverage vs BTB size (CMP)",
+            rows=_FDP_ROWS,
+            cols=workload_axis(BASE),
+            cell=_fdp_coverage,
+            unit="% coverage",
+            fmt=".1f",
+            notes=(_FDP_NOTE,),
+        ),
+        PanelDef(
+            id="comparison-fdp-speedup",
+            title="Fetch-directed prefetching: speedup vs BTB size (CMP)",
+            rows=_FDP_ROWS,
+            cols=workload_axis(BASE),
+            cell=_fdp_speedup,
+            unit="speedup, X",
+            notes=(_FDP_NOTE,),
+        ),
+    ),
+    expectations=(
+        Compare(
+            panel="comparison-fdp-coverage",
+            row="FDP 65536-entry BTB",
+            other_row="FDP 1024-entry BTB",
+            op=">=",
+            offset=-2.0,
+            note="coverage grows (or holds) with predictor state",
+        ),
+        Compare(
+            panel="comparison-fdp-coverage",
+            row="Discontinuity 8K (paper)",
+            other_row="FDP 65536-entry BTB",
+            op=">",
+            offset=5.0,
+            note="an 8K-entry discontinuity table beats even a 64K-entry BTB",
+        ),
+    ),
 )
 
 # --------------------------------------------------------------------------
@@ -673,14 +674,4 @@ COMPARISON_BUDGET_MATCHED = Experiment(
             note="paper-default discontinuity coverage stays high",
         ),
     ),
-)
-
-#: this module's declarations, registry order.
-EXPERIMENTS = (
-    COMPARISON_ALTERNATIVES,
-    COMPARISON_BANDWIDTH,
-    COMPARISON_CORE_SCALING,
-    COMPARISON_EXECUTION_BASED,
-    COMPARISON_SOFTWARE_PREFETCH,
-    COMPARISON_BUDGET_MATCHED,
 )

@@ -920,6 +920,3 @@ FIG10 = Experiment(
     ),
     expectations=_fig10_expectations("fig10i") + _fig10_expectations("fig10ii"),
 )
-
-#: this module's declarations, registry order.
-EXPERIMENTS = (FIG01, FIG02, FIG03, FIG04, FIG05, FIG06, FIG07, FIG08, FIG09, FIG10)

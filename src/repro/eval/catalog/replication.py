@@ -111,6 +111,3 @@ REPLICATION_CHECK = Experiment(
     ),
     seeds=REPLICATION_SEEDS,
 )
-
-#: this module's declarations, registry order.
-EXPERIMENTS = (REPLICATION_CHECK,)

@@ -203,10 +203,3 @@ SCENARIO_OSMIX = Experiment(
         ),
     ),
 )
-
-#: this module's declarations, registry order.
-EXPERIMENTS = (
-    SCENARIO_MICROSVC,
-    SCENARIO_INTERP,
-    SCENARIO_OSMIX,
-)

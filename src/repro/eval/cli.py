@@ -53,6 +53,7 @@ from repro.eval.registry import (
 )
 from repro.eval.runspec import RunSpec, dedupe_specs
 from repro.util.clock import Stopwatch
+from repro.util.validation import parse_env_flag
 
 #: env var: treat failing expectation verdicts as a non-zero exit.
 STRICT_ENV = REPRO_STRICT_EXPECTATIONS
@@ -173,7 +174,7 @@ def _expand_names(tokens: List[str]) -> List[str]:
 def _strict_enabled(flag: Optional[bool]) -> bool:
     if flag is not None:
         return flag
-    return os.environ.get(STRICT_ENV, "").strip().lower() in ("1", "true", "yes", "on")
+    return parse_env_flag(STRICT_ENV, os.environ.get(STRICT_ENV), default=False)
 
 
 def _run_list() -> int:

@@ -40,6 +40,7 @@ from repro.envvars import REPRO_CACHE_DIR, REPRO_DISK_CACHE
 from repro.eval.runspec import RunSpec
 from repro.isa.classify import MissClass
 from repro.timing.params import TimingParams
+from repro.util.validation import parse_env_flag
 
 #: bump when the simulator's behaviour or this payload layout changes; all
 #: existing cache entries become invisible (and are rewritten on demand).
@@ -79,12 +80,7 @@ _CORE_SCALARS = (
 
 def enabled() -> bool:
     """Is the disk cache active?  ``REPRO_DISK_CACHE=0`` opts out."""
-    return os.environ.get(DISABLE_ENV, "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
+    return parse_env_flag(DISABLE_ENV, os.environ.get(DISABLE_ENV), default=True)
 
 
 def cache_dir() -> Path:

@@ -10,8 +10,9 @@ trace-store stack, assembles :class:`ExperimentResult` panels, and
 evaluates the expectations into structured :class:`Verdict` objects.
 
 The catalog of concrete declarations lives in :mod:`repro.eval.catalog`;
-:mod:`repro.eval.registry` exposes it by name.  Lint rule R5 statically
-checks that every declaration is complete and registered exactly once.
+:mod:`repro.eval.registry` exposes it by name.  Declaring a module-level
+experiment there registers it; the catalog rejects duplicate names and
+entries without panels or expectations when it is built.
 """
 
 from __future__ import annotations

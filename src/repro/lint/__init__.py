@@ -1,7 +1,7 @@
 """AST-based invariant checker for determinism, cache-safety and executor
 boundaries.
 
-See ``docs/static_analysis.md`` for the rule catalogue (R1–R8), the
+See ``docs/static_analysis.md`` for the rule catalogue (R1–R4, R6–R8), the
 behavior-manifest workflow (including R6's backend pair fingerprints),
 the ``repro.envvars`` registry R7 enforces, autofixes, SARIF output, and
 how to allowlist a legitimate exception.
@@ -19,7 +19,6 @@ from repro.lint.engine import (
 from repro.lint.rules import (
     BackendDriftRule,
     BehaviorManifestRule,
-    CatalogSyncRule,
     DeterminismRule,
     DeterminismTaintRule,
     EnvRegistryRule,
@@ -31,7 +30,6 @@ from repro.lint.rules import (
 __all__ = [
     "BackendDriftRule",
     "BehaviorManifestRule",
-    "CatalogSyncRule",
     "DeterminismRule",
     "DeterminismTaintRule",
     "EnvRegistryRule",

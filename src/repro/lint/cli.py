@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the reproduction: determinism "
             "(R1), cache-safety (R2), RunSpec sync (R3), executor boundary "
-            "(R4), catalog sync (R5), backend drift (R6), env registry (R7) "
-            "and determinism taint (R8)."
+            "(R4), backend drift (R6), env registry (R7) and determinism "
+            "taint (R8)."
         ),
     )
     parser.add_argument(

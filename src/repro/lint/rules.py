@@ -1,4 +1,4 @@
-"""The project-specific invariant rules (R1–R8).
+"""The project-specific invariant rules (R1–R4, R6–R8).
 
 Each rule encodes one contract the reproduction's results depend on:
 
@@ -13,8 +13,6 @@ Each rule encodes one contract the reproduction's results depend on:
   it keys the persistent cache.
 - **R4 executor boundary** — worker-payload builders construct JSON-safe
   plain data only (no sets, lambdas, or ad-hoc class instances).
-- **R5 catalog sync** — every catalog ``Experiment`` declaration carries a
-  grid, panels and expectations, and is registered exactly once.
 - **R6 backend drift** — fingerprinted reference hot paths may not change
   while their jit kernel counterpart stands still (see the pair manifest
   in :mod:`repro.lint.manifest`).
@@ -627,563 +625,6 @@ class ExecutorBoundaryRule(Rule):
                         )
                     )
         return violations
-
-
-# --------------------------------------------------------------------- #
-# R5 — catalog sync
-# --------------------------------------------------------------------- #
-
-R5_CATALOG_INIT = "src/repro/eval/catalog/__init__.py"
-R5_CATALOG_DIR = "src/repro/eval/catalog"
-
-#: every Experiment declaration must pass these keywords explicitly.
-R5_REQUIRED_KWARGS = (
-    "name",
-    "title",
-    "paper",
-    "tags",
-    "grid",
-    "panels",
-    "expectations",
-)
-
-R5_HINT = (
-    "declare every Experiment with explicit name/title/paper/tags/grid/"
-    "panels/expectations keywords and list it exactly once in the module's "
-    "EXPERIMENTS tuple"
-)
-
-#: the prefetcher registry and the package it must stay in sync with.
-R5_REGISTRY_MODULE = "src/repro/prefetch/registry.py"
-R5_PREFETCH_DIR = "src/repro/prefetch"
-
-#: root of the prefetcher class hierarchy (defined in base.py, which is
-#: exempt from the must-be-imported check — the registry imports it for
-#: ``NullPrefetcher`` anyway).
-R5_PREFETCH_BASE = "src/repro/prefetch/base.py"
-
-#: the trace-source registry and the profile tables it must mirror.
-R5_SOURCE_MODULE = "src/repro/trace/source.py"
-R5_WORKLOADS_MODULE = "src/repro/trace/synth/workloads.py"
-
-#: every synth-profile dict in the workloads module; each key must be a
-#: registered source.
-R5_PROFILE_DICTS = ("WORKLOADS", "SCENARIO_WORKLOADS")
-
-#: sources composed from other profiles (no profile entry of their own).
-R5_COMPOSITE_SOURCES = frozenset({"mix"})
-
-
-class CatalogSyncRule(Rule):
-    """R5: every catalog ``Experiment`` declaration is complete and registered.
-
-    The declarative catalog replaced the old dual ``EXPERIMENTS``/
-    ``EXPERIMENT_SPECS`` registry dicts, so the old drift mode (a driver
-    missing its specs declarer) is gone by construction.  The remaining
-    drift modes are: a catalog module not listed in ``CATALOG_MODULES``
-    (its experiments silently vanish from the catalog), a declared
-    ``Experiment`` missing from its module's ``EXPERIMENTS`` tuple (same
-    silent vanishing), a declaration registered twice, a duplicate
-    experiment name across modules, a declaration missing one of the
-    required keywords, or a literal-empty ``panels``/``expectations``
-    tuple.  Underscore-prefixed modules are plumbing and carry no
-    declarations.  Sharing one grid object between several experiments
-    (Figures 5/6/7) is explicitly fine — the rule checks the keyword is
-    present, not that the value is private.
-
-    A companion sub-check keeps the *prefetcher* registry in sync the
-    same way: every ``src/repro/prefetch`` module defining a concrete
-    :class:`Prefetcher` subclass must be imported by ``registry.py``,
-    every class the registry imports from the package must be used by
-    some ``_FACTORIES`` entry, and the ``_FACTORIES``/``_DISPLAY`` key
-    sets must match — so a newly added prefetcher family cannot silently
-    stay invisible to experiments.
-
-    A second companion sub-check does the same for the *trace-source*
-    registry: every workload profile declared in
-    ``trace/synth/workloads.py`` (``WORKLOADS`` and
-    ``SCENARIO_WORKLOADS``) must be registered in ``trace/source.py``'s
-    ``_SOURCES`` dict, every registered source (bar the composite
-    ``mix``) must have a backing profile, and the ``DISPLAY_NAMES`` key
-    set must match the registered sources — so a newly added workload
-    family cannot silently stay un-runnable or unlabeled.
-    """
-
-    name = "R5"
-    title = "catalog sync: Experiment declarations complete and registered once"
-
-    DEFAULT_ALLOWLIST: Mapping[str, str] = {}
-
-    def __init__(self, allowlist: Optional[Mapping[str, str]] = None) -> None:
-        self.allowlist = dict(self.DEFAULT_ALLOWLIST if allowlist is None else allowlist)
-
-    def check(self, project: Project) -> List[Violation]:
-        listed = _catalog_modules(project.tree(R5_CATALOG_INIT))
-        violations: List[Violation] = []
-        for rel in project.iter_python(R5_CATALOG_DIR):
-            stem = rel.rsplit("/", 1)[-1][:-3]
-            if stem == "__init__" or stem.startswith("_"):
-                continue
-            if stem not in listed:
-                violations.append(
-                    self.violation(
-                        R5_CATALOG_INIT,
-                        0,
-                        f"catalog module {stem!r} ({rel}) is not listed in "
-                        "CATALOG_MODULES — its experiments are invisible to the catalog",
-                        "add the module to CATALOG_MODULES (underscore-prefix it "
-                        "if it is plumbing, not declarations)",
-                    )
-                )
-        seen_names: Dict[str, str] = {}
-        for module_name, line in listed.items():
-            rel = f"{R5_CATALOG_DIR}/{module_name}.py"
-            if not project.exists(rel):
-                violations.append(
-                    self.violation(
-                        R5_CATALOG_INIT,
-                        line,
-                        f"CATALOG_MODULES lists {module_name!r} but {rel} does not exist",
-                        "remove the stale entry or add the module",
-                    )
-                )
-                continue
-            violations.extend(self._check_module(project, rel, seen_names))
-        violations.extend(self._check_prefetcher_registry(project))
-        violations.extend(self._check_trace_source_registry(project))
-        return violations
-
-    # -- prefetcher-registry sync ------------------------------------- #
-
-    def _check_prefetcher_registry(self, project: Project) -> List[Violation]:
-        if not project.exists(R5_REGISTRY_MODULE):
-            return []  # synthetic fixture trees carry no prefetch package
-        tree = project.tree(R5_REGISTRY_MODULE)
-        imported_modules: Dict[str, int] = {}
-        imported_classes: Dict[str, int] = {}
-        for node in tree.body:
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.module
-                and node.module.startswith("repro.prefetch.")
-            ):
-                imported_modules[node.module.rsplit(".", 1)[-1]] = node.lineno
-                for alias in node.names:
-                    imported_classes[alias.name] = node.lineno
-
-        violations: List[Violation] = []
-        factories = _registry_dict(tree, "_FACTORIES")
-        display = _registry_dict(tree, "_DISPLAY")
-        for key, line in sorted(factories.items()):
-            if key not in display:
-                violations.append(
-                    self.violation(
-                        R5_REGISTRY_MODULE,
-                        line,
-                        f"prefetcher {key!r} has a factory but no _DISPLAY "
-                        "label",
-                        "add the display-name entry",
-                    )
-                )
-        for key, line in sorted(display.items()):
-            if key not in factories:
-                violations.append(
-                    self.violation(
-                        R5_REGISTRY_MODULE,
-                        line,
-                        f"_DISPLAY labels unknown prefetcher {key!r}",
-                        "remove the stale entry or add the factory",
-                    )
-                )
-
-        referenced = _registry_value_names(tree, "_FACTORIES")
-        concrete = _prefetcher_classes(project)
-        for cls, line in sorted(imported_classes.items()):
-            if cls in concrete and cls not in referenced:
-                violations.append(
-                    self.violation(
-                        R5_REGISTRY_MODULE,
-                        line,
-                        f"registry imports {cls!r} but no _FACTORIES entry "
-                        "uses it — the scheme is invisible to experiments",
-                        "add a factory (and display name) or drop the import",
-                    )
-                )
-
-        for rel, stem, line in _prefetcher_modules(project):
-            if stem not in imported_modules:
-                violations.append(
-                    self.violation(
-                        rel,
-                        line,
-                        f"module defines a concrete Prefetcher subclass but "
-                        f"{R5_REGISTRY_MODULE} never imports it — the family "
-                        "cannot be named by any RunSpec",
-                        "import the class in the registry and register a "
-                        "factory + display name for it",
-                    )
-                )
-        return violations
-
-    # -- trace-source-registry sync ----------------------------------- #
-
-    def _check_trace_source_registry(self, project: Project) -> List[Violation]:
-        if not (
-            project.exists(R5_SOURCE_MODULE) and project.exists(R5_WORKLOADS_MODULE)
-        ):
-            return []  # synthetic fixture trees carry no trace package
-        source_tree = project.tree(R5_SOURCE_MODULE)
-        workloads_tree = project.tree(R5_WORKLOADS_MODULE)
-        sources = _module_dict(source_tree, R5_SOURCE_MODULE, "_SOURCES")
-        display = _module_dict(workloads_tree, R5_WORKLOADS_MODULE, "DISPLAY_NAMES")
-        profiles: Dict[str, int] = {}
-        for dict_name in R5_PROFILE_DICTS:
-            profiles.update(
-                _module_dict(workloads_tree, R5_WORKLOADS_MODULE, dict_name)
-            )
-
-        violations: List[Violation] = []
-        for key, line in sorted(profiles.items()):
-            if key not in sources:
-                violations.append(
-                    self.violation(
-                        R5_WORKLOADS_MODULE,
-                        line,
-                        f"workload profile {key!r} is declared but "
-                        f"{R5_SOURCE_MODULE} never registers it in _SOURCES — "
-                        "no RunSpec can name it",
-                        "register a SynthSource for the profile (or delete it)",
-                    )
-                )
-        for key, line in sorted(sources.items()):
-            if key not in profiles and key not in R5_COMPOSITE_SOURCES:
-                violations.append(
-                    self.violation(
-                        R5_SOURCE_MODULE,
-                        line,
-                        f"_SOURCES registers {key!r} but no workload profile "
-                        "defines it",
-                        "add the profile to WORKLOADS/SCENARIO_WORKLOADS or "
-                        "remove the stale registration",
-                    )
-                )
-            if key not in display:
-                violations.append(
-                    self.violation(
-                        R5_SOURCE_MODULE,
-                        line,
-                        f"registered source {key!r} has no DISPLAY_NAMES label",
-                        "add the display-name entry in "
-                        f"{R5_WORKLOADS_MODULE}",
-                    )
-                )
-        for key, line in sorted(display.items()):
-            if key not in sources:
-                violations.append(
-                    self.violation(
-                        R5_WORKLOADS_MODULE,
-                        line,
-                        f"DISPLAY_NAMES labels unknown trace source {key!r}",
-                        "remove the stale entry or register the source",
-                    )
-                )
-        return violations
-
-    def _check_module(
-        self, project: Project, rel: str, seen_names: Dict[str, str]
-    ) -> List[Violation]:
-        tree = project.tree(rel)
-        declared: Dict[str, Tuple[int, ast.Call]] = {}
-        for node in tree.body:
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-            ):
-                continue
-            callee = dotted_name(node.value.func)
-            if callee is not None and callee.split(".")[-1] == "Experiment":
-                declared[node.targets[0].id] = (node.lineno, node.value)
-
-        registered = _experiments_tuple(tree, rel)
-        counts: Dict[str, int] = {}
-        for entry_name, _ in registered:
-            counts[entry_name] = counts.get(entry_name, 0) + 1
-
-        violations: List[Violation] = []
-        for var, (line, call) in sorted(declared.items()):
-            experiment_name = _literal_str_kwarg(call, "name")
-            if experiment_name is not None and experiment_name in self.allowlist:
-                continue
-            registrations = counts.get(var, 0)
-            if registrations == 0:
-                violations.append(
-                    self.violation(
-                        rel,
-                        line,
-                        f"Experiment {var!r} is declared but missing from the "
-                        "module's EXPERIMENTS tuple — it is invisible to the catalog",
-                        R5_HINT + " (or allowlist the experiment name with a reason)",
-                    )
-                )
-            elif registrations > 1:
-                violations.append(
-                    self.violation(
-                        rel,
-                        line,
-                        f"Experiment {var!r} is registered {registrations} times "
-                        "in EXPERIMENTS",
-                        "list each declaration exactly once",
-                    )
-                )
-            violations.extend(self._check_call(rel, var, line, call, seen_names))
-        for entry_name, line in registered:
-            if entry_name not in declared:
-                violations.append(
-                    self.violation(
-                        rel,
-                        line,
-                        f"EXPERIMENTS lists {entry_name!r} but the module declares "
-                        "no top-level Experiment by that name",
-                        "remove the stale entry or declare the experiment",
-                    )
-                )
-        return violations
-
-    def _check_call(
-        self,
-        rel: str,
-        var: str,
-        line: int,
-        call: ast.Call,
-        seen_names: Dict[str, str],
-    ) -> List[Violation]:
-        violations: List[Violation] = []
-        kwargs = {kw.arg: kw.value for kw in call.keywords if kw.arg}
-        for required in R5_REQUIRED_KWARGS:
-            if required not in kwargs:
-                violations.append(
-                    self.violation(
-                        rel,
-                        line,
-                        f"Experiment {var!r} is missing the {required!r} keyword",
-                        R5_HINT,
-                    )
-                )
-        name_node = kwargs.get("name")
-        if name_node is not None:
-            if not (isinstance(name_node, ast.Constant) and isinstance(name_node.value, str)):
-                violations.append(
-                    self.violation(
-                        rel,
-                        line,
-                        f"Experiment {var!r}: name must be a string literal "
-                        "for static checking",
-                        "use a literal experiment name",
-                    )
-                )
-            else:
-                experiment_name = name_node.value
-                previous = seen_names.get(experiment_name)
-                if previous is not None:
-                    violations.append(
-                        self.violation(
-                            rel,
-                            line,
-                            f"experiment name {experiment_name!r} is already "
-                            f"declared at {previous}",
-                            "experiment names must be unique across the catalog",
-                        )
-                    )
-                else:
-                    seen_names[experiment_name] = f"{rel}:{line}"
-        for field in ("panels", "expectations"):
-            node = kwargs.get(field)
-            if isinstance(node, (ast.Tuple, ast.List)) and not node.elts:
-                violations.append(
-                    self.violation(
-                        rel,
-                        line,
-                        f"Experiment {var!r}: literal {field} tuple is empty",
-                        f"declare at least one {field[:-1]} (an experiment without "
-                        f"{field} asserts nothing)",
-                    )
-                )
-        return violations
-
-
-def _module_assignment(tree: ast.Module, rel: str, name: str) -> ast.expr:
-    """The literal assigned to module-level *name* in *rel*."""
-    for node in tree.body:
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            if any(isinstance(t, ast.Name) and t.id == name for t in node.targets):
-                value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name) and node.target.id == name:
-                value = node.value
-        if value is not None:
-            return value
-    raise LintError(f"{rel}: no module-level {name} assignment found")
-
-
-def _module_dict(tree: ast.Module, rel: str, name: str) -> Dict[str, int]:
-    """String keys -> line of *rel*'s module-level *name* dict literal."""
-    value = _module_assignment(tree, rel, name)
-    if not isinstance(value, ast.Dict):
-        raise LintError(
-            f"{rel}: {name} must be a dict literal for static checking"
-        )
-    keys: Dict[str, int] = {}
-    for key in value.keys:
-        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-            raise LintError(f"{rel}: {name} keys must be string literals")
-        keys[key.value] = key.lineno
-    return keys
-
-
-def _registry_assignment(tree: ast.Module, name: str) -> ast.expr:
-    """The literal assigned to module-level *name* in the registry."""
-    return _module_assignment(tree, R5_REGISTRY_MODULE, name)
-
-
-def _registry_dict(tree: ast.Module, name: str) -> Dict[str, int]:
-    """String keys -> line of the registry's *name* dict literal."""
-    return _module_dict(tree, R5_REGISTRY_MODULE, name)
-
-
-def _registry_value_names(tree: ast.Module, name: str) -> Set[str]:
-    """Every plain name referenced inside *name*'s value expressions."""
-    value = _registry_assignment(tree, name)
-    if not isinstance(value, ast.Dict):
-        return set()
-    names: Set[str] = set()
-    for entry in value.values:
-        names.update(
-            node.id for node in ast.walk(entry) if isinstance(node, ast.Name)
-        )
-    return names
-
-
-def _prefetcher_classes(project: Project) -> Dict[str, Tuple[str, int]]:
-    """Concrete :class:`Prefetcher` subclass -> (module rel, lineno),
-    found transitively by static base names across the prefetch package.
-    """
-    class_bases: Dict[str, Tuple[str, List[str], int]] = {}
-    for rel in sorted(project.iter_python(R5_PREFETCH_DIR)):
-        if rel == R5_REGISTRY_MODULE:
-            continue
-        for node in project.tree(rel).body:
-            if isinstance(node, ast.ClassDef):
-                bases = [
-                    base.id for base in node.bases if isinstance(base, ast.Name)
-                ]
-                class_bases[node.name] = (rel, bases, node.lineno)
-
-    derived = {"Prefetcher"}
-    changed = True
-    while changed:
-        changed = False
-        for cls, (_, bases, _) in class_bases.items():
-            if cls not in derived and any(base in derived for base in bases):
-                derived.add(cls)
-                changed = True
-
-    return {
-        cls: (class_bases[cls][0], class_bases[cls][2])
-        for cls in sorted(derived - {"Prefetcher"})
-    }
-
-
-def _prefetcher_modules(project: Project) -> List[Tuple[str, str, int]]:
-    """(rel, stem, lineno) of prefetch modules defining concrete
-    :class:`Prefetcher` subclasses (transitively, by static base names).
-
-    ``base.py`` (the hierarchy root) and the registry itself are skipped.
-    """
-    out: Dict[str, Tuple[str, str, int]] = {}
-    for cls, (rel, line) in _prefetcher_classes(project).items():
-        if rel == R5_PREFETCH_BASE:
-            continue
-        entry = out.get(rel)
-        if entry is None or line < entry[2]:
-            stem = rel.rsplit("/", 1)[-1][:-3]
-            out[rel] = (rel, stem, line)
-    return sorted(out.values())
-
-
-def _literal_str_kwarg(call: ast.Call, name: str) -> Optional[str]:
-    for keyword in call.keywords:
-        if keyword.arg == name:
-            if isinstance(keyword.value, ast.Constant) and isinstance(
-                keyword.value.value, str
-            ):
-                return keyword.value.value
-            return None
-    return None
-
-
-def _catalog_modules(tree: ast.Module) -> Dict[str, int]:
-    """``CATALOG_MODULES`` entries -> line number (literal tuple required)."""
-    for node in tree.body:
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            if any(
-                isinstance(t, ast.Name) and t.id == "CATALOG_MODULES"
-                for t in node.targets
-            ):
-                value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name) and node.target.id == "CATALOG_MODULES":
-                value = node.value
-        if value is None:
-            continue
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            raise LintError(
-                f"{R5_CATALOG_INIT}: CATALOG_MODULES must be a tuple literal "
-                "for static checking"
-            )
-        entries: Dict[str, int] = {}
-        for element in value.elts:
-            if not (isinstance(element, ast.Constant) and isinstance(element.value, str)):
-                raise LintError(
-                    f"{R5_CATALOG_INIT}: CATALOG_MODULES entries must be "
-                    "string literals"
-                )
-            entries[element.value] = element.lineno
-        return entries
-    raise LintError(f"{R5_CATALOG_INIT}: no module-level CATALOG_MODULES tuple found")
-
-
-def _experiments_tuple(tree: ast.Module, rel: str) -> List[Tuple[str, int]]:
-    """``EXPERIMENTS`` entries -> (referenced name, line); literal required."""
-    for node in tree.body:
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            if any(
-                isinstance(t, ast.Name) and t.id == "EXPERIMENTS" for t in node.targets
-            ):
-                value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            if isinstance(node.target, ast.Name) and node.target.id == "EXPERIMENTS":
-                value = node.value
-        if value is None:
-            continue
-        if not isinstance(value, (ast.Tuple, ast.List)):
-            raise LintError(
-                f"{rel}: EXPERIMENTS must be a tuple literal for static checking"
-            )
-        entries: List[Tuple[str, int]] = []
-        for element in value.elts:
-            if not isinstance(element, ast.Name):
-                raise LintError(
-                    f"{rel}: EXPERIMENTS entries must be plain names of "
-                    "module-level Experiment declarations"
-                )
-            entries.append((element.id, element.lineno))
-        return entries
-    raise LintError(f"{rel}: no module-level EXPERIMENTS tuple found")
 
 
 # --------------------------------------------------------------------- #
@@ -1898,7 +1339,6 @@ def default_rules() -> List[Rule]:
         BehaviorManifestRule(),
         RunSpecSyncRule(),
         ExecutorBoundaryRule(),
-        CatalogSyncRule(),
         BackendDriftRule(),
         EnvRegistryRule(),
         DeterminismTaintRule(),

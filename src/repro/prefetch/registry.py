@@ -24,7 +24,7 @@ Name                        Scheme
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
@@ -41,79 +41,92 @@ from repro.prefetch.sequential import (
 )
 from repro.prefetch.target import TargetPrefetcher
 
-_FACTORIES: Dict[str, Callable[..., Prefetcher]] = {
-    "none": lambda **kw: NullPrefetcher(),
-    "next-line-always": lambda **kw: NextLineAlways(),
-    "next-line-on-miss": lambda **kw: NextLineOnMiss(),
-    "next-line-tagged": lambda **kw: NextLineTagged(),
-    "next-2-line": lambda **kw: NextNLineTagged(degree=2),
-    "next-4-line": lambda **kw: NextNLineTagged(degree=kw.get("degree", 4)),
-    "lookahead-4": lambda **kw: LookaheadN(distance=kw.get("distance", 4)),
-    "target": lambda **kw: TargetPrefetcher(capacity=kw.get("table_entries", 8192)),
-    "discontinuity": lambda **kw: DiscontinuityPrefetcher(
-        table_entries=kw.get("table_entries", 8192),
-        prefetch_ahead=kw.get("prefetch_ahead", 4),
-        counter_max=kw.get("counter_max", 3),
+#: name → (paper-style display label, factory), in registry order.
+_REGISTRY: Dict[str, Tuple[str, Callable[..., Prefetcher]]] = {
+    "none": ("No prefetch", lambda **kw: NullPrefetcher()),
+    "next-line-always": ("Next-line (always)", lambda **kw: NextLineAlways()),
+    "next-line-on-miss": ("Next-line (on miss)", lambda **kw: NextLineOnMiss()),
+    "next-line-tagged": ("Next-line (tagged)", lambda **kw: NextLineTagged()),
+    "next-2-line": ("Next-2-lines (tagged)", lambda **kw: NextNLineTagged(degree=2)),
+    "next-4-line": (
+        "Next-4-lines (tagged)",
+        lambda **kw: NextNLineTagged(degree=kw.get("degree", 4)),
     ),
-    "discontinuity-2nl": lambda **kw: DiscontinuityPrefetcher(
-        table_entries=kw.get("table_entries", 8192),
-        prefetch_ahead=2,
-        counter_max=kw.get("counter_max", 3),
+    "lookahead-4": (
+        "Lookahead-4",
+        lambda **kw: LookaheadN(distance=kw.get("distance", 4)),
     ),
-    "discontinuity-noprobeahead": lambda **kw: DiscontinuityPrefetcher(
-        table_entries=kw.get("table_entries", 8192),
-        prefetch_ahead=kw.get("prefetch_ahead", 4),
-        counter_max=kw.get("counter_max", 3),
-        probe_ahead=False,
+    "target": (
+        "Target prefetcher",
+        lambda **kw: TargetPrefetcher(capacity=kw.get("table_entries", 8192)),
     ),
-    "markov": lambda **kw: MarkovPrefetcher(
-        capacity=kw.get("table_entries", 4096),
-        targets_per_entry=kw.get("targets_per_entry", 2),
-        fanout=kw.get("fanout", 2),
-        prefetch_ahead=kw.get("prefetch_ahead", 4),
+    "discontinuity": (
+        "Discontinuity",
+        lambda **kw: DiscontinuityPrefetcher(
+            table_entries=kw.get("table_entries", 8192),
+            prefetch_ahead=kw.get("prefetch_ahead", 4),
+            counter_max=kw.get("counter_max", 3),
+        ),
     ),
-    "fdp": lambda **kw: FetchDirectedPrefetcher(
-        btb_entries=kw.get("btb_entries", 1024),
-        gshare_entries=kw.get("gshare_entries", 65536),
-        lookahead=kw.get("lookahead", 8),
+    "discontinuity-2nl": (
+        "Discont (2NL)",
+        lambda **kw: DiscontinuityPrefetcher(
+            table_entries=kw.get("table_entries", 8192),
+            prefetch_ahead=2,
+            counter_max=kw.get("counter_max", 3),
+        ),
     ),
-    "mana": lambda **kw: ManaPrefetcher(
-        table_entries=kw.get("table_entries", 4096),
-        assoc=kw.get("assoc", 4),
-        region_lines=kw.get("region_lines", 8),
-        replay_depth=kw.get("replay_depth", 3),
+    "discontinuity-noprobeahead": (
+        "Discont (no probe-ahead)",
+        lambda **kw: DiscontinuityPrefetcher(
+            table_entries=kw.get("table_entries", 8192),
+            prefetch_ahead=kw.get("prefetch_ahead", 4),
+            counter_max=kw.get("counter_max", 3),
+            probe_ahead=False,
+        ),
     ),
-    "shadow": lambda **kw: ShadowBranchPrefetcher(
-        btb_entries=kw.get("btb_entries", 1024),
-        gshare_entries=kw.get("gshare_entries", 65536),
-        lookahead=kw.get("lookahead", 8),
-        ftq_entries=kw.get("ftq_entries", 16),
-        shadow_entries=kw.get("shadow_entries", 2048),
-        shadow_assoc=kw.get("shadow_assoc", 4),
-        shadow_degree=kw.get("shadow_degree", 2),
+    "markov": (
+        "Markov (multi-target)",
+        lambda **kw: MarkovPrefetcher(
+            capacity=kw.get("table_entries", 4096),
+            targets_per_entry=kw.get("targets_per_entry", 2),
+            fanout=kw.get("fanout", 2),
+            prefetch_ahead=kw.get("prefetch_ahead", 4),
+        ),
     ),
-}
-
-_DISPLAY: Dict[str, str] = {
-    "none": "No prefetch",
-    "next-line-always": "Next-line (always)",
-    "next-line-on-miss": "Next-line (on miss)",
-    "next-line-tagged": "Next-line (tagged)",
-    "next-2-line": "Next-2-lines (tagged)",
-    "next-4-line": "Next-4-lines (tagged)",
-    "lookahead-4": "Lookahead-4",
-    "target": "Target prefetcher",
-    "discontinuity": "Discontinuity",
-    "discontinuity-2nl": "Discont (2NL)",
-    "discontinuity-noprobeahead": "Discont (no probe-ahead)",
-    "markov": "Markov (multi-target)",
-    "fdp": "Fetch-directed",
-    "mana": "MANA record/replay",
-    "shadow": "Shadow-branch FTQ",
+    "fdp": (
+        "Fetch-directed",
+        lambda **kw: FetchDirectedPrefetcher(
+            btb_entries=kw.get("btb_entries", 1024),
+            gshare_entries=kw.get("gshare_entries", 65536),
+            lookahead=kw.get("lookahead", 8),
+        ),
+    ),
+    "mana": (
+        "MANA record/replay",
+        lambda **kw: ManaPrefetcher(
+            table_entries=kw.get("table_entries", 4096),
+            assoc=kw.get("assoc", 4),
+            region_lines=kw.get("region_lines", 8),
+            replay_depth=kw.get("replay_depth", 3),
+        ),
+    ),
+    "shadow": (
+        "Shadow-branch FTQ",
+        lambda **kw: ShadowBranchPrefetcher(
+            btb_entries=kw.get("btb_entries", 1024),
+            gshare_entries=kw.get("gshare_entries", 65536),
+            lookahead=kw.get("lookahead", 8),
+            ftq_entries=kw.get("ftq_entries", 16),
+            shadow_entries=kw.get("shadow_entries", 2048),
+            shadow_assoc=kw.get("shadow_assoc", 4),
+            shadow_degree=kw.get("shadow_degree", 2),
+        ),
+    ),
 }
 
 #: all registered names, in registry order.
-PREFETCHER_NAMES: List[str] = list(_FACTORIES)
+PREFETCHER_NAMES: List[str] = list(_REGISTRY)
 
 
 def create_prefetcher(name: str, **overrides) -> Prefetcher:
@@ -124,7 +137,7 @@ def create_prefetcher(name: str, **overrides) -> Prefetcher:
     ignored, so sweeps can pass a uniform override set.
     """
     try:
-        factory = _FACTORIES[name]
+        _, factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown prefetcher {name!r}; available: {PREFETCHER_NAMES}"
@@ -133,5 +146,7 @@ def create_prefetcher(name: str, **overrides) -> Prefetcher:
 
 
 def prefetcher_display_name(name: str) -> str:
-    """Return the paper-style display label for a registered name."""
-    return _DISPLAY.get(name, name)
+    """Return the paper-style display label for a registered name (the
+    name itself for an unregistered one)."""
+    entry = _REGISTRY.get(name)
+    return entry[0] if entry else name

@@ -5,10 +5,11 @@ Everything that turns a workload *name* into per-core
 runner's raw/compiled trace caches, the executor's pre-compilation pass,
 ``RunSpec`` validation and the experiment catalog all resolve here.  A
 :class:`TraceSource` produces the traces; :data:`_SOURCES` registers one
-source per name:
+source per name, derived from the profile tables rather than spelled out:
 
-- the synthetic profiles (the paper's four applications plus the scenario
-  families), served by :class:`SynthSource` — **bit-identical** to the
+- one :class:`SynthSource` per synthetic profile (the paper's four
+  applications plus the scenario families), labelled with the profile's
+  ``display`` — **bit-identical** to the
   pre-registry resolution, which is what keeps the golden spec-parity
   hashes (and therefore every stored compiled trace) valid without a
   ``TRACE_SCHEMA_VERSION`` bump;
@@ -16,9 +17,9 @@ source per name:
 - ingested external PC streams, addressable as ``external:<name>`` and
   resolved dynamically against the :mod:`repro.trace.ingest` directory.
 
-Lint rule R5 statically cross-checks :data:`_SOURCES` against the profile
-registries and ``DISPLAY_NAMES`` (a new profile that is not registered
-here is a lint error, mirroring the prefetcher-registry sync check).
+A new profile in :data:`~repro.trace.synth.workloads.WORKLOADS` or
+:data:`~repro.trace.synth.workloads.SCENARIO_WORKLOADS` is a registered,
+labelled source with no edit here.
 
 This module must not import :mod:`repro.eval` (layering: eval depends on
 trace, never the reverse).
@@ -33,7 +34,8 @@ from repro.trace.ingest import EXTERNAL_PREFIX
 from repro.trace.stream import Trace
 from repro.trace.synth.mix import mixed_traces
 from repro.trace.synth.workloads import (
-    DISPLAY_NAMES,
+    SCENARIO_WORKLOADS,
+    WORKLOADS,
     generate_trace,
     workload_names,
 )
@@ -59,16 +61,18 @@ class TraceSource:
 
     Subclasses implement :meth:`traces`; ``name`` is the workload string a
     :class:`~repro.eval.runspec.RunSpec` carries.  Sources must be
-    deterministic in ``(n_cores, seed, n_instructions)``.
+    deterministic in ``(n_cores, seed, n_instructions)``.  ``label`` is the
+    display label; empty shows the name.
     """
 
     name: str
+    label: str = ""
 
     def traces(self, n_cores: int, seed: int, n_instructions: int) -> List[Trace]:
         raise NotImplementedError
 
     def display_name(self) -> str:
-        return DISPLAY_NAMES.get(self.name, self.name)
+        return self.label or self.name
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ class SynthSource(TraceSource):
     CMP setup."""
 
     name: str
+    label: str = ""
 
     def traces(self, n_cores: int, seed: int, n_instructions: int) -> List[Trace]:
         return [
@@ -93,6 +98,7 @@ class MixSource(TraceSource):
     address spaces (non-4-core systems cycle the base four)."""
 
     name: str = "mix"
+    label: str = "Mixed"
 
     def traces(self, n_cores: int, seed: int, n_instructions: int) -> List[Trace]:
         names = None
@@ -124,17 +130,15 @@ class ExternalSource(TraceSource):
         return self.external_name
 
 
-#: the registered sources, in presentation order (kept a literal dict with
-#: one ``SynthSource`` per profile for lint R5's static sync check).
+#: the registered sources, in presentation order: the paper's profiles,
+#: the mix, then the scenario families.
 _SOURCES: Dict[str, TraceSource] = {
-    "db": SynthSource("db"),
-    "tpcw": SynthSource("tpcw"),
-    "japp": SynthSource("japp"),
-    "web": SynthSource("web"),
-    "mix": MixSource(),
-    "microsvc": SynthSource("microsvc"),
-    "interp": SynthSource("interp"),
-    "osmix": SynthSource("osmix"),
+    source.name: source
+    for source in (
+        *(SynthSource(p.name, p.display) for p in WORKLOADS.values()),
+        MixSource(),
+        *(SynthSource(p.name, p.display) for p in SCENARIO_WORKLOADS.values()),
+    )
 }
 
 
@@ -199,4 +203,4 @@ def source_display_name(workload: str) -> str:
         return source.display_name()
     if is_external(workload):
         return workload[len(EXTERNAL_PREFIX):]
-    return DISPLAY_NAMES.get(workload, workload)
+    return workload

@@ -31,6 +31,7 @@ from typing import Optional
 
 from repro.envvars import REPRO_CACHE_DIR, REPRO_TRACE_DIR, REPRO_TRACE_STORE
 from repro.trace.compiled import CompiledTrace, CompiledTraceError
+from repro.util.validation import parse_env_flag
 
 TRACE_DIR_ENV = REPRO_TRACE_DIR
 DISABLE_ENV = REPRO_TRACE_STORE
@@ -51,12 +52,7 @@ SUFFIX = ".ctrace"
 
 def enabled() -> bool:
     """Is the trace store active?  ``REPRO_TRACE_STORE=0`` opts out."""
-    return os.environ.get(DISABLE_ENV, "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
+    return parse_env_flag(DISABLE_ENV, os.environ.get(DISABLE_ENV), default=True)
 
 
 def trace_dir() -> Path:

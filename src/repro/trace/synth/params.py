@@ -25,7 +25,11 @@ class WorkloadProfile:
     Static program shape:
 
     Attributes:
-        name: short identifier (``"db"``, ``"tpcw"``, ...).
+        name: short identifier (``"db"``, ``"tpcw"``, ...); the workload
+            name every registry keys the profile by.
+        display: paper-style label for tables and figures (``"TPC-W"``);
+            empty shows ``name``.  Presentation only: it never reaches a
+            seed, a trace or a cache key.
         n_functions: number of functions in the program.
         fn_median_instr: median function size in instructions (log-normal).
         fn_sigma: spread (in octaves) of the function-size distribution.
@@ -105,6 +109,7 @@ class WorkloadProfile:
     """
 
     name: str
+    display: str = ""
     # --- static program shape ---
     n_functions: int = 3000
     fn_median_instr: int = 90

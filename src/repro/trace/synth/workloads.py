@@ -34,6 +34,7 @@ from repro.util.units import KB, MB
 
 DB_PROFILE = WorkloadProfile(
     name="db",
+    display="DB",
     n_functions=3400,
     fn_median_instr=105,
     fn_sigma=1.0,
@@ -64,6 +65,7 @@ DB_PROFILE = WorkloadProfile(
 
 TPCW_PROFILE = WorkloadProfile(
     name="tpcw",
+    display="TPC-W",
     n_functions=3100,
     fn_median_instr=95,
     fn_sigma=0.95,
@@ -94,6 +96,7 @@ TPCW_PROFILE = WorkloadProfile(
 
 JAPP_PROFILE = WorkloadProfile(
     name="japp",
+    display="jApp",
     n_functions=5200,
     fn_median_instr=80,
     fn_sigma=1.05,
@@ -125,6 +128,7 @@ JAPP_PROFILE = WorkloadProfile(
 
 WEB_PROFILE = WorkloadProfile(
     name="web",
+    display="Web",
     n_functions=2300,
     fn_median_instr=90,
     fn_sigma=0.9,
@@ -157,10 +161,8 @@ WEB_PROFILE = WorkloadProfile(
 
 #: Registry of the paper's workloads in presentation order.
 WORKLOADS: Dict[str, WorkloadProfile] = {
-    "db": DB_PROFILE,
-    "tpcw": TPCW_PROFILE,
-    "japp": JAPP_PROFILE,
-    "web": WEB_PROFILE,
+    profile.name: profile
+    for profile in (DB_PROFILE, TPCW_PROFILE, JAPP_PROFILE, WEB_PROFILE)
 }
 
 # --------------------------------------------------------------------------
@@ -174,6 +176,7 @@ WORKLOADS: Dict[str, WorkloadProfile] = {
 
 MICROSVC_PROFILE = WorkloadProfile(
     name="microsvc",
+    display="MicroSvc",
     n_functions=6400,
     fn_median_instr=60,
     fn_sigma=1.0,
@@ -205,6 +208,7 @@ MICROSVC_PROFILE = WorkloadProfile(
 
 INTERP_PROFILE = WorkloadProfile(
     name="interp",
+    display="Interp",
     n_functions=2800,
     fn_median_instr=120,
     fn_sigma=1.1,
@@ -240,6 +244,7 @@ INTERP_PROFILE = WorkloadProfile(
 
 OSMIX_PROFILE = WorkloadProfile(
     name="osmix",
+    display="OSMix",
     n_functions=4200,
     fn_median_instr=100,
     fn_sigma=1.0,
@@ -274,21 +279,8 @@ OSMIX_PROFILE = WorkloadProfile(
 #: paper-replication experiments (whose grids expand ``workload_names()``)
 #: keep their exact pre-existing RunSpec sets.
 SCENARIO_WORKLOADS: Dict[str, WorkloadProfile] = {
-    "microsvc": MICROSVC_PROFILE,
-    "interp": INTERP_PROFILE,
-    "osmix": OSMIX_PROFILE,
-}
-
-#: Paper display names, used by the figure formatters.
-DISPLAY_NAMES: Dict[str, str] = {
-    "db": "DB",
-    "tpcw": "TPC-W",
-    "japp": "jApp",
-    "web": "Web",
-    "mix": "Mixed",
-    "microsvc": "MicroSvc",
-    "interp": "Interp",
-    "osmix": "OSMix",
+    profile.name: profile
+    for profile in (MICROSVC_PROFILE, INTERP_PROFILE, OSMIX_PROFILE)
 }
 
 

@@ -1,10 +1,11 @@
 """Shared fixtures for the ``repro.lint`` unit tests.
 
 ``lint_tree`` builds a minimal-but-structurally-complete project checkout
-under ``tmp_path`` — every module the R1–R5 rules parse, in its smallest
-valid form — and returns a :class:`repro.lint.engine.Project` rooted there.
-Tests seed violations by overriding individual files, and "apply the fix-it
-hint" by overriding them again with the repaired source.
+under ``tmp_path`` — every module the rules parse by path (R2–R4), in
+its smallest valid form — and returns a
+:class:`repro.lint.engine.Project` rooted there.  Tests seed violations
+by overriding individual files, and "apply the fix-it hint" by
+overriding them again with the repaired source.
 """
 
 from __future__ import annotations
@@ -78,30 +79,6 @@ BASE_FILES: Dict[str, str] = {
 
         def report_to_summary(report):
             return {"event": "sweep", "total": report.total}
-        """,
-    "src/repro/eval/catalog/__init__.py": """
-        CATALOG_MODULES = ("figures",)
-        """,
-    "src/repro/eval/catalog/_util.py": """
-        def workload_axis(ids):
-            return tuple((w.upper(), w) for w in ids)
-        """,
-    "src/repro/eval/catalog/figures.py": """
-        from repro.eval.experiment import Band, Experiment, Grid, PanelDef
-
-        FIG01_GRID = Grid(axes=(("workload", ("db",)),), build=None)
-
-        FIG01 = Experiment(
-            name="fig01",
-            title="demo figure",
-            paper="Figure 1",
-            tags=("figure",),
-            grid=FIG01_GRID,
-            panels=(PanelDef(id="fig01", title="demo", rows=(), cols=(), cell=None),),
-            expectations=(Band(panel="fig01", lo=0.0, hi=1.0),),
-        )
-
-        EXPERIMENTS = (FIG01,)
         """,
 }
 

@@ -71,7 +71,7 @@ def test_cli_violations_exit_one_with_hints(lint_tree, capsys):
 
 def test_cli_rules_subset(lint_tree, capsys):
     project = lint_tree({"src/repro/core/walker.py": "import random\n"})
-    assert main(["--root", str(project.root), "--rules", "R3,R5"]) == 0
+    assert main(["--root", str(project.root), "--rules", "R3,R4"]) == 0
     assert main(["--root", str(project.root), "--rules", "R1"]) == 1
     capsys.readouterr()
 
@@ -80,12 +80,15 @@ def test_cli_unknown_rule_fails(lint_tree, capsys):
     project = lint_tree()
     assert main(["--root", str(project.root), "--rules", "R99"]) == 1
     assert "unknown rule" in capsys.readouterr().err
+    # R5 (catalog sync) was retired; its name is not reused.
+    assert main(["--root", str(project.root), "--rules", "R5"]) == 1
+    assert "unknown rule(s) ['R5']" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"):
+    for name in ("R1", "R2", "R3", "R4", "R6", "R7", "R8"):
         assert name in out
 
 

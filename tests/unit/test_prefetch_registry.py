@@ -1,7 +1,12 @@
 """Unit tests for the prefetcher registry."""
 
+import importlib
+import pkgutil
+import sys
+
 import pytest
 
+import repro.prefetch
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
 from repro.prefetch.registry import (
@@ -64,3 +69,58 @@ class TestRegistry:
         assert prefetcher_display_name("next-line-on-miss") == "Next-line (on miss)"
         assert prefetcher_display_name("discontinuity-2nl") == "Discont (2NL)"
         assert prefetcher_display_name("unregistered") == "unregistered"
+
+    def test_every_prefetcher_class_is_registered(self):
+        """Every concrete Prefetcher subclass in the package is what some
+        registered name builds, so no family is unreachable from a RunSpec."""
+        built = {type(create_prefetcher(name)) for name in PREFETCHER_NAMES}
+        assert package_prefetcher_classes() - built == set()
+
+    def test_every_prefetcher_module_is_walked(self):
+        """A class in a module nothing else imports is still a candidate:
+        every module of the package is imported before the walk."""
+        walked = package_prefetcher_classes()
+        for info in pkgutil.iter_modules(
+            repro.prefetch.__path__, repro.prefetch.__name__ + "."
+        ):
+            module = sys.modules[info.name]
+            for value in vars(module).values():
+                if (
+                    isinstance(value, type)
+                    and issubclass(value, Prefetcher)
+                    and value is not Prefetcher
+                    and value.__module__ == module.__name__
+                ):
+                    assert value in walked, value
+
+    def test_subclass_walk_is_transitive(self):
+        class Base:
+            pass
+
+        class Child(Base):
+            pass
+
+        class GrandChild(Child):
+            pass
+
+        assert set(subclasses(Base)) == {Child, GrandChild}
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def package_prefetcher_classes():
+    """Every Prefetcher subclass defined in ``repro.prefetch``, however
+    deeply derived, after importing every module of the package."""
+    for info in pkgutil.iter_modules(
+        repro.prefetch.__path__, repro.prefetch.__name__ + "."
+    ):
+        importlib.import_module(info.name)
+    return {
+        cls
+        for cls in subclasses(Prefetcher)
+        if cls.__module__.startswith(repro.prefetch.__name__ + ".")
+    }

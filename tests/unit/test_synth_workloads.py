@@ -4,11 +4,9 @@ import pytest
 
 from repro.trace.synth.mix import MIX_REGION_STRIDE, mixed_traces
 from repro.trace.synth.workloads import (
-    DISPLAY_NAMES,
     WORKLOADS,
     generate_trace,
     get_profile,
-    synth_workload_names,
     workload_names,
 )
 
@@ -17,19 +15,12 @@ class TestRegistry:
     def test_four_paper_workloads(self):
         assert workload_names() == ["db", "tpcw", "japp", "web"]
 
-    def test_profiles_named_consistently(self):
-        for name, profile in WORKLOADS.items():
-            assert profile.name == name
-
     def test_get_profile(self):
         assert get_profile("db") is WORKLOADS["db"]
 
     def test_get_profile_unknown(self):
         with pytest.raises(KeyError, match="unknown workload"):
             get_profile("oracle")
-
-    def test_display_names_cover_all_plus_mix(self):
-        assert set(DISPLAY_NAMES) == set(synth_workload_names()) | {"mix"}
 
     def test_profiles_are_valid(self):
         # Construction runs __post_init__ validation; also sanity-check the

@@ -42,6 +42,21 @@ class TestRegistry:
         assert source.source_names() == synth_workload_names()[:4] + ["mix"] + list(
             SCENARIO_WORKLOADS
         )
+        assert source.source_names() == [
+            "db", "tpcw", "japp", "web", "mix", "microsvc", "interp", "osmix",
+        ]
+
+    def test_every_source_has_an_explicit_label(self):
+        for name in source.source_names():
+            label = source.resolve(name).label
+            assert label, name
+
+    def test_display_labels_come_from_profiles_plus_mix(self):
+        profiles = list(WORKLOADS.values()) + list(SCENARIO_WORKLOADS.values())
+        for profile in profiles:
+            assert source.source_display_name(profile.name) == profile.display
+        assert source.source_display_name("mix") == "Mixed"
+        assert set(source.source_names()) == {p.name for p in profiles} | {"mix"}
 
     def test_every_profile_is_registered(self):
         for name in list(WORKLOADS) + list(SCENARIO_WORKLOADS):

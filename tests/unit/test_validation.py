@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.eval import cli, diskcache
+from repro.trace import store
 from repro.util.validation import check_positive, check_power_of_two, check_probability
 
 
@@ -36,3 +38,34 @@ class TestCheckProbability:
     def test_rejects_outside(self, value):
         with pytest.raises(ValueError, match="p"):
             check_probability("p", value)
+
+
+#: every boolean REPRO_* knob: (variable, reader, default when unset/empty).
+BOOLEAN_KNOBS = [
+    (diskcache.DISABLE_ENV, diskcache.enabled, True),
+    (store.DISABLE_ENV, store.enabled, True),
+    (cli.STRICT_ENV, lambda: cli._strict_enabled(None), False),
+]
+
+
+@pytest.mark.parametrize("variable, reader, default", BOOLEAN_KNOBS)
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("1", True), ("TRUE", True), (" On ", True),
+        ("0", False), ("No", False),
+        ("", None),
+        ("of", ValueError), ("disabled", ValueError), ("ture", ValueError),
+    ],
+)
+def test_boolean_env_knobs_share_one_parser(
+    monkeypatch, variable, reader, default, raw, expected
+):
+    monkeypatch.setenv(variable, raw)
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=f"{variable}=.*1/true/yes/on"):
+            reader()
+    else:
+        assert reader() is (default if expected is None else expected)
+    monkeypatch.delenv(variable)
+    assert reader() is default
