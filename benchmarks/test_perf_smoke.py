@@ -27,7 +27,9 @@ Measurements, written to ``BENCH_perf.json`` at the repo root:
   ``fig01_warm_seconds``: wall-clock of the Figure 1 driver at smoke scale
   from empty caches, then with only the trace store warm (fresh result
   cache — the "new machine, shared traces" case the store exists for),
-  then with the result disk-cache warm.
+  then with the result disk-cache warm.  The driver runs on the default
+  ``auto`` backend, which is the jit kernel whenever a C compiler is
+  available (reference otherwise), on every core count.
 
 Run directly with::
 

@@ -68,6 +68,8 @@ class SetAssociativeCache:
         "_rng",
         "_plru_bits",
         "_plru_ways",
+        # The jit backend's lazy content decode refers back weakly.
+        "__weakref__",
     )
 
     POLICIES = ("lru", "fifo", "plru", "random")

@@ -252,7 +252,6 @@ class System:
                     prefetcher,
                     queue,
                     config.timing,
-                    n_cores=len(traces),
                 )
             )
 

@@ -46,13 +46,18 @@ sequential/lookahead/discontinuity families).  Anything else degrades to exact r
 stepping via ``super()`` — never to approximate fast behavior — so every
 registered prefetcher passes the backend parity suite by construction.
 
-Internal-contract note: once an engine binds its state into the kernel
-(first ``step()``/``run()`` on an eligible config), the C state is
-authoritative for cache/queue/MSHR/table *contents*; Python-side
-containers are stale from then on.  Scalars and every stats object are
+State ownership: once an engine binds its state into the kernel (first
+``step()``/``run()`` on an eligible config), the C state is authoritative
+for cache/queue/MSHR/table *contents*.  Scalars and every stats object are
 synced back after each kernel call, so ``--verify`` lockstep, the CMP
 interleave driven from Python, and all result aggregation see exact
-values.  Engines of one system share one :class:`_JitSystem` (the C
+values.  When an engine finishes inside the kernel (``run()``,
+``run_multicore()`` or the final ``step()``), its L1I, L1D and the shared
+L2 are handed their C images and decode them on first read, so the public
+cache inspection API (``probe``, ``resident_lines``, ``in``, ``len``)
+sees exactly what the reference engine leaves behind.  Queue, MSHR and
+discontinuity-table contents have no reader outside the engine and stay
+C-resident.  Engines of one system share one :class:`_JitSystem` (the C
 images of the shared L2 and off-chip link), keyed by link identity.
 """
 
@@ -65,10 +70,12 @@ import os
 import shutil
 import subprocess
 import weakref
+from collections import OrderedDict
 from pathlib import Path
 from typing import List, Optional
 
 from repro.caches.cache import SetAssociativeCache
+from repro.caches.line import LineState
 from repro.core.engine import CoreEngine
 from repro.core.metrics import CoreStats
 from repro.util import clock
@@ -1196,6 +1203,15 @@ def _encode_prov(provenance):
     raise ValueError(f"unsupported provenance {provenance!r}")
 
 
+def _decode_prov(kind: int, index: int, line: int):
+    """Inverse of :func:`_encode_prov`."""
+    if kind == 0:
+        return None
+    if kind == 1:
+        return ("seq",)
+    return ("disc", index, line)
+
+
 def _line_to_c(line: int, state) -> _CLine:
     pk, pi, pl = _encode_prov(state.provenance)
     return _CLine(
@@ -1240,6 +1256,57 @@ class _CacheImage:
             installs=stats.installs,
             evictions=stats.evictions,
         )
+
+    def decode(self) -> list:
+        """The image's contents as a cache's per-set ``OrderedDict`` list
+        (ways in LRU -> MRU order, every :class:`LineState` field)."""
+        assoc = self.struct.assoc
+        lines = self.lines
+        sets = []
+        for si, count in enumerate(self.counts):
+            cache_set: OrderedDict = OrderedDict()
+            for cl in lines[si * assoc : si * assoc + count]:
+                cache_set[cl.tag] = LineState(
+                    prefetched=bool(cl.prefetched),
+                    used=bool(cl.used),
+                    arrival=cl.arrival,
+                    bypass_pending=bool(cl.bypass_pending),
+                    from_memory=bool(cl.from_memory),
+                    useless_hint=bool(cl.useless_hint),
+                    provenance=_decode_prov(cl.prov_kind, cl.prov_index, cl.prov_line),
+                )
+            sets.append(cache_set)
+        return sets
+
+
+class _DecodedSets:
+    """Stand-in for a cache's ``_sets`` once its engine finished in the
+    kernel: decodes the C image on first read and puts the real per-set
+    list in its own place, so later reads cost nothing extra.
+
+    The cache is held weakly: a strong reference would form a cache ->
+    stand-in -> cache cycle, keeping every finished system alive until
+    the cyclic garbage collector runs.
+    """
+
+    __slots__ = ("_cache", "_image")
+
+    def __init__(self, cache: SetAssociativeCache, image: _CacheImage) -> None:
+        self._cache = weakref.ref(cache)
+        self._image = image
+
+    def _decoded(self) -> list:
+        sets = self._image.decode()
+        cache = self._cache()
+        if cache is not None:
+            cache._sets = sets
+        return sets
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
 
 
 def _sync_cache_stats(cache: SetAssociativeCache, cstruct: _CCache) -> None:
@@ -1346,6 +1413,7 @@ class JittedCoreEngine(CoreEngine):
         self._lib = None
         self._jit_system: Optional[_JitSystem] = None
         self._buffers: list = []
+        self._cache_images: tuple = ()
 
     # ------------------------------------------------------------------ #
     # Eligibility + binding
@@ -1501,6 +1569,11 @@ class JittedCoreEngine(CoreEngine):
         c.l1d = l1d_image.struct
         jitsys = _system_for(self.link, self.l2)
         self._jit_system = jitsys
+        self._cache_images = (
+            (self.l1i, l1i_image),
+            (self.l1d, l1d_image),
+            (self.l2, jitsys.l2_image),
+        )
         c.l2 = ctypes.pointer(jitsys.c_l2)
         c.link = ctypes.pointer(jitsys.c_link)
 
@@ -1555,10 +1628,10 @@ class JittedCoreEngine(CoreEngine):
     def _sync_out(self) -> None:
         """Copy scalars and every stats object back to the Python side.
 
-        Cache/queue/MSHR/table *contents* stay C-resident (internal
-        contract, see the module docstring) — everything result
-        aggregation, ``--verify`` lockstep or the CMP driver reads is
-        synced exactly.
+        Cache contents follow once the run finishes (:meth:`_finish`);
+        queue/MSHR/table contents stay C-resident (see the module
+        docstring) — everything result aggregation, ``--verify`` lockstep
+        or the CMP driver reads is synced exactly.
         """
         c = self._c
         self.cycle = c.cycle
@@ -1616,7 +1689,7 @@ class JittedCoreEngine(CoreEngine):
         c = self._c
         i = c.visit_index
         if i >= c.visit_count:
-            self._finished = True
+            self._finish()
             c.finished = 1
             cycles = self.cycle - self._cycle_mark
             self.stats.cycles = cycles
@@ -1634,8 +1707,15 @@ class JittedCoreEngine(CoreEngine):
         self._c_started = True
         self._lib.repro_run(ctypes.byref(self._c))
         self._sync_out()
-        self._finished = True
+        self._finish()
         return self.stats
+
+    def _finish(self) -> None:
+        """Mark the run finished and hand each cache its C image, decoded
+        on first read (see the module docstring)."""
+        self._finished = True
+        for cache, image in self._cache_images:
+            cache._sets = _DecodedSets(cache, image)  # type: ignore[assignment]
 
     @staticmethod
     def run_multicore(engines: List["JittedCoreEngine"]) -> bool:
@@ -1667,5 +1747,5 @@ class JittedCoreEngine(CoreEngine):
         engines[0]._lib.repro_run_system(cores, len(engines))
         for engine in engines:
             engine._sync_out()
-            engine._finished = True
+            engine._finish()
         return True

@@ -82,14 +82,13 @@ REGISTRY: Tuple[EnvVar, ...] = (
     ),
     EnvVar(
         REPRO_ENGINE_BACKEND,
-        "`reference`",
+        "`jit` if it builds",
         "Engine backend used when a run asks for `auto` (the default "
         "everywhere): `reference` or `jit`.  Backends are bit-identical — "
         "this changes speed, not results — so it is *not* part of any cache "
-        "key.  Unset, single-core systems resolve `auto` to `reference`; "
-        "multi-core systems resolve it to `jit` when a C compiler is "
-        "available and to `reference` otherwise.  Any other value is an "
-        "error.  `repro-experiment --backend` overrides it per "
+        "key.  Unset, `auto` resolves to `jit` when a C compiler is "
+        "available and to `reference` otherwise, on every core count.  Any "
+        "other value is an error.  `repro-experiment --backend` overrides it per "
         "invocation; see [Engine backends](#engine-backends).",
     ),
     EnvVar(

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=(*BACKEND_NAMES, AUTO_BACKEND),
         help="engine backend for every run (default: $REPRO_ENGINE_BACKEND, "
-        "else 'auto': reference on one core, jit on more when it builds); "
+        "else 'auto': jit when its kernel builds, reference otherwise); "
         "backends are bit-identical — this changes speed, not results",
     )
     parser.add_argument(

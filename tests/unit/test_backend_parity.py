@@ -143,6 +143,9 @@ def test_resolve_backend_env(monkeypatch) -> None:
     assert backends.resolve_backend(None) == "jit"
     assert backends.resolve_backend("reference") == "reference"
     monkeypatch.delenv(backends.ENGINE_BACKEND_ENV)
+    monkeypatch.setattr(backends, "_jit_available", lambda: True)
+    assert backends.resolve_backend("auto") == "jit"
+    monkeypatch.setattr(backends, "_jit_available", lambda: False)
     assert backends.resolve_backend("auto") == "reference"
 
 
@@ -162,8 +165,8 @@ UNKNOWN = ValueError
         ("jit", 1, None, False, "jit"),
         ("jit", 4, "reference", True, "jit"),
         # Otherwise the environment is the request; unset (or "auto")
-        # means reference on one core, jit-if-buildable on more.
-        ("auto", 1, None, True, "reference"),
+        # means jit-if-buildable on every core count.
+        ("auto", 1, None, True, "jit"),
         ("auto", 1, None, False, "reference"),
         ("auto", 1, "reference", True, "reference"),
         ("auto", 1, "jit", True, "jit"),
@@ -201,67 +204,69 @@ def test_resolve_backend_table(monkeypatch, request_name, n_cores, env, jit_ok, 
 
 
 def test_jit_unavailable_falls_back_with_warning(monkeypatch, caplog) -> None:
-    """When the kernel can't be built, 'jit' degrades to the reference
-    engine with a single logged warning."""
-    from repro.core import jitted
-
-    monkeypatch.setattr(jitted, "jit_available", lambda: False)
-    monkeypatch.setattr(backends, "_jit_fallback_warned", False)
-
-    with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-        engine_cls = backends._jitted_engine_cls()
-    assert engine_cls is None
-    assert any(
-        "falling back to the reference backend" in record.message
-        for record in caplog.records
-    )
-
-    # A second request stays quiet (the warning is once per process).
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="repro.core.backends"):
-        assert backends._jitted_engine_cls() is None
-    assert not caplog.records
-
-
-def test_auto_system_engines_follow_core_count(monkeypatch) -> None:
-    """Unset-environment auto builds jit engines for a multi-core system
-    (when the kernel is buildable) and a plain reference engine for a
-    single-core one."""
+    """When the kernel can't be built, a 'jit' system degrades to
+    reference engines with exactly one logged warning, naming the cause."""
     from repro.cmp.system import System, SystemConfig
+    from repro.core import jitted
     from repro.core.engine import CoreEngine
     from repro.eval.runner import get_traces
 
-    monkeypatch.delenv(backends.ENGINE_BACKEND_ENV, raising=False)
-    system = System(
-        SystemConfig(n_cores=2, engine_backend="auto"),
-        get_traces("db", 2, 2_000),
+    monkeypatch.setattr(jitted, "_kernel_lib", None)
+    monkeypatch.setattr(jitted, "_kernel_probed", False)
+    monkeypatch.setattr(
+        jitted, "_build_kernel", lambda: (_ for _ in ()).throw(OSError("no cc"))
     )
-    assert len(system.engines) == 2
-    if backends._jit_available():
-        from repro.core.jitted import JittedCoreEngine
+    with caplog.at_level(logging.WARNING, logger="repro.core"):
+        system = System(
+            SystemConfig(n_cores=2, engine_backend="jit"),
+            get_traces("db", 2, 2_000),
+        )
+    assert all(type(engine) is CoreEngine for engine in system.engines)
+    warnings = [
+        record
+        for record in caplog.records
+        if record.name in ("repro.core.jitted", "repro.core.backends")
+        and record.levelno == logging.WARNING
+    ]
+    assert len(warnings) == 1
+    assert "no cc" in warnings[0].getMessage()
+    assert "falling back to the reference backend" in warnings[0].getMessage()
 
+
+def test_auto_system_engines_follow_core_count(monkeypatch) -> None:
+    """Unset-environment auto builds jit engines for single- and
+    multi-core systems alike when the kernel is buildable."""
+    from repro.cmp.system import System, SystemConfig
+    from repro.eval.runner import get_traces
+
+    if not backends._jit_available():
+        pytest.skip("no C compiler: jit kernel unbuildable")
+    from repro.core.jitted import JittedCoreEngine
+
+    monkeypatch.delenv(backends.ENGINE_BACKEND_ENV, raising=False)
+    for n_cores in (1, 2):
+        system = System(
+            SystemConfig(n_cores=n_cores, engine_backend="auto"),
+            get_traces("db", n_cores, 2_000),
+        )
+        assert len(system.engines) == n_cores
         assert all(
             isinstance(engine, JittedCoreEngine) for engine in system.engines
         )
 
-    single = System(
-        SystemConfig(n_cores=1, engine_backend="auto"),
-        get_traces("db", 1, 2_000),
-    )
-    assert type(single.engines[0]) is CoreEngine
-
 
 def test_multicore_auto_without_jit_uses_reference(monkeypatch) -> None:
-    """With the jit kernel unbuildable, multi-core auto falls back to
-    plain reference engines."""
+    """With the jit kernel unbuildable, auto falls back to plain
+    reference engines on every core count."""
     from repro.cmp.system import System, SystemConfig
     from repro.core.engine import CoreEngine
     from repro.eval.runner import get_traces
 
     monkeypatch.delenv(backends.ENGINE_BACKEND_ENV, raising=False)
     monkeypatch.setattr(backends, "_jit_available", lambda: False)
-    system = System(
-        SystemConfig(n_cores=2, engine_backend="auto"),
-        get_traces("db", 2, 2_000),
-    )
-    assert all(type(engine) is CoreEngine for engine in system.engines)
+    for n_cores in (1, 2):
+        system = System(
+            SystemConfig(n_cores=n_cores, engine_backend="auto"),
+            get_traces("db", n_cores, 2_000),
+        )
+        assert all(type(engine) is CoreEngine for engine in system.engines)

@@ -5,13 +5,16 @@ CoreStats repr equality across 15 prefetchers × 1/4 cores) and by
 ``profile_engine.py --verify`` (per-visit lockstep).  This module covers
 the machinery around the kernel instead: the on-disk compile cache, the
 graceful degradation ladder (no compiler → reference stepping inside the
-same engine object), the multi-core batch runner's eligibility guard, and
-the step()-driven path staying usable alongside run().
+same engine object), the multi-core batch runner's eligibility guard, the
+step()-driven path staying usable alongside run(), and the exact cache
+contents a finished kernel run leaves behind.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
+import weakref
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.core import jitted
 from repro.core.jitted import JittedCoreEngine
 from repro.eval.profiles import get_scale
 from repro.eval.runner import get_compiled_traces
+from repro.prefetch.registry import PREFETCHER_NAMES, create_prefetcher
 
 SMOKE = get_scale("smoke")
 
@@ -28,7 +32,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _build_system(n_cores: int = 1, **overrides) -> System:
+def _build_system(n_cores: int = 1, backend: str = "jit", **overrides) -> System:
     total = SMOKE.warm_instructions + (
         SMOKE.measure_instructions if n_cores == 1 else SMOKE.cmp_measure_instructions
     )
@@ -36,7 +40,7 @@ def _build_system(n_cores: int = 1, **overrides) -> System:
         n_cores=n_cores,
         prefetcher=overrides.pop("prefetcher", "discontinuity"),
         warm_instructions=SMOKE.warm_instructions,
-        engine_backend="jit",
+        engine_backend=backend,
         **overrides,
     )
     return System(config, get_compiled_traces("db", n_cores, total))
@@ -186,3 +190,93 @@ def test_probe_failure_warns_once_and_degrades(monkeypatch, caplog) -> None:
     with caplog.at_level(logging.WARNING, logger="repro.core.jitted"):
         assert jitted._kernel() is None
     assert not caplog.records
+
+
+# --------------------------------------------------------------------- #
+# Post-run cache contents
+# --------------------------------------------------------------------- #
+
+#: registered prefetchers whose semantics the kernel replicates.
+JIT_PREFETCHERS = [
+    name
+    for name in PREFETCHER_NAMES
+    if type(create_prefetcher(name)) in jitted._PF_MODES
+]
+
+
+def _caches(system: System) -> list:
+    caches = [system.l2]
+    for engine in system.engines:
+        caches.extend((engine.l1i, engine.l1d))
+    return caches
+
+
+def _contents(system: System) -> list:
+    """Every cache's resident lines: tag order and every LineState field
+    (arrival by float repr, so a last-ulp divergence shows)."""
+    return [
+        (
+            cache.name,
+            [
+                (
+                    line,
+                    repr(float(state.arrival)),
+                    state.prefetched,
+                    state.used,
+                    state.bypass_pending,
+                    state.from_memory,
+                    state.useless_hint,
+                    state.provenance,
+                )
+                for line, state in cache.resident_lines()
+            ],
+        )
+        for cache in _caches(system)
+    ]
+
+
+@pytest.mark.parametrize("l2_policy", ["normal", "bypass"])
+@pytest.mark.parametrize("n_cores", [1, 4])
+@pytest.mark.parametrize("prefetcher", JIT_PREFETCHERS)
+def test_post_run_contents_match_reference(prefetcher, n_cores, l2_policy) -> None:
+    """After a kernel run every cache holds exactly what the reference
+    engine leaves behind."""
+    options = dict(prefetcher=prefetcher, l2_policy=l2_policy)
+    reference = _build_system(n_cores, "reference", **options)
+    reference.run()
+    jit = _build_system(n_cores, **options)
+    jit.run()
+    assert all(engine._twin_ready() for engine in jit.engines)
+    expected = _contents(reference)
+    assert sum(len(lines) for _, lines in expected) > 0
+    assert _contents(jit) == expected
+
+
+def test_post_step_contents_match_reference() -> None:
+    """Stepping a 1-core jit engine to completion leaves the same
+    contents as the reference engine's run."""
+    reference = _build_system(1, "reference")
+    reference.run()
+    jit = _build_system(1)
+    engine = jit.engines[0]
+    while engine.step():
+        pass
+    assert engine.finished
+    assert _contents(jit) == _contents(reference)
+    assert len(jit.l2) == len(reference.l2)
+    assert len(engine.l1i) == len(reference.engines[0].l1i)
+
+
+def test_finished_system_freed_without_cyclic_gc() -> None:
+    """A finished jit system and its caches hold no reference cycle: they
+    die as soon as the last reference drops, before any cyclic
+    collection."""
+    system = _build_system(4)
+    system.run()
+    refs = [weakref.ref(system)] + [weakref.ref(cache) for cache in _caches(system)]
+    gc.disable()
+    try:
+        del system
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
