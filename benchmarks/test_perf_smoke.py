@@ -19,6 +19,12 @@ Measurements, written to ``BENCH_perf.json`` at the repo root:
   multi-core claim is tracked, not asserted.
 - ``trace_compile_seconds`` and the store's cold/warm load times: how much
   one-time work the packed format costs and how cheap reloading it is.
+- ``synth``: synthesis plus lowering to packed columns, Python
+  (``SynthSource.traces`` + ``CompiledTrace.compile``) against the compiled
+  unit (:mod:`repro.trace.synth.native`), in Minstr/s on db / 1 core at
+  smoke scale (the Figure 1 trace), and ``compile_seconds``: the unit's
+  one-off build from an empty cache.  The two must produce identical
+  bytes; the bench refuses to record numbers otherwise.
 - ``ingest``: external-trace ingestion throughput on the checked-in
   PC-stream fixture — ``parse_lines_per_sec`` (text → classified block
   events) and ``compile_lines_per_sec`` (ingest + tile + pack into the
@@ -44,9 +50,10 @@ import platform
 import time
 from pathlib import Path
 
-from repro.envvars import REPRO_CACHE_DIR
+from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR
 from repro.eval import executor
 from repro.eval.experiment import run_experiment
+from repro.eval.profiles import get_scale
 from repro.eval.registry import get_experiment
 from repro.eval.runner import (
     DEFAULT_SEED,
@@ -58,6 +65,9 @@ from repro.eval.runner import (
 )
 from repro.trace import store
 from repro.trace.compiled import compile_traces
+from repro.trace.source import resolve
+from repro.trace.synth import native
+from repro.util import ccompile
 from scripts.profile_engine import BENCH_SCALE
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +192,60 @@ def _measure_engine_cmp() -> dict:
     return report
 
 
+def _measure_synth(tmp_root: Path) -> dict:
+    """Synthesis + lowering throughput, Python vs compiled (db / 1c / smoke)."""
+    workload, cores, line_size = "db", 1, 64
+    total, _ = trace_budget(get_scale("smoke"), cores)
+    source = resolve(workload)
+
+    def python_path():
+        traces = source.traces(cores, DEFAULT_SEED, total)
+        return compile_traces(
+            traces, line_size, workload=workload, seed=DEFAULT_SEED, n_instructions=total
+        )
+
+    expected, python_seconds = _timed(python_path)
+    instructions = sum(trace.total_instructions for trace in expected)
+    report = {
+        "config": f"{workload}/{cores}c/smoke/l{line_size}",
+        "instructions": instructions,
+        "python_seconds": round(python_seconds, 4),
+        "python_minstr_per_s": round(instructions / python_seconds / 1e6, 4),
+    }
+    if not native.available():
+        return report
+
+    def native_path():
+        blocks = native.synthesize(source.walks(cores, DEFAULT_SEED), total)
+        return [
+            native.lower(columns, line_size, workload, DEFAULT_SEED, core, total)
+            for core, columns in enumerate(blocks)
+        ]
+
+    best = None
+    for _ in range(3):
+        got, elapsed = _timed(native_path)
+        assert [t.to_bytes() for t in got] == [t.to_bytes() for t in expected]
+        best = elapsed if best is None else min(best, elapsed)
+    # The one-off build, from an empty cache directory.
+    previous = os.environ.get(REPRO_JIT_CACHE_DIR)
+    os.environ[REPRO_JIT_CACHE_DIR] = str(tmp_root / "bench-synth-build")
+    try:
+        _, compile_seconds = ccompile.load("repro_synth", native.source())
+    finally:
+        if previous is None:
+            os.environ.pop(REPRO_JIT_CACHE_DIR, None)
+        else:
+            os.environ[REPRO_JIT_CACHE_DIR] = previous
+    report.update(
+        native_seconds=round(best, 4),
+        native_minstr_per_s=round(instructions / best / 1e6, 3),
+        native_speedup=round(python_seconds / best, 1),
+        compile_seconds=round(compile_seconds, 4),
+    )
+    return report
+
+
 def _measure_ingest(tmp_root: Path) -> dict:
     """Ingest + compile throughput (PC lines/sec) on the CI fixture."""
     from repro.envvars import REPRO_EXTERNAL_TRACES, REPRO_TRACE_DIR
@@ -262,6 +326,7 @@ def _measure_fig01(scale, tmp_root: Path) -> dict:
 def test_perf_smoke(scale, tmp_path):
     engine = _measure_engine()
     engine_4c = _measure_engine_cmp()
+    synth = _measure_synth(tmp_path)
     ingest = _measure_ingest(tmp_path)
     figure = _measure_fig01(scale, tmp_path)
 
@@ -270,6 +335,7 @@ def test_perf_smoke(scale, tmp_path):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "engine": engine,
         "engine_4c": engine_4c,
+        "synth": synth,
         "ingest": ingest,
         "figure": figure,
     }
@@ -292,6 +358,9 @@ def test_perf_smoke(scale, tmp_path):
     if "jit" in engine_4c["backends"]:
         assert engine_4c["jit_speedup"] >= 2.0
     assert engine["store_warm_load_seconds"] < engine["trace_compile_seconds"]
+    # Compiled synthesis measures ~100x Python here; the floor is 10x.
+    if "native_seconds" in synth:
+        assert synth["native_speedup"] >= 10.0
     # Ingestion is linear scans over small records; even slow CI machines
     # sustain far more than this floor (typical: >100k lines/s parsing).
     assert ingest["parse_lines_per_sec"] > 5_000

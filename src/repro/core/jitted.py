@@ -16,9 +16,10 @@ The kernel is plain C, embedded below as a source string
 (:func:`kernel_source`), compiled once per source hash with the system C
 compiler (``cc -O2 -fPIC -shared -ffp-contract=off``) into a shared object
 cached under ``REPRO_JIT_CACHE_DIR`` (default ``.repro-cache/jit``), and
-loaded through :mod:`ctypes`.  This needs no third-party package: the
-kernel is available wherever a C compiler is — environments without one
-fall back to the reference backend with one logged warning
+loaded through :mod:`ctypes` — all by :mod:`repro.util.ccompile`, which
+also builds the compiled trace synthesizer.  This needs no third-party
+package: the kernel is available wherever a C compiler is — environments
+without one fall back to the reference backend with one logged warning
 (:func:`jit_available`).
 
 Why the results are exactly equal
@@ -64,22 +65,20 @@ images of the shared L2 and off-chip link), keyed by link identity.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
-import os
-import shutil
-import subprocess
+
+# The toolchain runs in repro.util.ccompile; this module's ``subprocess``
+# attribute is the same module object, so patching ``jitted.subprocess.run``
+# still intercepts every compile.
+import subprocess  # noqa: F401
 import weakref
 from collections import OrderedDict
-from pathlib import Path
 from typing import List, Optional
 
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.line import LineState
 from repro.core.engine import CoreEngine
 from repro.core.metrics import CoreStats
-from repro.util import clock
-from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR
 from repro.isa.kinds import TransitionKind
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
@@ -90,6 +89,7 @@ from repro.prefetch.sequential import (
     NextLineTagged,
     NextNLineTagged,
 )
+from repro.util import ccompile
 
 logger = logging.getLogger(__name__)
 
@@ -1083,61 +1083,17 @@ _kernel_probed = False
 _compile_seconds = 0.0
 
 
-def kernel_cache_dir() -> Path:
-    """Directory holding the compiled kernel (``REPRO_JIT_CACHE_DIR``)."""
-    explicit = os.environ.get(REPRO_JIT_CACHE_DIR, "")
-    if explicit:
-        return Path(explicit)
-    base = os.environ.get(REPRO_CACHE_DIR, "") or ".repro-cache"
-    return Path(base) / "jit"
-
-
 def kernel_source_hash() -> str:
     """Hash naming the cached shared object (and the CI cache key)."""
-    return hashlib.sha256(kernel_source().encode("utf-8")).hexdigest()[:16]
+    return ccompile.source_hash(kernel_source())
 
 
 def _build_kernel():
     """Compile (or load from cache) the kernel; return the loaded library."""
     global _compile_seconds
-    digest = kernel_source_hash()
-    cache_dir = kernel_cache_dir()
-    so_path = cache_dir / f"repro_jit_{digest}.so"
-    if not so_path.exists():
-        compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-        if compiler is None:
-            raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        c_path = cache_dir / f"repro_jit_{digest}.c"
-        c_path.write_text(kernel_source())
-        # Atomic publish: concurrent builders race benignly to os.replace.
-        tmp_path = cache_dir / f".repro_jit_{digest}.{os.getpid()}.so.tmp"
-        # Wall-clock here times the one-off toolchain invocation for the
-        # compile-cost report; it can never influence simulated results.
-        started = clock.perf_counter()
-        try:
-            subprocess.run(
-                [
-                    compiler,
-                    "-O2",
-                    "-fPIC",
-                    "-shared",
-                    # Forbid FMA contraction: every double op must round
-                    # exactly like the CPython interpreter's.
-                    "-ffp-contract=off",
-                    "-o",
-                    str(tmp_path),
-                    str(c_path),
-                ],
-                check=True,
-                capture_output=True,
-                text=True,
-            )
-        except subprocess.CalledProcessError as exc:
-            raise RuntimeError(f"kernel compilation failed: {exc.stderr}") from exc
-        _compile_seconds = clock.perf_counter() - started
-        os.replace(tmp_path, so_path)
-    lib = ctypes.CDLL(str(so_path))
+    lib, seconds = ccompile.load("repro_jit", kernel_source())
+    if seconds:
+        _compile_seconds = seconds
     lib.repro_span.argtypes = [ctypes.POINTER(_CCore), _LL]
     lib.repro_span.restype = None
     lib.repro_run.argtypes = [ctypes.POINTER(_CCore)]
@@ -1152,15 +1108,12 @@ def _kernel():
     global _kernel_lib, _kernel_probed
     if not _kernel_probed:
         _kernel_probed = True
-        try:
-            _kernel_lib = _build_kernel()
-        except Exception as exc:
-            logger.warning(
-                "jit engine backend unavailable (%s); "
-                "falling back to the reference backend",
-                exc,
-            )
-            _kernel_lib = None
+        _kernel_lib = ccompile.load_or_warn(
+            _build_kernel,
+            logger,
+            "jit engine backend",
+            "falling back to the reference backend",
+        )
     return _kernel_lib
 
 

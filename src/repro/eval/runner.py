@@ -10,7 +10,13 @@ be comparable.  Two layers keep that cheap:
   :class:`~repro.trace.compiled.CompiledTrace` form the engine consumes,
   backed by its own memo **and** the persistent on-disk trace store
   (:mod:`repro.trace.store`, ``$REPRO_TRACE_DIR``) — a store hit skips
-  synthesis *and* lowering entirely, across processes and sessions.
+  synthesis *and* lowering entirely, across processes and sessions.  On
+  a miss, synthetic workloads are synthesized and lowered by the compiled
+  unit (:mod:`repro.trace.synth.native`; its block columns are memoized
+  per raw key, so line sizes share one synthesis) and never become Python
+  traces; external traces, and every workload when no C compiler is
+  available, go through :func:`get_traces` and
+  :meth:`CompiledTrace.compile`.  Both paths produce identical bytes.
 
 Result caching is layered (see :mod:`repro.eval.executor`): an in-process
 memo, then the persistent on-disk cache of :mod:`repro.eval.diskcache`.
@@ -37,8 +43,9 @@ from repro.isa.classify import MissClass
 from repro.timing.params import DEFAULT_TIMING, TimingParams
 from repro.trace import store as trace_store
 from repro.trace.compiled import CompiledTrace
-from repro.trace.source import traces_for
+from repro.trace.source import resolve, traces_for
 from repro.trace.stream import Trace
+from repro.trace.synth import native
 
 __all__ = [
     "DEFAULT_SEED",
@@ -58,9 +65,11 @@ __all__ = [
 SYNTH_LOG_ENV = REPRO_SYNTH_LOG
 
 _TRACE_CACHE: Dict[Tuple[str, int, int, int], List[Trace]] = {}
+_BLOCK_CACHE: Dict[Tuple[str, int, int, int], List[native.BlockColumns]] = {}
 _COMPILED_CACHE: Dict[Tuple[str, int, int, int, int], List[CompiledTrace]] = {}
 
-#: number of make_traces calls this process has performed (test observability).
+#: number of trace syntheses this process has performed, Python or compiled
+#: (test observability).
 _synthesis_count = 0
 
 
@@ -70,6 +79,8 @@ def synthesis_count() -> int:
 
 
 def _note_synthesis(workload: str, n_cores: int, seed: int, n_instructions: int) -> None:
+    global _synthesis_count
+    _synthesis_count += 1
     log_path = os.environ.get(SYNTH_LOG_ENV)
     if not log_path:
         return
@@ -99,15 +110,31 @@ def get_traces(
     (:mod:`repro.trace.source`), so synthetic profiles, the mix and
     ingested ``external:<name>`` streams all land in the same memo.
     """
-    global _synthesis_count
     key = (workload, n_cores, seed, n_instructions)
     traces = _TRACE_CACHE.get(key)
     if traces is None:
         traces = traces_for(workload, n_cores, seed, n_instructions)
-        _synthesis_count += 1
         _note_synthesis(workload, n_cores, seed, n_instructions)
         _TRACE_CACHE[key] = traces
     return traces
+
+
+def _native_blocks(
+    workload: str, n_cores: int, n_instructions: int, seed: int
+) -> Optional[List[native.BlockColumns]]:
+    """Compiled-synthesis block columns for one raw key (memoized), or
+    None when the workload is not synthetic or the C unit is unavailable
+    (the first call here builds it)."""
+    key = (workload, n_cores, seed, n_instructions)
+    blocks = _BLOCK_CACHE.get(key)
+    if blocks is None:
+        walks = resolve(workload).walks(n_cores, seed)
+        if walks is None or not native.available():
+            return None
+        blocks = native.synthesize(walks, n_instructions)
+        _note_synthesis(workload, n_cores, seed, n_instructions)
+        _BLOCK_CACHE[key] = blocks
+    return blocks
 
 
 def _load_or_compile(
@@ -120,8 +147,8 @@ def _load_or_compile(
     """All cores' compiled traces for one key; source is "store"/"compiled".
 
     Every core found in the on-disk store is served from it; missing cores
-    trigger one synthesis (through the raw memo, shared across line sizes)
-    plus compilation, and the fresh files are persisted for other
+    trigger one synthesis (memoized per raw key, so shared across line
+    sizes) plus lowering, and the fresh files are persisted for other
     processes.  A corrupt/truncated/stale store file reads as a miss here
     and is overwritten with a freshly compiled one.
     """
@@ -131,18 +158,24 @@ def _load_or_compile(
     ]
     if all(compiled is not None for compiled in loaded):
         return loaded, "store"  # type: ignore[return-value]
-    raw = get_traces(workload, n_cores, n_instructions, seed)
+    blocks = _native_blocks(workload, n_cores, n_instructions, seed)
+    raw = get_traces(workload, n_cores, n_instructions, seed) if blocks is None else []
     compiled_list: List[CompiledTrace] = []
     for core, compiled in enumerate(loaded):
         if compiled is None:
-            compiled = CompiledTrace.compile(
-                raw[core],
-                line_size,
-                workload=workload,
-                seed=seed,
-                core=core,
-                n_instructions=n_instructions,
-            )
+            if blocks is not None:
+                compiled = native.lower(
+                    blocks[core], line_size, workload, seed, core, n_instructions
+                )
+            else:
+                compiled = CompiledTrace.compile(
+                    raw[core],
+                    line_size,
+                    workload=workload,
+                    seed=seed,
+                    core=core,
+                    n_instructions=n_instructions,
+                )
             trace_store.store(compiled)
         compiled_list.append(compiled)
     return compiled_list, "compiled"
@@ -203,6 +236,7 @@ def clear_trace_cache() -> None:
     """Drop all cached traces, raw and compiled (frees memory between
     experiment suites; the on-disk trace store is untouched)."""
     _TRACE_CACHE.clear()
+    _BLOCK_CACHE.clear()
     _COMPILED_CACHE.clear()
 
 

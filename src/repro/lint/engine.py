@@ -158,11 +158,18 @@ class Project:
 
     def iter_python(self, rel_dir: str) -> List[str]:
         """Sorted relative paths of every ``*.py`` file under *rel_dir*."""
+        return self.iter_files(rel_dir, ("*.py",))
+
+    def iter_files(self, rel_dir: str, patterns: Sequence[str]) -> List[str]:
+        """Sorted relative paths of every file under *rel_dir* matching one
+        of the glob *patterns*."""
         base = self.path(rel_dir)
         if not base.is_dir():
             return []
         return sorted(
-            found.relative_to(self.root).as_posix() for found in base.rglob("*.py")
+            found.relative_to(self.root).as_posix()
+            for pattern in patterns
+            for found in base.rglob(pattern)
         )
 
 

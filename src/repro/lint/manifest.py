@@ -75,6 +75,12 @@ TRACE_PATHS = (
     "src/repro/util",
 )
 
+#: the sources hashed under a BEHAVIOR_PATHS/TRACE_PATHS directory: Python
+#: modules and the C units compiled from them (the trace synthesizer's
+#: ``trace/synth/native.c`` writes trace bytes as surely as its Python
+#: specification does).
+SOURCE_PATTERNS = ("*.py", "*.c")
+
 #: hashed-tree exclusions: modules under a BEHAVIOR_PATHS directory that
 #: provably cannot affect results (the wall-clock shim only feeds progress
 #: lines), so editing them should not demand a schema bump.
@@ -250,7 +256,7 @@ def active_artifacts(project: Project) -> List[Artifact]:
 
 
 def artifact_files(project: Project, artifact: Artifact) -> List[str]:
-    """Sorted relative paths of every module covered by one artifact.
+    """Sorted relative paths of every source covered by one artifact.
 
     Entries that do not exist are skipped rather than raised on: a deleted
     behavior module then surfaces as a manifest/tree mismatch in rule R2
@@ -263,7 +269,7 @@ def artifact_files(project: Project, artifact: Artifact) -> List[str]:
             if project.exists(entry):
                 files.append(entry)
         else:
-            files.extend(project.iter_python(entry))
+            files.extend(project.iter_files(entry, SOURCE_PATTERNS))
     return sorted(path for path in set(files) if path not in BEHAVIOR_EXCLUDE)
 
 

@@ -30,9 +30,12 @@ mismatch — wrong magic, stale schema, truncation, bit rot, provenance that
 does not match the requested key — raises :class:`CompiledTraceError`,
 which callers treat as a miss and recompile.  **Bump
 :data:`TRACE_SCHEMA_VERSION` whenever trace synthesis, the lowering, the
-discontinuity taxonomy or this layout changes** — lint rule R2 hashes the
-responsible modules against the behavior manifest to make forgetting that
-bump a static error.
+discontinuity taxonomy or this layout changes** — in Python or in the
+compiled synthesizer's C unit (``trace/synth/native.c``, which emits these
+columns directly and must stay byte-identical to :meth:`CompiledTrace.compile`
+over the Python trace).  Lint rule R2 hashes the responsible modules and
+the C unit against the behavior manifest to make forgetting that bump a
+static error.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from repro.isa.kinds import TransitionKind
 from repro.trace.stream import LineVisit, Trace, iter_line_visits
 
 #: bump whenever compiled-trace *content* for an unchanged key could change:
-#: trace synthesis, iter_line_visits, the transition taxonomy, the
-#: discontinuity rule, or this file layout.  Every stored file becomes
+#: trace synthesis (Python or trace/synth/native.c), iter_line_visits, the
+#: transition taxonomy, the discontinuity rule, or this file layout.  Every stored file becomes
 #: invisible and is recompiled on demand.
 TRACE_SCHEMA_VERSION = 1
 

@@ -28,15 +28,16 @@ trace, never the reverse).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.trace.ingest import EXTERNAL_PREFIX
 from repro.trace.stream import Trace
-from repro.trace.synth.mix import mixed_traces
+from repro.trace.synth.mix import mix_walks
+from repro.trace.synth.walker import CoreWalk, walk_traces
 from repro.trace.synth.workloads import (
     SCENARIO_WORKLOADS,
     WORKLOADS,
-    generate_trace,
+    get_profile,
     workload_names,
 )
 
@@ -63,13 +64,25 @@ class TraceSource:
     :class:`~repro.eval.runspec.RunSpec` carries.  Sources must be
     deterministic in ``(n_cores, seed, n_instructions)``.  ``label`` is the
     display label; empty shows the name.
+
+    A synthetic source also declares its per-core :meth:`walks`, which
+    the compiled synthesizer (:mod:`repro.trace.synth.native`) runs
+    without building Python traces; its :meth:`traces` walks them in
+    Python.
     """
 
     name: str
     label: str = ""
 
     def traces(self, n_cores: int, seed: int, n_instructions: int) -> List[Trace]:
-        raise NotImplementedError
+        walks = self.walks(n_cores, seed)
+        if walks is None:
+            raise NotImplementedError
+        return walk_traces(walks, n_instructions)
+
+    def walks(self, n_cores: int, seed: int) -> Optional[List[CoreWalk]]:
+        """The per-core synthesis plan, or None for a non-synthetic source."""
+        return None
 
     def display_name(self) -> str:
         return self.label or self.name
@@ -85,11 +98,9 @@ class SynthSource(TraceSource):
     name: str
     label: str = ""
 
-    def traces(self, n_cores: int, seed: int, n_instructions: int) -> List[Trace]:
-        return [
-            generate_trace(self.name, seed, n_instructions, core=core)
-            for core in range(n_cores)
-        ]
+    def walks(self, n_cores: int, seed: int) -> List[CoreWalk]:
+        profile = get_profile(self.name)
+        return [CoreWalk(profile, seed, core) for core in range(n_cores)]
 
 
 @dataclass(frozen=True)
@@ -100,12 +111,12 @@ class MixSource(TraceSource):
     name: str = "mix"
     label: str = "Mixed"
 
-    def traces(self, n_cores: int, seed: int, n_instructions: int) -> List[Trace]:
+    def walks(self, n_cores: int, seed: int) -> List[CoreWalk]:
         names = None
         if n_cores != 4:
             base = workload_names()
             names = [base[i % len(base)] for i in range(n_cores)]
-        return mixed_traces(seed, n_instructions, names or ())
+        return mix_walks(seed, names or ())
 
 
 @dataclass(frozen=True)

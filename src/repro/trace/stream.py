@@ -97,6 +97,15 @@ class Trace:
         return Trace(self.name, self.seed, shifted)
 
 
+def check_line_size(line_size: int) -> None:
+    """Raise ``ValueError`` unless *line_size* is a power of two of at
+    least one instruction."""
+    if line_size <= 0 or (line_size & (line_size - 1)) != 0:
+        raise ValueError(f"line_size must be a power of two, got {line_size}")
+    if line_size < INSTRUCTION_SIZE:
+        raise ValueError(f"line_size must be >= instruction size, got {line_size}")
+
+
 def iter_line_visits(
     events: Iterable[BlockEvent],
     line_size: int,
@@ -117,10 +126,7 @@ def iter_line_visits(
       responsible instruction (e.g. a not-taken branch falling through into
       a new line is a "Cond branch (nt)" miss, not a sequential one).
     """
-    if line_size <= 0 or (line_size & (line_size - 1)) != 0:
-        raise ValueError(f"line_size must be a power of two, got {line_size}")
-    if line_size < INSTRUCTION_SIZE:
-        raise ValueError(f"line_size must be >= instruction size, got {line_size}")
+    check_line_size(line_size)
 
     shift = line_size.bit_length() - 1
     instr_per_line = line_size // INSTRUCTION_SIZE

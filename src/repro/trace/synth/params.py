@@ -160,7 +160,10 @@ class WorkloadProfile:
     def __post_init__(self) -> None:
         check_positive("n_functions", self.n_functions)
         check_positive("fn_median_instr", self.fn_median_instr)
-        check_positive("block_mean_instr", self.block_mean_instr)
+        # Both feed SplitMix64.geometric, whose support starts at 1.
+        for attr in ("block_mean_instr", "fwd_skip_mean"):
+            if getattr(self, attr) < 1.0:
+                raise ValueError(f"{attr} must be >= 1, got {getattr(self, attr)}")
         if self.fn_min_instr < 1 or self.fn_max_instr < self.fn_min_instr:
             raise ValueError(
                 f"invalid function size bounds [{self.fn_min_instr}, {self.fn_max_instr}]"

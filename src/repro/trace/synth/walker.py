@@ -14,7 +14,7 @@ prefetcher learns.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.isa.kinds import TransitionKind
 from repro.trace.record import BlockEvent
@@ -184,15 +184,38 @@ class TraceWalker:
 CORE_CODE_STRIDE = 1 << 25
 
 
-def generate_program_trace(
-    profile: WorkloadProfile, seed: int, n_instructions: int, core: int = 0
-) -> Trace:
-    """Build the program for *profile* and walk *n_instructions*.
+class CoreWalk(NamedTuple):
+    """One core's trace request: which program, which walk, which rebases.
 
-    The program *structure* is derived from ``seed`` alone; ``core``
-    decorrelates the walk (transaction sequence and outcomes) and offsets
-    the code region.  Each core of a homogeneous CMP thus runs its own
-    *instance* of the same application — identical structure, private text.
+    The program *structure* is derived from ``seed`` alone
+    (``derive_seed(seed, "structure", profile.name)``); ``core``
+    decorrelates the walk (``derive_seed(seed, "run", profile.name,
+    core)``), places the core's private data regions and rebases the
+    private text by ``core * CORE_CODE_STRIDE``.  ``offset`` then shifts
+    every code and data address (the mix's disjoint regions).  Both
+    synthesizers — :func:`walk_traces` and the compiled
+    :mod:`repro.trace.synth.native` — consume exactly this description.
+    """
+
+    profile: WorkloadProfile
+    seed: int
+    core: int = 0
+    offset: int = 0
+
+    @property
+    def structure_seed(self) -> int:
+        return derive_seed(self.seed, "structure", self.profile.name)
+
+    @property
+    def run_seed(self) -> int:
+        return derive_seed(self.seed, "run", self.profile.name, self.core)
+
+
+def walk_traces(walks: Sequence[CoreWalk], n_instructions: int) -> List[Trace]:
+    """One trace of *n_instructions* per :class:`CoreWalk`.
+
+    Walks sharing a program (same profile and seed — every core of a
+    homogeneous CMP) build it once.
 
     Modeling decision (see DESIGN.md): commercial middleware of the
     paper's era commonly ran one process/JVM per core, and JIT-compiled or
@@ -206,23 +229,38 @@ def generate_program_trace(
     still share the cold region (buffer pool / shared heap) — see
     :mod:`repro.trace.synth.datagen`.
     """
-    program = build_program(profile, derive_seed(seed, "structure", profile.name))
-    walker = TraceWalker(program, derive_seed(seed, "run", profile.name, core), core=core)
-    trace = walker.walk(n_instructions)
-    if core:
-        shift = core * CORE_CODE_STRIDE
-        boundary = program.private_text_start
-        trace = Trace(
-            trace.name,
-            trace.seed,
-            [
-                BlockEvent(
-                    event[0] + shift if event[0] >= boundary else event[0],
-                    event[1],
-                    event[2],
-                    event[3],
-                )
-                for event in trace.events
-            ],
-        )
-    return trace
+    programs: Dict[Tuple[WorkloadProfile, int], Program] = {}
+    traces: List[Trace] = []
+    for walk in walks:
+        key = (walk.profile, walk.structure_seed)
+        program = programs.get(key)
+        if program is None:
+            program = programs[key] = build_program(*key)
+        trace = TraceWalker(program, walk.run_seed, core=walk.core).walk(n_instructions)
+        if walk.core:
+            shift = walk.core * CORE_CODE_STRIDE
+            boundary = program.private_text_start
+            trace = Trace(
+                trace.name,
+                trace.seed,
+                [
+                    BlockEvent(
+                        event[0] + shift if event[0] >= boundary else event[0],
+                        event[1],
+                        event[2],
+                        event[3],
+                    )
+                    for event in trace.events
+                ],
+            )
+        if walk.offset:
+            trace = trace.rebased(walk.offset)
+        traces.append(trace)
+    return traces
+
+
+def generate_program_trace(
+    profile: WorkloadProfile, seed: int, n_instructions: int, core: int = 0
+) -> Trace:
+    """One core's trace: :func:`walk_traces` of a single :class:`CoreWalk`."""
+    return walk_traces([CoreWalk(profile, seed, core)], n_instructions)[0]

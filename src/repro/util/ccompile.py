@@ -1,0 +1,128 @@
+"""Build C units into cached shared objects and load them with :mod:`ctypes`.
+
+The compiled parts of the simulator (the jit engine kernel in
+:mod:`repro.core.jitted` and the trace synthesizer in
+:mod:`repro.trace.synth.native`) are plain C compiled by the system
+toolchain.  This module is the one place that knows how:
+
+- the compiler is the first of ``cc``, ``gcc`` and ``clang`` on ``PATH``;
+- the flags are ``-O2 -fPIC -shared -ffp-contract=off``.  The last one
+  forbids fused multiply-add contraction, so every ``double`` operation
+  rounds exactly like the CPython interpreter's, which is what makes the
+  compiled units bit-identical to their Python specifications;
+- each unit's shared object is named by a hash of its source and cached
+  under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``, default
+  ``.repro-cache/jit``), so editing one unit stales only that unit;
+- a build is published atomically (tmp file + ``os.replace``) together
+  with a ``.sha256`` sidecar of the object's bytes.  An object whose
+  sidecar is missing or does not match (a truncated or corrupt file) is
+  rebuilt instead of loaded: ``dlopen`` of a truncated object can kill
+  the process with ``SIGBUS``.
+
+A unit that cannot be built (no compiler, a compiler error) is reported
+once, through :func:`load_or_warn`, with one warning naming the cause.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+from pathlib import Path
+from typing import Callable, Optional, Tuple, TypeVar
+
+from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR
+from repro.util import clock
+
+T = TypeVar("T")
+
+#: compiler flags shared by every unit (see the module docstring).
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def cache_dir() -> Path:
+    """Directory holding compiled units (``REPRO_JIT_CACHE_DIR``)."""
+    explicit = os.environ.get(REPRO_JIT_CACHE_DIR, "")
+    if explicit:
+        return Path(explicit)
+    base = os.environ.get(REPRO_CACHE_DIR, "") or ".repro-cache"
+    return Path(base) / "jit"
+
+
+def source_hash(source: str) -> str:
+    """Hash naming a unit's cached shared object (and its CI cache key)."""
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+
+
+def compiler() -> Optional[str]:
+    """Path of the C compiler, or None when there is none on ``PATH``."""
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _verified(so_path: Path) -> bool:
+    """Is *so_path* present with a sidecar matching its bytes?"""
+    sidecar = so_path.with_name(so_path.name + ".sha256")
+    try:
+        return sidecar.read_text().strip() == _digest(so_path)
+    except OSError:
+        return False
+
+
+def load(stem: str, source: str) -> Tuple[ctypes.CDLL, float]:
+    """Load *source*'s shared object, compiling it first when needed.
+
+    The object is ``<stem>_<source hash>.so`` under :func:`cache_dir`.
+    Returns the library and the seconds this call spent compiling (0.0
+    when a verified object was already cached).  Raises ``RuntimeError``
+    when there is no compiler or the compiler fails.
+    """
+    digest = source_hash(source)
+    directory = cache_dir()
+    so_path = directory / f"{stem}_{digest}.so"
+    seconds = 0.0
+    if not _verified(so_path):
+        cc = compiler()
+        if cc is None:
+            raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
+        directory.mkdir(parents=True, exist_ok=True)
+        c_path = directory / f"{stem}_{digest}.c"
+        c_path.write_text(source)
+        # Concurrent builders race benignly: each publishes a complete
+        # object and sidecar, and a mismatched pair only forces a rebuild.
+        tmp_path = directory / f".{stem}_{digest}.{os.getpid()}.so.tmp"
+        tmp_sidecar = directory / f".{stem}_{digest}.{os.getpid()}.sha256.tmp"
+        # Wall-clock times the one-off toolchain run for the compile-cost
+        # report; it never reaches a simulated result.
+        started = clock.perf_counter()
+        try:
+            subprocess.run(
+                [cc, *FLAGS, "-o", str(tmp_path), str(c_path)],
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+        except subprocess.CalledProcessError as exc:
+            raise RuntimeError(f"{stem} compilation failed: {exc.stderr}") from exc
+        seconds = clock.perf_counter() - started
+        tmp_sidecar.write_text(_digest(tmp_path) + "\n")
+        os.replace(tmp_path, so_path)
+        os.replace(tmp_sidecar, so_path.with_name(so_path.name + ".sha256"))
+    return ctypes.CDLL(str(so_path)), seconds
+
+
+def load_or_warn(
+    build: Callable[[], T], logger: logging.Logger, what: str, fallback: str
+) -> Optional[T]:
+    """``build()``, or None after one warning naming why it failed."""
+    try:
+        return build()
+    except Exception as exc:
+        logger.warning("%s unavailable (%s); %s", what, exc, fallback)
+        return None
