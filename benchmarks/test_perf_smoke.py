@@ -17,6 +17,11 @@ Measurements, written to ``BENCH_perf.json`` at the repo root:
   configuration — the case the jit backend exists for (its interleave
   loop runs compiled instead of one Python step per visit), so the
   multi-core claim is tracked, not asserted.
+- ``jit_compile_seconds``: the jit kernel's one-off build (all of its C
+  units, one translation unit) from an empty cache directory.
+- ``branch_family``: wall time of ``fdp`` and ``shadow`` on db / 4 cores
+  at smoke scale (the catalog's CMP configuration), reference against
+  jit, and ``jit_over_reference``, their ratio.
 - ``trace_compile_seconds`` and the store's cold/warm load times: how much
   one-time work the packed format costs and how cheap reloading it is.
 - ``synth``: synthesis plus lowering to packed columns, Python
@@ -80,9 +85,9 @@ def _timed(fn):
     return result, time.perf_counter() - started
 
 
-def _best_run(workload, cores, prefetcher, policy, backend, reps=3):
+def _best_run(workload, cores, prefetcher, policy, backend, reps=3, scale=BENCH_SCALE):
     """Best-of-*reps* ``(result, seconds)``; min wall-clock rejects noise."""
-    total, _ = trace_budget(BENCH_SCALE, cores)
+    total, _ = trace_budget(scale, cores)
     # Prime run_system's memo so only the engine loop is timed.
     get_compiled_traces(workload, cores, total, DEFAULT_SEED, 64)
 
@@ -91,7 +96,7 @@ def _best_run(workload, cores, prefetcher, policy, backend, reps=3):
             workload,
             cores,
             prefetcher,
-            scale=BENCH_SCALE,
+            scale=scale,
             l2_policy=policy,
             seed=DEFAULT_SEED,
             engine_backend=backend,
@@ -173,10 +178,47 @@ def _measure_engine() -> dict:
         store_cold_load_seconds=round(cold_load, 5),
         store_warm_load_seconds=round(warm_load, 5),
     )
-    if "jit" in report["backends"]:
-        from repro.core import jitted
+    return report
 
-        report["jit_compile_seconds"] = round(jitted.kernel_compile_seconds(), 4)
+
+def _kernel_build_seconds(tmp_root: Path) -> float:
+    """The jit kernel's one-off build, from an empty cache directory."""
+    from repro.core import jitted
+
+    previous = os.environ.get(REPRO_JIT_CACHE_DIR)
+    os.environ[REPRO_JIT_CACHE_DIR] = str(tmp_root / "bench-kernel-build")
+    try:
+        _, seconds = ccompile.load("repro_jit", jitted.kernel_source(), jitted.KERNEL_FLAGS)
+    finally:
+        if previous is None:
+            os.environ.pop(REPRO_JIT_CACHE_DIR, None)
+        else:
+            os.environ[REPRO_JIT_CACHE_DIR] = previous
+    return seconds
+
+
+def _measure_branch_family() -> dict:
+    """Reference vs jit wall time of fdp and shadow, db / 4 cores / smoke."""
+    from repro.core import jitted
+
+    smoke = get_scale("smoke")
+    report = {}
+    for prefetcher in ("fdp", "shadow"):
+        result, ref_seconds = _best_run(
+            "db", 4, prefetcher, "bypass", "reference", reps=1, scale=smoke
+        )
+        entry = {
+            "config": f"db/4c/{prefetcher}/bypass/smoke",
+            "reference_seconds": round(ref_seconds, 4),
+        }
+        if jitted.jit_available():
+            jit_result, jit_seconds = _best_run(
+                "db", 4, prefetcher, "bypass", "jit", scale=smoke
+            )
+            assert repr(jit_result.aggregate_ipc) == repr(result.aggregate_ipc)
+            entry["jit_seconds"] = round(jit_seconds, 4)
+            entry["jit_over_reference"] = round(jit_seconds / ref_seconds, 4)
+        report[prefetcher] = entry
     return report
 
 
@@ -325,7 +367,10 @@ def _measure_fig01(scale, tmp_root: Path) -> dict:
 
 def test_perf_smoke(scale, tmp_path):
     engine = _measure_engine()
+    if "jit" in engine["backends"]:
+        engine["jit_compile_seconds"] = round(_kernel_build_seconds(tmp_path), 4)
     engine_4c = _measure_engine_cmp()
+    branch_family = _measure_branch_family()
     synth = _measure_synth(tmp_path)
     ingest = _measure_ingest(tmp_path)
     figure = _measure_fig01(scale, tmp_path)
@@ -335,6 +380,7 @@ def test_perf_smoke(scale, tmp_path):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "engine": engine,
         "engine_4c": engine_4c,
+        "branch_family": branch_family,
         "synth": synth,
         "ingest": ingest,
         "figure": figure,
@@ -357,6 +403,11 @@ def test_perf_smoke(scale, tmp_path):
         assert engine["jit_speedup"] >= 6.0
     if "jit" in engine_4c["backends"]:
         assert engine_4c["jit_speedup"] >= 2.0
+    # fdp and shadow run in the kernel: jit takes a small fraction of the
+    # reference wall time (measured ~0.03; the ceiling is 0.5).
+    for entry in branch_family.values():
+        if "jit_over_reference" in entry:
+            assert entry["jit_over_reference"] < 0.5
     assert engine["store_warm_load_seconds"] < engine["trace_compile_seconds"]
     # Compiled synthesis measures ~100x Python here; the floor is 10x.
     if "native_seconds" in synth:

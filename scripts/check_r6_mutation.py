@@ -4,7 +4,7 @@
 Behaviourally mutates one fingerprinted reference hot path
 (``CoreEngine._process_visit``) by inserting a statement into its body,
 expects ``python -m repro.lint --rules R6`` to exit non-zero naming the
-jit counterpart (the C kernel source), then restores the file
+jit counterpart (the kernel's engine C unit), then restores the file
 byte-for-byte.  A zero exit
 from the mutated tree means the drift detector has gone silent — this
 script (and the CI lint job running it) fails in that case.
@@ -22,7 +22,7 @@ import sys
 TARGET = pathlib.Path("src/repro/core/engine.py")
 CLASS_NAME = "CoreEngine"
 FUNC_NAME = "_process_visit"
-COUNTERPART = "kernel_source"
+COUNTERPART = "src/repro/core/kernel/engine.c"
 
 
 def mutate(source: str) -> str:

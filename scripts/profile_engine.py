@@ -32,7 +32,9 @@ lockstep, comparing the stepping core's clock and full
 :class:`~repro.core.metrics.CoreStats` after **every visit**, and prints
 the first divergent visit index and field name if the backends ever
 disagree.  (It also cross-checks every compiled trace against the live
-lowering.)  Exit status 1 on any divergence.
+lowering.)  It names the reason when a jit core stepped on reference
+instead of the kernel.  Exit status 1 on any divergence, or when a
+family the kernel claims fell back.
 """
 
 from __future__ import annotations
@@ -138,6 +140,28 @@ def _verify_backends(args, traces) -> int:
             del active_ref[index], active_jit[index]
         visit += 1
     print(f"verify           : reference/jit bit-identical over {visit} visits")
+    return _report_fallbacks(jit_sys)
+
+
+def _report_fallbacks(jit_sys) -> int:
+    """Say which jit cores stepped on reference (making the lockstep above
+    vacuous for them); 1 when the kernel claims the prefetcher family."""
+    from repro.core import jitted
+
+    reasons = {
+        getattr(engine, "fallback_reason", None) or "jit kernel unavailable"
+        for engine in jit_sys.engines
+        if not getattr(engine, "_twin_ok", False)
+    }
+    if not reasons:
+        return 0
+    print(f"verify           : jit stepped on reference ({'; '.join(sorted(reasons))})")
+    claimed = jitted.jit_available() and all(
+        type(engine.prefetcher) in jitted._PF_MODES for engine in jit_sys.engines
+    )
+    if claimed:
+        print("VERIFY FAILED: the kernel claims this prefetcher family")
+        return 1
     return 0
 
 

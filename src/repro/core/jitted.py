@@ -12,15 +12,34 @@ is batch-stepped instead of one Python step per visit.
 How it is compiled
 ------------------
 
-The kernel is plain C, embedded below as a source string
-(:func:`kernel_source`), compiled once per source hash with the system C
-compiler (``cc -O2 -fPIC -shared -ffp-contract=off``) into a shared object
-cached under ``REPRO_JIT_CACHE_DIR`` (default ``.repro-cache/jit``), and
-loaded through :mod:`ctypes` — all by :mod:`repro.util.ccompile`, which
-also builds the compiled trace synthesizer.  This needs no third-party
+The kernel is plain C, kept as one unit per component under
+``repro/core/kernel/`` (package data): ``cache.c``, ``queue.c`` (prefetch
+queue + MSHR), ``link.c``, ``engine.c`` (visit processing and the
+multi-core interleave) and one unit per prefetcher family
+(``sequential.c``, ``discontinuity.c``, ``branch.c``).
+:func:`kernel_source` concatenates them in the fixed order of
+:data:`KERNEL_UNITS` into **one** translation unit, compiled once per
+hash of its flags and source with the system C compiler
+(``cc -O1 -fPIC -shared -ffp-contract=off``) into a shared object cached
+under ``REPRO_JIT_CACHE_DIR`` (default ``.repro-cache/jit``), and loaded
+through :mod:`ctypes` — all by :mod:`repro.util.ccompile`, which also
+builds the compiled trace synthesizer.  This needs no third-party
 package: the kernel is available wherever a C compiler is — environments
 without one fall back to the reference backend with one logged warning
 (:func:`jit_available`).
+
+Prefetcher families
+-------------------
+
+The engine unit calls a prefetcher only through a ``PfOps`` table of
+hooks (demand fetch, discontinuity, credit), one table per family
+exported by the family's unit.  Each family has one Python marshaller
+(:class:`_Family`), looked up by the prefetcher's *exact* type in
+:data:`_PF_MODES`: it names the family's ops table, sizes the core's
+candidate buffer, marshals the family state into C and syncs its
+counters back.  A family's demand hook fills the candidate buffer; the
+engine counts every candidate as generated and offers each one whose
+line differs from the demand line, as ``CoreEngine._process_visit`` does.
 
 Why the results are exactly equal
 ---------------------------------
@@ -39,41 +58,49 @@ with explicit arrays:
 - the prefetch queue/recent-demand filter/MSHR become capacity-sized flat
   arrays with the reference's exact scan, hoist and overflow behavior;
 - the discontinuity table becomes three flat arrays (``None`` sources
-  encoded as ``-1``).
+  encoded as ``-1``);
+- the gshare PHT, the tagless BTB (``-1`` = no target), the return
+  address stack and the shadow target buffer's per-set way lists become
+  flat arrays in the reference's list order.
 
 Eligibility: all-LRU caches, no inclusive-L2 back-invalidation hook, and
-a prefetcher whose semantics the kernel replicates (the ``none``/
-sequential/lookahead/discontinuity families).  Anything else degrades to exact reference
-stepping via ``super()`` — never to approximate fast behavior — so every
-registered prefetcher passes the backend parity suite by construction.
+a prefetcher whose semantics the kernel replicates — ``none``, the
+sequential and lookahead families, discontinuity, fetch-directed
+(``fdp``) and shadow-branch (``shadow``).  Anything else (``target``,
+``markov``, ``mana``, software prefetching, FIFO/PLRU/random replacement,
+an inclusive L2) degrades to exact reference stepping via ``super()`` —
+never to approximate fast behavior — so every registered prefetcher
+passes the backend parity suite by construction.
+:meth:`JittedCoreEngine.kernel_fallback_reason` says why a configuration
+falls back.
 
 State ownership: once an engine binds its state into the kernel (first
 ``step()``/``run()`` on an eligible config), the C state is authoritative
-for cache/queue/MSHR/table *contents*.  Scalars and every stats object are
-synced back after each kernel call, so ``--verify`` lockstep, the CMP
-interleave driven from Python, and all result aggregation see exact
-values.  When an engine finishes inside the kernel (``run()``,
-``run_multicore()`` or the final ``step()``), its L1I, L1D and the shared
-L2 are handed their C images and decode them on first read, so the public
-cache inspection API (``probe``, ``resident_lines``, ``in``, ``len``)
-sees exactly what the reference engine leaves behind.  Queue, MSHR and
-discontinuity-table contents have no reader outside the engine and stay
-C-resident.  Engines of one system share one :class:`_JitSystem` (the C
-images of the shared L2 and off-chip link), keyed by link identity.
+for cache/queue/MSHR/predictor-table *contents*.  Scalars and every stats
+object (including the discontinuity table's stats and the shadow
+prefetcher's ``shadow_discoveries``) are synced back after each kernel
+call, so ``--verify`` lockstep, the CMP interleave driven from Python, and
+all result aggregation see exact values.  When an engine finishes inside
+the kernel (``run()``, ``run_multicore()`` or the final ``step()``), its
+L1I, L1D and the shared L2 are handed their C images and decode them on
+first read, so the public cache inspection API (``probe``,
+``resident_lines``, ``in``, ``len``) sees exactly what the reference
+engine leaves behind.  Queue, MSHR and predictor-table contents have no
+reader outside the engine and stay C-resident.  Engines of one system
+share one :class:`_JitSystem` (the C images of the shared L2 and off-chip
+link), keyed by link identity.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import logging
-
-# The toolchain runs in repro.util.ccompile; this module's ``subprocess``
-# attribute is the same module object, so patching ``jitted.subprocess.run``
-# still intercepts every compile.
-import subprocess  # noqa: F401
 import weakref
+from array import array
 from collections import OrderedDict
-from typing import List, Optional
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple
 
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.line import LineState
@@ -82,6 +109,7 @@ from repro.core.metrics import CoreStats
 from repro.isa.kinds import TransitionKind
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
+from repro.prefetch.fdp import FetchDirectedPrefetcher
 from repro.prefetch.sequential import (
     LookaheadN,
     NextLineAlways,
@@ -89,819 +117,49 @@ from repro.prefetch.sequential import (
     NextLineTagged,
     NextNLineTagged,
 )
+from repro.prefetch.shadow import ShadowBranchPrefetcher
 from repro.util import ccompile
 
 logger = logging.getLogger(__name__)
 
 _N_KINDS = len(TransitionKind)
 
-#: widest discontinuity prefetch-ahead the kernel's fixed probe-hit
-#: scratch arrays accommodate (the paper uses 4; ablations go to 8).
-_MAX_DISC_AHEAD = 32
+#: most candidates one demand fetch may produce in the kernel (the core's
+#: candidate buffer is sized per family at bind time; a configuration
+#: needing more — e.g. a discontinuity prefetch-ahead above 62 — steps on
+#: reference instead).
+_MAX_CANDIDATES = 4096
 
 #: most cores one compiled interleave can hold (paper CMP is 4).
 _MAX_CORES = 256
 
+#: directory of the kernel's C units (package data).
+KERNEL_DIR = Path(__file__).resolve().parent / "kernel"
 
+#: the units in translation-unit order: each may use every type and
+#: function defined by the units before it.
+KERNEL_UNITS = (
+    "cache.c",
+    "queue.c",
+    "link.c",
+    "engine.c",
+    "sequential.c",
+    "discontinuity.c",
+    "branch.c",
+)
+
+
+@functools.lru_cache(maxsize=None)
 def kernel_source() -> str:
-    """The C kernel, embedded so lint R6 fingerprints it like Python.
+    """The kernel: every unit of :data:`KERNEL_UNITS`, concatenated in
+    order into one translation unit.
 
-    Every function mirrors one reference hot path (named in the comment
-    above it); the R6 ``PAIRS`` table points the reference side of each
-    pair at this function, so editing ``engine.py``/``queue.py``/
-    ``discontinuity.py`` hot paths without touching the kernel fails lint.
+    Every C function mirrors one reference hot path (named in the comment
+    above it); lint rule R6 pairs each reference hot path with the unit
+    holding its twin, so editing ``engine.py``/``queue.py``/a prefetcher's
+    hot path without touching its unit fails lint.
     """
-    return r"""
-/* repro jit kernel — scalar-exact replica of repro.core.engine.CoreEngine.
- *
- * Float discipline: compiled with -ffp-contract=off and no fast-math, so
- * every double op rounds exactly like the CPython interpreter's.  All
- * expressions below copy the reference source's operation order verbatim.
- */
-#include <string.h>
-
-/* repro.caches.line.LineState */
-typedef struct {
-    long long tag;
-    double arrival;
-    long long prov_kind;   /* 0 none, 1 ("seq",), 2 ("disc", index, line) */
-    long long prov_index;
-    long long prov_line;
-    unsigned char prefetched, used, bypass_pending, from_memory, useless_hint;
-} CLine;
-
-/* repro.caches.cache.SetAssociativeCache (LRU only); each set is a way
- * array ordered LRU -> MRU with a live count. */
-typedef struct {
-    long long set_mask;
-    long long assoc;
-    CLine *lines;          /* (set_mask + 1) * assoc entries */
-    long long *counts;     /* set_mask + 1 entries */
-    long long lookups, hits, misses, installs, evictions;
-} CCache;
-
-/* repro.prefetch.queue.QueueEntry */
-typedef struct {
-    long long line;
-    long long prov_kind, prov_index, prov_line;
-    long long state;       /* QueueState: 0 WAITING, 1 ISSUED, 2 INVALID */
-} CQEntry;
-
-/* repro.prefetch.queue.PrefetchQueue + util.containers.BoundedRecentSet */
-typedef struct {
-    long long capacity, recent_capacity;
-    long long lifo, filtering;
-    CQEntry *entries;      /* capacity entries, oldest -> newest */
-    long long n_entries;
-    long long *recent;     /* recent_capacity + 1 entries, oldest -> newest */
-    long long n_recent;
-    long long waiting;
-    long long offered, accepted, dropped_recent_demand, dropped_dup_issued,
-        dropped_dup_invalid, hoisted, invalidated_by_demand, overflow_drops,
-        popped;
-} CQueue;
-
-/* repro.prefetch.discontinuity.DiscontinuityTable (None source == -1) */
-typedef struct {
-    long long mask;
-    long long counter_max;
-    long long *sources;
-    long long *targets;
-    long long *counters;
-    long long allocations, replacements, replacement_denied, target_updates,
-        probe_hits, credits;
-} CTable;
-
-/* repro.cmp.link.OffChipLink */
-typedef struct {
-    double next_free, occupancy;
-    long long requests;
-    double busy_cycles, queue_delay_cycles;
-} CLink;
-
-/* One core: CoreEngine scalars + CoreStats + private components.  The L2
- * and link are pointers so sibling cores of one system share them. */
-typedef struct {
-    /* compiled trace columns (borrowed from the Python arrays) */
-    const long long *t_lines;
-    const signed char *t_kinds;
-    const int *t_ninstr;
-    const long long *t_data;
-    const long long *t_offsets;
-    const signed char *t_disc;
-    long long visit_index, visit_count;
-
-    /* clock / slot credit / warm boundary */
-    double cycle, slot_credit, last_slot_cycle, cycle_mark;
-    long long prev_line;
-    long long total_instructions;
-    long long warmed, warm_target, finished;
-
-    /* timing scalars (precomputed by the Python engine, passed verbatim) */
-    double slot_rate, exec_cpi, l2_latency, memory_latency,
-        fetch_stall_exposed, data_l2_exposed, data_memory_exposed;
-    long long line_shift;
-
-    /* config flags */
-    long long useless_hint_filter;
-    long long pol_install_fills, pol_promote, pol_evict_install;
-    const signed char *free_kind;   /* one flag per TransitionKind */
-
-    /* prefetcher: 0 none, 1 nl-always, 2 nl-on-miss, 3 nl-tagged,
-     * 4 next-N-line (ahead=degree), 5 lookahead-N (ahead=distance),
-     * 6 discontinuity (ahead=prefetch_ahead, probe=probe_ahead) */
-    long long pf_mode, pf_ahead, pf_probe;
-    CTable table;
-
-    /* CoreStats */
-    long long instructions;
-    double st_cycles, exec_cycles, fetch_stall_cycles, data_stall_cycles;
-    long long l1i_fetches, l1i_misses, l2i_demand_accesses, l2i_demand_misses;
-    long long data_accesses, l1d_misses, l2d_accesses, l2d_misses;
-    long long *l1i_breakdown;
-    long long *l2i_breakdown;
-
-    /* PrefetchStats */
-    long long generated, probe_found_present, issued, issued_from_l2,
-        issued_from_memory, useful, useful_late, useful_from_memory,
-        useless_evicted, dropped_useless_hint, promoted_to_l2;
-
-    /* components */
-    CCache l1i, l1d;
-    CCache *l2;
-    CLink *link;
-    CQueue queue;
-
-    /* repro.caches.mshr.OutstandingRequestTracker (insertion order kept) */
-    long long *mshr_lines;
-    double *mshr_arrivals;
-    long long mshr_n, mshr_cap;
-} CCore;
-
-/* ---------------- SetAssociativeCache (LRU) ---------------- */
-
-/* lookup(line) with update_recency=True */
-static CLine *cache_lookup(CCache *cc, long long line) {
-    long long si = line & cc->set_mask;
-    CLine *base = cc->lines + si * cc->assoc;
-    long long cnt = cc->counts[si];
-    long long k, j;
-    cc->lookups++;
-    for (k = 0; k < cnt; k++) {
-        if (base[k].tag == line) {
-            cc->hits++;
-            if (k != cnt - 1) {          /* move_to_end */
-                CLine tmp = base[k];
-                for (j = k; j < cnt - 1; j++) base[j] = base[j + 1];
-                base[cnt - 1] = tmp;
-            }
-            return &base[cnt - 1];
-        }
-    }
-    cc->misses++;
-    return 0;
-}
-
-/* probe(line): tag check, no stats, no recency */
-static CLine *cache_probe(CCache *cc, long long line) {
-    long long si = line & cc->set_mask;
-    CLine *base = cc->lines + si * cc->assoc;
-    long long cnt = cc->counts[si], k;
-    for (k = 0; k < cnt; k++)
-        if (base[k].tag == line) return &base[k];
-    return 0;
-}
-
-/* touch(line): recency only */
-static void cache_touch(CCache *cc, long long line) {
-    long long si = line & cc->set_mask;
-    CLine *base = cc->lines + si * cc->assoc;
-    long long cnt = cc->counts[si], k, j;
-    for (k = 0; k < cnt; k++) {
-        if (base[k].tag == line) {
-            if (k != cnt - 1) {
-                CLine tmp = base[k];
-                for (j = k; j < cnt - 1; j++) base[j] = base[j + 1];
-                base[cnt - 1] = tmp;
-            }
-            return;
-        }
-    }
-}
-
-/* install(line, state): returns 1 and fills *victim when a line was
- * evicted (resident replace refreshes recency, evicts nothing). */
-static int cache_install(CCache *cc, const CLine *state, CLine *victim) {
-    long long line = state->tag;
-    long long si = line & cc->set_mask;
-    CLine *base = cc->lines + si * cc->assoc;
-    long long cnt = cc->counts[si], k, j;
-    cc->installs++;
-    for (k = 0; k < cnt; k++) {
-        if (base[k].tag == line) {
-            for (j = k; j < cnt - 1; j++) base[j] = base[j + 1];
-            base[cnt - 1] = *state;
-            return 0;
-        }
-    }
-    if (cnt >= cc->assoc) {              /* popitem(last=False) */
-        cc->evictions++;
-        *victim = base[0];
-        for (j = 0; j < cnt - 1; j++) base[j] = base[j + 1];
-        cc->counts[si] = cnt;            /* cnt-1 evicted + 1 appended */
-        base[cnt - 1] = *state;
-        return 1;
-    }
-    base[cnt] = *state;
-    cc->counts[si] = cnt + 1;
-    return 0;
-}
-
-static CLine mkline(long long tag, int prefetched, int used, double arrival,
-                    int bypass, int from_memory, long long pk, long long pi,
-                    long long pl) {
-    CLine s;
-    s.tag = tag;
-    s.arrival = arrival;
-    s.prov_kind = pk;
-    s.prov_index = pi;
-    s.prov_line = pl;
-    s.prefetched = (unsigned char)prefetched;
-    s.used = (unsigned char)used;
-    s.bypass_pending = (unsigned char)bypass;
-    s.from_memory = (unsigned char)from_memory;
-    s.useless_hint = 0;
-    return s;
-}
-
-/* ---------------- OffChipLink.request ---------------- */
-
-static double link_request(CLink *l, double now) {
-    double start = l->next_free > now ? l->next_free : now;
-    l->next_free = start + l->occupancy;
-    l->requests++;
-    l->busy_cycles += l->occupancy;
-    l->queue_delay_cycles += start - now;
-    return start;
-}
-
-/* ---------------- PrefetchQueue ---------------- */
-
-/* note_demand_fetch(line): recent-set refresh + waiting-dup invalidation */
-static void queue_note_demand(CQueue *q, long long line) {
-    long long n, k, j, found;
-    if (!q->filtering) return;
-    n = q->n_recent;
-    found = -1;
-    for (k = 0; k < n; k++)
-        if (q->recent[k] == line) { found = k; break; }
-    if (found >= 0) {                    /* move_to_end */
-        for (j = found; j < n - 1; j++) q->recent[j] = q->recent[j + 1];
-        q->recent[n - 1] = line;
-    } else {
-        q->recent[n++] = line;
-        if (n > q->recent_capacity) {    /* popitem(last=False) */
-            for (j = 0; j < n - 1; j++) q->recent[j] = q->recent[j + 1];
-            n--;
-        }
-        q->n_recent = n;
-    }
-    for (k = 0; k < q->n_entries; k++) { /* filtered: unique per line */
-        if (q->entries[k].line == line) {
-            if (q->entries[k].state == 0) {
-                q->entries[k].state = 2;
-                q->waiting--;
-                q->invalidated_by_demand++;
-            }
-            break;
-        }
-    }
-}
-
-/* offer(candidate): filters, hoist, overflow — reference order exactly */
-static void queue_offer(CQueue *q, long long line, long long pk, long long pi,
-                        long long pl) {
-    long long k, j;
-    CQEntry *e;
-    q->offered++;
-    if (q->filtering) {
-        for (k = 0; k < q->n_recent; k++)
-            if (q->recent[k] == line) { q->dropped_recent_demand++; return; }
-        for (k = 0; k < q->n_entries; k++) {
-            if (q->entries[k].line == line) {
-                long long st = q->entries[k].state;
-                if (st == 0) {           /* hoist to the LIFO head */
-                    CQEntry tmp = q->entries[k];
-                    for (j = k; j < q->n_entries - 1; j++)
-                        q->entries[j] = q->entries[j + 1];
-                    q->entries[q->n_entries - 1] = tmp;
-                    q->hoisted++;
-                } else if (st == 1) {
-                    q->dropped_dup_issued++;
-                } else {
-                    q->dropped_dup_invalid++;
-                }
-                return;
-            }
-        }
-    }
-    if (q->n_entries >= q->capacity) {   /* drop the oldest entry */
-        if (q->entries[0].state == 0) q->waiting--;
-        for (j = 0; j < q->n_entries - 1; j++) q->entries[j] = q->entries[j + 1];
-        q->n_entries--;
-        q->overflow_drops++;
-    }
-    e = &q->entries[q->n_entries++];
-    e->line = line;
-    e->prov_kind = pk;
-    e->prov_index = pi;
-    e->prov_line = pl;
-    e->state = 0;
-    q->accepted++;
-    q->waiting++;
-}
-
-/* pop_ready(): newest-first scan (LIFO); entry stays as filter memory */
-static long long queue_pop_ready(CQueue *q) {
-    long long k;
-    if (q->lifo) {
-        for (k = q->n_entries - 1; k >= 0; k--)
-            if (q->entries[k].state == 0) break;
-    } else {
-        for (k = 0; k < q->n_entries; k++)
-            if (q->entries[k].state == 0) break;
-        if (k >= q->n_entries) k = -1;
-    }
-    if (k < 0) return -1;
-    q->entries[k].state = 1;
-    q->waiting--;
-    q->popped++;
-    return k;
-}
-
-/* ---------------- OutstandingRequestTracker ---------------- */
-
-static void mshr_prune(CCore *c, double now) {
-    long long n = c->mshr_n, w = 0, k;
-    for (k = 0; k < n; k++) {
-        if (c->mshr_arrivals[k] > now) {
-            c->mshr_lines[w] = c->mshr_lines[k];
-            c->mshr_arrivals[w] = c->mshr_arrivals[k];
-            w++;
-        }
-    }
-    c->mshr_n = w;
-}
-
-static int mshr_can_accept(CCore *c, double now) {
-    mshr_prune(c, now);
-    return c->mshr_n < c->mshr_cap;
-}
-
-/* dict overwrite keeps the original position; append otherwise */
-static void mshr_add(CCore *c, long long line, double arrival, double now) {
-    long long k;
-    mshr_prune(c, now);
-    for (k = 0; k < c->mshr_n; k++)
-        if (c->mshr_lines[k] == line) { c->mshr_arrivals[k] = arrival; return; }
-    c->mshr_lines[c->mshr_n] = line;
-    c->mshr_arrivals[c->mshr_n] = arrival;
-    c->mshr_n++;
-}
-
-/* ---------------- DiscontinuityTable ---------------- */
-
-static void table_observe(CTable *t, long long src, long long tgt) {
-    long long idx = src & t->mask;
-    long long res = t->sources[idx];
-    if (res == src) {
-        if (t->targets[idx] == tgt) return;
-        if (t->counters[idx] == 0) {
-            t->targets[idx] = tgt;
-            t->counters[idx] = t->counter_max;
-            t->target_updates++;
-        } else {
-            t->counters[idx]--;
-        }
-        return;
-    }
-    if (res == -1) {
-        t->sources[idx] = src;
-        t->targets[idx] = tgt;
-        t->counters[idx] = t->counter_max;
-        t->allocations++;
-        return;
-    }
-    if (t->counters[idx] == 0) {
-        t->sources[idx] = src;
-        t->targets[idx] = tgt;
-        t->counters[idx] = t->counter_max;
-        t->replacements++;
-    } else {
-        t->counters[idx]--;
-        t->replacement_denied++;
-    }
-}
-
-static int table_predict(CTable *t, long long src, long long *target) {
-    long long idx = src & t->mask;
-    if (t->sources[idx] == src) {
-        t->probe_hits++;
-        *target = t->targets[idx];
-        return 1;
-    }
-    return 0;
-}
-
-static void table_credit(CTable *t, long long idx, long long src) {
-    if (t->sources[idx] == src) {
-        if (t->counters[idx] < t->counter_max) t->counters[idx]++;
-        t->credits++;
-    }
-}
-
-/* ---------------- CoreEngine fill paths ---------------- */
-
-static void install_l2(CCore *c, const CLine *state) {
-    CLine victim;
-    cache_install(c->l2, state, &victim);
-    /* l2_eviction_hook is None on this path (binding eligibility) */
-}
-
-/* CoreEngine._install_l1i */
-static void install_l1i(CCore *c, const CLine *state, double now) {
-    CLine victim;
-    if (!cache_install(&c->l1i, state, &victim)) return;
-    if (victim.prefetched) {
-        c->useless_evicted++;
-        if (c->useless_hint_filter) {
-            CLine *l2_copy = cache_probe(c->l2, victim.tag);
-            if (l2_copy) l2_copy->useless_hint = 1;
-        }
-        return;
-    }
-    if (victim.bypass_pending && victim.used) {
-        if (c->pol_evict_install && cache_probe(c->l2, victim.tag) == 0) {
-            CLine promoted = mkline(victim.tag, 0, 1, now, 0, 0, 0, 0, 0);
-            install_l2(c, &promoted);
-            c->promoted_to_l2++;
-        }
-    }
-}
-
-/* CoreEngine._demand_fill */
-static double demand_fill(CCore *c, long long line, long long kind, double now) {
-    CLine *l2_state;
-    double stall, arrival;
-    CLine fill;
-    c->l2i_demand_accesses++;
-    l2_state = cache_lookup(c->l2, line);
-    if (l2_state) {
-        l2_state->used = 1;
-        l2_state->prefetched = 0;
-        l2_state->useless_hint = 0;
-        stall = c->l2_latency;
-        if (l2_state->arrival > now + stall) stall = l2_state->arrival - now;
-    } else {
-        double start;
-        c->l2i_demand_misses++;
-        c->l2i_breakdown[kind]++;
-        start = link_request(c->link, now);
-        stall = (start - now) + c->memory_latency;
-        arrival = now + stall;
-        fill = mkline(line, 0, 1, arrival, 0, 0, 0, 0, 0);
-        install_l2(c, &fill);
-    }
-    arrival = now + stall;
-    fill = mkline(line, 0, 1, arrival, 0, 0, 0, 0, 0);
-    install_l1i(c, &fill, now);
-    return stall;
-}
-
-/* CoreEngine._issue_one */
-static void issue_one(CCore *c, long long line, long long pk, long long pi,
-                      long long pl, double now) {
-    CLine *l2_state = cache_probe(c->l2, line);
-    double start, arrival;
-    CLine fill;
-    int bypass;
-    if (l2_state && c->useless_hint_filter && l2_state->useless_hint) {
-        c->dropped_useless_hint++;
-        return;
-    }
-    if (l2_state) {
-        arrival = now + c->l2_latency;
-        if (l2_state->arrival > arrival) arrival = l2_state->arrival;
-        if (c->pol_promote) cache_touch(c->l2, line);
-        c->issued++;
-        c->issued_from_l2++;
-        fill = mkline(line, 1, 0, arrival, 0, 0, pk, pi, pl);
-        install_l1i(c, &fill, now);
-        return;
-    }
-    start = link_request(c->link, now);
-    arrival = start + c->memory_latency;
-    mshr_add(c, line, arrival, now);
-    c->issued++;
-    c->issued_from_memory++;
-    bypass = !c->pol_install_fills;
-    if (!bypass) {
-        fill = mkline(line, 1, 0, arrival, 0, 0, 0, 0, 0);
-        install_l2(c, &fill);
-    }
-    fill = mkline(line, 1, 0, arrival, bypass, 1, pk, pi, pl);
-    install_l1i(c, &fill, now);
-}
-
-/* CoreEngine._issue_prefetches (_MAX_ISSUE_PER_VISIT == 8) */
-static void issue_prefetches(CCore *c, double now) {
-    double elapsed = now - c->last_slot_cycle;
-    double credit;
-    long long slots, s;
-    c->last_slot_cycle = now;
-    credit = c->slot_credit + elapsed * c->slot_rate;
-    slots = (long long)credit;
-    if (slots <= 0) { c->slot_credit = credit; return; }
-    if (slots > 8) { slots = 8; credit = (double)slots; }
-    c->slot_credit = credit - (double)slots;
-    if (c->queue.waiting == 0) return;
-    for (s = 0; s < slots; s++) {
-        long long ei = queue_pop_ready(&c->queue);
-        CQEntry *e;
-        if (ei < 0) break;
-        e = &c->queue.entries[ei];
-        if (cache_probe(&c->l1i, e->line)) {
-            c->probe_found_present++;
-            continue;
-        }
-        if (!mshr_can_accept(c, now)) {  /* requeue + stop */
-            e->state = 0;
-            c->queue.waiting++;
-            break;
-        }
-        issue_one(c, e->line, e->prov_kind, e->prov_index, e->prov_line, now);
-    }
-}
-
-/* CoreEngine._data_miss */
-static double data_miss(CCore *c, long long line, double now) {
-    CLine *l2_state;
-    double exposed;
-    CLine fill, victim;
-    c->l1d_misses++;
-    c->l2d_accesses++;
-    l2_state = cache_lookup(c->l2, line);
-    if (l2_state) {
-        l2_state->used = 1;
-        exposed = c->data_l2_exposed;
-    } else {
-        double start, raw;
-        c->l2d_misses++;
-        start = link_request(c->link, now);
-        raw = (start - now) + c->memory_latency;
-        exposed = raw * c->data_memory_exposed;
-        fill = mkline(line, 0, 1, now + raw, 0, 0, 0, 0, 0);
-        install_l2(c, &fill);
-    }
-    fill = mkline(line, 0, 1, 0.0, 0, 0, 0, 0, 0);
-    cache_install(&c->l1d, &fill, &victim);
-    c->data_stall_cycles += exposed;
-    return exposed;
-}
-
-/* CoreStats.reset at the warm/measure boundary */
-static void reset_stats(CCore *c) {
-    long long k;
-    c->instructions = 0;
-    c->st_cycles = 0.0;
-    c->exec_cycles = 0.0;
-    c->fetch_stall_cycles = 0.0;
-    c->data_stall_cycles = 0.0;
-    c->l1i_fetches = 0;
-    c->l1i_misses = 0;
-    c->l2i_demand_accesses = 0;
-    c->l2i_demand_misses = 0;
-    c->data_accesses = 0;
-    c->l1d_misses = 0;
-    c->l2d_accesses = 0;
-    c->l2d_misses = 0;
-    for (k = 0; k < 9; k++) {            /* len(TransitionKind) == 9 */
-        c->l1i_breakdown[k] = 0;
-        c->l2i_breakdown[k] = 0;
-    }
-    c->generated = 0;
-    c->probe_found_present = 0;
-    c->issued = 0;
-    c->issued_from_l2 = 0;
-    c->issued_from_memory = 0;
-    c->useful = 0;
-    c->useful_late = 0;
-    c->useful_from_memory = 0;
-    c->useless_evicted = 0;
-    c->dropped_useless_hint = 0;
-    c->promoted_to_l2 = 0;
-}
-
-/* CoreEngine._process_visit, steps (1)-(6) */
-static void process_visit(CCore *c) {
-    long long i = c->visit_index;
-    long long line = c->t_lines[i];
-    long long kind = (long long)c->t_kinds[i];
-    long long ninstr = (long long)c->t_ninstr[i];
-    long long dstart = c->t_offsets[i];
-    long long dend = c->t_offsets[i + 1];
-    int disc = c->t_disc[i] != 0;
-    double now = c->cycle;
-    double last, credit, stall, exec_cycles;
-    CLine *state;
-    int first_use = 0, was_miss;
-    long long di;
-    c->visit_index = i + 1;
-
-    /* (1) prefetch issue, with the inlined no-slot guard */
-    last = c->last_slot_cycle;
-    credit = c->slot_credit + (now - last) * c->slot_rate;
-    if (credit < 1.0) {
-        c->last_slot_cycle = now;
-        c->slot_credit = credit;
-    } else {
-        issue_prefetches(c, now);
-    }
-
-    /* (2) demand fetch */
-    c->l1i_fetches++;
-    state = cache_lookup(&c->l1i, line);
-    stall = 0.0;
-    if (state) {
-        was_miss = 0;
-        if (state->prefetched) {
-            first_use = 1;
-            state->prefetched = 0;
-            c->useful++;
-            if (state->from_memory) c->useful_from_memory++;
-            if (state->prov_kind == 2 && c->pf_mode == 6)
-                table_credit(&c->table, state->prov_index, state->prov_line);
-            if (state->arrival > now) {
-                stall = state->arrival - now;
-                c->useful_late++;
-            }
-        }
-        state->used = 1;
-    } else {
-        was_miss = 1;
-        c->l1i_misses++;
-        c->l1i_breakdown[kind]++;
-        stall = demand_fill(c, line, kind, now);
-        if (c->free_kind[kind]) stall = 0.0;
-    }
-
-    /* (3) discontinuity observation (no-op for every mode but 6) */
-    if (disc && c->pf_mode == 6 && was_miss)
-        table_observe(&c->table, c->prev_line, line);
-    c->prev_line = line;
-
-    /* (4) prefetch generation + filtering (queue sees the demand first) */
-    queue_note_demand(&c->queue, line);
-    switch (c->pf_mode) {
-    case 1:                              /* next-line-always */
-        c->generated += 1;
-        queue_offer(&c->queue, line + 1, 1, 0, 0);
-        break;
-    case 2:                              /* next-line-on-miss */
-        if (was_miss) {
-            c->generated += 1;
-            queue_offer(&c->queue, line + 1, 1, 0, 0);
-        }
-        break;
-    case 3:                              /* next-line-tagged */
-        if (was_miss || first_use) {
-            c->generated += 1;
-            queue_offer(&c->queue, line + 1, 1, 0, 0);
-        }
-        break;
-    case 4:                              /* next-N-line tagged */
-        if (was_miss || first_use) {
-            long long d;
-            c->generated += c->pf_ahead;
-            for (d = 1; d <= c->pf_ahead; d++)
-                queue_offer(&c->queue, line + d, 1, 0, 0);
-        }
-        break;
-    case 5:                              /* lookahead-N */
-        if (was_miss || first_use) {
-            c->generated += 1;
-            queue_offer(&c->queue, line + c->pf_ahead, 1, 0, 0);
-        }
-        break;
-    case 6:                              /* discontinuity */
-        if (was_miss || first_use) {
-            /* The reference builds the full candidate list first (table
-             * probes count probe_hits before any offer), then offers in
-             * order: seq L+1..L+ahead, then each probe hit's target run. */
-            long long ptgt[33], pidx[33], plin[33], prem[33];
-            long long nhits = 0, total = c->pf_ahead;
-            long long probe_window = c->pf_probe ? c->pf_ahead : 0;
-            long long off, d, h;
-            for (off = 0; off <= probe_window; off++) {
-                long long probe_line = line + off, target;
-                if (table_predict(&c->table, probe_line, &target)) {
-                    ptgt[nhits] = target;
-                    pidx[nhits] = probe_line & c->table.mask;
-                    plin[nhits] = probe_line;
-                    prem[nhits] = c->pf_ahead - off;
-                    total += prem[nhits] + 1;
-                    nhits++;
-                }
-            }
-            c->generated += total;
-            for (d = 1; d <= c->pf_ahead; d++)  /* always != line (d >= 1) */
-                queue_offer(&c->queue, line + d, 1, 0, 0);
-            for (h = 0; h < nhits; h++) {
-                long long extra;
-                for (extra = 0; extra <= prem[h]; extra++) {
-                    long long cand = ptgt[h] + extra;
-                    if (cand != line)
-                        queue_offer(&c->queue, cand, 2, pidx[h], plin[h]);
-                }
-            }
-        }
-        break;
-    default:
-        break;                           /* mode 0: none */
-    }
-
-    if (stall > 0.0) {
-        stall *= c->fetch_stall_exposed;
-        c->fetch_stall_cycles += stall;
-        credit = c->slot_credit + stall * c->slot_rate;
-        c->slot_credit = credit;
-        if (credit >= 1.0) issue_prefetches(c, now);
-        now += stall;
-        c->last_slot_cycle = now;
-    }
-
-    /* consume_overhead_cycles() is 0.0 for every kernel-supported mode */
-
-    /* (5) data accesses */
-    for (di = dstart; di < dend; di++) {
-        long long dline;
-        c->data_accesses++;
-        dline = c->t_data[di] >> c->line_shift;
-        if (cache_lookup(&c->l1d, dline) == 0) now += data_miss(c, dline, now);
-    }
-
-    /* (6) execution */
-    exec_cycles = (double)ninstr * c->exec_cpi;
-    c->exec_cycles += exec_cycles;
-    now += exec_cycles;
-    c->cycle = now;
-    c->instructions += ninstr;
-    c->total_instructions += ninstr;
-
-    if (!c->warmed && c->total_instructions >= c->warm_target) {
-        reset_stats(c);
-        c->warmed = 1;
-        c->cycle_mark = now;
-    }
-}
-
-/* step()-granularity driver: process visits until *stop* (exclusive) */
-void repro_span(CCore *c, long long stop) {
-    if (stop > c->visit_count) stop = c->visit_count;
-    while (c->visit_index < stop) process_visit(c);
-}
-
-/* CoreEngine.run(): whole trace + the trace-end finish bookkeeping */
-void repro_run(CCore *c) {
-    while (c->visit_index < c->visit_count) process_visit(c);
-    c->finished = 1;
-    c->st_cycles = c->cycle - c->cycle_mark;
-}
-
-/* System.run() multi-core branch: advance the core with the smallest
- * local clock (first minimum wins ties, matching the Python scan), drop
- * finished cores preserving order. */
-void repro_run_system(CCore **cores, long long n) {
-    long long active[256];
-    long long na = 0, k;
-    for (k = 0; k < n && k < 256; k++) active[na++] = k;
-    while (na > 0) {
-        long long best = 0;
-        CCore *c;
-        for (k = 1; k < na; k++)
-            if (cores[active[k]]->cycle < cores[active[best]]->cycle) best = k;
-        c = cores[active[best]];
-        if (c->visit_index >= c->visit_count) {
-            c->finished = 1;
-            c->st_cycles = c->cycle - c->cycle_mark;
-            for (k = best; k < na - 1; k++) active[k] = active[k + 1];
-            na--;
-        } else {
-            process_visit(c);
-        }
-    }
-}
-"""
+    return "".join((KERNEL_DIR / name).read_text() for name in KERNEL_UNITS)
 
 
 # --------------------------------------------------------------------- #
@@ -941,6 +199,15 @@ class _CCache(ctypes.Structure):
     ]
 
 
+class _CCand(ctypes.Structure):
+    _fields_ = [
+        ("line", _LL),
+        ("prov_kind", _LL),
+        ("prov_index", _LL),
+        ("prov_line", _LL),
+    ]
+
+
 class _CQEntry(ctypes.Structure):
     _fields_ = [
         ("line", _LL),
@@ -974,19 +241,12 @@ class _CQueue(ctypes.Structure):
     ]
 
 
-class _CTable(ctypes.Structure):
+class _CMshr(ctypes.Structure):
     _fields_ = [
-        ("mask", _LL),
-        ("counter_max", _LL),
-        ("sources", ctypes.POINTER(_LL)),
-        ("targets", ctypes.POINTER(_LL)),
-        ("counters", ctypes.POINTER(_LL)),
-        ("allocations", _LL),
-        ("replacements", _LL),
-        ("replacement_denied", _LL),
-        ("target_updates", _LL),
-        ("probe_hits", _LL),
-        ("credits", _LL),
+        ("lines", ctypes.POINTER(_LL)),
+        ("arrivals", ctypes.POINTER(_DBL)),
+        ("n", _LL),
+        ("cap", _LL),
     ]
 
 
@@ -1032,10 +292,9 @@ class _CCore(ctypes.Structure):
         ("pol_promote", _LL),
         ("pol_evict_install", _LL),
         ("free_kind", ctypes.POINTER(ctypes.c_byte)),
-        ("pf_mode", _LL),
-        ("pf_ahead", _LL),
-        ("pf_probe", _LL),
-        ("table", _CTable),
+        ("pf_ops", ctypes.c_void_p),
+        ("pf", ctypes.c_void_p),
+        ("cand", ctypes.POINTER(_CCand)),
         ("instructions", _LL),
         ("st_cycles", _DBL),
         ("exec_cycles", _DBL),
@@ -1067,10 +326,67 @@ class _CCore(ctypes.Structure):
         ("l2", ctypes.POINTER(_CCache)),
         ("link", ctypes.POINTER(_CLink)),
         ("queue", _CQueue),
-        ("mshr_lines", ctypes.POINTER(_LL)),
-        ("mshr_arrivals", ctypes.POINTER(_DBL)),
-        ("mshr_n", _LL),
-        ("mshr_cap", _LL),
+        ("mshr", _CMshr),
+    ]
+
+
+class _CSeq(ctypes.Structure):
+    _fields_ = [("trigger", _LL), ("first", _LL), ("count", _LL)]
+
+
+class _CDisc(ctypes.Structure):
+    _fields_ = [
+        ("mask", _LL),
+        ("counter_max", _LL),
+        ("sources", ctypes.POINTER(_LL)),
+        ("targets", ctypes.POINTER(_LL)),
+        ("counters", ctypes.POINTER(_LL)),
+        ("allocations", _LL),
+        ("replacements", _LL),
+        ("replacement_denied", _LL),
+        ("target_updates", _LL),
+        ("probe_hits", _LL),
+        ("credits", _LL),
+        ("ahead", _LL),
+        ("probe", _LL),
+    ]
+
+
+class _CBranch(ctypes.Structure):
+    _fields_ = [
+        ("pht", ctypes.POINTER(ctypes.c_ubyte)),
+        ("pht_mask", _LL),
+        ("history", _LL),
+        ("history_mask", _LL),
+        ("btb", ctypes.POINTER(_LL)),
+        ("btb_mask", _LL),
+        ("ras", ctypes.POINTER(_LL)),
+        ("ras_n", _LL),
+        ("ras_cap", _LL),
+        ("prev_line", _LL),
+        ("lookahead", _LL),
+        ("k_call", _LL),
+        ("k_jump", _LL),
+        ("k_return", _LL),
+    ]
+
+
+class _CStbEntry(ctypes.Structure):
+    _fields_ = [("line", _LL), ("target", _LL), ("confidence", _LL)]
+
+
+class _CShadow(ctypes.Structure):
+    _fields_ = [
+        ("b", _CBranch),
+        ("ftq_entries", _LL),
+        ("degree", _LL),
+        ("ftq_lines", ctypes.POINTER(_LL)),
+        ("ftq_seq", ctypes.POINTER(_LL)),
+        ("stb_set_mask", _LL),
+        ("stb_assoc", _LL),
+        ("stb", ctypes.POINTER(_CStbEntry)),
+        ("stb_counts", ctypes.POINTER(_LL)),
+        ("discoveries", _LL),
     ]
 
 
@@ -1083,15 +399,22 @@ _kernel_probed = False
 _compile_seconds = 0.0
 
 
+#: the kernel's compiler flags: ``-O1``.  The kernel is branchy scalar
+#: code that runs as fast at ``-O1`` as at ``-O2`` and compiles in less
+#: time, which every cold set-up pays; the float discipline holds at every
+#: level (see :mod:`repro.util.ccompile`).
+KERNEL_FLAGS = ccompile.FLAGS_O1
+
+
 def kernel_source_hash() -> str:
     """Hash naming the cached shared object (and the CI cache key)."""
-    return ccompile.source_hash(kernel_source())
+    return ccompile.source_hash(kernel_source(), KERNEL_FLAGS)
 
 
 def _build_kernel():
     """Compile (or load from cache) the kernel; return the loaded library."""
     global _compile_seconds
-    lib, seconds = ccompile.load("repro_jit", kernel_source())
+    lib, seconds = ccompile.load("repro_jit", kernel_source(), KERNEL_FLAGS)
     if seconds:
         _compile_seconds = seconds
     lib.repro_span.argtypes = [ctypes.POINTER(_CCore), _LL]
@@ -1128,20 +451,8 @@ def kernel_compile_seconds() -> float:
 
 
 # --------------------------------------------------------------------- #
-# Marshaling Python state into the C structs
+# Marshaling helpers
 # --------------------------------------------------------------------- #
-
-#: exact prefetcher type -> kernel pf_mode (subclasses with overridden
-#: behavior must not match, hence ``type() is``-style lookup).
-_PF_MODES = {
-    NullPrefetcher: 0,
-    NextLineAlways: 1,
-    NextLineOnMiss: 2,
-    NextLineTagged: 3,
-    NextNLineTagged: 4,
-    LookaheadN: 5,
-    DiscontinuityPrefetcher: 6,
-}
 
 
 def _encode_prov(provenance):
@@ -1153,6 +464,10 @@ def _encode_prov(provenance):
         return 1, 0, 0
     if tag == "disc":
         return 2, provenance[1], provenance[2]
+    if tag == "fdp":
+        return 3, 0, 0
+    if tag == "shadow":
+        return 4, 0, provenance[1]
     raise ValueError(f"unsupported provenance {provenance!r}")
 
 
@@ -1162,7 +477,23 @@ def _decode_prov(kind: int, index: int, line: int):
         return None
     if kind == 1:
         return ("seq",)
-    return ("disc", index, line)
+    if kind == 2:
+        return ("disc", index, line)
+    if kind == 3:
+        return ("fdp",)
+    return ("shadow", line)
+
+
+def _ptr(buffer, ctype):
+    """*buffer* (a ctypes array) as a ``POINTER(ctype)``."""
+    return ctypes.cast(buffer, ctypes.POINTER(ctype))
+
+
+def _ll_array(values, keep: list):
+    """A ``long long`` array holding *values*, filled by one buffer copy."""
+    buffer = (_LL * len(values)).from_buffer_copy(array("q", values))
+    keep.append(buffer)
+    return _ptr(buffer, _LL)
 
 
 def _line_to_c(line: int, state) -> _CLine:
@@ -1180,6 +511,186 @@ def _line_to_c(line: int, state) -> _CLine:
         useless_hint=1 if state.useless_hint else 0,
     )
 
+
+# --------------------------------------------------------------------- #
+# Prefetcher families: one marshaller per kernel unit's ops table
+# --------------------------------------------------------------------- #
+
+
+class _Family:
+    """Kernel binding of one prefetcher family.
+
+    ``ops`` names the ``PfOps`` table the family's C unit exports.  The
+    base class is the stateless ``none`` family.
+    """
+
+    ops = "repro_pf_none"
+
+    def candidates(self, prefetcher) -> int:
+        """Most candidates one demand fetch can produce (buffer size)."""
+        return 0
+
+    def bind(self, prefetcher, keep: list) -> Optional[ctypes.Structure]:
+        """The family's C state, marshalled from *prefetcher* (None when
+        stateless); every buffer it points into is appended to *keep*."""
+        return None
+
+    def sync_out(self, prefetcher, state) -> None:
+        """Copy the family's counters from *state* back to *prefetcher*."""
+
+
+class _Sequential(_Family):
+    """``sequential.c``: one trigger and one (first, count) reach."""
+
+    ops = "repro_pf_seq"
+
+    #: CSeq.trigger values.
+    ALWAYS, ON_MISS, TAGGED = 0, 1, 2
+
+    def __init__(self, trigger: int, reach: Callable[[object], Tuple[int, int]]):
+        self.trigger = trigger
+        self.reach = reach
+
+    def candidates(self, prefetcher) -> int:
+        return self.reach(prefetcher)[1]
+
+    def bind(self, prefetcher, keep):
+        first, count = self.reach(prefetcher)
+        return _CSeq(trigger=self.trigger, first=first, count=count)
+
+
+_DISC_STAT_FIELDS = (
+    "allocations",
+    "replacements",
+    "replacement_denied",
+    "target_updates",
+    "probe_hits",
+    "credits",
+)
+
+
+class _Discontinuity(_Family):
+    """``discontinuity.c``: the table plus the prefetch-ahead window."""
+
+    ops = "repro_pf_disc"
+
+    def candidates(self, prefetcher) -> int:
+        ahead = prefetcher.prefetch_ahead
+        probes = ahead + 1 if prefetcher.probe_ahead else 1
+        return ahead + probes * (ahead + 1)
+
+    def bind(self, prefetcher, keep):
+        table = prefetcher.table
+        stats = table.stats
+        return _CDisc(
+            mask=table._mask,
+            counter_max=table.counter_max,
+            sources=_ll_array(
+                [-1 if src is None else src for src in table._sources], keep
+            ),
+            targets=_ll_array(table._targets, keep),
+            counters=_ll_array(table._counters, keep),
+            ahead=prefetcher.prefetch_ahead,
+            probe=1 if prefetcher.probe_ahead else 0,
+            **{name: getattr(stats, name) for name in _DISC_STAT_FIELDS},
+        )
+
+    def sync_out(self, prefetcher, state) -> None:
+        stats = prefetcher.table.stats
+        for name in _DISC_STAT_FIELDS:
+            setattr(stats, name, getattr(state, name))
+
+
+class _FetchDirected(_Family):
+    """``branch.c``: gshare + tagless BTB + RAS run-ahead."""
+
+    ops = "repro_pf_fdp"
+
+    def candidates(self, prefetcher) -> int:
+        return prefetcher.lookahead
+
+    def bind(self, prefetcher, keep) -> _CBranch:
+        gshare, btb, ras = prefetcher.gshare, prefetcher.btb, prefetcher.ras
+        pht = (ctypes.c_ubyte * gshare.entries).from_buffer_copy(bytes(gshare._pht))
+        frames = (_LL * ras.capacity)(*ras._stack)
+        keep.extend((pht, frames))
+        return _CBranch(
+            pht=_ptr(pht, ctypes.c_ubyte),
+            pht_mask=gshare._mask,
+            history=gshare._history,
+            history_mask=gshare._history_mask,
+            btb=_ll_array(btb._targets, keep),
+            btb_mask=btb._mask,
+            ras=_ptr(frames, _LL),
+            ras_n=len(ras._stack),
+            ras_cap=ras.capacity,
+            prev_line=prefetcher._prev_line,
+            lookahead=prefetcher.lookahead,
+            k_call=int(TransitionKind.CALL),
+            k_jump=int(TransitionKind.JUMP),
+            k_return=int(TransitionKind.RETURN),
+        )
+
+
+class _ShadowBranch(_FetchDirected):
+    """``branch.c``: the fdp walk into an FTQ, then STB predecode."""
+
+    ops = "repro_pf_shadow"
+
+    def candidates(self, prefetcher) -> int:
+        steps = min(prefetcher.lookahead, prefetcher.ftq_entries)
+        return steps * (1 + prefetcher.shadow_degree)
+
+    def bind(self, prefetcher, keep):
+        stb = prefetcher.stb
+        assoc = stb.assoc
+        ways_c = (_CStbEntry * stb.entries)()
+        counts = (_LL * (stb._set_mask + 1))()
+        for si, ways in enumerate(stb._sets):
+            for k, entry in enumerate(ways):
+                ways_c[si * assoc + k] = _CStbEntry(
+                    entry.line, entry.target, entry.confidence
+                )
+            counts[si] = len(ways)
+        steps = min(prefetcher.lookahead, prefetcher.ftq_entries)
+        ftq_lines = (_LL * steps)()
+        ftq_seq = (_LL * steps)()
+        keep.extend((ways_c, counts, ftq_lines, ftq_seq))
+        return _CShadow(
+            b=super().bind(prefetcher, keep),
+            ftq_entries=prefetcher.ftq_entries,
+            degree=prefetcher.shadow_degree,
+            ftq_lines=_ptr(ftq_lines, _LL),
+            ftq_seq=_ptr(ftq_seq, _LL),
+            stb_set_mask=stb._set_mask,
+            stb_assoc=assoc,
+            stb=_ptr(ways_c, _CStbEntry),
+            stb_counts=_ptr(counts, _LL),
+            discoveries=prefetcher.shadow_discoveries,
+        )
+
+    def sync_out(self, prefetcher, state) -> None:
+        prefetcher.shadow_discoveries = state.discoveries
+
+
+#: exact prefetcher type -> kernel family (subclasses with overridden
+#: behavior must not match, hence ``type() is``-style lookup).
+_PF_MODES = {
+    NullPrefetcher: _Family(),
+    NextLineAlways: _Sequential(_Sequential.ALWAYS, lambda pf: (1, 1)),
+    NextLineOnMiss: _Sequential(_Sequential.ON_MISS, lambda pf: (1, 1)),
+    NextLineTagged: _Sequential(_Sequential.TAGGED, lambda pf: (1, 1)),
+    NextNLineTagged: _Sequential(_Sequential.TAGGED, lambda pf: (1, pf.degree)),
+    LookaheadN: _Sequential(_Sequential.TAGGED, lambda pf: (pf.distance, 1)),
+    DiscontinuityPrefetcher: _Discontinuity(),
+    FetchDirectedPrefetcher: _FetchDirected(),
+    ShadowBranchPrefetcher: _ShadowBranch(),
+}
+
+
+# --------------------------------------------------------------------- #
+# Cache and system images
+# --------------------------------------------------------------------- #
 
 _CACHE_STAT_FIELDS = ("lookups", "hits", "misses", "installs", "evictions")
 
@@ -1201,8 +712,8 @@ class _CacheImage:
         self.struct = _CCache(
             set_mask=cache._set_mask,
             assoc=assoc,
-            lines=ctypes.cast(self.lines, ctypes.POINTER(_CLine)),
-            counts=ctypes.cast(self.counts, ctypes.POINTER(_LL)),
+            lines=_ptr(self.lines, _CLine),
+            counts=_ptr(self.counts, _LL),
             lookups=stats.lookups,
             hits=stats.hits,
             misses=stats.misses,
@@ -1326,15 +837,6 @@ _QUEUE_STAT_FIELDS = (
     "popped",
 )
 
-_TABLE_STAT_FIELDS = (
-    "allocations",
-    "replacements",
-    "replacement_denied",
-    "target_updates",
-    "probe_hits",
-    "credits",
-)
-
 _PF_STAT_FIELDS = (
     "generated",
     "probe_found_present",
@@ -1361,10 +863,15 @@ class JittedCoreEngine(CoreEngine):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._twin_ok: Optional[bool] = None
+        #: why this engine steps on reference (None: it runs in the
+        #: kernel, or eligibility is not decided yet).
+        self.fallback_reason: Optional[str] = None
         self._c: Optional[_CCore] = None
         self._c_started = False
         self._lib = None
         self._jit_system: Optional[_JitSystem] = None
+        self._family: Optional[_Family] = None
+        self._pf_state: Optional[ctypes.Structure] = None
         self._buffers: list = []
         self._cache_images: tuple = ()
 
@@ -1372,32 +879,45 @@ class JittedCoreEngine(CoreEngine):
     # Eligibility + binding
     # ------------------------------------------------------------------ #
 
+    def kernel_fallback_reason(self) -> Optional[str]:
+        """Why the kernel cannot replicate this configuration exactly, or
+        None when it can (binding may still fail; see :meth:`_twin_ready`).
+        """
+        prefetcher = self.prefetcher
+        family = _PF_MODES.get(type(prefetcher))
+        if family is None:
+            return f"prefetcher {type(prefetcher).__name__} has no kernel twin"
+        if not (self.l1i._is_lru and self.l1d._is_lru and self.l2._is_lru):
+            return "non-LRU replacement"
+        if self.l2_eviction_hook is not None:
+            return "inclusive L2 (eviction hook)"
+        wanted = family.candidates(prefetcher)
+        if wanted > _MAX_CANDIDATES:
+            return (
+                f"{type(prefetcher).__name__} parameters need {wanted} candidates "
+                f"per fetch, over the kernel cap of {_MAX_CANDIDATES}"
+            )
+        if not jit_available():
+            return "no C compiler: the kernel is unbuildable"
+        return None
+
     def _twin_ready(self) -> bool:
         """Decide (once, lazily — the system wires ``l2_eviction_hook``
         after construction) whether the kernel replicates this
         configuration exactly; bind the state into C if so."""
         ok = self._twin_ok
         if ok is None:
-            prefetcher = self.prefetcher
-            ok = (
-                self.l2_eviction_hook is None
-                and self.l1i._is_lru
-                and self.l1d._is_lru
-                and self.l2._is_lru
-                and type(prefetcher) in _PF_MODES
-                and jit_available()
-            )
-            if ok and type(prefetcher) is DiscontinuityPrefetcher:
-                ok = prefetcher.prefetch_ahead <= _MAX_DISC_AHEAD
-            if ok:
+            reason = self.kernel_fallback_reason()
+            if reason is None:
                 try:
                     self._bind()
-                except Exception:
+                except Exception as exc:
                     logger.exception(
                         "jit bind failed; falling back to reference stepping"
                     )
-                    ok = False
-            self._twin_ok = ok
+                    reason = f"bind error: {exc}"
+            self.fallback_reason = reason
+            ok = self._twin_ok = reason is None
         return ok
 
     def _bind(self) -> None:
@@ -1451,41 +971,19 @@ class JittedCoreEngine(CoreEngine):
             *(1 if flag else 0 for flag in self._free_kind)
         )
         keep.append(free_kind)
-        c.free_kind = ctypes.cast(free_kind, ctypes.POINTER(ctypes.c_byte))
+        c.free_kind = _ptr(free_kind, ctypes.c_byte)
 
-        # Prefetcher: mode + parameters + (for mode 6) the table arrays.
+        # Prefetcher: the family's ops table, state and candidate buffer.
         prefetcher = self.prefetcher
-        mode = _PF_MODES[type(prefetcher)]
-        c.pf_mode = mode
-        if mode == 4:
-            c.pf_ahead = prefetcher.degree
-        elif mode == 5:
-            c.pf_ahead = prefetcher.distance
-        elif mode == 6:
-            c.pf_ahead = prefetcher.prefetch_ahead
-            c.pf_probe = 1 if prefetcher.probe_ahead else 0
-        if mode == 6:
-            table = prefetcher.table
-            n = table.entries
-            sources = (_LL * n)(
-                *(-1 if src is None else src for src in table._sources)
-            )
-            targets = (_LL * n)(*table._targets)
-            counters = (_LL * n)(*table._counters)
-        else:
-            sources = (_LL * 1)(-1)
-            targets = (_LL * 1)()
-            counters = (_LL * 1)()
-        keep.extend((sources, targets, counters))
-        tstats = prefetcher.table.stats if mode == 6 else None
-        c.table = _CTable(
-            mask=prefetcher.table._mask if mode == 6 else 0,
-            counter_max=prefetcher.table.counter_max if mode == 6 else 0,
-            sources=ctypes.cast(sources, ctypes.POINTER(_LL)),
-            targets=ctypes.cast(targets, ctypes.POINTER(_LL)),
-            counters=ctypes.cast(counters, ctypes.POINTER(_LL)),
-            **{name: getattr(tstats, name) if tstats else 0 for name in _TABLE_STAT_FIELDS},
-        )
+        family = _PF_MODES[type(prefetcher)]
+        state = family.bind(prefetcher, keep)
+        cand = (_CCand * max(1, family.candidates(prefetcher)))()
+        keep.append(cand)
+        c.pf_ops = ctypes.addressof(ctypes.c_char.in_dll(lib, family.ops))
+        c.pf = ctypes.addressof(state) if state is not None else None
+        c.cand = _ptr(cand, _CCand)
+        self._family = family
+        self._pf_state = state
 
         # CoreStats (binding may happen mid-run; counters carry over).
         stats = self.stats
@@ -1505,8 +1003,8 @@ class JittedCoreEngine(CoreEngine):
         l1i_bd = (_LL * _N_KINDS)(*stats.l1i_breakdown._counts)
         l2i_bd = (_LL * _N_KINDS)(*stats.l2i_breakdown._counts)
         keep.extend((l1i_bd, l2i_bd))
-        c.l1i_breakdown = ctypes.cast(l1i_bd, ctypes.POINTER(_LL))
-        c.l2i_breakdown = ctypes.cast(l2i_bd, ctypes.POINTER(_LL))
+        c.l1i_breakdown = _ptr(l1i_bd, _LL)
+        c.l2i_breakdown = _ptr(l2i_bd, _LL)
         self._c_l1i_bd = l1i_bd
         self._c_l2i_bd = l2i_bd
         pf_stats = stats.prefetch
@@ -1551,9 +1049,9 @@ class JittedCoreEngine(CoreEngine):
             recent_capacity=qconfig.recent_capacity,
             lifo=1 if qconfig.lifo else 0,
             filtering=1 if qconfig.filtering else 0,
-            entries=ctypes.cast(entries, ctypes.POINTER(_CQEntry)),
+            entries=_ptr(entries, _CQEntry),
             n_entries=len(queue._entries),
-            recent=ctypes.cast(recent, ctypes.POINTER(_LL)),
+            recent=_ptr(recent, _LL),
             n_recent=len(recent_keys),
             waiting=queue.waiting,
             **{name: getattr(qstats, name) for name in _QUEUE_STAT_FIELDS},
@@ -1567,10 +1065,12 @@ class JittedCoreEngine(CoreEngine):
             mshr_lines[k] = line
             mshr_arrivals[k] = arrival
         keep.extend((mshr_lines, mshr_arrivals))
-        c.mshr_lines = ctypes.cast(mshr_lines, ctypes.POINTER(_LL))
-        c.mshr_arrivals = ctypes.cast(mshr_arrivals, ctypes.POINTER(_DBL))
-        c.mshr_n = len(mshr._entries)
-        c.mshr_cap = mshr._capacity
+        c.mshr = _CMshr(
+            lines=_ptr(mshr_lines, _LL),
+            arrivals=_ptr(mshr_arrivals, _DBL),
+            n=len(mshr._entries),
+            cap=mshr._capacity,
+        )
 
         self._c = c
 
@@ -1582,9 +1082,9 @@ class JittedCoreEngine(CoreEngine):
         """Copy scalars and every stats object back to the Python side.
 
         Cache contents follow once the run finishes (:meth:`_finish`);
-        queue/MSHR/table contents stay C-resident (see the module
-        docstring) — everything result aggregation, ``--verify`` lockstep
-        or the CMP driver reads is synced exactly.
+        queue/MSHR/predictor-table contents stay C-resident (see the
+        module docstring) — everything result aggregation, ``--verify``
+        lockstep or the CMP driver reads is synced exactly.
         """
         c = self._c
         self.cycle = c.cycle
@@ -1626,10 +1126,7 @@ class JittedCoreEngine(CoreEngine):
         for name in _QUEUE_STAT_FIELDS:
             setattr(qstats, name, getattr(c.queue, name))
 
-        if c.pf_mode == 6:
-            tstats = self.prefetcher.table.stats
-            for name in _TABLE_STAT_FIELDS:
-                setattr(tstats, name, getattr(c.table, name))
+        self._family.sync_out(self.prefetcher, self._pf_state)
 
     # ------------------------------------------------------------------ #
     # Stepping
@@ -1691,6 +1188,12 @@ class JittedCoreEngine(CoreEngine):
             for engine in engines:
                 if isinstance(engine, JittedCoreEngine) and not engine._c_started:
                     engine._twin_ok = False
+                    if engine.fallback_reason is None:
+                        engine.fallback_reason = (
+                            f"more than {_MAX_CORES} cores"
+                            if ready
+                            else "a sibling core steps on reference"
+                        )
             return False
         cores = (ctypes.POINTER(_CCore) * len(engines))(
             *(ctypes.pointer(engine._c) for engine in engines)

@@ -1,0 +1,128 @@
+/* repro jit kernel — scalar-exact replica of repro.core.engine.CoreEngine.
+ *
+ * The kernel is assembled from the units in src/repro/core/kernel/ in the
+ * fixed order of repro.core.jitted.KERNEL_UNITS and compiled as ONE
+ * translation unit; a unit may use every type and function of the units
+ * before it, so no unit compiles on its own.
+ *
+ * Float discipline: compiled with -ffp-contract=off and no fast-math, so
+ * every double op rounds exactly like the CPython interpreter's.  All
+ * expressions copy the reference source's operation order verbatim.
+ */
+#include <string.h>
+
+/* ---------------- cache.c: repro.caches.cache.SetAssociativeCache (LRU) */
+
+/* repro.caches.line.LineState.  Provenance kinds: 0 none, 1 ("seq",),
+ * 2 ("disc", index, line), 3 ("fdp",), 4 ("shadow", line). */
+typedef struct {
+    long long tag;
+    double arrival;
+    long long prov_kind;
+    long long prov_index;
+    long long prov_line;
+    unsigned char prefetched, used, bypass_pending, from_memory, useless_hint;
+} CLine;
+
+/* Each set is a way array ordered LRU -> MRU with a live count. */
+typedef struct {
+    long long set_mask;
+    long long assoc;
+    CLine *lines;          /* (set_mask + 1) * assoc entries */
+    long long *counts;     /* set_mask + 1 entries */
+    long long lookups, hits, misses, installs, evictions;
+} CCache;
+
+/* lookup(line) with update_recency=True */
+static CLine *cache_lookup(CCache *cc, long long line) {
+    long long si = line & cc->set_mask;
+    CLine *base = cc->lines + si * cc->assoc;
+    long long cnt = cc->counts[si];
+    long long k, j;
+    cc->lookups++;
+    for (k = 0; k < cnt; k++) {
+        if (base[k].tag == line) {
+            cc->hits++;
+            if (k != cnt - 1) {          /* move_to_end */
+                CLine tmp = base[k];
+                for (j = k; j < cnt - 1; j++) base[j] = base[j + 1];
+                base[cnt - 1] = tmp;
+            }
+            return &base[cnt - 1];
+        }
+    }
+    cc->misses++;
+    return 0;
+}
+
+/* probe(line): tag check, no stats, no recency */
+static CLine *cache_probe(CCache *cc, long long line) {
+    long long si = line & cc->set_mask;
+    CLine *base = cc->lines + si * cc->assoc;
+    long long cnt = cc->counts[si], k;
+    for (k = 0; k < cnt; k++)
+        if (base[k].tag == line) return &base[k];
+    return 0;
+}
+
+/* touch(line): recency only */
+static void cache_touch(CCache *cc, long long line) {
+    long long si = line & cc->set_mask;
+    CLine *base = cc->lines + si * cc->assoc;
+    long long cnt = cc->counts[si], k, j;
+    for (k = 0; k < cnt; k++) {
+        if (base[k].tag == line) {
+            if (k != cnt - 1) {
+                CLine tmp = base[k];
+                for (j = k; j < cnt - 1; j++) base[j] = base[j + 1];
+                base[cnt - 1] = tmp;
+            }
+            return;
+        }
+    }
+}
+
+/* install(line, state): returns 1 and fills *victim when a line was
+ * evicted (resident replace refreshes recency, evicts nothing). */
+static int cache_install(CCache *cc, const CLine *state, CLine *victim) {
+    long long line = state->tag;
+    long long si = line & cc->set_mask;
+    CLine *base = cc->lines + si * cc->assoc;
+    long long cnt = cc->counts[si], k, j;
+    cc->installs++;
+    for (k = 0; k < cnt; k++) {
+        if (base[k].tag == line) {
+            for (j = k; j < cnt - 1; j++) base[j] = base[j + 1];
+            base[cnt - 1] = *state;
+            return 0;
+        }
+    }
+    if (cnt >= cc->assoc) {              /* popitem(last=False) */
+        cc->evictions++;
+        *victim = base[0];
+        for (j = 0; j < cnt - 1; j++) base[j] = base[j + 1];
+        cc->counts[si] = cnt;            /* cnt-1 evicted + 1 appended */
+        base[cnt - 1] = *state;
+        return 1;
+    }
+    base[cnt] = *state;
+    cc->counts[si] = cnt + 1;
+    return 0;
+}
+
+static CLine mkline(long long tag, int prefetched, int used, double arrival,
+                    int bypass, int from_memory, long long pk, long long pi,
+                    long long pl) {
+    CLine s;
+    s.tag = tag;
+    s.arrival = arrival;
+    s.prov_kind = pk;
+    s.prov_index = pi;
+    s.prov_line = pl;
+    s.prefetched = (unsigned char)prefetched;
+    s.used = (unsigned char)used;
+    s.bypass_pending = (unsigned char)bypass;
+    s.from_memory = (unsigned char)from_memory;
+    s.useless_hint = 0;
+    return s;
+}

@@ -86,7 +86,8 @@ SOURCE_PATTERNS = ("*.py", "*.c")
 #: lines), so editing them should not demand a schema bump.
 BEHAVIOR_EXCLUDE = frozenset({"src/repro/util/clock.py"})
 
-#: the jit engine backend: every jit counterpart lives here.
+#: the jit engine backend: every Python-side jit counterpart lives here,
+#: and its presence switches pair checking on.
 JITTED_MODULE = "src/repro/core/jitted.py"
 
 
@@ -94,13 +95,17 @@ class Pair(NamedTuple):
     """One fingerprinted reference hot path, optionally twinned.
 
     With a ``jit_qualname``, the pair is a must-stay-in-sync reference/jit
-    implementation pair.  The jit backend compiles every paired reference
-    hot path into the one C kernel returned by ``kernel_source``, so
-    several reference functions legitimately map to the same counterpart
-    (many → one).  Rule R6 fingerprints both sides; a drifted reference
-    fingerprint with an unchanged counterpart fingerprint is the "silent
-    divergence" failure mode this exists to catch before the (slow)
-    runtime parity suite does.
+    implementation pair.  The counterpart is either a qualname inside
+    ``JITTED_MODULE`` (fingerprinted structurally, like the reference
+    side) or the project-relative path of one C unit of the jit kernel
+    (``src/repro/core/kernel/*.c``, fingerprinted by its file content).
+    Several reference functions legitimately map to the same counterpart
+    (many → one): a unit holds the twins of every hot path of its
+    component, and an edit to one unit stales only the pairs naming it.
+    Rule R6 fingerprints both sides; a drifted reference fingerprint with
+    an unchanged counterpart fingerprint is the "silent divergence"
+    failure mode this exists to catch before the (slow) runtime parity
+    suite does.
 
     With no counterpart the pair is *reference-only*: both backends
     execute the same function (jit falls back to reference stepping for
@@ -112,10 +117,41 @@ class Pair(NamedTuple):
 
     ref_module: str
     ref_qualname: str
-    jit_qualname: Optional[str] = None  #: qualname inside JITTED_MODULE
+    #: qualname inside JITTED_MODULE, or the path of a kernel C unit.
+    jit_qualname: Optional[str] = None
+
+
+def is_c_unit(counterpart: str) -> bool:
+    """Does a pair's counterpart name a C unit (rather than a qualname)?"""
+    return counterpart.endswith(".c")
+
+
+def counterpart_site(counterpart: str) -> Tuple[str, str]:
+    """``(path, display name)`` of a pair's counterpart."""
+    if is_c_unit(counterpart):
+        return counterpart, counterpart
+    return JITTED_MODULE, counterpart
+
+
+def counterpart_entry(project: Project, counterpart: str) -> Optional[Dict[str, Any]]:
+    """``{"fingerprint", "lineno"}`` of a counterpart, None when missing.
+
+    A C unit's fingerprint is the SHA-256 of its newline-normalized
+    content: C is not parsed, so comment edits move it too.
+    """
+    if is_c_unit(counterpart):
+        if not project.exists(counterpart):
+            return None
+        return {"fingerprint": project.content_hash(counterpart), "lineno": 1}
+    if not project.exists(JITTED_MODULE):
+        return None
+    return project.facts(JITTED_MODULE)["functions"].get(counterpart)
 
 
 _ENGINE = "src/repro/core/engine.py"
+_CACHE = "src/repro/caches/cache.py"
+_MSHR = "src/repro/caches/mshr.py"
+_LINK = "src/repro/cmp/link.py"
 _QUEUE = "src/repro/prefetch/queue.py"
 _DISC = "src/repro/prefetch/discontinuity.py"
 _SEQ = "src/repro/prefetch/sequential.py"
@@ -124,42 +160,75 @@ _MKV = "src/repro/prefetch/markov.py"
 _FDP = "src/repro/prefetch/fdp.py"
 _MANA = "src/repro/prefetch/mana.py"
 _SHADOW = "src/repro/prefetch/shadow.py"
-_KSRC = "kernel_source"
+_GSHARE = "src/repro/branch/gshare.py"
+_BTB = "src/repro/branch/btb.py"
+_RAS = "src/repro/branch/ras.py"
+
+_KERNEL = "src/repro/core/kernel/"
+_K_CACHE = _KERNEL + "cache.c"
+_K_QUEUE = _KERNEL + "queue.c"
+_K_LINK = _KERNEL + "link.c"
+_K_ENGINE = _KERNEL + "engine.c"
+_K_SEQ = _KERNEL + "sequential.c"
+_K_DISC = _KERNEL + "discontinuity.c"
+_K_BRANCH = _KERNEL + "branch.c"
 
 #: the fingerprinted hot-path pairs.  The jit backend compiles the
 #: per-visit reference pipeline (visit processing, queue drain + issue,
-#: fills, installs, data-miss timing, the DiscontinuityPrefetcher trigger
-#: path and the sequential prefetcher family) into the one C kernel string
-#: returned by ``kernel_source``.  The remaining prefetcher families run
-#: through the reference stepping path on both backends, so their hot
-#: paths are fingerprinted reference-only.
+#: fills, installs, data-miss timing) and the ``none``, sequential,
+#: discontinuity, fdp and shadow prefetcher families into the kernel's C
+#: units; each reference hot path is paired with the unit holding its
+#: twin.  The remaining prefetcher families run through the reference
+#: stepping path on both backends, so their hot paths are fingerprinted
+#: reference-only.
 PAIRS: Tuple[Pair, ...] = (
-    Pair(_ENGINE, "CoreEngine._process_visit", _KSRC),
-    Pair(_ENGINE, "CoreEngine._step_compiled", _KSRC),
-    Pair(_ENGINE, "CoreEngine._issue_prefetches", _KSRC),
-    Pair(_ENGINE, "CoreEngine._issue_one", _KSRC),
-    Pair(_ENGINE, "CoreEngine._demand_fill", _KSRC),
-    Pair(_ENGINE, "CoreEngine._install_l1i", _KSRC),
-    Pair(_ENGINE, "CoreEngine._install_l2", _KSRC),
-    Pair(_ENGINE, "CoreEngine._data_miss", _KSRC),
-    Pair(_QUEUE, "PrefetchQueue.offer", _KSRC),
-    Pair(_QUEUE, "PrefetchQueue.pop_ready", _KSRC),
-    Pair(_QUEUE, "PrefetchQueue.note_demand_fetch", _KSRC),
-    Pair(_DISC, "DiscontinuityTable.observe", _KSRC),
-    Pair(_DISC, "DiscontinuityTable.predict", _KSRC),
-    Pair(_DISC, "DiscontinuityTable.credit", _KSRC),
-    Pair(_DISC, "DiscontinuityPrefetcher.on_demand_fetch", _KSRC),
-    Pair(_SEQ, "NextLineAlways.on_demand_fetch", _KSRC),
-    Pair(_SEQ, "NextLineOnMiss.on_demand_fetch", _KSRC),
-    Pair(_SEQ, "NextLineTagged.on_demand_fetch", _KSRC),
-    Pair(_SEQ, "NextNLineTagged.on_demand_fetch", _KSRC),
-    Pair(_SEQ, "LookaheadN.on_demand_fetch", _KSRC),
+    Pair(_ENGINE, "CoreEngine._process_visit", _K_ENGINE),
+    Pair(_ENGINE, "CoreEngine._step_compiled", _K_ENGINE),
+    Pair(_ENGINE, "CoreEngine._issue_prefetches", _K_ENGINE),
+    Pair(_ENGINE, "CoreEngine._issue_one", _K_ENGINE),
+    Pair(_ENGINE, "CoreEngine._demand_fill", _K_ENGINE),
+    Pair(_ENGINE, "CoreEngine._install_l1i", _K_ENGINE),
+    Pair(_ENGINE, "CoreEngine._install_l2", _K_ENGINE),
+    Pair(_ENGINE, "CoreEngine._data_miss", _K_ENGINE),
+    Pair(_CACHE, "SetAssociativeCache.lookup", _K_CACHE),
+    Pair(_CACHE, "SetAssociativeCache.probe", _K_CACHE),
+    Pair(_CACHE, "SetAssociativeCache.install", _K_CACHE),
+    Pair(_CACHE, "SetAssociativeCache.touch", _K_CACHE),
+    Pair(_QUEUE, "PrefetchQueue.offer", _K_QUEUE),
+    Pair(_QUEUE, "PrefetchQueue.pop_ready", _K_QUEUE),
+    Pair(_QUEUE, "PrefetchQueue.note_demand_fetch", _K_QUEUE),
+    Pair(_MSHR, "OutstandingRequestTracker.can_accept", _K_QUEUE),
+    Pair(_MSHR, "OutstandingRequestTracker.add", _K_QUEUE),
+    Pair(_LINK, "OffChipLink.request", _K_LINK),
+    Pair(_DISC, "DiscontinuityTable.observe", _K_DISC),
+    Pair(_DISC, "DiscontinuityTable.predict", _K_DISC),
+    Pair(_DISC, "DiscontinuityTable.credit", _K_DISC),
+    Pair(_DISC, "DiscontinuityPrefetcher.on_demand_fetch", _K_DISC),
+    Pair(_DISC, "DiscontinuityPrefetcher.on_discontinuity", _K_DISC),
+    Pair(_DISC, "DiscontinuityPrefetcher.credit", _K_DISC),
+    Pair(_SEQ, "NextLineAlways.on_demand_fetch", _K_SEQ),
+    Pair(_SEQ, "NextLineOnMiss.on_demand_fetch", _K_SEQ),
+    Pair(_SEQ, "NextLineTagged.on_demand_fetch", _K_SEQ),
+    Pair(_SEQ, "NextNLineTagged.on_demand_fetch", _K_SEQ),
+    Pair(_SEQ, "LookaheadN.on_demand_fetch", _K_SEQ),
+    Pair(_GSHARE, "GsharePredictor.predict", _K_BRANCH),
+    Pair(_GSHARE, "GsharePredictor.update", _K_BRANCH),
+    Pair(_GSHARE, "GsharePredictor.speculate_history", _K_BRANCH),
+    Pair(_BTB, "BranchTargetBuffer.predict", _K_BRANCH),
+    Pair(_BTB, "BranchTargetBuffer.update", _K_BRANCH),
+    Pair(_RAS, "ReturnAddressStack.push", _K_BRANCH),
+    Pair(_RAS, "ReturnAddressStack.pop", _K_BRANCH),
+    Pair(_FDP, "FetchDirectedPrefetcher.on_demand_fetch", _K_BRANCH),
+    Pair(_FDP, "FetchDirectedPrefetcher._run_ahead", _K_BRANCH),
+    Pair(_SHADOW, "ShadowTargetBuffer.lookup", _K_BRANCH),
+    Pair(_SHADOW, "ShadowTargetBuffer.observe", _K_BRANCH),
+    Pair(_SHADOW, "ShadowTargetBuffer.credit", _K_BRANCH),
+    Pair(_SHADOW, "ShadowBranchPrefetcher.on_discontinuity", _K_BRANCH),
+    Pair(_SHADOW, "ShadowBranchPrefetcher._run_ahead", _K_BRANCH),
+    Pair(_SHADOW, "ShadowBranchPrefetcher.credit", _K_BRANCH),
     Pair(_TGT, "TargetPrefetcher.on_demand_fetch"),
     Pair(_MKV, "MarkovPrefetcher.on_demand_fetch"),
-    Pair(_FDP, "FetchDirectedPrefetcher.on_demand_fetch"),
-    Pair(_FDP, "FetchDirectedPrefetcher._run_ahead"),
     Pair(_MANA, "ManaPrefetcher.on_demand_fetch"),
-    Pair(_SHADOW, "ShadowBranchPrefetcher._run_ahead"),
 )
 
 #: manifest JSON key holding the pair fingerprints.
@@ -181,6 +250,11 @@ def _function_fingerprint(
     return entry["fingerprint"]
 
 
+def _counterpart_fingerprint(project: Project, counterpart: str) -> Optional[str]:
+    entry = counterpart_entry(project, counterpart)
+    return None if entry is None else entry["fingerprint"]
+
+
 def pair_fingerprints(project: Project) -> Dict[str, Dict[str, Optional[str]]]:
     """Current fingerprints of every side of every pair.
 
@@ -195,7 +269,7 @@ def pair_fingerprints(project: Project) -> Dict[str, Dict[str, Optional[str]]]:
         out[pair_id(pair)] = {
             "ref": _function_fingerprint(project, pair.ref_module, pair.ref_qualname),
             "jit": (
-                _function_fingerprint(project, JITTED_MODULE, pair.jit_qualname)
+                _counterpart_fingerprint(project, pair.jit_qualname)
                 if pair.jit_qualname is not None
                 else None
             ),

@@ -651,8 +651,10 @@ class BackendDriftRule(Rule):
 
     The paired-implementation manifest (:data:`repro.lint.manifest.PAIRS`)
     links each hot-path function in the reference engine / prefetchers to
-    its counterpart in ``src/repro/core/jitted.py`` (the C kernel string
-    returned by ``kernel_source``).  Fingerprints are structural
+    its counterpart: the jit kernel's C unit holding its twin
+    (``src/repro/core/kernel/*.c``, fingerprinted by file content, so an
+    edit to one unit stales only the pairs naming that unit) or a function
+    of ``src/repro/core/jitted.py``.  Python fingerprints are structural
     (comment-, formatting- and docstring-insensitive), so only behavioural
     edits move them.  The dangerous state — a reference-side fingerprint
     drifted while the counterpart's stands still — fails lint with both
@@ -723,15 +725,11 @@ class BackendDriftRule(Rule):
                     )
                 )
                 continue
-            module = manifest_mod.JITTED_MODULE
             qualname = pair.jit_qualname
             entry = None
             if qualname is not None:
-                entry = (
-                    project.facts(module)["functions"].get(qualname)
-                    if project.exists(module)
-                    else None
-                )
+                module, qualname = manifest_mod.counterpart_site(qualname)
+                entry = manifest_mod.counterpart_entry(project, pair.jit_qualname)
                 if entry is None:
                     violations.append(
                         self.violation(
@@ -774,7 +772,11 @@ class BackendDriftRule(Rule):
                         f"but its jit counterpart {qualname!r} did "
                         "not — the backends may no longer be bit-identical",
                         R6_HINT_TEMPLATE.format(
-                            counterpart_site=f"{module}::{qualname}"
+                            counterpart_site=(
+                                module
+                                if manifest_mod.is_c_unit(module)
+                                else f"{module}::{qualname}"
+                            )
                         ),
                     )
                 )

@@ -6,12 +6,15 @@ The compiled parts of the simulator (the jit engine kernel in
 toolchain.  This module is the one place that knows how:
 
 - the compiler is the first of ``cc``, ``gcc`` and ``clang`` on ``PATH``;
-- the flags are ``-O2 -fPIC -shared -ffp-contract=off``.  The last one
-  forbids fused multiply-add contraction, so every ``double`` operation
-  rounds exactly like the CPython interpreter's, which is what makes the
-  compiled units bit-identical to their Python specifications;
-- each unit's shared object is named by a hash of its source and cached
-  under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``, default
+- the flags default to ``-O2 -fPIC -shared -ffp-contract=off``; a unit
+  may pick its own optimization level (:data:`FLAGS_O1`).  Every flag set
+  keeps ``-ffp-contract=off``, which forbids fused multiply-add
+  contraction, and none enables fast-math, so every ``double`` operation
+  rounds exactly like the CPython interpreter's at any ``-O`` level, which
+  is what makes the compiled units bit-identical to their Python
+  specifications;
+- each unit's shared object is named by a hash of its flags and source
+  and cached under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``, default
   ``.repro-cache/jit``), so editing one unit stales only that unit;
 - a build is published atomically (tmp file + ``os.replace``) together
   with a ``.sha256`` sidecar of the object's bytes.  An object whose
@@ -32,15 +35,19 @@ import os
 import shutil
 import subprocess
 from pathlib import Path
-from typing import Callable, Optional, Tuple, TypeVar
+from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR
 from repro.util import clock
 
 T = TypeVar("T")
 
-#: compiler flags shared by every unit (see the module docstring).
+#: default compiler flags (see the module docstring).
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: :data:`FLAGS` at ``-O1``, for branchy scalar units that run as fast at
+#: ``-O1`` and compile in less time.
+FLAGS_O1 = ("-O1",) + FLAGS[1:]
 
 
 def cache_dir() -> Path:
@@ -52,9 +59,11 @@ def cache_dir() -> Path:
     return Path(base) / "jit"
 
 
-def source_hash(source: str) -> str:
-    """Hash naming a unit's cached shared object (and its CI cache key)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+def source_hash(source: str, flags: Sequence[str] = FLAGS) -> str:
+    """Hash naming a unit's cached shared object (and its CI cache key):
+    the compiler flags and the source."""
+    text = " ".join(flags) + "\n" + source
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def compiler() -> Optional[str]:
@@ -75,15 +84,18 @@ def _verified(so_path: Path) -> bool:
         return False
 
 
-def load(stem: str, source: str) -> Tuple[ctypes.CDLL, float]:
+def load(
+    stem: str, source: str, flags: Sequence[str] = FLAGS
+) -> Tuple[ctypes.CDLL, float]:
     """Load *source*'s shared object, compiling it first when needed.
 
-    The object is ``<stem>_<source hash>.so`` under :func:`cache_dir`.
+    The object is ``<stem>_<source hash>.so`` under :func:`cache_dir`,
+    built with *flags*.
     Returns the library and the seconds this call spent compiling (0.0
     when a verified object was already cached).  Raises ``RuntimeError``
     when there is no compiler or the compiler fails.
     """
-    digest = source_hash(source)
+    digest = source_hash(source, flags)
     directory = cache_dir()
     so_path = directory / f"{stem}_{digest}.so"
     seconds = 0.0
@@ -103,7 +115,7 @@ def load(stem: str, source: str) -> Tuple[ctypes.CDLL, float]:
         started = clock.perf_counter()
         try:
             subprocess.run(
-                [cc, *FLAGS, "-o", str(tmp_path), str(c_path)],
+                [cc, *flags, "-o", str(tmp_path), str(c_path)],
                 check=True,
                 capture_output=True,
                 text=True,

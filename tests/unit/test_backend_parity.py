@@ -16,21 +16,26 @@ fails.  It also covers the graceful degradations: non-LRU replacement
 (where jit falls back to reference stepping internally) and an unbuildable
 jit kernel (where 'jit' selection falls back to the reference engine with
 a logged warning).
+
+Equality alone would pass vacuously if a jit run stepped on reference, so
+every jit run of a family the kernel claims (``jitted._PF_MODES``) on a
+configuration it supports must also have run every core in the kernel.
 """
 
 from __future__ import annotations
 
 import logging
+from unittest import mock
 
 import pytest
 
 from repro.caches.missclass import MissBreakdown
-from repro.cmp.system import SystemResult
-from repro.core import backends
+from repro.cmp.system import System, SystemResult
+from repro.core import backends, jitted
 from repro.core.metrics import CoreStats, PrefetchStats
 from repro.eval.profiles import get_scale
 from repro.eval.runner import run_system
-from repro.prefetch.registry import PREFETCHER_NAMES
+from repro.prefetch.registry import PREFETCHER_NAMES, create_prefetcher
 
 SMOKE = get_scale("smoke")
 
@@ -87,11 +92,46 @@ def _reference_fingerprint(**kwargs) -> str:
     return _REFERENCE_MEMO[key]
 
 
+def _kernel_claims(**kwargs) -> bool:
+    """Must a jit run of this configuration execute in the kernel?"""
+    return (
+        jitted.jit_available()
+        and type(create_prefetcher(kwargs["prefetcher"])) in jitted._PF_MODES
+        and kwargs.get("l1_replacement", "lru") == "lru"
+        and kwargs.get("l2_replacement", "lru") == "lru"
+        and not kwargs.get("l2_inclusive", False)
+    )
+
+
+def _run_recording_engines(backend: str, **kwargs):
+    """``(result, engines)`` of one run: the engines of the system it ran."""
+    engines: list = []
+    run = System.run
+
+    def recording_run(system):
+        engines.extend(system.engines)
+        return run(system)
+
+    with mock.patch.object(System, "run", recording_run):
+        result = _run(backend, **kwargs)
+    return result, engines
+
+
 def assert_backends_match(backend: str = "all", **kwargs) -> None:
     reference = _reference_fingerprint(**kwargs)
     for candidate in FAST_BACKENDS if backend == "all" else (backend,):
-        candidate_result = _run(candidate, **kwargs)
+        candidate_result, engines = _run_recording_engines(candidate, **kwargs)
         assert _result_fingerprint(candidate_result) == reference, candidate
+        if candidate == "jit" and _kernel_claims(**kwargs):
+            fallbacks = [
+                getattr(engine, "fallback_reason", "not a jit engine")
+                for engine in engines
+                if not getattr(engine, "_twin_ok", False)
+            ]
+            assert not fallbacks, (
+                f"{kwargs['prefetcher']}: claimed by the kernel but stepped "
+                f"on reference: {fallbacks}"
+            )
 
 
 @pytest.mark.parametrize("backend", FAST_BACKENDS)

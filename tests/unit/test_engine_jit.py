@@ -24,6 +24,7 @@ from repro.core.jitted import JittedCoreEngine
 from repro.eval.profiles import get_scale
 from repro.eval.runner import get_compiled_traces
 from repro.prefetch.registry import PREFETCHER_NAMES, create_prefetcher
+from repro.util import ccompile
 
 SMOKE = get_scale("smoke")
 
@@ -69,7 +70,7 @@ def test_kernel_cached_on_disk(tmp_path, monkeypatch) -> None:
     def no_compiler(*args, **kwargs):
         raise AssertionError("cache hit must not invoke the compiler")
 
-    monkeypatch.setattr(jitted.subprocess, "run", no_compiler)
+    monkeypatch.setattr(ccompile.subprocess, "run", no_compiler)
     assert jitted._build_kernel() is not None
 
 

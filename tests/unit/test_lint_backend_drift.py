@@ -200,8 +200,8 @@ def test_missing_jit_counterpart_is_reported(drift_tree):
     assert "is missing" in violations[0].message
 
 
-#: Two reference hot paths ported into the same C kernel string, the shape
-#: of the real PAIRS table (every jit pair names ``kernel_source``).
+#: Two reference hot paths sharing one jit counterpart, the shape of the
+#: real PAIRS table (several pairs name each kernel unit).
 SHARED_PAIRS = (
     PAIR,
     manifest_mod.Pair(
