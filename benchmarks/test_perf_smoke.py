@@ -188,7 +188,7 @@ def _kernel_build_seconds(tmp_root: Path) -> float:
     previous = os.environ.get(REPRO_JIT_CACHE_DIR)
     os.environ[REPRO_JIT_CACHE_DIR] = str(tmp_root / "bench-kernel-build")
     try:
-        _, seconds = ccompile.load("repro_jit", jitted.kernel_source(), jitted.KERNEL_FLAGS)
+        _, seconds = ccompile.load("repro_jit", jitted.kernel_source())
     finally:
         if previous is None:
             os.environ.pop(REPRO_JIT_CACHE_DIR, None)

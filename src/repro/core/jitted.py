@@ -155,9 +155,10 @@ def kernel_source() -> str:
     order into one translation unit.
 
     Every C function mirrors one reference hot path (named in the comment
-    above it); lint rule R6 pairs each reference hot path with the unit
-    holding its twin, so editing ``engine.py``/``queue.py``/a prefetcher's
-    hot path without touching its unit fails lint.
+    above it).  ``tests/property/test_prop_backend_diff.py`` runs random
+    systems on both backends and fails on any divergence, so editing
+    ``engine.py``/``queue.py``/a prefetcher's hot path without its unit
+    fails there.
     """
     return "".join((KERNEL_DIR / name).read_text() for name in KERNEL_UNITS)
 
@@ -399,22 +400,15 @@ _kernel_probed = False
 _compile_seconds = 0.0
 
 
-#: the kernel's compiler flags: ``-O1``.  The kernel is branchy scalar
-#: code that runs as fast at ``-O1`` as at ``-O2`` and compiles in less
-#: time, which every cold set-up pays; the float discipline holds at every
-#: level (see :mod:`repro.util.ccompile`).
-KERNEL_FLAGS = ccompile.FLAGS_O1
-
-
 def kernel_source_hash() -> str:
     """Hash naming the cached shared object (and the CI cache key)."""
-    return ccompile.source_hash(kernel_source(), KERNEL_FLAGS)
+    return ccompile.source_hash(kernel_source())
 
 
 def _build_kernel():
     """Compile (or load from cache) the kernel; return the loaded library."""
     global _compile_seconds
-    lib, seconds = ccompile.load("repro_jit", kernel_source(), KERNEL_FLAGS)
+    lib, seconds = ccompile.load("repro_jit", kernel_source())
     if seconds:
         _compile_seconds = seconds
     lib.repro_span.argtypes = [ctypes.POINTER(_CCore), _LL]

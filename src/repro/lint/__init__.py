@@ -1,10 +1,10 @@
 """AST-based invariant checker for determinism, cache-safety and executor
 boundaries.
 
-See ``docs/static_analysis.md`` for the rule catalogue (R1–R4, R6–R8), the
-behavior-manifest workflow (including R6's backend pair fingerprints),
-the ``repro.envvars`` registry R7 enforces, autofixes, SARIF output, and
-how to allowlist a legitimate exception.
+See ``docs/static_analysis.md`` for the rule catalogue (R1–R4, R7, R8),
+the behavior-manifest workflow, the ``repro.envvars`` registry R7
+enforces, autofixes, SARIF output, and how to allowlist a legitimate
+exception.
 """
 
 from repro.lint.engine import (
@@ -17,7 +17,6 @@ from repro.lint.engine import (
     run_rules,
 )
 from repro.lint.rules import (
-    BackendDriftRule,
     BehaviorManifestRule,
     DeterminismRule,
     DeterminismTaintRule,
@@ -28,7 +27,6 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "BackendDriftRule",
     "BehaviorManifestRule",
     "DeterminismRule",
     "DeterminismTaintRule",

@@ -51,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the reproduction: determinism "
             "(R1), cache-safety (R2), RunSpec sync (R3), executor boundary "
-            "(R4), backend drift (R6), env registry (R7) and determinism "
-            "taint (R8)."
+            "(R4), env registry (R7) and determinism taint (R8)."
         ),
     )
     parser.add_argument(
@@ -79,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--update-manifest",
         action="store_true",
-        help="rewrite the behavior manifest (module hashes + pair "
-        "fingerprints) from the current tree and exit",
+        help="rewrite the behavior manifest (module hashes) from the "
+        "current tree and exit",
     )
     parser.add_argument(
         "--format",
@@ -161,8 +160,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{artifact.version_key}={written[artifact.version_key]}"
             for artifact in manifest_mod.active_artifacts(project)
         )
-        if manifest_mod.PAIRS_KEY in written:
-            detail += f", {len(written[manifest_mod.PAIRS_KEY])} backend pairs"
         if facts_cache is not None:
             facts_cache.save()
         print(f"repro.lint: wrote {manifest_mod.MANIFEST_PATH} ({detail})")

@@ -3,8 +3,8 @@
 One walk over each module's AST produces a :data:`ModuleFacts` dict — a
 JSON-serializable summary of everything any rule wants to know about the
 file: import bindings, resolved dotted-name uses, ``os.environ`` accesses,
-module-level string constants, per-function structural fingerprints, and
-intra-procedural determinism-taint flows.  Rules consume facts instead of
+module-level string constants, and intra-procedural determinism-taint
+flows.  Rules consume facts instead of
 re-walking the tree, so the whole rule set costs one parse per module —
 and, with the incremental cache (:mod:`repro.lint.cache`), zero parses for
 unchanged files.
@@ -19,14 +19,12 @@ stale cached analyses can never satisfy a newer rule.
 from __future__ import annotations
 
 import ast
-import copy
-import hashlib
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import dotted_name
 
 #: bump on any change to the facts layout or the analyses that fill it.
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 #: facts dict — see :func:`analyze_module` for the key inventory.
 ModuleFacts = Dict[str, Any]
@@ -101,38 +99,6 @@ def forbidden_module_of(dotted: str) -> Optional[str]:
     return None
 
 
-class _DocstringStripper(ast.NodeTransformer):
-    """Drop docstring statements so fingerprints ignore documentation."""
-
-    def _strip(self, node: ast.AST) -> ast.AST:
-        self.generic_visit(node)
-        body = getattr(node, "body", None)
-        if (
-            isinstance(body, list)
-            and body
-            and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)
-        ):
-            rest = body[1:]
-            node.body = rest if rest else [ast.Pass()]  # type: ignore[attr-defined]
-        return node
-
-    visit_FunctionDef = _strip
-    visit_AsyncFunctionDef = _strip
-    visit_ClassDef = _strip
-    visit_Module = _strip
-
-
-def fingerprint_function(node: ast.AST) -> str:
-    """Structural SHA-256 of one function: formatting-, comment- and
-    docstring-insensitive, line-number-free.  Any behavioural edit moves
-    it; reflowing or re-commenting the code does not."""
-    stripped = _DocstringStripper().visit(copy.deepcopy(node))
-    dump = ast.dump(stripped, annotate_fields=False, include_attributes=False)
-    return hashlib.sha256(dump.encode("utf-8")).hexdigest()
-
-
 def analyze_module(tree: ast.Module) -> ModuleFacts:
     """One-pass analysis of a parsed module.
 
@@ -150,8 +116,6 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
     - ``module_constants`` — module-level ``NAME = "literal"`` or ``NAME =
       other_name`` assignments: ``{name: {"kind": "literal"|"alias",
       "value", "lineno"}}``.
-    - ``functions`` — ``{qualname: {"fingerprint", "lineno"}}`` for every
-      top-level function and method of a top-level class.
     - ``taint`` — R8 findings: ``{"lineno", "sink", "source",
       "source_line", "via"}`` per tainted-value-reaches-sink flow.
     """
@@ -161,7 +125,6 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
     uses: List[List[Any]] = []
     env_accesses: List[Dict[str, Any]] = []
     module_constants: Dict[str, Dict[str, Any]] = {}
-    functions: Dict[str, Dict[str, Any]] = {}
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -210,20 +173,6 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
             if isinstance(node.target, ast.Name):
                 _record_constant(module_constants, node.target.id, node.value, bindings)
 
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions[node.name] = {
-                "fingerprint": fingerprint_function(node),
-                "lineno": node.lineno,
-            }
-        elif isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    functions[f"{node.name}.{member.name}"] = {
-                        "fingerprint": fingerprint_function(member),
-                        "lineno": member.lineno,
-                    }
-
     taint = _analyze_taint(tree, bindings)
 
     return {
@@ -233,7 +182,6 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
         "uses": uses,
         "env_accesses": env_accesses,
         "module_constants": module_constants,
-        "functions": functions,
         "taint": taint,
     }
 

@@ -86,203 +86,6 @@ SOURCE_PATTERNS = ("*.py", "*.c")
 #: lines), so editing them should not demand a schema bump.
 BEHAVIOR_EXCLUDE = frozenset({"src/repro/util/clock.py"})
 
-#: the jit engine backend: every Python-side jit counterpart lives here,
-#: and its presence switches pair checking on.
-JITTED_MODULE = "src/repro/core/jitted.py"
-
-
-class Pair(NamedTuple):
-    """One fingerprinted reference hot path, optionally twinned.
-
-    With a ``jit_qualname``, the pair is a must-stay-in-sync reference/jit
-    implementation pair.  The counterpart is either a qualname inside
-    ``JITTED_MODULE`` (fingerprinted structurally, like the reference
-    side) or the project-relative path of one C unit of the jit kernel
-    (``src/repro/core/kernel/*.c``, fingerprinted by its file content).
-    Several reference functions legitimately map to the same counterpart
-    (many → one): a unit holds the twins of every hot path of its
-    component, and an edit to one unit stales only the pairs naming it.
-    Rule R6 fingerprints both sides; a drifted reference fingerprint with
-    an unchanged counterpart fingerprint is the "silent divergence"
-    failure mode this exists to catch before the (slow) runtime parity
-    suite does.
-
-    With no counterpart the pair is *reference-only*: both backends
-    execute the same function (jit falls back to reference stepping for
-    prefetchers outside its compiled set), so silent divergence is
-    impossible — the fingerprint exists so edits to the hot path still
-    demand an explicit manifest refresh, and so every prefetcher family is
-    visible to R6's completeness check.
-    """
-
-    ref_module: str
-    ref_qualname: str
-    #: qualname inside JITTED_MODULE, or the path of a kernel C unit.
-    jit_qualname: Optional[str] = None
-
-
-def is_c_unit(counterpart: str) -> bool:
-    """Does a pair's counterpart name a C unit (rather than a qualname)?"""
-    return counterpart.endswith(".c")
-
-
-def counterpart_site(counterpart: str) -> Tuple[str, str]:
-    """``(path, display name)`` of a pair's counterpart."""
-    if is_c_unit(counterpart):
-        return counterpart, counterpart
-    return JITTED_MODULE, counterpart
-
-
-def counterpart_entry(project: Project, counterpart: str) -> Optional[Dict[str, Any]]:
-    """``{"fingerprint", "lineno"}`` of a counterpart, None when missing.
-
-    A C unit's fingerprint is the SHA-256 of its newline-normalized
-    content: C is not parsed, so comment edits move it too.
-    """
-    if is_c_unit(counterpart):
-        if not project.exists(counterpart):
-            return None
-        return {"fingerprint": project.content_hash(counterpart), "lineno": 1}
-    if not project.exists(JITTED_MODULE):
-        return None
-    return project.facts(JITTED_MODULE)["functions"].get(counterpart)
-
-
-_ENGINE = "src/repro/core/engine.py"
-_CACHE = "src/repro/caches/cache.py"
-_MSHR = "src/repro/caches/mshr.py"
-_LINK = "src/repro/cmp/link.py"
-_QUEUE = "src/repro/prefetch/queue.py"
-_DISC = "src/repro/prefetch/discontinuity.py"
-_SEQ = "src/repro/prefetch/sequential.py"
-_TGT = "src/repro/prefetch/target.py"
-_MKV = "src/repro/prefetch/markov.py"
-_FDP = "src/repro/prefetch/fdp.py"
-_MANA = "src/repro/prefetch/mana.py"
-_SHADOW = "src/repro/prefetch/shadow.py"
-_GSHARE = "src/repro/branch/gshare.py"
-_BTB = "src/repro/branch/btb.py"
-_RAS = "src/repro/branch/ras.py"
-
-_KERNEL = "src/repro/core/kernel/"
-_K_CACHE = _KERNEL + "cache.c"
-_K_QUEUE = _KERNEL + "queue.c"
-_K_LINK = _KERNEL + "link.c"
-_K_ENGINE = _KERNEL + "engine.c"
-_K_SEQ = _KERNEL + "sequential.c"
-_K_DISC = _KERNEL + "discontinuity.c"
-_K_BRANCH = _KERNEL + "branch.c"
-
-#: the fingerprinted hot-path pairs.  The jit backend compiles the
-#: per-visit reference pipeline (visit processing, queue drain + issue,
-#: fills, installs, data-miss timing) and the ``none``, sequential,
-#: discontinuity, fdp and shadow prefetcher families into the kernel's C
-#: units; each reference hot path is paired with the unit holding its
-#: twin.  The remaining prefetcher families run through the reference
-#: stepping path on both backends, so their hot paths are fingerprinted
-#: reference-only.
-PAIRS: Tuple[Pair, ...] = (
-    Pair(_ENGINE, "CoreEngine._process_visit", _K_ENGINE),
-    Pair(_ENGINE, "CoreEngine._step_compiled", _K_ENGINE),
-    Pair(_ENGINE, "CoreEngine._issue_prefetches", _K_ENGINE),
-    Pair(_ENGINE, "CoreEngine._issue_one", _K_ENGINE),
-    Pair(_ENGINE, "CoreEngine._demand_fill", _K_ENGINE),
-    Pair(_ENGINE, "CoreEngine._install_l1i", _K_ENGINE),
-    Pair(_ENGINE, "CoreEngine._install_l2", _K_ENGINE),
-    Pair(_ENGINE, "CoreEngine._data_miss", _K_ENGINE),
-    Pair(_CACHE, "SetAssociativeCache.lookup", _K_CACHE),
-    Pair(_CACHE, "SetAssociativeCache.probe", _K_CACHE),
-    Pair(_CACHE, "SetAssociativeCache.install", _K_CACHE),
-    Pair(_CACHE, "SetAssociativeCache.touch", _K_CACHE),
-    Pair(_QUEUE, "PrefetchQueue.offer", _K_QUEUE),
-    Pair(_QUEUE, "PrefetchQueue.pop_ready", _K_QUEUE),
-    Pair(_QUEUE, "PrefetchQueue.note_demand_fetch", _K_QUEUE),
-    Pair(_MSHR, "OutstandingRequestTracker.can_accept", _K_QUEUE),
-    Pair(_MSHR, "OutstandingRequestTracker.add", _K_QUEUE),
-    Pair(_LINK, "OffChipLink.request", _K_LINK),
-    Pair(_DISC, "DiscontinuityTable.observe", _K_DISC),
-    Pair(_DISC, "DiscontinuityTable.predict", _K_DISC),
-    Pair(_DISC, "DiscontinuityTable.credit", _K_DISC),
-    Pair(_DISC, "DiscontinuityPrefetcher.on_demand_fetch", _K_DISC),
-    Pair(_DISC, "DiscontinuityPrefetcher.on_discontinuity", _K_DISC),
-    Pair(_DISC, "DiscontinuityPrefetcher.credit", _K_DISC),
-    Pair(_SEQ, "NextLineAlways.on_demand_fetch", _K_SEQ),
-    Pair(_SEQ, "NextLineOnMiss.on_demand_fetch", _K_SEQ),
-    Pair(_SEQ, "NextLineTagged.on_demand_fetch", _K_SEQ),
-    Pair(_SEQ, "NextNLineTagged.on_demand_fetch", _K_SEQ),
-    Pair(_SEQ, "LookaheadN.on_demand_fetch", _K_SEQ),
-    Pair(_GSHARE, "GsharePredictor.predict", _K_BRANCH),
-    Pair(_GSHARE, "GsharePredictor.update", _K_BRANCH),
-    Pair(_GSHARE, "GsharePredictor.speculate_history", _K_BRANCH),
-    Pair(_BTB, "BranchTargetBuffer.predict", _K_BRANCH),
-    Pair(_BTB, "BranchTargetBuffer.update", _K_BRANCH),
-    Pair(_RAS, "ReturnAddressStack.push", _K_BRANCH),
-    Pair(_RAS, "ReturnAddressStack.pop", _K_BRANCH),
-    Pair(_FDP, "FetchDirectedPrefetcher.on_demand_fetch", _K_BRANCH),
-    Pair(_FDP, "FetchDirectedPrefetcher._run_ahead", _K_BRANCH),
-    Pair(_SHADOW, "ShadowTargetBuffer.lookup", _K_BRANCH),
-    Pair(_SHADOW, "ShadowTargetBuffer.observe", _K_BRANCH),
-    Pair(_SHADOW, "ShadowTargetBuffer.credit", _K_BRANCH),
-    Pair(_SHADOW, "ShadowBranchPrefetcher.on_discontinuity", _K_BRANCH),
-    Pair(_SHADOW, "ShadowBranchPrefetcher._run_ahead", _K_BRANCH),
-    Pair(_SHADOW, "ShadowBranchPrefetcher.credit", _K_BRANCH),
-    Pair(_TGT, "TargetPrefetcher.on_demand_fetch"),
-    Pair(_MKV, "MarkovPrefetcher.on_demand_fetch"),
-    Pair(_MANA, "ManaPrefetcher.on_demand_fetch"),
-)
-
-#: manifest JSON key holding the pair fingerprints.
-PAIRS_KEY = "pairs"
-
-
-def pair_id(pair: Pair) -> str:
-    return f"{pair.ref_module}::{pair.ref_qualname}"
-
-
-def _function_fingerprint(
-    project: Project, rel: str, qualname: str
-) -> Optional[str]:
-    if not project.exists(rel):
-        return None
-    entry = project.facts(rel)["functions"].get(qualname)
-    if entry is None:
-        return None
-    return entry["fingerprint"]
-
-
-def _counterpart_fingerprint(project: Project, counterpart: str) -> Optional[str]:
-    entry = counterpart_entry(project, counterpart)
-    return None if entry is None else entry["fingerprint"]
-
-
-def pair_fingerprints(project: Project) -> Dict[str, Dict[str, Optional[str]]]:
-    """Current fingerprints of every side of every pair.
-
-    ``{pair_id: {"ref": fp-or-None, "jit": fp-or-None}}`` — a ``None``
-    ref fingerprint means the function (or its module) is missing from
-    the tree, which R6 reports as its own violation; a ``None`` jit
-    fingerprint is the normal state of a reference-only pair (and a
-    violation otherwise).
-    """
-    out: Dict[str, Dict[str, Optional[str]]] = {}
-    for pair in PAIRS:
-        out[pair_id(pair)] = {
-            "ref": _function_fingerprint(project, pair.ref_module, pair.ref_qualname),
-            "jit": (
-                _counterpart_fingerprint(project, pair.jit_qualname)
-                if pair.jit_qualname is not None
-                else None
-            ),
-        }
-    return out
-
-
-def pairs_active(project: Project) -> bool:
-    """Pair checking applies only when the jit backend exists (the lint
-    suite's small synthetic fixture trees have no backends)."""
-    return project.exists(JITTED_MODULE)
-
-
 class Artifact(NamedTuple):
     """One schema-versioned persistent artifact guarded by rule R2."""
 
@@ -420,8 +223,6 @@ def update_manifest(project: Project) -> Dict[str, Any]:
     for artifact in active_artifacts(project):
         manifest[artifact.version_key] = artifact_schema_version(project, artifact)
         manifest[artifact.files_key] = artifact_hashes(project, artifact)
-    if pairs_active(project):
-        manifest[PAIRS_KEY] = pair_fingerprints(project)
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     target = project.path(MANIFEST_PATH)
     target.parent.mkdir(parents=True, exist_ok=True)

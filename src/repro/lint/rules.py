@@ -1,4 +1,4 @@
-"""The project-specific invariant rules (R1–R4, R6–R8).
+"""The project-specific invariant rules (R1–R4, R7, R8).
 
 Each rule encodes one contract the reproduction's results depend on:
 
@@ -13,9 +13,6 @@ Each rule encodes one contract the reproduction's results depend on:
   it keys the persistent cache.
 - **R4 executor boundary** — worker-payload builders construct JSON-safe
   plain data only (no sets, lambdas, or ad-hoc class instances).
-- **R6 backend drift** — fingerprinted reference hot paths may not change
-  while their jit kernel counterpart stands still (see the pair manifest
-  in :mod:`repro.lint.manifest`).
 - **R7 env registry** — every ``REPRO_*`` environment read goes through a
   constant declared in :mod:`repro.envvars`, and the docs env table stays
   generated from that registry.
@@ -23,7 +20,7 @@ Each rule encodes one contract the reproduction's results depend on:
   (clock, entropy, unordered-set iteration) may not flow into
   RunSpec-keyed state, even when the importing module itself is clean.
 
-R1, R6, R7 and R8 run on the shared per-module analysis pass
+R1, R7 and R8 run on the shared per-module analysis pass
 (:mod:`repro.lint.dataflow`, incrementally cached by content hash), so
 adding rules does not add parses.  Every rule takes an optional
 ``allowlist`` so legitimate exceptions are explicit constructor data
@@ -628,213 +625,6 @@ class ExecutorBoundaryRule(Rule):
 
 
 # --------------------------------------------------------------------- #
-# R6 — backend drift
-# --------------------------------------------------------------------- #
-
-R6_HINT_TEMPLATE = (
-    "port the change into {counterpart_site} (then run the backend parity "
-    "suite: PYTHONPATH=src python -m pytest tests/unit/test_backend_parity.py)"
-    ", or — if the edit provably cannot change behavior — ack it with "
-    "`python -m repro.lint --update-manifest`"
-)
-
-#: directory whose prefetcher modules must all be fingerprinted.
-R6_PREFETCH_DIR = "src/repro/prefetch"
-
-#: prefetch modules exempt from the completeness sub-check: the abstract
-#: interface (its default hook is a no-op, not a hot path).
-R6_UNPAIRED_OK = frozenset({"src/repro/prefetch/base.py"})
-
-
-class BackendDriftRule(Rule):
-    """R6: fingerprinted reference hot paths stay in sync with their twins.
-
-    The paired-implementation manifest (:data:`repro.lint.manifest.PAIRS`)
-    links each hot-path function in the reference engine / prefetchers to
-    its counterpart: the jit kernel's C unit holding its twin
-    (``src/repro/core/kernel/*.c``, fingerprinted by file content, so an
-    edit to one unit stales only the pairs naming that unit) or a function
-    of ``src/repro/core/jitted.py``.  Python fingerprints are structural
-    (comment-, formatting- and docstring-insensitive), so only behavioural
-    edits move them.  The dangerous state — a reference-side fingerprint
-    drifted while the counterpart's stands still — fails lint with both
-    sites named; any other drift just asks for a manifest refresh,
-    mirroring the R2 workflow.
-
-    Reference-only pairs (no counterpart qualnames) cover hot paths all
-    backends share by inheritance — drift there can only ever be a stale
-    fingerprint, never silent divergence.  A completeness sub-check walks
-    ``src/repro/prefetch``: any module defining an ``on_demand_fetch``
-    hook that no pair fingerprints fails lint, so a newly added prefetcher
-    family cannot bypass drift tracking.  The rule deactivates on trees
-    without the jit backend (the lint suite's synthetic fixtures).
-    """
-
-    name = "R6"
-    title = "backend drift: reference hot-path edits need the backend twins"
-
-    def __init__(self, pairs: Optional[Sequence["manifest_mod.Pair"]] = None) -> None:
-        self.pairs = tuple(manifest_mod.PAIRS if pairs is None else pairs)
-
-    def check(self, project: Project) -> List[Violation]:
-        if not manifest_mod.pairs_active(project):
-            return []
-        recorded = manifest_mod.load_manifest(project)
-        if recorded is None:
-            return [
-                self.violation(
-                    manifest_mod.MANIFEST_PATH,
-                    0,
-                    "behavior manifest is missing, so pair fingerprints "
-                    "cannot be checked",
-                    "run `python -m repro.lint --update-manifest` and commit "
-                    "the result",
-                )
-            ]
-        recorded_pairs = recorded.get(manifest_mod.PAIRS_KEY)
-        if not isinstance(recorded_pairs, dict):
-            return [
-                self.violation(
-                    manifest_mod.MANIFEST_PATH,
-                    0,
-                    "manifest has no pair-fingerprint section — backend drift "
-                    "is unguarded",
-                    "run `python -m repro.lint --update-manifest` and commit "
-                    "the result",
-                )
-            ]
-
-        violations: List[Violation] = []
-        stale: Dict[Tuple[str, str], int] = {}  # (module, qualname) -> line
-        for pair in self.pairs:
-            pid = manifest_mod.pair_id(pair)
-            ref_entry = (
-                project.facts(pair.ref_module)["functions"].get(pair.ref_qualname)
-                if project.exists(pair.ref_module)
-                else None
-            )
-            if ref_entry is None:
-                violations.append(
-                    self.violation(
-                        pair.ref_module,
-                        0,
-                        f"fingerprinted reference function {pair.ref_qualname!r} "
-                        "is missing",
-                        "restore the function or update manifest.PAIRS to the "
-                        "current hot-path names",
-                    )
-                )
-                continue
-            qualname = pair.jit_qualname
-            entry = None
-            if qualname is not None:
-                module, qualname = manifest_mod.counterpart_site(qualname)
-                entry = manifest_mod.counterpart_entry(project, pair.jit_qualname)
-                if entry is None:
-                    violations.append(
-                        self.violation(
-                            module,
-                            0,
-                            f"jit counterpart {qualname!r} of "
-                            f"{pair.ref_module}::{pair.ref_qualname} is missing",
-                            "restore the function or update manifest.PAIRS",
-                        )
-                    )
-                    continue
-            record = recorded_pairs.get(pid)
-            if not isinstance(record, dict):
-                violations.append(
-                    self.violation(
-                        pair.ref_module,
-                        ref_entry["lineno"],
-                        f"pair {pid} has no recorded fingerprints",
-                        "run `python -m repro.lint --update-manifest` and "
-                        "commit the result",
-                    )
-                )
-                continue
-            ref_changed = record.get("ref") != ref_entry["fingerprint"]
-            if entry is None:
-                # Reference-only: both backends share this code, so a
-                # drifted fingerprint is at worst stale — never divergent.
-                if ref_changed:
-                    stale.setdefault(
-                        (pair.ref_module, pair.ref_qualname), ref_entry["lineno"]
-                    )
-                continue
-            counterpart_changed = record.get("jit") != entry["fingerprint"]
-            if ref_changed and not counterpart_changed:
-                violations.append(
-                    self.violation(
-                        pair.ref_module,
-                        ref_entry["lineno"],
-                        f"reference hot path {pair.ref_qualname!r} changed "
-                        f"but its jit counterpart {qualname!r} did "
-                        "not — the backends may no longer be bit-identical",
-                        R6_HINT_TEMPLATE.format(
-                            counterpart_site=(
-                                module
-                                if manifest_mod.is_c_unit(module)
-                                else f"{module}::{qualname}"
-                            )
-                        ),
-                    )
-                )
-            elif counterpart_changed:
-                # the counterpart moved (with or without the reference
-                # side): behaviourally fine, but the manifest must be
-                # refreshed so the *next* lone reference edit cannot hide
-                # behind stale fingerprints.
-                stale.setdefault((module, qualname), entry["lineno"])
-                if ref_changed:
-                    stale.setdefault(
-                        (pair.ref_module, pair.ref_qualname), ref_entry["lineno"]
-                    )
-        for (module, qualname), line in sorted(stale.items()):
-            violations.append(
-                self.violation(
-                    module,
-                    line,
-                    f"pair fingerprint of {qualname!r} is stale in the manifest",
-                    "run `python -m repro.lint --update-manifest` and commit "
-                    "the result (after the parity suite confirms the backends "
-                    "still agree)",
-                )
-            )
-        violations.extend(self._check_unpaired_prefetchers(project))
-        return violations
-
-    def _check_unpaired_prefetchers(self, project: Project) -> List[Violation]:
-        """Every prefetcher module's demand hook must be fingerprinted."""
-        paired_modules = {pair.ref_module for pair in self.pairs}
-        violations: List[Violation] = []
-        for rel in sorted(project.iter_python(R6_PREFETCH_DIR)):
-            if rel in R6_UNPAIRED_OK or rel in paired_modules:
-                continue
-            functions = project.facts(rel)["functions"]
-            hooks = sorted(
-                qualname
-                for qualname in functions
-                if qualname.endswith(".on_demand_fetch")
-            )
-            if not hooks:
-                continue
-            violations.append(
-                self.violation(
-                    rel,
-                    functions[hooks[0]]["lineno"],
-                    f"prefetcher module defines {hooks[0]!r} but no "
-                    "manifest.PAIRS entry fingerprints it — hot-path edits "
-                    "here are invisible to drift checking",
-                    "add a Pair(module, qualname) entry (reference-only "
-                    "pairs omit the jit counterpart) and run "
-                    "`python -m repro.lint --update-manifest`",
-                )
-            )
-        return violations
-
-
-# --------------------------------------------------------------------- #
 # R7 — env-config registry
 # --------------------------------------------------------------------- #
 
@@ -1341,7 +1131,6 @@ def default_rules() -> List[Rule]:
         BehaviorManifestRule(),
         RunSpecSyncRule(),
         ExecutorBoundaryRule(),
-        BackendDriftRule(),
         EnvRegistryRule(),
         DeterminismTaintRule(),
     ]

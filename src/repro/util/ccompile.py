@@ -6,18 +6,22 @@ The compiled parts of the simulator (the jit engine kernel in
 toolchain.  This module is the one place that knows how:
 
 - the compiler is the first of ``cc``, ``gcc`` and ``clang`` on ``PATH``;
-- the flags default to ``-O2 -fPIC -shared -ffp-contract=off``; a unit
-  may pick its own optimization level (:data:`FLAGS_O1`).  Every flag set
-  keeps ``-ffp-contract=off``, which forbids fused multiply-add
-  contraction, and none enables fast-math, so every ``double`` operation
-  rounds exactly like the CPython interpreter's at any ``-O`` level, which
-  is what makes the compiled units bit-identical to their Python
+- every unit builds with one flag set, ``-O1 -fPIC -shared
+  -ffp-contract=off``.  ``-O1`` compiles in about half the time of
+  ``-O2``, which every cold set-up pays; the kernel runs as fast at
+  ``-O1``, and the synthesizer's somewhat slower run costs a cold sweep
+  less than the build time it saves.  ``-ffp-contract=off`` forbids fused
+  multiply-add contraction, and nothing enables fast-math, so every
+  ``double`` operation rounds exactly like the CPython interpreter's,
+  which is what makes the compiled units bit-identical to their Python
   specifications;
-- each unit's shared object is named by a hash of its flags and source
-  and cached under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``, default
+- each unit's shared object is named by a hash of the flags and its
+  source and cached under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``, default
   ``.repro-cache/jit``), so editing one unit stales only that unit;
-- a build is published atomically (tmp file + ``os.replace``) together
-  with a ``.sha256`` sidecar of the object's bytes.  An object whose
+- a build compiles a per-process copy of the source, so a concurrent
+  builder never reads a file another process is rewriting, and is
+  published atomically (tmp file + ``os.replace``) together with a
+  ``.sha256`` sidecar of the object's bytes.  An object whose
   sidecar is missing or does not match (a truncated or corrupt file) is
   rebuilt instead of loaded: ``dlopen`` of a truncated object can kill
   the process with ``SIGBUS``.
@@ -35,19 +39,15 @@ import os
 import shutil
 import subprocess
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR
 from repro.util import clock
 
 T = TypeVar("T")
 
-#: default compiler flags (see the module docstring).
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-#: :data:`FLAGS` at ``-O1``, for branchy scalar units that run as fast at
-#: ``-O1`` and compile in less time.
-FLAGS_O1 = ("-O1",) + FLAGS[1:]
+#: the compiler flags of every unit (see the module docstring).
+FLAGS = ("-O1", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 def cache_dir() -> Path:
@@ -59,10 +59,10 @@ def cache_dir() -> Path:
     return Path(base) / "jit"
 
 
-def source_hash(source: str, flags: Sequence[str] = FLAGS) -> str:
+def source_hash(source: str) -> str:
     """Hash naming a unit's cached shared object (and its CI cache key):
     the compiler flags and the source."""
-    text = " ".join(flags) + "\n" + source
+    text = " ".join(FLAGS) + "\n" + source
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -84,18 +84,15 @@ def _verified(so_path: Path) -> bool:
         return False
 
 
-def load(
-    stem: str, source: str, flags: Sequence[str] = FLAGS
-) -> Tuple[ctypes.CDLL, float]:
+def load(stem: str, source: str) -> Tuple[ctypes.CDLL, float]:
     """Load *source*'s shared object, compiling it first when needed.
 
-    The object is ``<stem>_<source hash>.so`` under :func:`cache_dir`,
-    built with *flags*.
+    The object is ``<stem>_<source hash>.so`` under :func:`cache_dir`.
     Returns the library and the seconds this call spent compiling (0.0
     when a verified object was already cached).  Raises ``RuntimeError``
     when there is no compiler or the compiler fails.
     """
-    digest = source_hash(source, flags)
+    digest = source_hash(source)
     directory = cache_dir()
     so_path = directory / f"{stem}_{digest}.so"
     seconds = 0.0
@@ -104,24 +101,29 @@ def load(
         if cc is None:
             raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
         directory.mkdir(parents=True, exist_ok=True)
-        c_path = directory / f"{stem}_{digest}.c"
+        # Every file a build writes before publishing is private to this
+        # process, so concurrent builders race benignly: each publishes a
+        # complete object and sidecar, and a mismatched pair only forces a
+        # rebuild.
+        tmp_stem = f".{stem}_{digest}.{os.getpid()}"
+        c_path = directory / f"{tmp_stem}.c"
         c_path.write_text(source)
-        # Concurrent builders race benignly: each publishes a complete
-        # object and sidecar, and a mismatched pair only forces a rebuild.
-        tmp_path = directory / f".{stem}_{digest}.{os.getpid()}.so.tmp"
-        tmp_sidecar = directory / f".{stem}_{digest}.{os.getpid()}.sha256.tmp"
+        tmp_path = directory / f"{tmp_stem}.so.tmp"
+        tmp_sidecar = directory / f"{tmp_stem}.sha256.tmp"
         # Wall-clock times the one-off toolchain run for the compile-cost
         # report; it never reaches a simulated result.
         started = clock.perf_counter()
         try:
             subprocess.run(
-                [cc, *flags, "-o", str(tmp_path), str(c_path)],
+                [cc, *FLAGS, "-o", str(tmp_path), str(c_path)],
                 check=True,
                 capture_output=True,
                 text=True,
             )
         except subprocess.CalledProcessError as exc:
             raise RuntimeError(f"{stem} compilation failed: {exc.stderr}") from exc
+        finally:
+            c_path.unlink(missing_ok=True)
         seconds = clock.perf_counter() - started
         tmp_sidecar.write_text(_digest(tmp_path) + "\n")
         os.replace(tmp_path, so_path)

@@ -82,6 +82,27 @@ def test_unverified_object_is_rebuilt(cache, damage):
     assert len(so_path.read_bytes()) == len(good)
 
 
+@needs_cc
+def test_concurrent_rewrite_of_the_shared_source_cannot_break_a_build(
+    cache, monkeypatch
+):
+    """A concurrent builder of the same unit rewrites ``<stem>_<digest>.c``
+    (truncating it first) while this build's compiler runs; the build must
+    compile a source file that no other process writes."""
+    shared = cache / f"repro_test_{ccompile.source_hash(UNIT)}.c"
+    real_run = subprocess.run
+
+    def racing_run(args, **kwargs):
+        shared.write_text("")
+        return real_run(args, **kwargs)
+
+    monkeypatch.setattr(ccompile.subprocess, "run", racing_run)
+    lib, seconds = ccompile.load("repro_test", UNIT)
+    assert seconds > 0.0
+    assert lib.repro_answer() == 42
+    assert not list(cache.glob(".*.c"))
+
+
 def test_no_compiler_raises_naming_the_cause(cache, monkeypatch):
     monkeypatch.setattr(ccompile, "compiler", lambda: None)
     with pytest.raises(RuntimeError, match="no C compiler"):

@@ -12,11 +12,9 @@ import json
 
 import pytest
 
-from repro.lint import manifest as manifest_mod
 from repro.lint.cache import CACHE_REL_PATH
 from repro.lint.cli import main
 from tests.unit.conftest import write_tree_file
-from tests.unit.test_lint_backend_drift import ENGINE_V1, JIT_V1, PAIR
 from tests.unit.test_lint_env_registry import (
     READER_MODULE,
     REGISTRY_MODULE,
@@ -101,7 +99,7 @@ def test_sarif_reports_violations_with_locations(lint_tree, tmp_path):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro.lint"
     assert [rule["id"] for rule in driver["rules"]] == [
-        "R1", "R2", "R3", "R4", "R6", "R7", "R8",
+        "R1", "R2", "R3", "R4", "R7", "R8",
     ]
     results = run["results"]
     assert results, "the R1 violation must appear as a result"
@@ -289,15 +287,3 @@ def test_text_output_goes_to_the_named_file(lint_tree, tmp_path):
     assert main(["--root", str(project.root), "--output", str(out)]) == 0
     assert "repro.lint: OK" in out.read_text(encoding="utf-8")
 
-
-def test_update_manifest_reports_backend_pairs(lint_tree, monkeypatch, capsys):
-    monkeypatch.setattr(manifest_mod, "PAIRS", (PAIR,))
-    project = lint_tree(
-        {
-            PAIR.ref_module: ENGINE_V1,
-            manifest_mod.JITTED_MODULE: JIT_V1,
-        },
-        with_manifest=False,
-    )
-    assert main(["--root", str(project.root), "--update-manifest"]) == 0
-    assert "1 backend pairs" in capsys.readouterr().out

@@ -80,16 +80,20 @@ def test_cli_unknown_rule_fails(lint_tree, capsys):
     project = lint_tree()
     assert main(["--root", str(project.root), "--rules", "R99"]) == 1
     assert "unknown rule" in capsys.readouterr().err
-    # R5 (catalog sync) was retired; its name is not reused.
+    # R5 (catalog sync) and R6 (backend drift) were retired; their names
+    # are not reused.
     assert main(["--root", str(project.root), "--rules", "R5"]) == 1
     assert "unknown rule(s) ['R5']" in capsys.readouterr().err
+    assert main(["--root", str(project.root), "--rules", "R6"]) == 1
+    assert "unknown rule(s) ['R6']" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in ("R1", "R2", "R3", "R4", "R6", "R7", "R8"):
+    for name in ("R1", "R2", "R3", "R4", "R7", "R8"):
         assert name in out
+    assert "R6" not in out
 
 
 def test_cli_update_manifest_round_trip(lint_tree, capsys):
