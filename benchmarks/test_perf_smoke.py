@@ -17,9 +17,12 @@ Measurements, written to ``BENCH_perf.json`` at the repo root:
   configuration — the case the jit backend exists for (its interleave
   loop runs compiled instead of one Python step per visit), so the
   multi-core claim is tracked, not asserted.
-- ``jit_compile_seconds``: the jit kernel's one-off build (all of its C
-  units, one translation unit) from an empty cache directory.
-- ``branch_family``: wall time of ``fdp`` and ``shadow`` on db / 4 cores
+- ``jit_compile_seconds``: the jit kernel core object's one-off build
+  from an empty cache directory (what every jit process pays first), and
+  ``jit_object_compile_seconds``: the same for every kernel object, the
+  core and each stateful family's (built the first time a run binds it).
+- ``branch_family`` and ``history_family``: wall time of ``fdp`` and
+  ``shadow``, and of ``target``, ``markov`` and ``mana``, on db / 4 cores
   at smoke scale (the catalog's CMP configuration), reference against
   jit, and ``jit_over_reference``, their ratio.
 - ``trace_compile_seconds`` and the store's cold/warm load times: how much
@@ -181,29 +184,32 @@ def _measure_engine() -> dict:
     return report
 
 
-def _kernel_build_seconds(tmp_root: Path) -> float:
-    """The jit kernel's one-off build, from an empty cache directory."""
+def _kernel_build_seconds(tmp_root: Path) -> dict:
+    """Each jit kernel object's one-off build, from an empty cache
+    directory (stem -> seconds)."""
     from repro.core import jitted
 
     previous = os.environ.get(REPRO_JIT_CACHE_DIR)
     os.environ[REPRO_JIT_CACHE_DIR] = str(tmp_root / "bench-kernel-build")
     try:
-        _, seconds = ccompile.load("repro_jit", jitted.kernel_source())
+        return {
+            stem: round(ccompile.load(stem, jitted.kernel_source(stem))[1], 4)
+            for stem in jitted.KERNEL_OBJECTS
+        }
     finally:
         if previous is None:
             os.environ.pop(REPRO_JIT_CACHE_DIR, None)
         else:
             os.environ[REPRO_JIT_CACHE_DIR] = previous
-    return seconds
 
 
-def _measure_branch_family() -> dict:
-    """Reference vs jit wall time of fdp and shadow, db / 4 cores / smoke."""
+def _measure_family(prefetchers) -> dict:
+    """Reference vs jit wall time of each prefetcher, db / 4 cores / smoke."""
     from repro.core import jitted
 
     smoke = get_scale("smoke")
     report = {}
-    for prefetcher in ("fdp", "shadow"):
+    for prefetcher in prefetchers:
         result, ref_seconds = _best_run(
             "db", 4, prefetcher, "bypass", "reference", reps=1, scale=smoke
         )
@@ -368,9 +374,12 @@ def _measure_fig01(scale, tmp_root: Path) -> dict:
 def test_perf_smoke(scale, tmp_path):
     engine = _measure_engine()
     if "jit" in engine["backends"]:
-        engine["jit_compile_seconds"] = round(_kernel_build_seconds(tmp_path), 4)
+        objects = _kernel_build_seconds(tmp_path)
+        engine["jit_compile_seconds"] = objects["repro_jit"]
+        engine["jit_object_compile_seconds"] = objects
     engine_4c = _measure_engine_cmp()
-    branch_family = _measure_branch_family()
+    branch_family = _measure_family(("fdp", "shadow"))
+    history_family = _measure_family(("target", "markov", "mana"))
     synth = _measure_synth(tmp_path)
     ingest = _measure_ingest(tmp_path)
     figure = _measure_fig01(scale, tmp_path)
@@ -381,6 +390,7 @@ def test_perf_smoke(scale, tmp_path):
         "engine": engine,
         "engine_4c": engine_4c,
         "branch_family": branch_family,
+        "history_family": history_family,
         "synth": synth,
         "ingest": ingest,
         "figure": figure,
@@ -403,9 +413,10 @@ def test_perf_smoke(scale, tmp_path):
         assert engine["jit_speedup"] >= 6.0
     if "jit" in engine_4c["backends"]:
         assert engine_4c["jit_speedup"] >= 2.0
-    # fdp and shadow run in the kernel: jit takes a small fraction of the
-    # reference wall time (measured ~0.03; the ceiling is 0.5).
-    for entry in branch_family.values():
+    # The branch family (fdp, shadow) and the history families (target,
+    # markov) and mana run in the kernel: jit takes a small fraction of the
+    # reference wall time (measured ~0.03-0.05; the ceiling is 0.5).
+    for entry in [*branch_family.values(), *history_family.values()]:
         if "jit_over_reference" in entry:
             assert entry["jit_over_reference"] < 0.5
     assert engine["store_warm_load_seconds"] < engine["trace_compile_seconds"]

@@ -27,7 +27,7 @@ from repro.core.l2policy import get_policy
 from repro.core.metrics import CoreStats
 from repro.isa.classify import MissClass
 from repro.prefetch.queue import PrefetchQueue
-from repro.prefetch.registry import PREFETCHER_NAMES, create_prefetcher
+from repro.prefetch.registry import PREFETCHER_NAMES, check_overrides, create_prefetcher
 from repro.timing.params import DEFAULT_TIMING, TimingParams
 from repro.trace.compiled import TraceLike
 
@@ -79,11 +79,13 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.n_cores < 1:
             raise ValueError(f"n_cores must be >= 1, got {self.n_cores}")
-        if self.prefetcher_factory is None and self.prefetcher not in PREFETCHER_NAMES:
-            raise ValueError(
-                f"unknown prefetcher {self.prefetcher!r}; "
-                f"available: {PREFETCHER_NAMES}"
-            )
+        if self.prefetcher_factory is None:
+            if self.prefetcher not in PREFETCHER_NAMES:
+                raise ValueError(
+                    f"unknown prefetcher {self.prefetcher!r}; "
+                    f"available: {PREFETCHER_NAMES}"
+                )
+            check_overrides(self.prefetcher, self.prefetcher_overrides)
         validate_backend(self.engine_backend)
 
     def resolve_bandwidth(self) -> float:

@@ -13,33 +13,55 @@ How it is compiled
 ------------------
 
 The kernel is plain C, kept as one unit per component under
-``repro/core/kernel/`` (package data): ``cache.c``, ``queue.c`` (prefetch
-queue + MSHR), ``link.c``, ``engine.c`` (visit processing and the
-multi-core interleave) and one unit per prefetcher family
-(``sequential.c``, ``discontinuity.c``, ``branch.c``).
-:func:`kernel_source` concatenates them in the fixed order of
-:data:`KERNEL_UNITS` into **one** translation unit, compiled once per
-hash of its flags and source with the system C compiler
-(``cc -O1 -fPIC -shared -ffp-contract=off``) into a shared object cached
+``repro/core/kernel/`` (package data) and built as several shared objects
+(:data:`KERNEL_OBJECTS`), each from the shared header ``kernel.h`` (the
+``CCand`` and ``PfOps`` types and the layout-table row) plus its units
+concatenated into one translation unit by :func:`kernel_source`:
+
+- the **core** (``repro_jit``): ``cache.c``, ``queue.c`` (prefetch queue +
+  MSHR), ``link.c``, ``engine.c`` (visit processing and the multi-core
+  interleave) and ``sequential.c``.  It is built when the kernel is first
+  probed (:func:`jit_available`);
+- one object per **stateful family**: ``discontinuity.c``, ``branch.c``
+  (fdp and shadow), ``history.c`` (target and markov) and ``mana.c``.
+  Each is built the first time a core binds that family, so a run pays
+  only for the families it uses, and one that fails to build sends only
+  its family to reference stepping, with a logged reason.
+
+Each object is compiled once per hash of its flags and source with the
+system C compiler (``cc -O1 -fPIC -shared -ffp-contract=off``), cached
 under ``REPRO_JIT_CACHE_DIR`` (default ``.repro-cache/jit``), and loaded
 through :mod:`ctypes` — all by :mod:`repro.util.ccompile`, which also
-builds the compiled trace synthesizer.  This needs no third-party
-package: the kernel is available wherever a C compiler is — environments
-without one fall back to the reference backend with one logged warning
-(:func:`jit_available`).
+builds the compiled trace synthesizer.  :func:`kernel_source_hash` with no
+argument hashes every object (the CI cache key) and
+:func:`kernel_compile_seconds` sums every object this process built.
+This needs no third-party package: the kernel is available wherever a C
+compiler is — environments without one fall back to the reference backend
+with one logged warning.
+
+Every unit exports a table of the ``sizeof`` and ``offsetof`` of each
+struct it defines (``repro_layout_<unit>``).  Loading an object compares
+its tables with the ``_C*`` ctypes mirrors (:data:`MIRRORS`,
+:func:`check_layout`); a difference refuses the object with a
+:class:`KernelLayoutError` naming the struct and field.
 
 Prefetcher families
 -------------------
 
 The engine unit calls a prefetcher only through a ``PfOps`` table of
 hooks (demand fetch, discontinuity, credit), one table per family
-exported by the family's unit.  Each family has one Python marshaller
+exported by the family's unit; ``CCore.pf_ops`` points into whichever
+object holds it.  Each family has one Python marshaller
 (:class:`_Family`), looked up by the prefetcher's *exact* type in
-:data:`_PF_MODES`: it names the family's ops table, sizes the core's
-candidate buffer, marshals the family state into C and syncs its
+:data:`_PF_MODES`: it names the family's object and ops table, sizes the
+core's candidate buffer, marshals the family state into C and syncs its
 counters back.  A family's demand hook fills the candidate buffer; the
 engine counts every candidate as generated and offers each one whose
 line differs from the demand line, as ``CoreEngine._process_visit`` does.
+Candidate and line provenance is encoded as ``(kind, index, line)``
+(:func:`_encode_prov`): ``("seq",)`` 1, ``("disc", index, line)`` 2,
+``("fdp",)`` 3, ``("shadow", line)`` 4, ``("tgt", line)`` 5,
+``("markov", probe_line)`` 6 and ``("mana", trigger)`` 7; 0 is none.
 
 Why the results are exactly equal
 ---------------------------------
@@ -61,24 +83,31 @@ with explicit arrays:
   encoded as ``-1``);
 - the gshare PHT, the tagless BTB (``-1`` = no target), the return
   address stack and the shadow target buffer's per-set way lists become
-  flat arrays in the reference's list order.
+  flat arrays in the reference's list order;
+- the target and Markov tables' ``OrderedDict`` becomes an LRU map of
+  nodes: an open-addressed index plus a doubly linked recency list that
+  replays ``get``, ``move_to_end`` and ``popitem(last=False)`` exactly;
+  Markov successors stay in the canonical ``(-count, target)`` order;
+- the MANA record table becomes per-set way arrays ordered LRU → MRU,
+  each footprint an unsigned 64-bit bitmap.
 
 Eligibility: all-LRU caches, no inclusive-L2 back-invalidation hook, and
 a prefetcher whose semantics the kernel replicates — ``none``, the
 sequential and lookahead families, discontinuity, fetch-directed
-(``fdp``) and shadow-branch (``shadow``).  Anything else (``target``,
-``markov``, ``mana``, software prefetching, FIFO/PLRU/random replacement,
-an inclusive L2) degrades to exact reference stepping via ``super()`` —
-never to approximate fast behavior — so every registered prefetcher
-passes the backend parity suite by construction.
+(``fdp``), shadow-branch (``shadow``), ``target``, ``markov`` and
+``mana`` with regions of at most 64 lines.  Anything else (software
+prefetching, FIFO/PLRU/random replacement, an inclusive L2, a family
+whose object did not build) degrades to exact reference stepping via
+``super()`` — never to approximate fast behavior — so every registered
+prefetcher passes the backend parity suite by construction.
 :meth:`JittedCoreEngine.kernel_fallback_reason` says why a configuration
 falls back.
 
 State ownership: once an engine binds its state into the kernel (first
 ``step()``/``run()`` on an eligible config), the C state is authoritative
 for cache/queue/MSHR/predictor-table *contents*.  Scalars and every stats
-object (including the discontinuity table's stats and the shadow
-prefetcher's ``shadow_discoveries``) are synced back after each kernel
+object (including the discontinuity, Markov and MANA table stats and the
+shadow prefetcher's ``shadow_discoveries``) are synced back after each kernel
 call, so ``--verify`` lockstep, the CMP interleave driven from Python, and
 all result aggregation see exact values.  When an engine finishes inside
 the kernel (``run()``, ``run_multicore()`` or the final ``step()``), its
@@ -100,7 +129,7 @@ import weakref
 from array import array
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.caches.cache import SetAssociativeCache
 from repro.caches.line import LineState
@@ -110,6 +139,8 @@ from repro.isa.kinds import TransitionKind
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
 from repro.prefetch.fdp import FetchDirectedPrefetcher
+from repro.prefetch.mana import ManaPrefetcher
+from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.sequential import (
     LookaheadN,
     NextLineAlways,
@@ -118,6 +149,7 @@ from repro.prefetch.sequential import (
     NextNLineTagged,
 )
 from repro.prefetch.shadow import ShadowBranchPrefetcher
+from repro.prefetch.target import TargetPrefetcher
 from repro.util import ccompile
 
 logger = logging.getLogger(__name__)
@@ -136,23 +168,30 @@ _MAX_CORES = 256
 #: directory of the kernel's C units (package data).
 KERNEL_DIR = Path(__file__).resolve().parent / "kernel"
 
-#: the units in translation-unit order: each may use every type and
-#: function defined by the units before it.
-KERNEL_UNITS = (
-    "cache.c",
-    "queue.c",
-    "link.c",
-    "engine.c",
-    "sequential.c",
-    "discontinuity.c",
-    "branch.c",
-)
+#: the header every kernel object starts with (``CCand``, ``PfOps`` and
+#: the layout-table row type).
+KERNEL_HEADER = "kernel.h"
+
+#: the core object's stem: its units build whenever the kernel is probed.
+CORE = "repro_jit"
+
+#: each shared object of the kernel -> its units, in translation-unit order
+#: after the header (a unit may use every type and function of the units
+#: before it).  The core holds the engine and the stateless families;
+#: each stateful family's object is built the first time a core binds it.
+KERNEL_OBJECTS = {
+    CORE: ("cache.c", "queue.c", "link.c", "engine.c", "sequential.c"),
+    "repro_jit_disc": ("discontinuity.c",),
+    "repro_jit_branch": ("branch.c",),
+    "repro_jit_history": ("history.c",),
+    "repro_jit_mana": ("mana.c",),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def kernel_source() -> str:
-    """The kernel: every unit of :data:`KERNEL_UNITS`, concatenated in
-    order into one translation unit.
+def kernel_source(stem: str = CORE) -> str:
+    """One kernel object's source: the header, then its units of
+    :data:`KERNEL_OBJECTS` in order, as one translation unit.
 
     Every C function mirrors one reference hot path (named in the comment
     above it).  ``tests/property/test_prop_backend_diff.py`` runs random
@@ -160,7 +199,8 @@ def kernel_source() -> str:
     ``engine.py``/``queue.py``/a prefetcher's hot path without its unit
     fails there.
     """
-    return "".join((KERNEL_DIR / name).read_text() for name in KERNEL_UNITS)
+    units = (KERNEL_HEADER,) + KERNEL_OBJECTS[stem]
+    return "".join((KERNEL_DIR / name).read_text() for name in units)
 
 
 # --------------------------------------------------------------------- #
@@ -391,26 +431,202 @@ class _CShadow(ctypes.Structure):
     ]
 
 
+class _CHist(ctypes.Structure):
+    _fields_ = [
+        ("capacity", _LL),
+        ("n", _LL),
+        ("keys", ctypes.POINTER(_LL)),
+        ("prev", ctypes.POINTER(_LL)),
+        ("next", ctypes.POINTER(_LL)),
+        ("head", _LL),
+        ("tail", _LL),
+        ("free_node", _LL),
+        ("slots", ctypes.POINTER(_LL)),
+        ("slot_bits", _LL),
+    ]
+
+
+class _CTarget(ctypes.Structure):
+    _fields_ = [("map", _CHist), ("targets", ctypes.POINTER(_LL)), ("degree", _LL)]
+
+
+class _CSucc(ctypes.Structure):
+    _fields_ = [("target", _LL), ("count", _LL)]
+
+
+_MARKOV_STAT_FIELDS = ("allocations", "evictions", "successor_updates", "probe_hits")
+
+
+class _CMarkov(ctypes.Structure):
+    _fields_ = [
+        ("map", _CHist),
+        ("succ", ctypes.POINTER(_CSucc)),
+        ("succ_n", ctypes.POINTER(_LL)),
+        ("targets_per_entry", _LL),
+        ("fanout", _LL),
+        ("ahead", _LL),
+    ] + [(name, _LL) for name in _MARKOV_STAT_FIELDS]
+
+
+class _CManaRecord(ctypes.Structure):
+    _fields_ = [
+        ("trigger", _LL),
+        ("footprint", ctypes.c_ulonglong),
+        ("successor", _LL),
+        ("confidence", _LL),
+    ]
+
+
+_MANA_STAT_FIELDS = ("commits", "allocations", "evictions", "probe_hits", "replays", "credits")
+
+
+class _CMana(ctypes.Structure):
+    _fields_ = (
+        [
+            ("set_mask", _LL),
+            ("assoc", _LL),
+            ("ways", ctypes.POINTER(_CManaRecord)),
+            ("counts", ctypes.POINTER(_LL)),
+        ]
+        + [(name, _LL) for name in _MANA_STAT_FIELDS]
+        + [
+            ("region_shift", _LL),
+            ("offset_mask", _LL),
+            ("replay_depth", _LL),
+            ("rec_region", _LL),
+            ("rec_trigger", _LL),
+            ("rec_footprint", ctypes.c_ulonglong),
+            ("prev_trigger", _LL),
+        ]
+    )
+
+
+class _PfOps(ctypes.Structure):
+    """``PfOps``: a family's hooks (entry points of its object)."""
+
+    _fields_ = [
+        (
+            "demand",
+            ctypes.CFUNCTYPE(
+                _LL, ctypes.c_void_p, _LL, ctypes.c_int, ctypes.c_int, _LL,
+                ctypes.POINTER(_CCand),
+            ),
+        ),
+        ("discontinuity", ctypes.CFUNCTYPE(None, ctypes.c_void_p, _LL, _LL, ctypes.c_int)),
+        ("credit", ctypes.CFUNCTYPE(None, ctypes.c_void_p, _LL, _LL, _LL)),
+    ]
+
+
+#: C struct name -> its ctypes mirror, for the load-time layout check.
+MIRRORS = {
+    cls.__name__[1:]: cls
+    for cls in (
+        _CLine, _CCache, _CCand, _PfOps, _CQEntry, _CQueue, _CMshr, _CLink,
+        _CCore, _CSeq, _CDisc, _CBranch, _CStbEntry, _CShadow, _CHist,
+        _CTarget, _CSucc, _CMarkov, _CManaRecord, _CMana,
+    )
+}
+
+
+class _CLayout(ctypes.Structure):
+    """One row of a unit's ``repro_layout_<unit>`` table (``kernel.h``)."""
+
+    _fields_ = [
+        ("name", ctypes.c_char_p),
+        ("field", ctypes.c_char_p),
+        ("offset", _LL),
+        ("size", _LL),
+    ]
+
+
+class KernelLayoutError(RuntimeError):
+    """A kernel object's struct layout differs from its ctypes mirror."""
+
+
+def layout_rows(lib, unit: str):
+    """``(struct, field, offset, size)`` rows of the layout table *unit*
+    exports from *lib*; ``field`` is None on a struct's size row."""
+    rows = ctypes.cast(
+        ctypes.addressof(_CLayout.in_dll(lib, f"repro_layout_{Path(unit).stem}")),
+        ctypes.POINTER(_CLayout),
+    )
+    k = 0
+    while rows[k].name:
+        row = rows[k]
+        yield row.name.decode(), row.field and row.field.decode(), row.offset, row.size
+        k += 1
+
+
+def check_layout(lib, unit: str) -> None:
+    """Compare the layout table *unit* exports from *lib* with the ctypes
+    mirrors; raise :class:`KernelLayoutError` naming the first struct and
+    field that differ (size, offset, a field one side lacks)."""
+    declared: Dict[str, set] = {}
+    for name, field, offset, size in layout_rows(lib, unit):
+        mirror = MIRRORS.get(name)
+        if mirror is None:
+            raise KernelLayoutError(f"{unit}: struct {name} has no ctypes mirror")
+        fields = declared.setdefault(name, set())
+        if field is None:
+            if ctypes.sizeof(mirror) != size:
+                raise KernelLayoutError(
+                    f"{unit}: struct {name} is {size} bytes, its mirror "
+                    f"{ctypes.sizeof(mirror)}"
+                )
+            continue
+        fields.add(field)
+        if field not in dict(mirror._fields_):
+            raise KernelLayoutError(f"{unit}: field {name}.{field} is missing from its mirror")
+        described = getattr(mirror, field)
+        if (described.offset, described.size) != (offset, size):
+            raise KernelLayoutError(
+                f"{unit}: field {name}.{field} is at offset {offset} (size {size}), "
+                f"its mirror at {described.offset} (size {described.size})"
+            )
+    for name, fields in declared.items():
+        extra = [field for field, _ in MIRRORS[name]._fields_ if field not in fields]
+        if extra:
+            raise KernelLayoutError(
+                f"{unit}: field {name}.{extra[0]} of the mirror is not in the struct"
+            )
+
+
 # --------------------------------------------------------------------- #
 # Kernel build + cache + availability
 # --------------------------------------------------------------------- #
 
 _kernel_lib: object = None
 _kernel_probed = False
-_compile_seconds = 0.0
+#: seconds this process spent compiling, per kernel object.
+_compile_seconds: Dict[str, float] = {}
+#: family objects probed so far (stem -> library, None when unbuildable),
+#: and why each unbuildable one failed.
+_family_libs: Dict[str, object] = {}
+_family_errors: Dict[str, str] = {}
 
 
-def kernel_source_hash() -> str:
-    """Hash naming the cached shared object (and the CI cache key)."""
-    return ccompile.source_hash(kernel_source())
+def kernel_source_hash(stem: Optional[str] = None) -> str:
+    """Hash naming one object's cached shared object or, by default, the
+    hash of every kernel object together (the CI cache key)."""
+    if stem is not None:
+        return ccompile.source_hash(kernel_source(stem))
+    return ccompile.source_hash("".join(kernel_source(name) for name in KERNEL_OBJECTS))
+
+
+def _load_object(stem: str):
+    """Compile (or load from cache) one kernel object and check its
+    struct layouts against the mirrors."""
+    lib, seconds = ccompile.load(stem, kernel_source(stem))
+    if seconds:
+        _compile_seconds[stem] = seconds
+    for unit in (KERNEL_HEADER,) + KERNEL_OBJECTS[stem]:
+        check_layout(lib, unit)
+    return lib
 
 
 def _build_kernel():
-    """Compile (or load from cache) the kernel; return the loaded library."""
-    global _compile_seconds
-    lib, seconds = ccompile.load("repro_jit", kernel_source())
-    if seconds:
-        _compile_seconds = seconds
+    """Compile (or load from cache) the core object; return the library."""
+    lib = _load_object(CORE)
     lib.repro_span.argtypes = [ctypes.POINTER(_CCore), _LL]
     lib.repro_span.restype = None
     lib.repro_run.argtypes = [ctypes.POINTER(_CCore)]
@@ -421,7 +637,7 @@ def _build_kernel():
 
 
 def _kernel():
-    """The loaded kernel library, or None when unavailable (one warning)."""
+    """The loaded core object, or None when unavailable (one warning)."""
     global _kernel_lib, _kernel_probed
     if not _kernel_probed:
         _kernel_probed = True
@@ -434,19 +650,41 @@ def _kernel():
     return _kernel_lib
 
 
-def jit_available() -> bool:
-    """True when the compiled kernel can be (or has been) loaded."""
-    return _kernel() is not None
+def _family_lib(stem: str):
+    """A family's object, built on first use; None (after one warning)
+    when it cannot be built, which sends only that family to reference."""
+    if stem not in _family_libs:
+        try:
+            _family_libs[stem] = _load_object(stem)
+        except Exception as exc:
+            _family_errors[stem] = f"kernel object {stem} unavailable: {exc}"
+            logger.warning("%s; its family steps on reference", _family_errors[stem])
+            _family_libs[stem] = None
+    return _family_libs[stem]
+
+
+def jit_available(stem: str = CORE) -> bool:
+    """True when the compiled kernel can be (or has been) loaded; given a
+    family object's stem, also that object (building it on first use)."""
+    if _kernel() is None:
+        return False
+    return stem == CORE or _family_lib(stem) is not None
 
 
 def kernel_compile_seconds() -> float:
-    """One-time compile cost paid by *this* process (0.0 on a cache hit)."""
-    return _compile_seconds
+    """One-time compile cost of every kernel object *this* process built
+    (0.0 when each was a cache hit)."""
+    return sum(_compile_seconds.values(), 0.0)
 
 
 # --------------------------------------------------------------------- #
 # Marshaling helpers
 # --------------------------------------------------------------------- #
+
+
+#: provenance tags carrying one line -> their kind (``kernel.h``).
+_LINE_PROV_KINDS = {"shadow": 4, "tgt": 5, "markov": 6, "mana": 7}
+_LINE_PROV_TAGS = {kind: tag for tag, kind in _LINE_PROV_KINDS.items()}
 
 
 def _encode_prov(provenance):
@@ -460,8 +698,8 @@ def _encode_prov(provenance):
         return 2, provenance[1], provenance[2]
     if tag == "fdp":
         return 3, 0, 0
-    if tag == "shadow":
-        return 4, 0, provenance[1]
+    if tag in _LINE_PROV_KINDS:
+        return _LINE_PROV_KINDS[tag], 0, provenance[1]
     raise ValueError(f"unsupported provenance {provenance!r}")
 
 
@@ -475,7 +713,7 @@ def _decode_prov(kind: int, index: int, line: int):
         return ("disc", index, line)
     if kind == 3:
         return ("fdp",)
-    return ("shadow", line)
+    return (_LINE_PROV_TAGS[kind], line)
 
 
 def _ptr(buffer, ctype):
@@ -514,11 +752,22 @@ def _line_to_c(line: int, state) -> _CLine:
 class _Family:
     """Kernel binding of one prefetcher family.
 
-    ``ops`` names the ``PfOps`` table the family's C unit exports.  The
-    base class is the stateless ``none`` family.
+    ``ops`` names the ``PfOps`` table the family's C unit exports and
+    ``stem`` the kernel object holding it (None: the core).  The base
+    class is the stateless ``none`` family.
     """
 
     ops = "repro_pf_none"
+    stem: Optional[str] = None
+
+    def library(self):
+        """The loaded object exporting :attr:`ops`."""
+        return _kernel() if self.stem is None else _family_lib(self.stem)
+
+    def unsupported(self, prefetcher) -> Optional[str]:
+        """Why the kernel cannot replicate *prefetcher*'s parameters, or
+        None when it can."""
+        return None
 
     def candidates(self, prefetcher) -> int:
         """Most candidates one demand fetch can produce (buffer size)."""
@@ -567,6 +816,7 @@ class _Discontinuity(_Family):
     """``discontinuity.c``: the table plus the prefetch-ahead window."""
 
     ops = "repro_pf_disc"
+    stem = "repro_jit_disc"
 
     def candidates(self, prefetcher) -> int:
         ahead = prefetcher.prefetch_ahead
@@ -599,6 +849,7 @@ class _FetchDirected(_Family):
     """``branch.c``: gshare + tagless BTB + RAS run-ahead."""
 
     ops = "repro_pf_fdp"
+    stem = "repro_jit_branch"
 
     def candidates(self, prefetcher) -> int:
         return prefetcher.lookahead
@@ -667,6 +918,157 @@ class _ShadowBranch(_FetchDirected):
         prefetcher.shadow_discoveries = state.discoveries
 
 
+def _hist_map(keys: list, capacity: int, keep: list) -> _CHist:
+    """``history.c``'s map over *keys* (OrderedDict order, LRU first) of a
+    table holding at most *capacity* entries; node ``k`` takes the
+    ``k``-th key once ``repro_hist_init`` has run."""
+    nodes = capacity + 1
+    slot_bits = (2 * nodes - 1).bit_length()
+    buffers = [(_LL * nodes)(*keys), (_LL * nodes)(), (_LL * nodes)()]
+    slots = (_LL * (1 << slot_bits))()
+    keep.extend(buffers + [slots])
+    keys_c, prev, nxt = (_ptr(buffer, _LL) for buffer in buffers)
+    return _CHist(
+        capacity=capacity,
+        n=len(keys),
+        keys=keys_c,
+        prev=prev,
+        next=nxt,
+        slots=_ptr(slots, _LL),
+        slot_bits=slot_bits,
+    )
+
+
+class _History(_Family):
+    """``history.c``: the OrderedDict map shared by target and markov."""
+
+    stem = "repro_jit_history"
+
+    def _init(self, state) -> None:
+        """Index the map of a freshly marshalled *state*."""
+        init = self.library().repro_hist_init
+        init.argtypes = [ctypes.POINTER(_CHist)]
+        init.restype = None
+        init(ctypes.byref(state.map))
+
+
+class _Target(_History):
+    """``history.c``: the line -> next-line table, probed with the
+    current line."""
+
+    ops = "repro_pf_target"
+
+    def candidates(self, prefetcher) -> int:
+        return prefetcher.degree
+
+    def bind(self, prefetcher, keep) -> _CTarget:
+        table = prefetcher._table
+        targets = (_LL * (prefetcher.capacity + 1))(*table.values())
+        keep.append(targets)
+        state = _CTarget(
+            map=_hist_map(list(table), prefetcher.capacity, keep),
+            targets=_ptr(targets, _LL),
+            degree=prefetcher.degree,
+        )
+        self._init(state)
+        return state
+
+
+class _Markov(_History):
+    """``history.c``: per-source successor lists in canonical order."""
+
+    ops = "repro_pf_markov"
+
+    def candidates(self, prefetcher) -> int:
+        ahead = prefetcher.prefetch_ahead
+        top = min(prefetcher.fanout, prefetcher.table.targets_per_entry)
+        return ahead + top * (ahead + 1) * (ahead + 2) // 2
+
+    def bind(self, prefetcher, keep) -> _CMarkov:
+        table = prefetcher.table
+        width = table.targets_per_entry
+        nodes = table.capacity + 1
+        succ = (_CSucc * (nodes * width))()
+        succ_n = (_LL * nodes)()
+        for node, entry in enumerate(table._table.values()):
+            for k, (target, count) in enumerate(entry.successors):
+                succ[node * width + k] = _CSucc(target, count)
+            succ_n[node] = len(entry.successors)
+        keep.extend((succ, succ_n))
+        stats = table.stats
+        state = _CMarkov(
+            map=_hist_map(list(table._table), table.capacity, keep),
+            succ=_ptr(succ, _CSucc),
+            succ_n=_ptr(succ_n, _LL),
+            targets_per_entry=width,
+            fanout=prefetcher.fanout,
+            ahead=prefetcher.prefetch_ahead,
+            **{name: getattr(stats, name) for name in _MARKOV_STAT_FIELDS},
+        )
+        self._init(state)
+        return state
+
+    def sync_out(self, prefetcher, state) -> None:
+        stats = prefetcher.table.stats
+        for name in _MARKOV_STAT_FIELDS:
+            setattr(stats, name, getattr(state, name))
+
+
+#: widest region whose footprint fits ``mana.c``'s 64-bit bitmap.
+_MANA_MAX_REGION = 64
+
+
+class _Mana(_Family):
+    """``mana.c``: the record table, SAB recorder and replay chain."""
+
+    ops = "repro_pf_mana"
+    stem = "repro_jit_mana"
+
+    def unsupported(self, prefetcher) -> Optional[str]:
+        if prefetcher.region_lines > _MANA_MAX_REGION:
+            return (
+                f"ManaPrefetcher region_lines {prefetcher.region_lines} exceeds the "
+                f"kernel's {_MANA_MAX_REGION}-bit footprint"
+            )
+        return None
+
+    def candidates(self, prefetcher) -> int:
+        return prefetcher.replay_depth * prefetcher.region_lines
+
+    def bind(self, prefetcher, keep) -> _CMana:
+        table = prefetcher.table
+        assoc = table.assoc
+        ways = (_CManaRecord * table.entries)()
+        counts = (_LL * (table._set_mask + 1))()
+        for si, records in enumerate(table._sets):
+            for k, record in enumerate(records):
+                ways[si * assoc + k] = _CManaRecord(
+                    record.trigger, record.footprint, record.successor, record.confidence
+                )
+            counts[si] = len(records)
+        keep.extend((ways, counts))
+        stats = table.stats
+        return _CMana(
+            set_mask=table._set_mask,
+            assoc=assoc,
+            ways=_ptr(ways, _CManaRecord),
+            counts=_ptr(counts, _LL),
+            region_shift=prefetcher._region_shift,
+            offset_mask=prefetcher._offset_mask,
+            replay_depth=prefetcher.replay_depth,
+            rec_region=prefetcher._rec_region,
+            rec_trigger=prefetcher._rec_trigger,
+            rec_footprint=prefetcher._rec_footprint,
+            prev_trigger=prefetcher._prev_trigger,
+            **{name: getattr(stats, name) for name in _MANA_STAT_FIELDS},
+        )
+
+    def sync_out(self, prefetcher, state) -> None:
+        stats = prefetcher.table.stats
+        for name in _MANA_STAT_FIELDS:
+            setattr(stats, name, getattr(state, name))
+
+
 #: exact prefetcher type -> kernel family (subclasses with overridden
 #: behavior must not match, hence ``type() is``-style lookup).
 _PF_MODES = {
@@ -679,6 +1081,9 @@ _PF_MODES = {
     DiscontinuityPrefetcher: _Discontinuity(),
     FetchDirectedPrefetcher: _FetchDirected(),
     ShadowBranchPrefetcher: _ShadowBranch(),
+    TargetPrefetcher: _Target(),
+    MarkovPrefetcher: _Markov(),
+    ManaPrefetcher: _Mana(),
 }
 
 
@@ -885,6 +1290,9 @@ class JittedCoreEngine(CoreEngine):
             return "non-LRU replacement"
         if self.l2_eviction_hook is not None:
             return "inclusive L2 (eviction hook)"
+        unsupported = family.unsupported(prefetcher)
+        if unsupported is not None:
+            return unsupported
         wanted = family.candidates(prefetcher)
         if wanted > _MAX_CANDIDATES:
             return (
@@ -893,6 +1301,8 @@ class JittedCoreEngine(CoreEngine):
             )
         if not jit_available():
             return "no C compiler: the kernel is unbuildable"
+        if family.stem is not None and not jit_available(family.stem):
+            return _family_errors[family.stem]
         return None
 
     def _twin_ready(self) -> bool:
@@ -973,7 +1383,7 @@ class JittedCoreEngine(CoreEngine):
         state = family.bind(prefetcher, keep)
         cand = (_CCand * max(1, family.candidates(prefetcher)))()
         keep.append(cand)
-        c.pf_ops = ctypes.addressof(ctypes.c_char.in_dll(lib, family.ops))
+        c.pf_ops = ctypes.addressof(ctypes.c_char.in_dll(family.library(), family.ops))
         c.pf = ctypes.addressof(state) if state is not None else None
         c.cand = _ptr(cand, _CCand)
         self._family = family

@@ -1,20 +1,6 @@
-/* repro jit kernel — scalar-exact replica of repro.core.engine.CoreEngine.
- *
- * The kernel is assembled from the units in src/repro/core/kernel/ in the
- * fixed order of repro.core.jitted.KERNEL_UNITS and compiled as ONE
- * translation unit; a unit may use every type and function of the units
- * before it, so no unit compiles on its own.
- *
- * Float discipline: compiled with -ffp-contract=off and no fast-math, so
- * every double op rounds exactly like the CPython interpreter's.  All
- * expressions copy the reference source's operation order verbatim.
- */
-#include <string.h>
-
 /* ---------------- cache.c: repro.caches.cache.SetAssociativeCache (LRU) */
 
-/* repro.caches.line.LineState.  Provenance kinds: 0 none, 1 ("seq",),
- * 2 ("disc", index, line), 3 ("fdp",), 4 ("shadow", line). */
+/* repro.caches.line.LineState (provenance kinds as listed in kernel.h) */
 typedef struct {
     long long tag;
     double arrival;
@@ -126,3 +112,20 @@ static CLine mkline(long long tag, int prefetched, int used, double arrival,
     s.useless_hint = 0;
     return s;
 }
+
+/* struct layouts (kernel.h CLayout) */
+const CLayout repro_layout_cache[] = {
+    LAYOUT_SIZE(CLine),
+    LAYOUT_FIELD(CLine, tag), LAYOUT_FIELD(CLine, arrival),
+    LAYOUT_FIELD(CLine, prov_kind), LAYOUT_FIELD(CLine, prov_index),
+    LAYOUT_FIELD(CLine, prov_line), LAYOUT_FIELD(CLine, prefetched),
+    LAYOUT_FIELD(CLine, used), LAYOUT_FIELD(CLine, bypass_pending),
+    LAYOUT_FIELD(CLine, from_memory), LAYOUT_FIELD(CLine, useless_hint),
+    LAYOUT_SIZE(CCache),
+    LAYOUT_FIELD(CCache, set_mask), LAYOUT_FIELD(CCache, assoc),
+    LAYOUT_FIELD(CCache, lines), LAYOUT_FIELD(CCache, counts),
+    LAYOUT_FIELD(CCache, lookups), LAYOUT_FIELD(CCache, hits),
+    LAYOUT_FIELD(CCache, misses), LAYOUT_FIELD(CCache, installs),
+    LAYOUT_FIELD(CCache, evictions),
+    LAYOUT_END,
+};

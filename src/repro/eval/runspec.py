@@ -27,7 +27,7 @@ from repro.caches.config import DEFAULT_HIERARCHY, HierarchyConfig
 from repro.core.backends import validate_backend
 from repro.eval.profiles import ExperimentScale, get_scale
 from repro.isa.classify import MissClass
-from repro.prefetch.registry import PREFETCHER_NAMES
+from repro.prefetch.registry import PREFETCHER_NAMES, check_overrides
 from repro.timing.params import DEFAULT_TIMING, TimingParams
 from repro.trace.source import validate_workload
 
@@ -98,8 +98,9 @@ class RunSpec:
     ) -> "RunSpec":
         """Build a spec, resolving the scale and normalizing the overrides.
 
-        Rejects unregistered prefetcher names, unresolvable workload names
-        and unknown engine backends up front (the workload check routes
+        Rejects unregistered prefetcher names, override keys the scheme
+        does not read, unresolvable workload names and unknown engine
+        backends up front (the workload check routes
         through the trace-source registry, so synthetic profiles, ``mix``
         and ingested ``external:<name>`` streams are all accepted), so
         catalog typos fail at declaration time rather than deep inside a
@@ -109,11 +110,16 @@ class RunSpec:
             raise ValueError(
                 f"unknown prefetcher {prefetcher!r}; available: {PREFETCHER_NAMES}"
             )
+        overrides = tuple(sorted((prefetcher_overrides or {}).items()))
+        if software_prefetch:
+            if overrides:
+                raise ValueError("the software prefetcher reads no prefetcher override")
+        else:
+            check_overrides(prefetcher, dict(overrides))
         validate_workload(workload)
         validate_backend(engine_backend)
         if scale is None or isinstance(scale, str):
             scale = get_scale(scale or "")
-        overrides = tuple(sorted((prefetcher_overrides or {}).items()))
         return cls(
             workload=workload,
             n_cores=n_cores,

@@ -76,10 +76,10 @@ TRACE_PATHS = (
 )
 
 #: the sources hashed under a BEHAVIOR_PATHS/TRACE_PATHS directory: Python
-#: modules and the C units compiled from them (the trace synthesizer's
-#: ``trace/synth/native.c`` writes trace bytes as surely as its Python
-#: specification does).
-SOURCE_PATTERNS = ("*.py", "*.c")
+#: modules and the C units and headers compiled from them (the trace
+#: synthesizer's ``trace/synth/native.c`` writes trace bytes as surely as
+#: its Python specification does).
+SOURCE_PATTERNS = ("*.py", "*.c", "*.h")
 
 #: hashed-tree exclusions: modules under a BEHAVIOR_PATHS directory that
 #: provably cannot affect results (the wall-clock shim only feeds progress

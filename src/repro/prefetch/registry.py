@@ -24,7 +24,8 @@ Name                        Scheme
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+import inspect
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
@@ -41,88 +42,67 @@ from repro.prefetch.sequential import (
 )
 from repro.prefetch.target import TargetPrefetcher
 
-#: name → (paper-style display label, factory), in registry order.
+#: name → (paper-style display label, factory), in registry order.  A
+#: factory's keyword parameters are the override keys the scheme reads
+#: (:func:`override_keys`), and their defaults its catalog configuration;
+#: a class whose constructor takes exactly those keys is its own factory.
 _REGISTRY: Dict[str, Tuple[str, Callable[..., Prefetcher]]] = {
-    "none": ("No prefetch", lambda **kw: NullPrefetcher()),
-    "next-line-always": ("Next-line (always)", lambda **kw: NextLineAlways()),
-    "next-line-on-miss": ("Next-line (on miss)", lambda **kw: NextLineOnMiss()),
-    "next-line-tagged": ("Next-line (tagged)", lambda **kw: NextLineTagged()),
-    "next-2-line": ("Next-2-lines (tagged)", lambda **kw: NextNLineTagged(degree=2)),
+    "none": ("No prefetch", lambda: NullPrefetcher()),
+    "next-line-always": ("Next-line (always)", lambda: NextLineAlways()),
+    "next-line-on-miss": ("Next-line (on miss)", lambda: NextLineOnMiss()),
+    "next-line-tagged": ("Next-line (tagged)", lambda: NextLineTagged()),
+    "next-2-line": ("Next-2-lines (tagged)", lambda: NextNLineTagged(degree=2)),
     "next-4-line": (
         "Next-4-lines (tagged)",
-        lambda **kw: NextNLineTagged(degree=kw.get("degree", 4)),
+        lambda degree=4: NextNLineTagged(degree=degree),
     ),
     "lookahead-4": (
         "Lookahead-4",
-        lambda **kw: LookaheadN(distance=kw.get("distance", 4)),
+        lambda distance=4: LookaheadN(distance=distance),
     ),
     "target": (
         "Target prefetcher",
-        lambda **kw: TargetPrefetcher(capacity=kw.get("table_entries", 8192)),
+        lambda table_entries=8192: TargetPrefetcher(capacity=table_entries),
     ),
     "discontinuity": (
         "Discontinuity",
-        lambda **kw: DiscontinuityPrefetcher(
-            table_entries=kw.get("table_entries", 8192),
-            prefetch_ahead=kw.get("prefetch_ahead", 4),
-            counter_max=kw.get("counter_max", 3),
+        lambda table_entries=8192, prefetch_ahead=4, counter_max=3: DiscontinuityPrefetcher(
+            table_entries=table_entries,
+            prefetch_ahead=prefetch_ahead,
+            counter_max=counter_max,
         ),
     ),
     "discontinuity-2nl": (
         "Discont (2NL)",
-        lambda **kw: DiscontinuityPrefetcher(
-            table_entries=kw.get("table_entries", 8192),
+        lambda table_entries=8192, counter_max=3: DiscontinuityPrefetcher(
+            table_entries=table_entries,
             prefetch_ahead=2,
-            counter_max=kw.get("counter_max", 3),
+            counter_max=counter_max,
         ),
     ),
     "discontinuity-noprobeahead": (
         "Discont (no probe-ahead)",
-        lambda **kw: DiscontinuityPrefetcher(
-            table_entries=kw.get("table_entries", 8192),
-            prefetch_ahead=kw.get("prefetch_ahead", 4),
-            counter_max=kw.get("counter_max", 3),
+        lambda table_entries=8192, prefetch_ahead=4, counter_max=3: DiscontinuityPrefetcher(
+            table_entries=table_entries,
+            prefetch_ahead=prefetch_ahead,
+            counter_max=counter_max,
             probe_ahead=False,
         ),
     ),
     "markov": (
         "Markov (multi-target)",
-        lambda **kw: MarkovPrefetcher(
-            capacity=kw.get("table_entries", 4096),
-            targets_per_entry=kw.get("targets_per_entry", 2),
-            fanout=kw.get("fanout", 2),
-            prefetch_ahead=kw.get("prefetch_ahead", 4),
+        lambda table_entries=4096, targets_per_entry=2, fanout=2, prefetch_ahead=4: (
+            MarkovPrefetcher(
+                capacity=table_entries,
+                targets_per_entry=targets_per_entry,
+                fanout=fanout,
+                prefetch_ahead=prefetch_ahead,
+            )
         ),
     ),
-    "fdp": (
-        "Fetch-directed",
-        lambda **kw: FetchDirectedPrefetcher(
-            btb_entries=kw.get("btb_entries", 1024),
-            gshare_entries=kw.get("gshare_entries", 65536),
-            lookahead=kw.get("lookahead", 8),
-        ),
-    ),
-    "mana": (
-        "MANA record/replay",
-        lambda **kw: ManaPrefetcher(
-            table_entries=kw.get("table_entries", 4096),
-            assoc=kw.get("assoc", 4),
-            region_lines=kw.get("region_lines", 8),
-            replay_depth=kw.get("replay_depth", 3),
-        ),
-    ),
-    "shadow": (
-        "Shadow-branch FTQ",
-        lambda **kw: ShadowBranchPrefetcher(
-            btb_entries=kw.get("btb_entries", 1024),
-            gshare_entries=kw.get("gshare_entries", 65536),
-            lookahead=kw.get("lookahead", 8),
-            ftq_entries=kw.get("ftq_entries", 16),
-            shadow_entries=kw.get("shadow_entries", 2048),
-            shadow_assoc=kw.get("shadow_assoc", 4),
-            shadow_degree=kw.get("shadow_degree", 2),
-        ),
-    ),
+    "fdp": ("Fetch-directed", FetchDirectedPrefetcher),
+    "mana": ("MANA record/replay", ManaPrefetcher),
+    "shadow": ("Shadow-branch FTQ", ShadowBranchPrefetcher),
 }
 
 #: all registered names, in registry order.
@@ -132,17 +112,36 @@ PREFETCHER_NAMES: List[str] = list(_REGISTRY)
 def create_prefetcher(name: str, **overrides) -> Prefetcher:
     """Instantiate the prefetcher registered under *name*.
 
-    Keyword overrides (``table_entries``, ``prefetch_ahead``, ``degree``,
-    ``distance``) are forwarded to schemes that understand them; others are
-    ignored, so sweeps can pass a uniform override set.
+    Keyword overrides the scheme reads (:func:`override_keys`) are
+    forwarded to it; others are ignored, so sweeps can pass a uniform
+    override set.  :meth:`repro.eval.runspec.RunSpec.create` rejects them
+    instead, so a catalog spec cannot carry a key nothing reads.
     """
+    keys = override_keys(name)
+    return _REGISTRY[name][1](**{key: value for key, value in overrides.items() if key in keys})
+
+
+def override_keys(name: str) -> FrozenSet[str]:
+    """The override keys the scheme registered under *name* reads: its
+    factory's keyword parameters."""
     try:
         _, factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown prefetcher {name!r}; available: {PREFETCHER_NAMES}"
         ) from None
-    return factory(**overrides)
+    return frozenset(inspect.signature(factory).parameters)
+
+
+def check_overrides(name: str, overrides: Dict[str, object]) -> None:
+    """Raise ``ValueError`` when *overrides* holds a key the scheme
+    registered under *name* does not read."""
+    read = override_keys(name)
+    unread = sorted(key for key in overrides if key not in read)
+    if unread:
+        raise ValueError(
+            f"prefetcher {name!r} reads no override {unread}; it reads {sorted(read)}"
+        )
 
 
 def prefetcher_display_name(name: str) -> str:

@@ -96,6 +96,11 @@ _DISCONTINUITY = (
     {"prefetch_ahead": st.integers(1, 12), "counter_max": st.integers(0, 3)},
 )
 _BRANCH = {"btb_entries": _pow2(0, 6), "gshare_entries": _pow2(0, 8)}
+_BRANCH_OPTIONAL = {
+    "lookahead": st.integers(1, 16),
+    "ras_entries": st.integers(1, 4),
+    "history_bits": st.integers(0, 6),
+}
 OVERRIDES = {
     "next-4-line": ({}, {"degree": st.integers(1, 16)}),
     "lookahead-4": ({}, {"distance": st.integers(1, 16)}),
@@ -111,7 +116,7 @@ OVERRIDES = {
             "prefetch_ahead": st.integers(1, 12),
         },
     ),
-    "fdp": (_BRANCH, {"lookahead": st.integers(1, 16)}),
+    "fdp": (_BRANCH, _BRANCH_OPTIONAL),
     "mana": (
         {"table_entries": _pow2(2, 6)},
         {
@@ -123,7 +128,7 @@ OVERRIDES = {
     "shadow": (
         dict(_BRANCH, shadow_entries=_pow2(2, 5)),
         {
-            "lookahead": st.integers(1, 16),
+            **_BRANCH_OPTIONAL,
             "ftq_entries": st.integers(1, 16),
             "shadow_assoc": _pow2(0, 2),
             "shadow_degree": st.integers(1, 8),
@@ -132,9 +137,12 @@ OVERRIDES = {
 }
 
 #: every registered name, with the stateful kernel families (whose
-#: divergences need the longest histories to show) drawn three times as
-#: often.
-PREFETCHERS = PREFETCHER_NAMES + ["discontinuity", "fdp", "shadow"] * 2
+#: divergences need the longest histories to show) drawn more often:
+#: discontinuity, fdp and shadow three times, target, markov and mana
+#: twice.
+PREFETCHERS = (
+    PREFETCHER_NAMES + ["discontinuity", "fdp", "shadow"] * 2 + ["target", "markov", "mana"]
+)
 
 
 @st.composite
@@ -201,13 +209,16 @@ def block_events(draw, line_size: int, code_base: int) -> list:
     block entry points, with data accesses into a small region.
 
     The events are decoded from one byte string, a cheap draw that
-    shrinks towards fewer, shorter, sequential, data-free events.
+    shrinks towards fewer, shorter, sequential, data-free events, played
+    up to three times over: a loop repeats its transitions, so table
+    counters (Markov successor counts, confidence) climb.
     """
     code_instr = CODE_LINES * line_size // INSTRUCTION_SIZE
     max_ninstr = 2 * line_size // INSTRUCTION_SIZE
     data_bytes = DATA_LINES * line_size
     spots = draw(st.lists(st.integers(0, code_instr - 1), min_size=1, max_size=12))
     raw = draw(st.binary(min_size=16 * EVENT_BYTES, max_size=160 * EVENT_BYTES))
+    raw *= draw(st.integers(1, 3))
     events = []
     addr = code_base + spots[0] * INSTRUCTION_SIZE
     for at in range(0, len(raw) - EVENT_BYTES + 1, EVENT_BYTES):

@@ -139,41 +139,6 @@ def test_post_run_contents_cover_the_branch_family() -> None:
 # --------------------------------------------------------------------- #
 
 
-class _CPfOps(ctypes.Structure):
-    """ctypes mirror of the kernel's ``PfOps`` table."""
-
-    _fields_ = [
-        (
-            "demand",
-            ctypes.CFUNCTYPE(
-                ctypes.c_longlong,
-                ctypes.c_void_p,
-                ctypes.c_longlong,
-                ctypes.c_int,
-                ctypes.c_int,
-                ctypes.c_longlong,
-                ctypes.POINTER(jitted._CCand),
-            ),
-        ),
-        (
-            "discontinuity",
-            ctypes.CFUNCTYPE(
-                None, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong, ctypes.c_int
-            ),
-        ),
-        (
-            "credit",
-            ctypes.CFUNCTYPE(
-                None,
-                ctypes.c_void_p,
-                ctypes.c_longlong,
-                ctypes.c_longlong,
-                ctypes.c_longlong,
-            ),
-        ),
-    ]
-
-
 #: tiny tables, so a short random stream aliases the BTB, fills and
 #: overflows the RAS, and evicts from the STB's sets.
 HOOK_CONFIGS = [
@@ -253,7 +218,7 @@ def test_branch_hooks_match_the_classes(prefetcher, overrides, seed) -> None:
     family = jitted._PF_MODES[type(twin)]
     keep: list = []
     state = family.bind(twin, keep)
-    ops = _CPfOps.in_dll(jitted._kernel(), family.ops)
+    ops = jitted._PfOps.in_dll(family.library(), family.ops)
     cand = (jitted._CCand * family.candidates(twin))()
     address = ctypes.addressof(state)
     rng = random.Random(seed)

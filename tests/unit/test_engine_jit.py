@@ -24,6 +24,7 @@ from repro.core.jitted import JittedCoreEngine
 from repro.eval.profiles import get_scale
 from repro.eval.runner import get_compiled_traces
 from repro.prefetch.registry import PREFETCHER_NAMES, create_prefetcher
+from repro.prefetch.sequential import NextLineTagged
 from repro.util import ccompile
 
 SMOKE = get_scale("smoke")
@@ -64,7 +65,7 @@ def test_kernel_cached_on_disk(tmp_path, monkeypatch) -> None:
 
     monkeypatch.setenv(REPRO_JIT_CACHE_DIR, str(tmp_path))
     assert jitted._build_kernel() is not None
-    so_path = tmp_path / f"repro_jit_{jitted.kernel_source_hash()}.so"
+    so_path = tmp_path / f"repro_jit_{jitted.kernel_source_hash(jitted.CORE)}.so"
     assert so_path.exists()
 
     def no_compiler(*args, **kwargs):
@@ -94,10 +95,14 @@ def test_c_path_engages_for_supported_config() -> None:
     assert engine.finished
 
 
+class _NoTwin(NextLineTagged):
+    """A subclass of a kernel family: the kernel twins exact types only."""
+
+
 def test_unsupported_prefetcher_uses_reference_stepping() -> None:
     """Prefetchers without a compiled twin run through the inherited
     reference implementation — same engine object, same results."""
-    system = _build_system(n_cores=1, prefetcher="markov")
+    system = _build_system(n_cores=1, prefetcher_factory=lambda core: _NoTwin())
     engine = system.engines[0]
     assert isinstance(engine, JittedCoreEngine)
     assert not engine._twin_ready()
@@ -139,7 +144,7 @@ def test_run_multicore_declines_mixed_eligibility() -> None:
 
 
 def test_system_run_falls_back_when_runner_declines() -> None:
-    system = _build_system(n_cores=2, prefetcher="markov")
+    system = _build_system(n_cores=2, prefetcher_factory=lambda core: _NoTwin())
     result = system.run()  # run_multicore declines; Python loop finishes
     assert all(engine.finished for engine in system.engines)
     assert result.total_instructions > 0

@@ -1,17 +1,22 @@
 """Unit tests for the prefetcher registry."""
 
+import ast
 import importlib
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro.prefetch
+from repro.eval.catalog import CATALOG
+from repro.eval.profiles import SCALES, get_scale
 from repro.prefetch.base import NullPrefetcher, Prefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
 from repro.prefetch.registry import (
     PREFETCHER_NAMES,
     create_prefetcher,
+    override_keys,
     prefetcher_display_name,
 )
 from repro.prefetch.sequential import NextNLineTagged
@@ -124,3 +129,55 @@ def package_prefetcher_classes():
         for cls in subclasses(Prefetcher)
         if cls.__module__.startswith(repro.prefetch.__name__ + ".")
     }
+
+
+# --------------------------------------------------------------------- #
+# Declared override keys
+# --------------------------------------------------------------------- #
+
+
+def test_branch_factories_forward_ras_and_history() -> None:
+    for name in ("fdp", "shadow"):
+        prefetcher = create_prefetcher(name, ras_entries=1, history_bits=0)
+        assert prefetcher.ras.capacity == 1
+        assert prefetcher.gshare._history_mask == 0
+
+
+@pytest.mark.parametrize("scale", sorted(SCALES))
+def test_every_catalog_override_is_read_by_its_scheme(scale) -> None:
+    """``RunSpec.create`` rejects unread keys, so building every spec at
+    every scale proves the catalog passes none."""
+    specs = [
+        spec
+        for experiment in CATALOG.values()
+        for spec in experiment.specs(scale=get_scale(scale))
+    ]
+    with_overrides = [spec for spec in specs if spec.overrides]
+    assert with_overrides
+    for spec in with_overrides:
+        assert set(spec.overrides) <= override_keys(spec.prefetcher), spec.describe()
+
+
+def _literal_override_sites(tree: ast.AST):
+    """(scheme, override keys) of every call in *tree* naming a literal
+    ``prefetcher`` and a literal ``prefetcher_overrides``/``overrides`` dict."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        kwargs = {keyword.arg: keyword.value for keyword in node.keywords}
+        scheme = kwargs.get("prefetcher")
+        overrides = kwargs.get("prefetcher_overrides", kwargs.get("overrides"))
+        if isinstance(scheme, ast.Constant) and isinstance(overrides, ast.Dict):
+            yield scheme.value, {key.value for key in overrides.keys}
+
+
+def test_every_example_override_is_read_by_its_scheme() -> None:
+    examples = Path(__file__).resolve().parents[2] / "examples"
+    sites = [
+        (path.name, scheme, keys)
+        for path in sorted(examples.glob("*.py"))
+        for scheme, keys in _literal_override_sites(ast.parse(path.read_text()))
+    ]
+    assert len(sites) >= 3
+    for name, scheme, keys in sites:
+        assert keys <= override_keys(scheme), (name, scheme, keys)

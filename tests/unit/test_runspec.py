@@ -28,11 +28,20 @@ class TestCreate:
         assert spec(scale=custom).scale is custom
 
     def test_normalizes_overrides_to_sorted_tuple(self):
-        a = spec(prefetcher_overrides={"b": 2, "a": 1})
-        b = spec(prefetcher_overrides={"a": 1, "b": 2})
+        a = spec(prefetcher_overrides={"table_entries": 2, "counter_max": 1})
+        b = spec(prefetcher_overrides={"counter_max": 1, "table_entries": 2})
         assert a == b
-        assert a.prefetcher_overrides == (("a", 1), ("b", 2))
-        assert a.overrides == {"a": 1, "b": 2}
+        assert a.prefetcher_overrides == (("counter_max", 1), ("table_entries", 2))
+        assert a.overrides == {"counter_max": 1, "table_entries": 2}
+
+    def test_rejects_an_override_the_scheme_does_not_read(self):
+        with pytest.raises(ValueError, match=r"reads no override \['degree'\]"):
+            spec(prefetcher="target", prefetcher_overrides={"degree": 2})
+        with pytest.raises(ValueError, match="software prefetcher"):
+            spec(software_prefetch=True, prefetcher_overrides={"table_entries": 2})
+        assert spec(prefetcher="fdp", prefetcher_overrides={"ras_entries": 1}).overrides == {
+            "ras_entries": 1
+        }
 
     def test_defaults(self):
         s = spec()
@@ -62,8 +71,8 @@ class TestContentHash:
     def test_stable_across_constructions(self):
         assert spec().content_hash() == spec().content_hash()
         assert (
-            spec(prefetcher_overrides={"x": 1, "y": 2}).content_hash()
-            == spec(prefetcher_overrides={"y": 2, "x": 1}).content_hash()
+            spec(prefetcher_overrides={"counter_max": 1, "table_entries": 2}).content_hash()
+            == spec(prefetcher_overrides={"table_entries": 2, "counter_max": 1}).content_hash()
         )
 
     @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.jitted import kernel_source_hash
+from repro.core.jitted import CORE, kernel_source_hash
 from repro.eval import runner
 from repro.eval.runspec import DEFAULT_SEED
 from repro.trace import store as trace_store
@@ -226,6 +226,6 @@ def test_library_builds_lazily(tmp_path):
     assert out[1] == "True True"
     built = sorted(path.name for path in (tmp_path / "cache" / "jit").glob("*.so"))
     assert built == [
-        f"repro_jit_{kernel_source_hash()}.so",
+        f"repro_jit_{kernel_source_hash(CORE)}.so",
         f"repro_synth_{native.source_hash()}.so",
     ]
