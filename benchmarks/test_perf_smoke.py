@@ -71,6 +71,7 @@ from repro.eval.runner import (
     run_system,
     trace_budget,
 )
+from repro.eval.runspec import RunSpec
 from repro.trace import store
 from repro.trace.compiled import compile_traces
 from repro.trace.source import resolve
@@ -96,13 +97,15 @@ def _best_run(workload, cores, prefetcher, policy, backend, reps=3, scale=BENCH_
 
     def once():
         return run_system(
-            workload,
-            cores,
-            prefetcher,
-            scale=scale,
-            l2_policy=policy,
-            seed=DEFAULT_SEED,
-            engine_backend=backend,
+            RunSpec.create(
+                workload,
+                cores,
+                prefetcher,
+                scale=scale,
+                l2_policy=policy,
+                seed=DEFAULT_SEED,
+                engine_backend=backend,
+            )
         )
 
     # Untimed warm-up: the first run on a cold process pays page faults,

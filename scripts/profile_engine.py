@@ -53,6 +53,7 @@ from repro.eval.runner import (
     get_traces,
     run_system,
 )
+from repro.eval.runspec import RunSpec
 from repro.trace.compiled import compile_traces, visits_equal
 
 #: fixed instruction budget so visits/sec is comparable across runs.
@@ -222,13 +223,15 @@ def main() -> int:
 
     def simulate(backend: str):
         return run_system(
-            args.workload,
-            args.cores,
-            args.prefetcher,
-            scale=BENCH_SCALE,
-            l2_policy=args.l2_policy,
-            seed=args.seed,
-            engine_backend=backend,
+            RunSpec.create(
+                args.workload,
+                args.cores,
+                args.prefetcher,
+                scale=BENCH_SCALE,
+                l2_policy=args.l2_policy,
+                seed=args.seed,
+                engine_backend=backend,
+            )
         )
 
     # Prime run_system's compiled-trace memo outside the timed region so

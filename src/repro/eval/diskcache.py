@@ -10,11 +10,15 @@ Invalidation rules:
 - the file name is the spec's :meth:`content_hash`, so *any* change to a
   run's parameters (workload, scale budgets, hierarchy, timing, seed, …)
   selects a different file;
-- every payload carries ``schema`` = :data:`SCHEMA_VERSION`; bump the
-  constant whenever the simulator's *behaviour* or the payload layout
-  changes, and every stale entry is ignored (and rewritten on the next
-  run);
+- every payload carries ``schema`` = :func:`repro.version.code_hash`, a
+  hash of every source file of the package; an entry written by other
+  code (any edit to the simulator, this payload layout, anything else in
+  the package) reads as a miss and is overwritten by the next run, so a
+  behaviour change can never serve a stale result;
 - corrupt or truncated files are treated as misses, never as errors.
+
+The file mechanics (atomic writes, world-readable entries, orphaned tmp
+sweeps, degrade-to-no-cache) are :class:`repro.util.filestore.EntryDir`'s.
 
 Set ``REPRO_DISK_CACHE=0`` to disable the cache entirely (reads and
 writes).  JSON round-trips Python ints and floats exactly (``repr`` based),
@@ -27,10 +31,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
+from repro import version
 from repro.caches.config import CacheConfig, HierarchyConfig
 from repro.caches.missclass import MissBreakdown
 from repro.cmp.link import OffChipLink
@@ -40,26 +44,12 @@ from repro.envvars import REPRO_CACHE_DIR, REPRO_DISK_CACHE
 from repro.eval.runspec import RunSpec
 from repro.isa.classify import MissClass
 from repro.timing.params import TimingParams
+from repro.util.filestore import TMP_MAX_AGE_SECONDS, EntryDir
 from repro.util.validation import parse_env_flag
-
-#: bump when the simulator's behaviour or this payload layout changes; all
-#: existing cache entries become invisible (and are rewritten on demand).
-SCHEMA_VERSION = 1
 
 CACHE_DIR_ENV = REPRO_CACHE_DIR
 DISABLE_ENV = REPRO_DISK_CACHE
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: a ``*.tmp`` file older than this is an orphan from a crashed writer
-#: (live tmp files exist only for the instant between mkstemp and rename).
-TMP_MAX_AGE_SECONDS = 3600.0
-
-#: entries are written via ``mkstemp`` (mode 0600); chmod to this so a
-#: shared cache directory stays readable by other users.
-ENTRY_MODE = 0o644
-
-#: cache directories already swept for stale tmp files this process.
-_tmp_swept_dirs: Set[str] = set()
 
 _CORE_SCALARS = (
     "instructions",
@@ -87,8 +77,11 @@ def cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
+_ENTRIES = EntryDir(cache_dir, ".json")
+
+
 def path_for(spec: RunSpec) -> Path:
-    return cache_dir() / f"{spec.content_hash()}.json"
+    return _ENTRIES.path(spec.content_hash())
 
 
 # ---------------------------------------------------------------------- #
@@ -146,32 +139,12 @@ def _config_from_dict(data: Dict) -> SystemConfig:
     )
 
 
-def _plain_number(value):
-    """Coerce a stray NumPy scalar to its plain Python equivalent.
-
-    Engine backends may compute stats with NumPy; ``np.int64``/``np.float64``
-    leaking into a payload would crash ``json.dump`` (or, with a permissive
-    encoder, persist as a different textual form).  Plain ints and floats
-    pass through untouched; anything exposing ``.item()`` (every NumPy
-    scalar) is unwrapped at this boundary.  Kept NumPy-import-free so the
-    cache works where NumPy is absent.
-    """
-    kind = type(value)
-    if kind is int or kind is float:
-        return value
-    item = getattr(value, "item", None)
-    if item is not None:
-        return item()
-    return value
-
-
 def _core_to_dict(core: CoreStats) -> Dict:
-    data = {name: _plain_number(getattr(core, name)) for name in _CORE_SCALARS}
+    data = {name: getattr(core, name) for name in _CORE_SCALARS}
     data["l1i_breakdown"] = core.l1i_breakdown.counts()
     data["l2i_breakdown"] = core.l2i_breakdown.counts()
     data["prefetch"] = {
-        name: _plain_number(getattr(core.prefetch, name))
-        for name in PrefetchStats.__dataclass_fields__
+        name: getattr(core.prefetch, name) for name in PrefetchStats.__dataclass_fields__
     }
     return data
 
@@ -207,7 +180,7 @@ def _link_from_dict(data: Dict) -> OffChipLink:
 def result_to_payload(result: SystemResult, spec: Optional[RunSpec] = None) -> Dict:
     """Plain-data form of a result (JSON-safe, exact int/float round-trip)."""
     payload = {
-        "schema": SCHEMA_VERSION,
+        "schema": version.code_hash(),
         "config": _config_to_dict(result.config),
         "cores": [_core_to_dict(core) for core in result.cores],
         "link": _link_to_dict(result.link),
@@ -234,103 +207,46 @@ def payload_to_result(payload: Dict) -> SystemResult:
 def load(spec: RunSpec) -> Optional[SystemResult]:
     """Return the cached result for *spec*, or None.
 
-    Disabled cache, missing file, schema mismatch and corrupt payloads all
-    read as misses; the cache never raises on a bad entry.
+    Disabled cache, missing file, an entry from other code and corrupt
+    payloads all read as misses; the cache never raises on a bad entry.
     """
     if not enabled():
         return None
-    path = path_for(spec)
+    blob = _ENTRIES.read(spec.content_hash())
+    if blob is None:
+        return None
     try:
-        with open(path, "r") as handle:
-            payload = json.load(handle)
-        if payload.get("schema") != SCHEMA_VERSION:
+        payload = json.loads(blob)
+        if payload.get("schema") != version.code_hash():
             return None
         return payload_to_result(payload)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
 def store(spec: RunSpec, result: SystemResult) -> bool:
-    """Persist *result* under *spec*'s hash; returns False when disabled.
+    """Persist *result* under *spec*'s hash; False when disabled or unwritable.
 
-    Writes are atomic (tmp file + rename) so concurrent executors can share
-    one cache directory without readers ever seeing a partial file.
+    Writes are atomic, so concurrent executors can share one cache
+    directory without readers ever seeing a partial file.
     """
     if not enabled():
         return False
-    payload = result_to_payload(result, spec)
-    directory = cache_dir()
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        key = str(directory)
-        if key not in _tmp_swept_dirs:
-            # Opportunistic orphan cleanup, bounded to once per process
-            # per directory so stores stay O(1) in the cache size.
-            _tmp_swept_dirs.add(key)
-            sweep_stale_tmp()
-        fd, tmp_name = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            # mkstemp creates 0600 files; open the entry up so a shared
-            # cache directory is readable by other users.
-            os.chmod(tmp_name, ENTRY_MODE)
-            os.replace(tmp_name, path_for(spec))
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        # An unwritable cache directory degrades to "no cache", not a crash.
-        return False
-    return True
+    payload = json.dumps(result_to_payload(result, spec))
+    return _ENTRIES.write(spec.content_hash(), payload.encode("utf-8"))
 
 
 def sweep_stale_tmp(max_age_seconds: float = TMP_MAX_AGE_SECONDS) -> int:
-    """Remove orphaned ``*.tmp`` files left behind by crashed writers.
-
-    Only files older than *max_age_seconds* are touched (a concurrent
-    writer's live tmp file must survive); pass 0 to sweep unconditionally.
-    Returns the number of files removed.
-    """
-    from repro.util import clock
-
-    directory = cache_dir()
-    removed = 0
-    if not directory.is_dir():
-        return 0
-    cutoff = clock.now() - max_age_seconds
-    for path in directory.glob("*.tmp"):
-        try:
-            if max_age_seconds <= 0 or path.stat().st_mtime <= cutoff:
-                path.unlink()
-                removed += 1
-        except OSError:
-            pass
-    return removed
+    """Remove ``*.tmp`` orphans left by crashed writers (0: sweep all)."""
+    return _ENTRIES.sweep_stale_tmp(max_age_seconds)
 
 
 def clear() -> int:
     """Delete all cache entries (results *and* leftover ``*.tmp`` orphans);
     returns the number of files removed."""
-    directory = cache_dir()
-    removed = 0
-    if directory.is_dir():
-        for pattern in ("*.json", "*.tmp"):
-            for path in directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-    return removed
+    return _ENTRIES.clear()
 
 
 def entry_count() -> int:
     """Number of result files currently in the cache directory."""
-    directory = cache_dir()
-    if not directory.is_dir():
-        return 0
-    return sum(1 for _ in directory.glob("*.json"))
+    return _ENTRIES.entry_count()

@@ -187,15 +187,7 @@ def _simulate(spec: RunSpec) -> SystemResult:
     """Run one spec from scratch in this process."""
     from repro.eval.runner import run_system
 
-    kwargs = spec.run_kwargs()
-    if spec.software_prefetch:
-        from repro.swpf.prefetcher import software_prefetcher_for
-
-        workload, seed = spec.workload, spec.seed
-        kwargs["prefetcher_factory"] = lambda core: software_prefetcher_for(
-            workload, seed, core=core
-        )
-    return run_system(**kwargs)
+    return run_system(spec)
 
 
 def _worker(spec: RunSpec) -> Dict:

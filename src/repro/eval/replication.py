@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.eval.profiles import ExperimentScale
 from repro.eval.runner import run_system_cached
+from repro.eval.runspec import RunSpec
 
 #: default replication seeds (arbitrary, fixed for reproducibility).
 DEFAULT_SEEDS = (1337, 2024, 31415, 27182, 16180)
@@ -68,9 +69,13 @@ def replicate_speedup(
     """Speedup of *prefetcher* over no-prefetch, replicated across seeds."""
 
     def one(seed: int) -> float:
-        base = run_system_cached(workload, n_cores, "none", scale=scale, seed=seed)
+        base = run_system_cached(
+            RunSpec.create(workload, n_cores, "none", scale=scale, seed=seed)
+        )
         result = run_system_cached(
-            workload, n_cores, prefetcher, scale=scale, l2_policy=l2_policy, seed=seed
+            RunSpec.create(
+                workload, n_cores, prefetcher, scale=scale, l2_policy=l2_policy, seed=seed
+            )
         )
         return result.aggregate_ipc / base.aggregate_ipc
 

@@ -30,17 +30,15 @@ persistence and per-spec failure isolation — see ``docs/performance.md``,
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.caches.config import DEFAULT_HIERARCHY, HierarchyConfig
 from repro.cmp.system import System, SystemConfig, SystemResult
 from repro.envvars import REPRO_SYNTH_LOG
-from repro.eval.profiles import ExperimentScale, get_scale
+from repro.eval.profiles import ExperimentScale
 from repro.eval.runspec import DEFAULT_SEED, RunSpec
-from repro.isa.classify import MissClass
-from repro.timing.params import DEFAULT_TIMING, TimingParams
 from repro.trace import store as trace_store
 from repro.trace.compiled import CompiledTrace
 from repro.trace.source import resolve, traces_for
@@ -240,104 +238,52 @@ def clear_trace_cache() -> None:
     _COMPILED_CACHE.clear()
 
 
-def run_system(
-    workload: str,
-    n_cores: int,
-    prefetcher: str = "none",
-    scale: Optional[ExperimentScale] = None,
-    hierarchy: HierarchyConfig = DEFAULT_HIERARCHY,
-    timing: TimingParams = DEFAULT_TIMING,
-    l2_policy: str = "normal",
-    prefetcher_overrides: Optional[dict] = None,
-    free_miss_classes: FrozenSet[MissClass] = frozenset(),
-    queue_filtering: bool = True,
-    queue_lifo: bool = True,
-    useless_hint_filter: bool = False,
-    l2_inclusive: bool = False,
-    l1_replacement: str = "lru",
-    l2_replacement: str = "lru",
-    offchip_gbps: Optional[float] = None,
-    prefetcher_factory: Optional[Callable[[int], object]] = None,
-    seed: int = DEFAULT_SEED,
-    engine_backend: str = "auto",
-) -> SystemResult:
-    """Run one fully specified configuration and return its results."""
-    scale = scale or get_scale()
-    total, warm = trace_budget(scale, n_cores)
-    traces = get_compiled_traces(workload, n_cores, total, seed, hierarchy.line_size)
+def run_system(spec: RunSpec) -> SystemResult:
+    """Simulate one spec from scratch in this process and return its results.
+
+    A ``software_prefetch`` spec gets the §2.3 cooperative software
+    prefetcher, built per core here (a factory callable cannot travel in a
+    spec).
+    """
+    total, warm = trace_budget(spec.scale, spec.n_cores)
+    traces = get_compiled_traces(
+        spec.workload, spec.n_cores, total, spec.seed, spec.hierarchy.line_size
+    )
+    factory: Optional[Callable[[int], object]] = None
+    if spec.software_prefetch:
+        from repro.swpf.prefetcher import software_prefetcher_for
+
+        factory = functools.partial(software_prefetcher_for, spec.workload, spec.seed)
     config = SystemConfig(
-        n_cores=n_cores,
-        hierarchy=hierarchy,
-        timing=timing,
-        offchip_gbps=offchip_gbps,
-        prefetcher=prefetcher,
-        prefetcher_overrides=prefetcher_overrides or {},
-        l2_policy=l2_policy,
-        queue_filtering=queue_filtering,
-        queue_lifo=queue_lifo,
-        useless_hint_filter=useless_hint_filter,
-        l2_inclusive=l2_inclusive,
-        l1_replacement=l1_replacement,
-        l2_replacement=l2_replacement,
-        prefetcher_factory=prefetcher_factory,
+        n_cores=spec.n_cores,
+        hierarchy=spec.hierarchy,
+        timing=spec.timing,
+        offchip_gbps=spec.offchip_gbps,
+        prefetcher=spec.prefetcher,
+        prefetcher_overrides=spec.overrides,
+        l2_policy=spec.l2_policy,
+        queue_filtering=spec.queue_filtering,
+        queue_lifo=spec.queue_lifo,
+        useless_hint_filter=spec.useless_hint_filter,
+        l2_inclusive=spec.l2_inclusive,
+        l1_replacement=spec.l1_replacement,
+        l2_replacement=spec.l2_replacement,
+        prefetcher_factory=factory,
         warm_instructions=warm,
-        free_miss_classes=free_miss_classes,
-        engine_backend=engine_backend,
+        free_miss_classes=spec.free_miss_classes,
+        engine_backend=spec.engine_backend,
     )
     return System(config, traces).run()
 
 
-def run_system_cached(
-    workload: str,
-    n_cores: int,
-    prefetcher: str = "none",
-    scale: Optional[ExperimentScale] = None,
-    hierarchy: HierarchyConfig = DEFAULT_HIERARCHY,
-    timing: TimingParams = DEFAULT_TIMING,
-    l2_policy: str = "normal",
-    prefetcher_overrides: Optional[dict] = None,
-    free_miss_classes: FrozenSet[MissClass] = frozenset(),
-    queue_filtering: bool = True,
-    queue_lifo: bool = True,
-    useless_hint_filter: bool = False,
-    l2_inclusive: bool = False,
-    l1_replacement: str = "lru",
-    l2_replacement: str = "lru",
-    offchip_gbps: Optional[float] = None,
-    software_prefetch: bool = False,
-    seed: int = DEFAULT_SEED,
-    engine_backend: str = "auto",
-) -> SystemResult:
+def run_system_cached(spec: RunSpec) -> SystemResult:
     """Like :func:`run_system`, but served through the layered caches.
 
     The paper's figures share many configurations (e.g. Figures 5, 6 and 7
     all read the same runs); the in-process memo lets each figure driver
     ask for what it needs without coordinating with the others, and the
-    disk cache extends that sharing across invocations.  Accepts every
-    ``run_system`` parameter except an arbitrary ``prefetcher_factory``
-    (use ``software_prefetch=True`` for the §2.3 software prefetcher).
+    disk cache extends that sharing across invocations.
     """
-    spec = RunSpec.create(
-        workload,
-        n_cores,
-        prefetcher,
-        scale=scale,
-        hierarchy=hierarchy,
-        timing=timing,
-        l2_policy=l2_policy,
-        prefetcher_overrides=prefetcher_overrides,
-        free_miss_classes=free_miss_classes,
-        queue_filtering=queue_filtering,
-        queue_lifo=queue_lifo,
-        useless_hint_filter=useless_hint_filter,
-        l2_inclusive=l2_inclusive,
-        l1_replacement=l1_replacement,
-        l2_replacement=l2_replacement,
-        offchip_gbps=offchip_gbps,
-        software_prefetch=software_prefetch,
-        seed=seed,
-        engine_backend=engine_backend,
-    )
     from repro.eval.executor import execute_spec
 
     return execute_spec(spec)

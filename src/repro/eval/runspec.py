@@ -1,4 +1,4 @@
-"""Declarative description of one :func:`repro.eval.runner.run_system` call.
+"""Declarative description of one simulation run.
 
 A :class:`RunSpec` is the unit of work of the sweep-execution subsystem
 (:mod:`repro.eval.executor`): a frozen, hashable, picklable record of every
@@ -8,11 +8,18 @@ worker processes; and because :meth:`RunSpec.content_hash` is stable across
 processes and sessions it keys the persistent on-disk result cache
 (:mod:`repro.eval.diskcache`).
 
-The one ``run_system`` parameter a RunSpec cannot carry is an arbitrary
-``prefetcher_factory`` callable (not picklable, not hashable).  The single
-factory-based configuration the experiments use — the §2.3 cooperative
-software prefetcher — is instead encoded declaratively via the
-``software_prefetch`` flag and reconstructed inside the executing process.
+:func:`repro.eval.runner.run_system` and
+:func:`~repro.eval.runner.run_system_cached` take a RunSpec, so a run the
+drivers can ask for is always one the executor and the caches can carry.
+An arbitrary prefetcher factory callable is neither picklable nor
+hashable; the single factory-based configuration the experiments use — the
+§2.3 cooperative software prefetcher — is encoded declaratively via the
+``software_prefetch`` flag and built by ``run_system`` inside the
+executing process.
+
+The cache key is derived, not listed: :meth:`RunSpec.canonical_dict` encodes
+every dataclass field except those in :data:`NON_KEYED`, so a new field
+keys the persistent cache without any further edit.
 """
 
 from __future__ import annotations
@@ -31,6 +38,12 @@ from repro.prefetch.registry import PREFETCHER_NAMES, check_overrides
 from repro.timing.params import DEFAULT_TIMING, TimingParams
 from repro.trace.source import validate_workload
 
+#: RunSpec fields that never change a result, left out of the cache key so
+#: identical results share one entry.  ``engine_backend`` is an execution
+#: strategy: backends are bit-identical (pinned by the backend parity suite
+#: and the golden spec-parity hashes).
+NON_KEYED = frozenset({"engine_backend"})
+
 #: default experiment seed (any fixed value works; results are deterministic
 #: in it).
 DEFAULT_SEED = 1337
@@ -40,9 +53,9 @@ DEFAULT_SEED = 1337
 class RunSpec:
     """Everything that determines one ``run_system`` result.
 
-    Prefer :meth:`RunSpec.create`, which accepts the same ergonomic
-    argument forms as ``run_system`` (a scale name or None, an overrides
-    dict) and normalizes them into the canonical hashable representation.
+    Prefer :meth:`RunSpec.create`, which accepts ergonomic argument forms
+    (a scale name or None, an overrides dict) and normalizes them into the
+    canonical hashable representation.
     """
 
     workload: str
@@ -67,10 +80,7 @@ class RunSpec:
     software_prefetch: bool = False
     seed: int = DEFAULT_SEED
     #: engine backend ("reference"/"jit"/"auto", see
-    #: :mod:`repro.core.backends`).  Backends are bit-identical, so this is
-    #: deliberately *excluded* from :meth:`canonical_dict` — keying the
-    #: persistent cache on it would split identical results across entries
-    #: (lint R3 carries the matching non-keyed allowlist entry).
+    #: :mod:`repro.core.backends`); in :data:`NON_KEYED`.
     engine_backend: str = "auto"
 
     @classmethod
@@ -150,30 +160,6 @@ class RunSpec:
     def overrides(self) -> Dict[str, Any]:
         return dict(self.prefetcher_overrides)
 
-    def run_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for ``run_system`` (minus the software-prefetch
-        factory, which the executor builds in-process)."""
-        return dict(
-            workload=self.workload,
-            n_cores=self.n_cores,
-            prefetcher=self.prefetcher,
-            scale=self.scale,
-            hierarchy=self.hierarchy,
-            timing=self.timing,
-            l2_policy=self.l2_policy,
-            prefetcher_overrides=self.overrides,
-            free_miss_classes=self.free_miss_classes,
-            queue_filtering=self.queue_filtering,
-            queue_lifo=self.queue_lifo,
-            useless_hint_filter=self.useless_hint_filter,
-            l2_inclusive=self.l2_inclusive,
-            l1_replacement=self.l1_replacement,
-            l2_replacement=self.l2_replacement,
-            offchip_gbps=self.offchip_gbps,
-            seed=self.seed,
-            engine_backend=self.engine_backend,
-        )
-
     def trace_key(self) -> Tuple[str, int, str, int]:
         """Grouping key for specs that replay the same generated traces."""
         return (self.workload, self.n_cores, self.scale.name, self.seed)
@@ -183,26 +169,13 @@ class RunSpec:
     # ------------------------------------------------------------------ #
 
     def canonical_dict(self) -> Dict[str, Any]:
-        """JSON-serializable canonical form (stable across processes)."""
+        """JSON-serializable canonical form (stable across processes): every
+        field but :data:`NON_KEYED`, dataclasses as dicts, miss classes as
+        sorted names."""
         return {
-            "workload": self.workload,
-            "n_cores": self.n_cores,
-            "prefetcher": self.prefetcher,
-            "scale": dataclasses.asdict(self.scale),
-            "hierarchy": dataclasses.asdict(self.hierarchy),
-            "timing": dataclasses.asdict(self.timing),
-            "l2_policy": self.l2_policy,
-            "prefetcher_overrides": [list(item) for item in self.prefetcher_overrides],
-            "free_miss_classes": sorted(cls.name for cls in self.free_miss_classes),
-            "queue_filtering": self.queue_filtering,
-            "queue_lifo": self.queue_lifo,
-            "useless_hint_filter": self.useless_hint_filter,
-            "l2_inclusive": self.l2_inclusive,
-            "l1_replacement": self.l1_replacement,
-            "l2_replacement": self.l2_replacement,
-            "offchip_gbps": self.offchip_gbps,
-            "software_prefetch": self.software_prefetch,
-            "seed": self.seed,
+            field.name: _canonical(getattr(self, field.name))
+            for field in dataclasses.fields(self)
+            if field.name not in NON_KEYED
         }
 
     def content_hash(self) -> str:
@@ -219,6 +192,14 @@ class RunSpec:
         if self.prefetcher_overrides:
             parts.append(",".join(f"{k}={v}" for k, v in self.prefetcher_overrides))
         return "/".join(parts)
+
+
+def _canonical(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, frozenset):
+        return sorted(member.name for member in value)
+    return value
 
 
 def dedupe_specs(specs: Iterable[RunSpec]) -> List[RunSpec]:

@@ -1,10 +1,10 @@
-"""AST-based invariant checker for determinism, cache-safety and executor
-boundaries.
+"""AST-based invariant checker for determinism, executor boundaries and the
+environment-variable registry.
 
-See ``docs/static_analysis.md`` for the rule catalogue (R1–R4, R7, R8),
-the behavior-manifest workflow, the ``repro.envvars`` registry R7
-enforces, autofixes, SARIF output, and how to allowlist a legitimate
-exception.
+See ``docs/static_analysis.md`` for the rule catalogue (R1, R4, R7, R8),
+how the persistent caches invalidate without a lint rule, the
+``repro.envvars`` registry R7 enforces, autofixes, SARIF output, and how to
+allowlist a legitimate exception.
 """
 
 from repro.lint.engine import (
@@ -17,17 +17,14 @@ from repro.lint.engine import (
     run_rules,
 )
 from repro.lint.rules import (
-    BehaviorManifestRule,
     DeterminismRule,
     DeterminismTaintRule,
     EnvRegistryRule,
     ExecutorBoundaryRule,
-    RunSpecSyncRule,
     default_rules,
 )
 
 __all__ = [
-    "BehaviorManifestRule",
     "DeterminismRule",
     "DeterminismTaintRule",
     "EnvRegistryRule",
@@ -36,7 +33,6 @@ __all__ = [
     "LintError",
     "Project",
     "Rule",
-    "RunSpecSyncRule",
     "TextEdit",
     "Violation",
     "default_rules",

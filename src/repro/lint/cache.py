@@ -4,7 +4,7 @@ The dataflow facts (:mod:`repro.lint.dataflow`) are pure functions of one
 file's text, so they cache perfectly: entries are keyed on the SHA-256 of
 the file's newline-normalized source plus :data:`~repro.lint.dataflow.
 FACTS_VERSION`.  A warm cache turns the live-tree lint run into hash
-computations plus a handful of targeted parses (rules R2–R4 read specific
+computations plus a handful of targeted parses (rule R4 reads specific
 files), which is what keeps ``python -m repro.lint`` sub-second.
 
 The cache lives at ``.repro-cache/lint-facts.json`` under the project root

@@ -1,4 +1,4 @@
-"""``python -m repro.lint`` — check the tree, or refresh the manifest.
+"""``python -m repro.lint`` — check the tree.
 
 Exit codes: 0 clean, 1 violations (or a rule that could not run), 2 usage
 errors.  CI runs the bare form as a gate in front of the test matrix.
@@ -6,9 +6,8 @@ errors.  CI runs the bare form as a gate in front of the test matrix.
 Usage::
 
     python -m repro.lint                  # run every rule on the repo
-    python -m repro.lint --rules R1,R3    # subset
+    python -m repro.lint --rules R1,R4    # subset
     python -m repro.lint --list-rules
-    python -m repro.lint --update-manifest
     python -m repro.lint --format sarif --output lint.sarif
     python -m repro.lint --fix            # apply mechanical autofixes
     python -m repro.lint src/repro/core/engine.py   # scope the report
@@ -26,7 +25,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint import manifest as manifest_mod
 from repro.lint.cache import FactsCache
 from repro.lint.engine import LintError, Project, run_rules
 from repro.lint.fixes import apply_fixes
@@ -50,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based invariant checker for the reproduction: determinism "
-            "(R1), cache-safety (R2), RunSpec sync (R3), executor boundary "
-            "(R4), env registry (R7) and determinism taint (R8)."
+            "(R1), executor boundary (R4), env registry (R7) and determinism "
+            "taint (R8)."
         ),
     )
     parser.add_argument(
@@ -69,17 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules",
         default=None,
-        metavar="R1,R2,...",
+        metavar="R1,R4,...",
         help="comma-separated subset of rules to run (default: all)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list available rules and exit"
-    )
-    parser.add_argument(
-        "--update-manifest",
-        action="store_true",
-        help="rewrite the behavior manifest (module hashes) from the "
-        "current tree and exit",
     )
     parser.add_argument(
         "--format",
@@ -148,22 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     facts_cache = None if args.no_cache else FactsCache.for_root(root)
     project = Project(root, facts_cache=facts_cache)
-
-    if args.update_manifest:
-        try:
-            written = manifest_mod.update_manifest(project)
-        except LintError as error:
-            print(f"repro.lint: error: {error}", file=sys.stderr)
-            return 2
-        detail = ", ".join(
-            f"{artifact.noun}: {len(written[artifact.files_key])} modules @ "
-            f"{artifact.version_key}={written[artifact.version_key]}"
-            for artifact in manifest_mod.active_artifacts(project)
-        )
-        if facts_cache is not None:
-            facts_cache.save()
-        print(f"repro.lint: wrote {manifest_mod.MANIFEST_PATH} ({detail})")
-        return 0
 
     names = None
     if args.rules:

@@ -1,16 +1,10 @@
-"""The project-specific invariant rules (R1–R4, R7, R8).
+"""The project-specific invariant rules (R1, R4, R7, R8).
 
 Each rule encodes one contract the reproduction's results depend on:
 
 - **R1 determinism** — simulator code never reads ambient randomness or the
   host clock; only :mod:`repro.util.rng` streams (and the allowlisted
   :mod:`repro.util.clock` shim) are permitted.
-- **R2 cache-safety** — every result-affecting module is hashed into a
-  committed manifest; changing one without bumping the disk cache's
-  ``SCHEMA_VERSION`` fails lint (see :mod:`repro.lint.manifest`).
-- **R3 RunSpec sync** — ``run_system`` cannot gain a parameter that RunSpec
-  does not carry, and every RunSpec field must feed ``canonical_dict`` so
-  it keys the persistent cache.
 - **R4 executor boundary** — worker-payload builders construct JSON-safe
   plain data only (no sets, lambdas, or ad-hoc class instances).
 - **R7 env registry** — every ``REPRO_*`` environment read goes through a
@@ -32,24 +26,10 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.lint import manifest as manifest_mod
-from repro.lint.dataflow import (
-    FORBIDDEN_ATTRS,
-    FORBIDDEN_MODULES,
-    forbidden_module_of,
-    module_matches,
-)
-from repro.lint.engine import (
-    Fix,
-    LintError,
-    Project,
-    Rule,
-    TextEdit,
-    Violation,
-    dotted_name,
-)
+from repro.lint.dataflow import FORBIDDEN_ATTRS, forbidden_module_of
+from repro.lint.engine import Fix, Project, Rule, TextEdit, Violation
 
 # --------------------------------------------------------------------- #
 # R1 — determinism
@@ -61,10 +41,6 @@ R1_HINT = (
     "needs ambient state, add it to the R1 allowlist with a reason"
 )
 
-
-#: kept as a module-level helper name for compatibility; the shared
-#: implementation lives in :mod:`repro.lint.dataflow`.
-_module_matches = module_matches
 
 #: mechanical R1 rewrites: forbidden attribute use -> (sanctioned
 #: replacement, import statement the replacement needs).
@@ -216,269 +192,12 @@ class DeterminismRule(Rule):
 
 
 # --------------------------------------------------------------------- #
-# R2 — cache-safety (behavior manifest vs SCHEMA_VERSION)
-# --------------------------------------------------------------------- #
-
-def _artifact_hint(artifact: "manifest_mod.Artifact") -> str:
-    return (
-        f"bump {artifact.schema_constant} in {artifact.schema_module} "
-        f"(invalidating stale cache entries), then run `python -m repro.lint "
-        "--update-manifest`; if the edit provably cannot change results "
-        "(comments, formatting), running --update-manifest alone is "
-        "acceptable — say so in review"
-    )
-
-
-R2_HINT = _artifact_hint(manifest_mod.ARTIFACTS[0])
-
-
-class BehaviorManifestRule(Rule):
-    """R2: result-affecting modules may not change under a frozen schema.
-
-    The committed manifest records, per schema-versioned artifact (the
-    disk result cache, the compiled-trace store), a hash of each module the
-    artifact's contents depend on plus the schema version the hashes were
-    taken under.  While an artifact's current version equals its recorded
-    one, any hash drift under that artifact is a violation.  A version bump
-    acknowledges the behavior change (every entry of that artifact is
-    already invalidated by it) and silences that artifact's checks until
-    the manifest is refreshed — the *other* artifacts keep checking, so a
-    trace-affecting edit must move ``TRACE_SCHEMA_VERSION`` even when
-    ``SCHEMA_VERSION`` was already bumped.
-    """
-
-    name = "R2"
-    title = "cache-safety: behavior changes require a schema-version bump"
-
-    def check(self, project: Project) -> List[Violation]:
-        recorded = manifest_mod.load_manifest(project)
-        if recorded is None:
-            return [
-                self.violation(
-                    manifest_mod.MANIFEST_PATH,
-                    0,
-                    "behavior manifest is missing",
-                    "run `python -m repro.lint --update-manifest` and commit the result",
-                )
-            ]
-        violations: List[Violation] = []
-        reported: Set[str] = set()
-        for artifact in manifest_mod.active_artifacts(project):
-            current_version = manifest_mod.artifact_schema_version(project, artifact)
-            if recorded.get(artifact.version_key) != current_version:
-                # The bump already invalidated this artifact's entries;
-                # hashes refresh with the accompanying --update-manifest run.
-                continue
-            hint = _artifact_hint(artifact)
-            expected: Dict[str, str] = dict(recorded.get(artifact.files_key, {}))
-            actual = manifest_mod.artifact_hashes(project, artifact)
-            for path in sorted(set(expected) | set(actual)):
-                if path in reported:
-                    continue
-                if path not in actual:
-                    violations.append(
-                        self.violation(
-                            manifest_mod.MANIFEST_PATH,
-                            0,
-                            f"manifest lists {path} but the module is gone",
-                            hint,
-                        )
-                    )
-                    reported.add(path)
-                elif path not in expected:
-                    violations.append(
-                        self.violation(
-                            path,
-                            0,
-                            "new result-affecting module is not in the behavior manifest",
-                            hint,
-                        )
-                    )
-                    reported.add(path)
-                elif expected[path] != actual[path]:
-                    violations.append(
-                        self.violation(
-                            path,
-                            0,
-                            "result-affecting module changed without a "
-                            f"{artifact.schema_constant} bump (schema still "
-                            f"{current_version}); stale {artifact.noun} entries "
-                            "would be served as current",
-                            hint,
-                        )
-                    )
-                    reported.add(path)
-        return violations
-
-
-# --------------------------------------------------------------------- #
-# R3 — RunSpec sync
-# --------------------------------------------------------------------- #
-
-R3_RUNNER = "src/repro/eval/runner.py"
-R3_RUNSPEC = "src/repro/eval/runspec.py"
-
-
-class RunSpecSyncRule(Rule):
-    """R3: every ``run_system`` parameter is carried (and hashed) by RunSpec.
-
-    Two checks: (a) each ``run_system`` parameter has a matching RunSpec
-    field, so the executor and the caches can represent every run the
-    drivers can ask for; (b) each RunSpec field appears as a key in
-    ``canonical_dict``, so it participates in the persistent cache hash.
-    The executor's one structural hole — ``prefetcher_factory`` cannot be
-    carried by a plain-data spec — stays explicit via the allowlist, and
-    fields that provably never change results (``engine_backend``) are
-    exempted from (b) via the non-keyed allowlist so identical results are
-    not duplicated across cache entries.
-    """
-
-    name = "R3"
-    title = "RunSpec sync: run_system parameters ⊆ RunSpec fields ⊆ cache hash"
-
-    DEFAULT_ALLOWLIST: Mapping[str, str] = {
-        "prefetcher_factory": (
-            "process-local callable; unpicklable and unhashable, carried "
-            "declaratively as RunSpec.software_prefetch instead"
-        ),
-    }
-
-    #: RunSpec fields deliberately excluded from canonical_dict: parameters
-    #: that provably never change results, where keying the persistent
-    #: cache on them would split identical results across entries.
-    DEFAULT_NON_KEYED: Mapping[str, str] = {
-        "engine_backend": (
-            "execution strategy, not semantics: backends are bit-identical "
-            "(pinned by the backend parity suite and the golden spec-parity "
-            "hashes), so all backends share one cache entry"
-        ),
-    }
-
-    def __init__(
-        self,
-        allowlist: Optional[Mapping[str, str]] = None,
-        non_keyed_allowlist: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.allowlist = dict(self.DEFAULT_ALLOWLIST if allowlist is None else allowlist)
-        self.non_keyed_allowlist = dict(
-            self.DEFAULT_NON_KEYED if non_keyed_allowlist is None else non_keyed_allowlist
-        )
-
-    def check(self, project: Project) -> List[Violation]:
-        run_system = _find_function(project.tree(R3_RUNNER), "run_system", R3_RUNNER)
-        runspec_cls = _find_class(project.tree(R3_RUNSPEC), "RunSpec", R3_RUNSPEC)
-        fields = _class_fields(runspec_cls)
-        canonical_keys = _canonical_dict_keys(runspec_cls)
-
-        violations: List[Violation] = []
-        for arg in _all_args(run_system):
-            if arg.arg in fields or arg.arg in self.allowlist:
-                continue
-            violations.append(
-                self.violation(
-                    R3_RUNNER,
-                    arg.lineno,
-                    f"run_system parameter {arg.arg!r} has no RunSpec field — the "
-                    "executor and result caches cannot carry it",
-                    f"add a {arg.arg!r} field to RunSpec (plus canonical_dict and "
-                    "run_kwargs entries), or allowlist it with a reason if it is "
-                    "genuinely uncarriable",
-                )
-            )
-        for field in sorted(fields):
-            if field in canonical_keys or field in self.non_keyed_allowlist:
-                continue
-            violations.append(
-                self.violation(
-                    R3_RUNSPEC,
-                    fields[field],
-                    f"RunSpec field {field!r} is missing from canonical_dict — it "
-                    "would not key the persistent disk cache, so two different "
-                    "runs could collide on one cache entry",
-                    f"add a {field!r} entry to RunSpec.canonical_dict()",
-                )
-            )
-        return violations
-
-
-def _find_function(tree: ast.Module, name: str, rel: str) -> ast.FunctionDef:
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    raise LintError(f"{rel}: expected a top-level function {name!r}")
-
-
-def _find_class(tree: ast.Module, name: str, rel: str) -> ast.ClassDef:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    raise LintError(f"{rel}: expected a top-level class {name!r}")
-
-
-def _all_args(func: ast.FunctionDef) -> List[ast.arg]:
-    args = func.args
-    return list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-
-
-def _class_fields(cls: ast.ClassDef) -> Dict[str, int]:
-    """Dataclass field name -> line number (annotated class-body targets)."""
-    fields: Dict[str, int] = {}
-    for node in cls.body:
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            fields[node.target.id] = node.lineno
-    return fields
-
-
-def _canonical_dict_keys(cls: ast.ClassDef) -> Set[str]:
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == "canonical_dict":
-            for inner in ast.walk(node):
-                if isinstance(inner, ast.Return) and isinstance(inner.value, ast.Dict):
-                    return {
-                        key.value
-                        for key in inner.value.keys
-                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    }
-            raise LintError(
-                f"{R3_RUNSPEC}: canonical_dict must return a dict literal so the "
-                "cache key stays statically checkable"
-            )
-    raise LintError(f"{R3_RUNSPEC}: RunSpec has no canonical_dict method")
-
-
-# --------------------------------------------------------------------- #
 # R4 — executor boundary
 # --------------------------------------------------------------------- #
 
 #: builtins that construct values JSON cannot represent faithfully.
 NON_JSON_BUILTINS = frozenset(
     {"set", "frozenset", "bytes", "bytearray", "complex", "memoryview", "object"}
-)
-
-#: NumPy scalar constructors: ``json.dump`` rejects their instances, and a
-#: permissive encoder would persist them in a different textual form than
-#: the plain int/float the reference backend produces.  Payload builders
-#: must route such values through ``diskcache._plain_number`` instead.
-NUMPY_SCALAR_CTORS = frozenset(
-    {
-        "int8", "int16", "int32", "int64",
-        "uint8", "uint16", "uint32", "uint64",
-        "float16", "float32", "float64",
-        "bool_", "intc", "intp", "longlong", "ulonglong",
-    }
-)
-
-#: numba scalar-type constructors: calling ``numba.int64(...)``-style types
-#: outside compiled code boxes a NumPy scalar, so a jitted helper's result
-#: crossing the executor boundary has the exact same JSON hazard as the
-#: NumPy set above.  Mirrors numba.types' numeric names.
-NUMBA_SCALAR_CTORS = frozenset(
-    {
-        "int8", "int16", "int32", "int64",
-        "uint8", "uint16", "uint32", "uint64",
-        "float32", "float64", "boolean",
-        "intc", "intp", "uintc", "uintp",
-    }
 )
 
 R4_HINT = (
@@ -569,33 +288,6 @@ class ExecutorBoundaryRule(Rule):
                         R4_HINT,
                     )
                 )
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                dotted = dotted_name(node.func)
-                if dotted is None:
-                    continue
-                root, _, attr = dotted.partition(".")
-                if root in ("np", "numpy") and attr in NUMPY_SCALAR_CTORS:
-                    violations.append(
-                        self.violation(
-                            rel,
-                            node.lineno,
-                            f"numpy scalar {dotted}() constructed inside payload "
-                            f"builder {func.name!r} is not JSON-representable",
-                            R4_HINT + "; coerce numpy scalars to plain int/float "
-                            "at the boundary (diskcache._plain_number)",
-                        )
-                    )
-                elif root in ("nb", "numba") and attr in NUMBA_SCALAR_CTORS:
-                    violations.append(
-                        self.violation(
-                            rel,
-                            node.lineno,
-                            f"numba scalar {dotted}() constructed inside payload "
-                            f"builder {func.name!r} boxes a non-JSON scalar",
-                            R4_HINT + "; coerce numba/numpy scalars to plain "
-                            "int/float at the boundary (diskcache._plain_number)",
-                        )
-                    )
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 called = node.func.id
                 if called in self.allowed_calls:
@@ -1128,8 +820,6 @@ def default_rules() -> List[Rule]:
     """The full rule set, in report order."""
     return [
         DeterminismRule(),
-        BehaviorManifestRule(),
-        RunSpecSyncRule(),
         ExecutorBoundaryRule(),
         EnvRegistryRule(),
         DeterminismTaintRule(),

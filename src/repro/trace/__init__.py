@@ -18,7 +18,6 @@ the unit the on-disk trace store of :mod:`repro.trace.store` persists).
 
 from repro.trace.analysis import StreamAnalysis, analyze_stream
 from repro.trace.compiled import (
-    TRACE_SCHEMA_VERSION,
     CompiledTrace,
     CompiledTraceError,
     TraceLike,
@@ -39,7 +38,6 @@ __all__ = [
     "CompiledTraceError",
     "TraceLike",
     "compile_traces",
-    "TRACE_SCHEMA_VERSION",
     "TraceStats",
     "compute_trace_stats",
     "read_trace",

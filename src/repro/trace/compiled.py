@@ -23,19 +23,15 @@ with no per-visit allocation):
 consumes the columns directly by index on its fast path.
 
 The on-disk form (see :mod:`repro.trace.store` for the keyed store) is a
-little-endian binary file: magic, ``TRACE_SCHEMA_VERSION``, the full
-provenance key (workload, seed, core, n_instructions, line_size), column
-lengths, a CRC-32 of the column payload, and an exact-length check.  Any
-mismatch — wrong magic, stale schema, truncation, bit rot, provenance that
-does not match the requested key — raises :class:`CompiledTraceError`,
-which callers treat as a miss and recompile.  **Bump
-:data:`TRACE_SCHEMA_VERSION` whenever trace synthesis, the lowering, the
-discontinuity taxonomy or this layout changes** — in Python or in the
-compiled synthesizer's C unit (``trace/synth/native.c``, which emits these
-columns directly and must stay byte-identical to :meth:`CompiledTrace.compile`
-over the Python trace).  Lint rule R2 hashes the responsible modules and
-the C unit against the behavior manifest to make forgetting that bump a
-static error.
+little-endian binary file: magic, the :func:`~repro.version.code_hash` of
+the code that wrote it, the full provenance key (workload, seed, core,
+n_instructions, line_size), column lengths, a CRC-32 of the column
+payload, and an exact-length check.  Any mismatch — wrong magic, other
+code, truncation, bit rot, provenance that does not match the requested
+key — raises :class:`CompiledTraceError`, which callers treat as a miss
+and recompile.  Because the code hash covers every source file of the
+package (the compiled synthesizer's C unit and this layout included), a
+file written before any edit is never read back after it.
 """
 
 from __future__ import annotations
@@ -46,21 +42,17 @@ import zlib
 from array import array
 from typing import Iterator, List, Tuple, Union
 
+from repro import version
 from repro.isa.classify import is_discontinuity
 from repro.isa.kinds import TransitionKind
 from repro.trace.stream import LineVisit, Trace, iter_line_visits
 
-#: bump whenever compiled-trace *content* for an unchanged key could change:
-#: trace synthesis (Python or trace/synth/native.c), iter_line_visits, the
-#: transition taxonomy, the discontinuity rule, or this file layout.  Every stored file becomes
-#: invisible and is recompiled on demand.
-TRACE_SCHEMA_VERSION = 1
-
 _MAGIC = b"RPCTRC01"
 
-#: fixed-size header: magic, schema, line_size, seed, core, n_instructions,
-#: n_visits, n_data, payload crc32, workload-name length, trace-name length.
-_HEADER = struct.Struct("<8sIIqiQQQIHH")
+#: fixed-size header: magic, code hash (raw SHA-256), line_size, seed, core,
+#: n_instructions, n_visits, n_data, payload crc32, workload-name length,
+#: trace-name length.
+_HEADER = struct.Struct("<8s32sIqiQQQIHH")
 
 _KIND_MEMBERS = list(TransitionKind)
 
@@ -235,7 +227,7 @@ class CompiledTrace:
             crc = zlib.crc32(blob, crc)
         header = _HEADER.pack(
             _MAGIC,
-            TRACE_SCHEMA_VERSION,
+            bytes.fromhex(version.code_hash()),
             self.line_size,
             self.seed,
             self.core,
@@ -256,7 +248,7 @@ class CompiledTrace:
             )
         (
             magic,
-            schema,
+            written_by,
             line_size,
             seed,
             core,
@@ -269,9 +261,10 @@ class CompiledTrace:
         ) = _HEADER.unpack_from(blob)
         if magic != _MAGIC:
             raise CompiledTraceError(f"bad magic {magic!r} (expected {_MAGIC!r})")
-        if schema != TRACE_SCHEMA_VERSION:
+        if written_by.hex() != version.code_hash():
             raise CompiledTraceError(
-                f"stale schema {schema} (current {TRACE_SCHEMA_VERSION})"
+                f"written by other code {written_by.hex()[:12]} "
+                f"(current {version.code_hash()[:12]})"
             )
         sizes = [n_visits * 8, n_visits, n_visits * 4, n_visits, (n_visits + 1) * 8, n_data * 8]
         expected_len = _HEADER.size + workload_len + name_len + sum(sizes)

@@ -11,8 +11,7 @@ source per name, derived from the profile tables rather than spelled out:
   applications plus the scenario families), labelled with the profile's
   ``display`` — **bit-identical** to the
   pre-registry resolution, which is what keeps the golden spec-parity
-  hashes (and therefore every stored compiled trace) valid without a
-  ``TRACE_SCHEMA_VERSION`` bump;
+  hashes valid;
 - the multiprogrammed ``mix`` composition (:class:`MixSource`);
 - ingested external PC streams, addressable as ``external:<name>`` and
   resolved dynamically against the :mod:`repro.trace.ingest` directory.

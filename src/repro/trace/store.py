@@ -7,30 +7,31 @@ stream once and every later process — pool workers, reruns, other
 invocations sharing the directory — loads the packed file instead of
 re-running synthesis and lowering.
 
-Robustness contract (mirrors :mod:`repro.eval.diskcache`):
+Robustness contract (shared with :mod:`repro.eval.diskcache` through
+:class:`repro.util.filestore.EntryDir`):
 
 - writes are atomic (same-directory tmp file + ``os.replace``), entries are
-  chmod'd world-readable, and an unwritable directory degrades to "no
-  store", never a crash;
-- corrupt, truncated or stale-schema files read as **misses** (the caller
-  recompiles); so does a file whose embedded provenance does not match the
-  requested key (e.g. a renamed file);
+  chmod'd world-readable, orphaned tmp files of crashed writers are swept,
+  and an unwritable directory degrades to "no store", never a crash;
+- corrupt or truncated files read as **misses** (the caller recompiles);
+  so does a file whose embedded provenance does not match the requested
+  key (e.g. a renamed file);
+- every file embeds the :func:`~repro.version.code_hash` of the code that
+  wrote it, and a file from other code reads as a miss and is overwritten,
+  so an edit to synthesis, lowering or the file layout never serves a
+  stale trace;
 - ``REPRO_TRACE_STORE=0`` disables the store entirely (reads and writes).
-
-Invalidation is by :data:`~repro.trace.compiled.TRACE_SCHEMA_VERSION`,
-which every file embeds — lint rule R2 pins the trace-affecting modules to
-that constant (see ``docs/static_analysis.md``).
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
 from repro.envvars import REPRO_CACHE_DIR, REPRO_TRACE_DIR, REPRO_TRACE_STORE
 from repro.trace.compiled import CompiledTrace, CompiledTraceError
+from repro.util.filestore import EntryDir
 from repro.util.validation import parse_env_flag
 
 TRACE_DIR_ENV = REPRO_TRACE_DIR
@@ -42,10 +43,6 @@ DISABLE_ENV = REPRO_TRACE_STORE
 _RESULT_CACHE_DIR_ENV = REPRO_CACHE_DIR
 _DEFAULT_RESULT_CACHE_DIR = ".repro-cache"
 _SUBDIR = "traces"
-
-#: entries are written via ``mkstemp`` (mode 0600); chmod so a shared
-#: store directory stays readable by other users.
-ENTRY_MODE = 0o644
 
 SUFFIX = ".ctrace"
 
@@ -63,13 +60,19 @@ def trace_dir() -> Path:
     return Path(cache_root) / _SUBDIR
 
 
+_ENTRIES = EntryDir(trace_dir, SUFFIX)
+
+
+def _key(workload: str, seed: int, core: int, n_instructions: int, line_size: int) -> str:
+    """Entry name of one request key (workload names are identifiers)."""
+    return f"{workload}-s{seed}-c{core}-n{n_instructions}-l{line_size}"
+
+
 def path_for(
     workload: str, seed: int, core: int, n_instructions: int, line_size: int
 ) -> Path:
-    """Store path for one request key (workload names are identifiers)."""
-    return trace_dir() / (
-        f"{workload}-s{seed}-c{core}-n{n_instructions}-l{line_size}{SUFFIX}"
-    )
+    """Store path for one request key."""
+    return _ENTRIES.path(_key(workload, seed, core, n_instructions, line_size))
 
 
 def load(
@@ -77,16 +80,18 @@ def load(
 ) -> Optional[CompiledTrace]:
     """Return the stored compiled trace for a key, or None (a miss).
 
-    Disabled store, missing file, stale schema, corruption and provenance
-    mismatches all read as misses; the store never raises on a bad entry.
+    Disabled store, missing file, a file from other code, corruption and
+    provenance mismatches all read as misses; the store never raises on a
+    bad entry.
     """
     if not enabled():
         return None
-    path = path_for(workload, seed, core, n_instructions, line_size)
+    blob = _ENTRIES.read(_key(workload, seed, core, n_instructions, line_size))
+    if blob is None:
+        return None
     try:
-        blob = path.read_bytes()
         compiled = CompiledTrace.from_bytes(blob)
-    except (OSError, CompiledTraceError):
+    except CompiledTraceError:
         return None
     if (
         compiled.workload != workload
@@ -102,59 +107,24 @@ def load(
 
 
 def store(compiled: CompiledTrace) -> bool:
-    """Persist one compiled trace under its key; False when disabled/unwritable.
-
-    Atomic tmp-file + rename, so concurrent sweeps can share a directory
-    without readers ever seeing a partial file.
-    """
+    """Persist one compiled trace under its key; False when disabled/unwritable."""
     if not enabled():
         return False
-    directory = trace_dir()
-    target = path_for(
+    key = _key(
         compiled.workload,
         compiled.seed,
         compiled.core,
         compiled.n_instructions,
         compiled.line_size,
     )
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(compiled.to_bytes())
-            os.chmod(tmp_name, ENTRY_MODE)
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        # An unwritable store degrades to "no store", not a crash.
-        return False
-    return True
+    return _ENTRIES.write(key, compiled.to_bytes())
 
 
 def clear() -> int:
     """Delete every stored trace (and tmp orphans); returns files removed."""
-    directory = trace_dir()
-    removed = 0
-    if directory.is_dir():
-        for pattern in (f"*{SUFFIX}", "*.tmp"):
-            for path in directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-    return removed
+    return _ENTRIES.clear()
 
 
 def entry_count() -> int:
     """Number of compiled traces currently stored."""
-    directory = trace_dir()
-    if not directory.is_dir():
-        return 0
-    return sum(1 for _ in directory.glob(f"*{SUFFIX}"))
+    return _ENTRIES.entry_count()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.eval.profiles import ExperimentScale
 from repro.eval.runner import run_system_cached
+from repro.eval.runspec import RunSpec
 from repro.isa.classify import MissClass
 from repro.trace.synth.workloads import workload_names
 
@@ -23,11 +24,11 @@ SCALE = ExperimentScale(
 
 
 def single(workload, prefetcher="none", **kwargs):
-    return run_system_cached(workload, 1, prefetcher, scale=SCALE, **kwargs)
+    return run_system_cached(RunSpec.create(workload, 1, prefetcher, scale=SCALE, **kwargs))
 
 
 def cmp4(workload, prefetcher="none", **kwargs):
-    return run_system_cached(workload, 4, prefetcher, scale=SCALE, **kwargs)
+    return run_system_cached(RunSpec.create(workload, 4, prefetcher, scale=SCALE, **kwargs))
 
 
 class TestFigure1Bands:

@@ -91,7 +91,7 @@ class TestCachingLayers:
 class TestBitIdenticalDeterminism:
     def test_serial_batch_matches_direct_run_system(self):
         spec = tiny_specs()[1]
-        direct = run_system(**spec.run_kwargs())
+        direct = run_system(spec)
         batch = run_specs([spec], jobs=1)[spec]
         assert metrics(batch) == metrics(direct)
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from repro.caches.config import CacheConfig, HierarchyConfig
 from repro.cmp.system import System, SystemConfig
@@ -52,6 +52,7 @@ from repro.core import jitted
 from repro.eval.diskcache import _core_to_dict, _link_to_dict
 from repro.isa.classify import MissClass
 from repro.isa.kinds import TransitionKind
+from repro.prefetch import markov
 from repro.prefetch.registry import PREFETCHER_NAMES
 from repro.timing.params import TimingParams
 from repro.trace.ingest import events_from_pcs
@@ -80,6 +81,7 @@ CODE_BASE = 0x10000
 DATA_BASE = 0x100000
 
 SEQUENTIAL = int(TransitionKind.SEQUENTIAL)
+JUMP = int(TransitionKind.COND_TAKEN_FWD)
 TAKEN_KINDS = [int(kind) for kind in TransitionKind if kind is not TransitionKind.SEQUENTIAL]
 
 
@@ -304,6 +306,37 @@ def _outcome(system: System, result) -> dict:
     }
 
 
+#: A pinned draw the random ones rarely reach: a Markov successor count that
+#: passes 2 and then decays.  The one-line L1I makes every line change a
+#: miss, so the loop 3 → 18 → 3 observes successor 18 of line 3 three
+#: times; the loop 3 → 2 then halves that count (3 → 1 → 0) until 2
+#: replaces it.  Decay by one instead of halving (3 → 2 → 1) keeps 18 one
+#: observation longer, which changes the prefetches issued.
+MARKOV_DECAY_LINES = [3, 18] * 3 + [3, 2] * 3
+MARKOV_DECAY = (
+    SystemConfig(
+        n_cores=1,
+        hierarchy=HierarchyConfig(
+            l1i=CacheConfig(64, 1, 64), l1d=CacheConfig(128, 1, 64), l2=CacheConfig(4096, 4, 64)
+        ),
+        prefetcher="markov",
+        prefetcher_overrides={
+            "table_entries": 8,
+            "targets_per_entry": 1,
+            "fanout": 1,
+            "prefetch_ahead": 1,
+        },
+        l2_policy="bypass",
+    ),
+    [
+        [
+            BlockEvent(CODE_BASE + line * 64, 4, JUMP if at else SEQUENTIAL, ())
+            for at, line in enumerate(MARKOV_DECAY_LINES)
+        ]
+    ],
+)
+
+
 def _run(config: SystemConfig, traces: list, backend: str):
     system = System(replace(config, engine_backend=backend), traces)
     return system, system.run()
@@ -311,6 +344,7 @@ def _run(config: SystemConfig, traces: list, backend: str):
 
 @settings(max_examples=MAX_EXAMPLES, deadline=None, print_blob=True)
 @given(systems())
+@example(MARKOV_DECAY)
 def test_jit_matches_reference(drawn) -> None:
     config, per_core = drawn
     traces = [Trace(f"fuzz{core}", core, events) for core, events in enumerate(per_core)]
@@ -328,3 +362,19 @@ def test_jit_matches_reference(drawn) -> None:
     actual = _outcome(jit_system, jit)
     for key, value in expected.items():
         assert actual[key] == value, key
+
+
+def test_markov_decay_example_decays_a_count_past_two(monkeypatch) -> None:
+    """The pinned draw does what its comment says on the reference backend."""
+    decayed = []
+    observe = markov._Entry.observe
+
+    def spy(entry, target, max_targets):
+        if len(entry.successors) == max_targets and target not in entry.top(max_targets):
+            decayed.append(entry.successors[-1][1])
+        observe(entry, target, max_targets)
+
+    monkeypatch.setattr(markov._Entry, "observe", spy)
+    config, per_core = MARKOV_DECAY
+    _run(config, [Trace("decay", 0, per_core[0])], "reference")
+    assert decayed == [3, 1]

@@ -1,7 +1,7 @@
 """Shared fixtures for the ``repro.lint`` unit tests.
 
 ``lint_tree`` builds a minimal-but-structurally-complete project checkout
-under ``tmp_path`` — every module the rules parse by path (R2–R4), in
+under ``tmp_path`` — every module the rules parse by path (R4), in
 its smallest valid form — and returns a
 :class:`repro.lint.engine.Project` rooted there.  Tests seed violations
 by overriding individual files, and "apply the fix-it hint" by
@@ -15,7 +15,6 @@ from typing import Dict, Optional
 
 import pytest
 
-from repro.lint import manifest as manifest_mod
 from repro.lint.engine import Project
 
 #: the smallest tree on which every default rule runs and passes.
@@ -25,28 +24,8 @@ BASE_FILES: Dict[str, str] = {
         def step(state):
             return state + 1
         """,
-    "src/repro/eval/runner.py": """
-        def run_system(workload, n_cores, prefetcher="none", seed=0,
-                       prefetcher_factory=None):
-            return (workload, n_cores, prefetcher, seed, prefetcher_factory)
-        """,
-    "src/repro/eval/runspec.py": """
-        class RunSpec:
-            workload: str
-            n_cores: int
-            prefetcher: str = "none"
-            seed: int = 0
-
-            def canonical_dict(self):
-                return {
-                    "workload": self.workload,
-                    "n_cores": self.n_cores,
-                    "prefetcher": self.prefetcher,
-                    "seed": self.seed,
-                }
-        """,
     "src/repro/eval/diskcache.py": """
-        SCHEMA_VERSION = 1
+        from repro.version import code_hash
 
 
         def _config_to_dict(config):
@@ -63,7 +42,7 @@ BASE_FILES: Dict[str, str] = {
 
         def result_to_payload(result, spec=None):
             return {
-                "schema": SCHEMA_VERSION,
+                "schema": code_hash(),
                 "config": _config_to_dict(result.config),
                 "cores": [_core_to_dict(core) for core in result.cores],
                 "link": _link_to_dict(result.link),
@@ -93,21 +72,15 @@ def write_tree_file(root, rel: str, content: str) -> Project:
 
 @pytest.fixture
 def lint_tree(tmp_path):
-    """Factory: build the base fixture tree, apply overrides, seed manifest."""
+    """Factory: build the base fixture tree and apply overrides."""
 
-    def build(
-        overrides: Optional[Dict[str, str]] = None, with_manifest: bool = True
-    ) -> Project:
+    def build(overrides: Optional[Dict[str, str]] = None) -> Project:
         files = dict(BASE_FILES)
         files.update(overrides or {})
         for rel, content in files.items():
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(content), encoding="utf-8")
-        project = Project(tmp_path)
-        if with_manifest:
-            manifest_mod.update_manifest(project)
-            project = Project(tmp_path)
-        return project
+        return Project(tmp_path)
 
     return build

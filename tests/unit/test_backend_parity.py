@@ -35,6 +35,7 @@ from repro.core import backends, jitted
 from repro.core.metrics import CoreStats, PrefetchStats
 from repro.eval.profiles import get_scale
 from repro.eval.runner import run_system
+from repro.eval.runspec import RunSpec
 from repro.prefetch.registry import PREFETCHER_NAMES, create_prefetcher
 
 SMOKE = get_scale("smoke")
@@ -74,7 +75,7 @@ def _result_fingerprint(result: SystemResult) -> str:
 def _run(backend: str, **kwargs) -> SystemResult:
     kwargs.setdefault("workload", "db")
     kwargs.setdefault("scale", SMOKE)
-    return run_system(engine_backend=backend, **kwargs)
+    return run_system(RunSpec.create(engine_backend=backend, **kwargs))
 
 
 #: the fast backends checked against reference in every sweep.

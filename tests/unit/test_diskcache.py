@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro import version
 from repro.eval import diskcache
 from repro.eval.profiles import ExperimentScale
 from repro.eval.runner import run_system
 from repro.eval.runspec import RunSpec
+from repro.util import filestore
 
 TINY = ExperimentScale(
     name="tiny",
@@ -21,7 +23,7 @@ TINY = ExperimentScale(
 def tiny_run():
     """One real (spec, result) pair, simulated once for the whole module."""
     spec = RunSpec.create("db", 1, "discontinuity", scale=TINY, l2_policy="bypass")
-    result = run_system(**spec.run_kwargs())
+    result = run_system(spec)
     return spec, result
 
 
@@ -62,7 +64,8 @@ def test_schema_bump_invalidates(tiny_run, monkeypatch):
     spec, result = tiny_run
     assert diskcache.store(spec, result)
     assert diskcache.load(spec) is not None
-    monkeypatch.setattr(diskcache, "SCHEMA_VERSION", diskcache.SCHEMA_VERSION + 1)
+    # An entry written by other code (any edit to the package) is a miss.
+    monkeypatch.setattr(version, "code_hash", lambda: "0" * 64)
     assert diskcache.load(spec) is None
 
 
@@ -145,7 +148,7 @@ def test_entries_are_world_readable(tiny_run):
     spec, result = tiny_run
     assert diskcache.store(spec, result)
     mode = diskcache.path_for(spec).stat().st_mode & 0o777
-    assert mode == diskcache.ENTRY_MODE  # mkstemp's 0600 would hide the
+    assert mode == filestore.ENTRY_MODE  # mkstemp's 0600 would hide the
     # entry from other users of a shared cache directory
 
 
@@ -158,78 +161,18 @@ def test_unwritable_cache_dir_degrades_gracefully(tiny_run, tmp_path, monkeypatc
     assert diskcache.load(spec) is None
 
 
-class _NumpyLikeScalar:
-    """Stand-in for np.int64/np.float64: not JSON-safe, exposes .item()."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def item(self):
-        return self.value
-
-
-def test_payload_coerces_numpy_like_scalars(tiny_run):
-    """A backend leaking NumPy scalars into CoreStats must still yield a
-    plain-data, json.dumps-able payload (R4's runtime half)."""
+def test_non_plain_scalar_fails_loudly(tiny_run):
+    """A stat that is not a plain int/float (a NumPy-style scalar) never
+    reaches disk: ``json.dumps`` rejects it and nothing is written."""
     import copy
+
+    class Scalar:
+        def item(self):
+            return 7
 
     spec, result = tiny_run
     tainted = copy.deepcopy(result)
-    core = tainted.cores[0]
-    core.instructions = _NumpyLikeScalar(core.instructions)
-    core.cycles = _NumpyLikeScalar(core.cycles)
-    core.prefetch.issued = _NumpyLikeScalar(core.prefetch.issued)
-
-    payload = diskcache.result_to_payload(tainted, spec)
-    encoded = json.dumps(payload)  # would raise TypeError without coercion
-    data = payload["cores"][0]
-    assert type(data["instructions"]) is int
-    assert type(data["cycles"]) is float
-    assert type(data["prefetch"]["issued"]) is int
-    rebuilt = diskcache.payload_to_result(json.loads(encoded))
-    assert rebuilt.cores[0].instructions == result.cores[0].instructions
-    assert repr(rebuilt.cores[0].cycles) == repr(result.cores[0].cycles)
-
-
-def test_plain_number_passthrough():
-    """Plain ints/floats (and non-numeric values) pass through untouched."""
-    assert diskcache._plain_number(7) == 7
-    assert type(diskcache._plain_number(7)) is int
-    value = 0.30000000000000004
-    assert repr(diskcache._plain_number(value)) == repr(value)
-    assert diskcache._plain_number(True) is True
-    assert diskcache._plain_number(_NumpyLikeScalar(11)) == 11
-
-
-class _NumbaLikeScalar:
-    """Stand-in for a numba-boxed scalar (numba.int64(x) returns a numpy
-    scalar): rejects json.dumps, exposes .item() like every numpy scalar."""
-
-    def __init__(self, value):
-        self._value = value
-
-    def item(self):
-        return self._value
-
-
-def test_payload_coerces_numba_like_scalars(tiny_run):
-    """Stats computed by a jitted helper (numba-boxed scalars) must also
-    coerce to plain data at the executor boundary (R4's runtime half)."""
-    import copy
-
-    spec, result = tiny_run
-    tainted = copy.deepcopy(result)
-    core = tainted.cores[0]
-    core.instructions = _NumbaLikeScalar(core.instructions)
-    core.cycles = _NumbaLikeScalar(core.cycles)
-    core.prefetch.useful = _NumbaLikeScalar(core.prefetch.useful)
-
-    payload = diskcache.result_to_payload(tainted, spec)
-    encoded = json.dumps(payload)  # would raise TypeError without coercion
-    data = payload["cores"][0]
-    assert type(data["instructions"]) is int
-    assert type(data["cycles"]) is float
-    assert type(data["prefetch"]["useful"]) is int
-    rebuilt = diskcache.payload_to_result(json.loads(encoded))
-    assert rebuilt.cores[0].instructions == result.cores[0].instructions
-    assert repr(rebuilt.cores[0].cycles) == repr(result.cores[0].cycles)
+    tainted.cores[0].instructions = Scalar()
+    with pytest.raises(TypeError):
+        diskcache.store(spec, tainted)
+    assert diskcache.entry_count() == 0

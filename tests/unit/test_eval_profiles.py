@@ -10,6 +10,7 @@ from repro.eval.runner import (
     get_traces,
     run_system_cached,
 )
+from repro.eval.runspec import RunSpec
 
 
 class TestScales:
@@ -81,24 +82,30 @@ class TestTraceCache:
 class TestResultCache:
     def test_results_cached(self):
         clear_result_cache()
-        first = run_system_cached("web", 1, "none", scale=TINY)
-        second = run_system_cached("web", 1, "none", scale=TINY)
+        first = run_system_cached(RunSpec.create("web", 1, "none", scale=TINY))
+        second = run_system_cached(RunSpec.create("web", 1, "none", scale=TINY))
         assert first is second
 
     def test_distinct_configs_not_conflated(self):
         clear_result_cache()
-        base = run_system_cached("web", 1, "none", scale=TINY)
-        prefetched = run_system_cached("web", 1, "next-line-tagged", scale=TINY)
+        base = run_system_cached(RunSpec.create("web", 1, "none", scale=TINY))
+        prefetched = run_system_cached(
+            RunSpec.create("web", 1, "next-line-tagged", scale=TINY)
+        )
         assert base is not prefetched
 
     def test_overrides_in_key(self):
         clear_result_cache()
         a = run_system_cached(
-            "web", 1, "discontinuity", scale=TINY,
-            prefetcher_overrides={"table_entries": 256},
+            RunSpec.create(
+                "web", 1, "discontinuity", scale=TINY,
+                prefetcher_overrides={"table_entries": 256},
+            )
         )
         b = run_system_cached(
-            "web", 1, "discontinuity", scale=TINY,
-            prefetcher_overrides={"table_entries": 512},
+            RunSpec.create(
+                "web", 1, "discontinuity", scale=TINY,
+                prefetcher_overrides={"table_entries": 512},
+            )
         )
         assert a is not b

@@ -1,7 +1,7 @@
 """CLI surface of the analysis framework: SARIF output, ``--fix``,
 file scoping, ``--output``, and the incremental facts cache.
 
-Exit-code basics (clean/violation/usage, ``--rules``, ``--update-manifest``)
+Exit-code basics (clean/violation/usage, ``--rules``, ``--list-rules``)
 live in ``test_lint_engine.py``; this file covers everything added with the
 shared-analysis framework.
 """
@@ -99,7 +99,7 @@ def test_sarif_reports_violations_with_locations(lint_tree, tmp_path):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro.lint"
     assert [rule["id"] for rule in driver["rules"]] == [
-        "R1", "R2", "R3", "R4", "R7", "R8",
+        "R1", "R4", "R7", "R8",
     ]
     results = run["results"]
     assert results, "the R1 violation must appear as a result"
@@ -128,9 +128,9 @@ def test_sarif_location_shapes_for_file_and_project_findings(
     lint_tree, tmp_path
 ):
     # A tree producing all three location shapes at once: a line-level
-    # finding (undeclared REPRO read), a file-level one (missing manifest,
-    # line 0 → no region), and a project-level one (missing registry →
-    # no locations at all).
+    # finding (undeclared REPRO read), a file-level one (a renamed payload
+    # builder, line 0 → no region), and a project-level one (missing
+    # registry → no locations at all).
     project = lint_tree(
         {
             READER_MODULE: """
@@ -138,9 +138,12 @@ def test_sarif_location_shapes_for_file_and_project_findings(
 
                 def read():
                     return os.environ.get("REPRO_JOBS")
-                """
+                """,
+            "src/repro/eval/executor.py": """
+                def report_to_summary(report):
+                    return {"event": "sweep", "total": report.total}
+                """,
         },
-        with_manifest=False,
     )
     out = tmp_path / "lint.sarif"
     assert (

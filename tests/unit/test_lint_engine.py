@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import manifest as manifest_mod
 from repro.lint.cli import find_project_root, main
 from repro.lint.engine import LintError, Project, Violation, run_rules
 from repro.lint.rules import default_rules
@@ -18,10 +17,10 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_violation_format_variants():
     full = Violation(rule="R1", path="src/x.py", line=3, message="bad", hint="fix it")
     assert full.format() == "src/x.py:3: [R1] bad\n    fix: fix it"
-    file_level = Violation(rule="R2", path="src/x.py", line=0, message="drift")
-    assert file_level.format() == "src/x.py: [R2] drift"
-    project_level = Violation(rule="R2", path="", line=0, message="missing")
-    assert project_level.format() == "<project>: [R2] missing"
+    file_level = Violation(rule="R4", path="src/x.py", line=0, message="gone")
+    assert file_level.format() == "src/x.py: [R4] gone"
+    project_level = Violation(rule="R7", path="", line=0, message="missing")
+    assert project_level.format() == "<project>: [R7] missing"
 
 
 def test_project_source_normalizes_newlines(tmp_path):
@@ -40,9 +39,9 @@ def test_run_rules_rejects_unknown_names(lint_tree):
 
 
 def test_run_rules_name_filter_runs_subset(lint_tree):
-    # Tree with an R1 violation only: selecting R3 alone must stay clean.
+    # Tree with an R1 violation only: selecting R4 alone must stay clean.
     project = lint_tree({"src/repro/core/walker.py": "import random\n"})
-    assert run_rules(project, default_rules(), names=["R3"]) == []
+    assert run_rules(project, default_rules(), names=["R4"]) == []
     assert run_rules(project, default_rules(), names=["R1"]) != []
 
 
@@ -71,7 +70,7 @@ def test_cli_violations_exit_one_with_hints(lint_tree, capsys):
 
 def test_cli_rules_subset(lint_tree, capsys):
     project = lint_tree({"src/repro/core/walker.py": "import random\n"})
-    assert main(["--root", str(project.root), "--rules", "R3,R4"]) == 0
+    assert main(["--root", str(project.root), "--rules", "R4,R7"]) == 0
     assert main(["--root", str(project.root), "--rules", "R1"]) == 1
     capsys.readouterr()
 
@@ -80,8 +79,11 @@ def test_cli_unknown_rule_fails(lint_tree, capsys):
     project = lint_tree()
     assert main(["--root", str(project.root), "--rules", "R99"]) == 1
     assert "unknown rule" in capsys.readouterr().err
-    # R5 (catalog sync) and R6 (backend drift) were retired; their names
-    # are not reused.
+    # R2 (behavior manifest), R3 (RunSpec sync), R5 (catalog sync) and R6
+    # (backend drift) were retired; their names are not reused.
+    for retired in ("R2", "R3"):
+        assert main(["--root", str(project.root), "--rules", retired]) == 1
+        assert f"unknown rule(s) ['{retired}']" in capsys.readouterr().err
     assert main(["--root", str(project.root), "--rules", "R5"]) == 1
     assert "unknown rule(s) ['R5']" in capsys.readouterr().err
     assert main(["--root", str(project.root), "--rules", "R6"]) == 1
@@ -91,18 +93,7 @@ def test_cli_unknown_rule_fails(lint_tree, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for name in ("R1", "R2", "R3", "R4", "R7", "R8"):
-        assert name in out
-    assert "R6" not in out
-
-
-def test_cli_update_manifest_round_trip(lint_tree, capsys):
-    project = lint_tree(with_manifest=False)
-    assert main(["--root", str(project.root)]) == 1  # manifest missing
-    assert main(["--root", str(project.root), "--update-manifest"]) == 0
-    assert "wrote" in capsys.readouterr().out
-    assert project.path(manifest_mod.MANIFEST_PATH).is_file()
-    assert main(["--root", str(project.root)]) == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["R1", "R4", "R7", "R8"]
 
 
 def test_cli_bad_root_exits_two(tmp_path, capsys):
@@ -111,11 +102,6 @@ def test_cli_bad_root_exits_two(tmp_path, capsys):
 
 
 def test_real_repository_lints_clean():
-    """Acceptance: `python -m repro.lint` passes on the tree.
-
-    If this fails after editing a result-affecting module, that is R2 doing
-    its job: bump SCHEMA_VERSION in src/repro/eval/diskcache.py and run
-    `python -m repro.lint --update-manifest`.
-    """
+    """Acceptance: `python -m repro.lint` passes on the tree."""
     violations = run_rules(Project(REPO_ROOT), default_rules())
     assert violations == [], "\n".join(v.format() for v in violations)

@@ -7,7 +7,7 @@ from repro.lint.rules import ExecutorBoundaryRule
 from tests.unit.conftest import write_tree_file
 
 DISKCACHE_WITH_SET = """
-    SCHEMA_VERSION = 1
+    from repro.version import code_hash
 
 
     def _config_to_dict(config):
@@ -25,7 +25,7 @@ DISKCACHE_WITH_SET = """
 
     def result_to_payload(result, spec=None):
         return {
-            "schema": SCHEMA_VERSION,
+            "schema": code_hash(),
             "config": _config_to_dict(result.config),
             "cores": [_core_to_dict(core) for core in result.cores],
             "link": _link_to_dict(result.link),
@@ -148,125 +148,3 @@ def test_renamed_builder_is_reported(lint_tree):
     assert len(violations) == 1
     assert "'_worker' not found" in violations[0].message
     assert "DEFAULT_TARGETS" in violations[0].hint
-
-
-def test_numpy_scalar_in_payload_builder_fails(lint_tree):
-    """np.int64/np.float64 leaking into a payload is rejected statically."""
-    project = lint_tree(
-        {
-            "src/repro/eval/diskcache.py": """
-            import numpy as np
-
-            SCHEMA_VERSION = 1
-
-
-            def _config_to_dict(config):
-                return {"n_cores": config.n_cores}
-
-
-            def _core_to_dict(core):
-                return {"instructions": np.int64(core.instructions),
-                        "cycles": np.float64(core.cycles)}
-
-
-            def _link_to_dict(link):
-                return {"requests": link.requests}
-
-
-            def result_to_payload(result, spec=None):
-                return {
-                    "schema": SCHEMA_VERSION,
-                    "config": _config_to_dict(result.config),
-                    "cores": [_core_to_dict(core) for core in result.cores],
-                    "link": _link_to_dict(result.link),
-                }
-            """
-        }
-    )
-    violations = ExecutorBoundaryRule().check(project)
-    messages = [violation.message for violation in violations]
-    assert any("np.int64" in message for message in messages)
-    assert any("np.float64" in message for message in messages)
-    assert all("_core_to_dict" in message for message in messages)
-    assert all("_plain_number" in violation.hint for violation in violations)
-
-
-def test_numba_scalar_in_payload_builder_fails(lint_tree):
-    """numba.int64/nb.float64 box numpy scalars; also rejected statically."""
-    project = lint_tree(
-        {
-            "src/repro/eval/diskcache.py": """
-            import numba
-            import numba as nb
-
-            SCHEMA_VERSION = 1
-
-
-            def _config_to_dict(config):
-                return {"n_cores": config.n_cores}
-
-
-            def _core_to_dict(core):
-                return {"instructions": numba.int64(core.instructions),
-                        "cycles": nb.float64(core.cycles)}
-
-
-            def _link_to_dict(link):
-                return {"requests": link.requests}
-
-
-            def result_to_payload(result, spec=None):
-                return {
-                    "schema": SCHEMA_VERSION,
-                    "config": _config_to_dict(result.config),
-                    "cores": [_core_to_dict(core) for core in result.cores],
-                    "link": _link_to_dict(result.link),
-                }
-            """
-        }
-    )
-    violations = ExecutorBoundaryRule().check(project)
-    messages = [violation.message for violation in violations]
-    assert any("numba.int64" in message for message in messages)
-    assert any("nb.float64" in message for message in messages)
-    assert all("_core_to_dict" in message for message in messages)
-    assert all("_plain_number" in violation.hint for violation in violations)
-
-
-def test_benign_numpy_use_outside_builders_passes(lint_tree):
-    """The numpy-scalar check is scoped to payload builders only."""
-    project = lint_tree(
-        {
-            "src/repro/eval/diskcache.py": """
-            import numpy as np
-
-            SCHEMA_VERSION = 1
-
-
-            def decode(buffer):
-                return np.frombuffer(buffer, dtype=np.int64).tolist()
-
-
-            def _config_to_dict(config):
-                return {"n_cores": config.n_cores}
-
-
-            def _core_to_dict(core):
-                return {"instructions": core.instructions}
-
-
-            def _link_to_dict(link):
-                return {"requests": link.requests}
-
-
-            def result_to_payload(result, spec=None):
-                return {
-                    "schema": SCHEMA_VERSION,
-                    "config": _config_to_dict(result.config),
-                    "cores": [_core_to_dict(core) for core in result.cores],
-                    "link": _link_to_dict(result.link),
-                }
-            """
-        }
-    )
-    assert ExecutorBoundaryRule().check(project) == []

@@ -1,11 +1,14 @@
 """Unit tests for :mod:`repro.eval.runspec`."""
 
+import dataclasses
+import inspect
 import pickle
 
 import pytest
 
 from repro.eval.profiles import ExperimentScale, get_scale
-from repro.eval.runspec import DEFAULT_SEED, RunSpec, dedupe_specs
+from repro.eval.runner import run_system, run_system_cached
+from repro.eval.runspec import DEFAULT_SEED, NON_KEYED, RunSpec, dedupe_specs
 from repro.isa.classify import MissClass
 
 
@@ -99,6 +102,25 @@ class TestContentHash:
     def test_any_parameter_changes_the_hash(self, change):
         assert spec(**change).content_hash() != spec().content_hash()
 
+    def test_every_field_but_non_keyed_keys_the_cache(self):
+        fields = {field.name for field in dataclasses.fields(RunSpec)}
+        assert NON_KEYED == {"engine_backend"}
+        assert set(spec().canonical_dict()) == fields - NON_KEYED
+
+    def test_non_keyed_field_never_moves_the_hash(self):
+        assert (
+            spec(engine_backend="reference").content_hash()
+            == spec(engine_backend="jit").content_hash()
+        )
+
+    def test_a_new_field_keys_the_cache_without_further_edits(self):
+        wider = dataclasses.make_dataclass(
+            "WiderSpec", [("l2_latency", int, 11)], bases=(RunSpec,), frozen=True
+        )
+        base = dict(workload="db", n_cores=1, scale=get_scale("smoke"))
+        assert wider(**base).canonical_dict()["l2_latency"] == 11
+        assert wider(**base).content_hash() != wider(**base, l2_latency=12).content_hash()
+
     def test_canonical_dict_is_json_safe(self):
         import json
 
@@ -107,13 +129,30 @@ class TestContentHash:
 
 
 class TestPlumbing:
-    def test_run_kwargs_round_trip(self):
-        s = spec(prefetcher_overrides={"table_entries": 32}, l2_policy="bypass")
-        kwargs = s.run_kwargs()
-        assert kwargs["workload"] == "db"
-        assert kwargs["prefetcher_overrides"] == {"table_entries": 32}
-        assert kwargs["l2_policy"] == "bypass"
-        assert "software_prefetch" not in kwargs  # executor-built factory
+    def test_runners_take_one_spec(self):
+        # A run the drivers can ask for is always one a spec carries: the
+        # runners have no parameter besides the spec.
+        for runner in (run_system, run_system_cached):
+            assert list(inspect.signature(runner).parameters) == ["spec"]
+
+    def test_software_prefetch_spec_runs_the_software_prefetcher(self, monkeypatch):
+        from repro.swpf import prefetcher as swpf
+
+        built = []
+        real = swpf.software_prefetcher_for
+        monkeypatch.setattr(
+            swpf,
+            "software_prefetcher_for",
+            lambda *args, **kwargs: built.append(args) or real(*args, **kwargs),
+        )
+        tiny = ExperimentScale(
+            name="tiny",
+            warm_instructions=1_000,
+            measure_instructions=2_000,
+            cmp_measure_instructions=1_000,
+        )
+        run_system(spec(prefetcher="none", scale=tiny, software_prefetch=True, n_cores=2))
+        assert built == [("db", DEFAULT_SEED, 0), ("db", DEFAULT_SEED, 1)]
 
     def test_trace_key_groups_same_trace_runs(self):
         assert spec().trace_key() == spec(prefetcher="none").trace_key()

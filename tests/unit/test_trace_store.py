@@ -15,11 +15,8 @@ from repro.eval.runner import (
     get_traces,
 )
 from repro.trace import store
-from repro.trace.compiled import (
-    TRACE_SCHEMA_VERSION,
-    CompiledTrace,
-    CompiledTraceError,
-)
+from repro import version
+from repro.trace.compiled import CompiledTrace, CompiledTraceError
 from repro.trace.record import BlockEvent
 from repro.trace.stream import Trace
 
@@ -72,10 +69,12 @@ class TestBinaryFormat:
             CompiledTrace.from_bytes(bytes(blob))
 
     def test_stale_schema_raises(self):
+        # The header's version field is the writer's code hash (raw SHA-256
+        # after the 8-byte magic); a file from other code never loads.
         blob = bytearray(make_compiled().to_bytes())
-        assert blob[8] == TRACE_SCHEMA_VERSION  # little-endian u32 at offset 8
-        blob[8] = TRACE_SCHEMA_VERSION + 1
-        with pytest.raises(CompiledTraceError, match="schema"):
+        assert bytes(blob[8:40]) == bytes.fromhex(version.code_hash())
+        blob[8] ^= 0xFF
+        with pytest.raises(CompiledTraceError, match="other code"):
             CompiledTrace.from_bytes(bytes(blob))
 
 
