@@ -15,7 +15,7 @@ How it is compiled
 The kernel is plain C, kept as one unit per component under
 ``repro/core/kernel/`` (package data) and built as several shared objects
 (:data:`KERNEL_OBJECTS`), each from the shared header ``kernel.h`` (the
-``CCand`` and ``PfOps`` types and the layout-table row) plus its units
+``CCand`` and ``PfOps`` types) plus its units
 concatenated into one translation unit by :func:`kernel_source`:
 
 - the **core** (``repro_jit``): ``cache.c``, ``queue.c`` (prefetch queue +
@@ -39,11 +39,11 @@ This needs no third-party package: the kernel is available wherever a C
 compiler is — environments without one fall back to the reference backend
 with one logged warning.
 
-Every unit exports a table of the ``sizeof`` and ``offsetof`` of each
-struct it defines (``repro_layout_<unit>``).  Loading an object compares
-its tables with the ``_C*`` ctypes mirrors (:data:`MIRRORS`,
-:func:`check_layout`); a difference refuses the object with a
-:class:`KernelLayoutError` naming the struct and field.
+Each struct's ``typedef`` in the units is its only declaration: at import
+:data:`STRUCTS` reads every typedef of the header and the units into a
+ctypes type (:func:`repro.util.ccompile.struct_types`), so Python and C
+cannot disagree on a layout.  ``tests/unit/test_ccompile.py`` compiles a
+probe of every struct's ``sizeof`` and ``offsetof`` to prove the reader.
 
 Prefetcher families
 -------------------
@@ -168,8 +168,7 @@ _MAX_CORES = 256
 #: directory of the kernel's C units (package data).
 KERNEL_DIR = Path(__file__).resolve().parent / "kernel"
 
-#: the header every kernel object starts with (``CCand``, ``PfOps`` and
-#: the layout-table row type).
+#: the header every kernel object starts with (``CCand`` and ``PfOps``).
 KERNEL_HEADER = "kernel.h"
 
 #: the core object's stem: its units build whenever the kernel is probed.
@@ -199,396 +198,19 @@ def kernel_source(stem: str = CORE) -> str:
     ``engine.py``/``queue.py``/a prefetcher's hot path without its unit
     fails there.
     """
-    units = (KERNEL_HEADER,) + KERNEL_OBJECTS[stem]
-    return "".join((KERNEL_DIR / name).read_text() for name in units)
+    return _with_header(KERNEL_OBJECTS[stem])
 
 
-# --------------------------------------------------------------------- #
-# ctypes mirrors of the kernel structs (field order must match the C)
-# --------------------------------------------------------------------- #
+def _with_header(units: Tuple[str, ...]) -> str:
+    return "".join((KERNEL_DIR / name).read_text() for name in (KERNEL_HEADER,) + units)
+
+
+#: every kernel struct's ctypes type (C name -> type), read from the
+#: typedefs of the header and of every unit in :data:`KERNEL_OBJECTS`.
+STRUCTS = ccompile.struct_types(_with_header(sum(KERNEL_OBJECTS.values(), ())))
 
 _LL = ctypes.c_longlong
 _DBL = ctypes.c_double
-
-
-class _CLine(ctypes.Structure):
-    _fields_ = [
-        ("tag", _LL),
-        ("arrival", _DBL),
-        ("prov_kind", _LL),
-        ("prov_index", _LL),
-        ("prov_line", _LL),
-        ("prefetched", ctypes.c_ubyte),
-        ("used", ctypes.c_ubyte),
-        ("bypass_pending", ctypes.c_ubyte),
-        ("from_memory", ctypes.c_ubyte),
-        ("useless_hint", ctypes.c_ubyte),
-    ]
-
-
-class _CCache(ctypes.Structure):
-    _fields_ = [
-        ("set_mask", _LL),
-        ("assoc", _LL),
-        ("lines", ctypes.POINTER(_CLine)),
-        ("counts", ctypes.POINTER(_LL)),
-        ("lookups", _LL),
-        ("hits", _LL),
-        ("misses", _LL),
-        ("installs", _LL),
-        ("evictions", _LL),
-    ]
-
-
-class _CCand(ctypes.Structure):
-    _fields_ = [
-        ("line", _LL),
-        ("prov_kind", _LL),
-        ("prov_index", _LL),
-        ("prov_line", _LL),
-    ]
-
-
-class _CQEntry(ctypes.Structure):
-    _fields_ = [
-        ("line", _LL),
-        ("prov_kind", _LL),
-        ("prov_index", _LL),
-        ("prov_line", _LL),
-        ("state", _LL),
-    ]
-
-
-class _CQueue(ctypes.Structure):
-    _fields_ = [
-        ("capacity", _LL),
-        ("recent_capacity", _LL),
-        ("lifo", _LL),
-        ("filtering", _LL),
-        ("entries", ctypes.POINTER(_CQEntry)),
-        ("n_entries", _LL),
-        ("recent", ctypes.POINTER(_LL)),
-        ("n_recent", _LL),
-        ("waiting", _LL),
-        ("offered", _LL),
-        ("accepted", _LL),
-        ("dropped_recent_demand", _LL),
-        ("dropped_dup_issued", _LL),
-        ("dropped_dup_invalid", _LL),
-        ("hoisted", _LL),
-        ("invalidated_by_demand", _LL),
-        ("overflow_drops", _LL),
-        ("popped", _LL),
-    ]
-
-
-class _CMshr(ctypes.Structure):
-    _fields_ = [
-        ("lines", ctypes.POINTER(_LL)),
-        ("arrivals", ctypes.POINTER(_DBL)),
-        ("n", _LL),
-        ("cap", _LL),
-    ]
-
-
-class _CLink(ctypes.Structure):
-    _fields_ = [
-        ("next_free", _DBL),
-        ("occupancy", _DBL),
-        ("requests", _LL),
-        ("busy_cycles", _DBL),
-        ("queue_delay_cycles", _DBL),
-    ]
-
-
-class _CCore(ctypes.Structure):
-    _fields_ = [
-        ("t_lines", ctypes.POINTER(_LL)),
-        ("t_kinds", ctypes.POINTER(ctypes.c_byte)),
-        ("t_ninstr", ctypes.POINTER(ctypes.c_int)),
-        ("t_data", ctypes.POINTER(_LL)),
-        ("t_offsets", ctypes.POINTER(_LL)),
-        ("t_disc", ctypes.POINTER(ctypes.c_byte)),
-        ("visit_index", _LL),
-        ("visit_count", _LL),
-        ("cycle", _DBL),
-        ("slot_credit", _DBL),
-        ("last_slot_cycle", _DBL),
-        ("cycle_mark", _DBL),
-        ("prev_line", _LL),
-        ("total_instructions", _LL),
-        ("warmed", _LL),
-        ("warm_target", _LL),
-        ("finished", _LL),
-        ("slot_rate", _DBL),
-        ("exec_cpi", _DBL),
-        ("l2_latency", _DBL),
-        ("memory_latency", _DBL),
-        ("fetch_stall_exposed", _DBL),
-        ("data_l2_exposed", _DBL),
-        ("data_memory_exposed", _DBL),
-        ("line_shift", _LL),
-        ("useless_hint_filter", _LL),
-        ("pol_install_fills", _LL),
-        ("pol_promote", _LL),
-        ("pol_evict_install", _LL),
-        ("free_kind", ctypes.POINTER(ctypes.c_byte)),
-        ("pf_ops", ctypes.c_void_p),
-        ("pf", ctypes.c_void_p),
-        ("cand", ctypes.POINTER(_CCand)),
-        ("instructions", _LL),
-        ("st_cycles", _DBL),
-        ("exec_cycles", _DBL),
-        ("fetch_stall_cycles", _DBL),
-        ("data_stall_cycles", _DBL),
-        ("l1i_fetches", _LL),
-        ("l1i_misses", _LL),
-        ("l2i_demand_accesses", _LL),
-        ("l2i_demand_misses", _LL),
-        ("data_accesses", _LL),
-        ("l1d_misses", _LL),
-        ("l2d_accesses", _LL),
-        ("l2d_misses", _LL),
-        ("l1i_breakdown", ctypes.POINTER(_LL)),
-        ("l2i_breakdown", ctypes.POINTER(_LL)),
-        ("generated", _LL),
-        ("probe_found_present", _LL),
-        ("issued", _LL),
-        ("issued_from_l2", _LL),
-        ("issued_from_memory", _LL),
-        ("useful", _LL),
-        ("useful_late", _LL),
-        ("useful_from_memory", _LL),
-        ("useless_evicted", _LL),
-        ("dropped_useless_hint", _LL),
-        ("promoted_to_l2", _LL),
-        ("l1i", _CCache),
-        ("l1d", _CCache),
-        ("l2", ctypes.POINTER(_CCache)),
-        ("link", ctypes.POINTER(_CLink)),
-        ("queue", _CQueue),
-        ("mshr", _CMshr),
-    ]
-
-
-class _CSeq(ctypes.Structure):
-    _fields_ = [("trigger", _LL), ("first", _LL), ("count", _LL)]
-
-
-class _CDisc(ctypes.Structure):
-    _fields_ = [
-        ("mask", _LL),
-        ("counter_max", _LL),
-        ("sources", ctypes.POINTER(_LL)),
-        ("targets", ctypes.POINTER(_LL)),
-        ("counters", ctypes.POINTER(_LL)),
-        ("allocations", _LL),
-        ("replacements", _LL),
-        ("replacement_denied", _LL),
-        ("target_updates", _LL),
-        ("probe_hits", _LL),
-        ("credits", _LL),
-        ("ahead", _LL),
-        ("probe", _LL),
-    ]
-
-
-class _CBranch(ctypes.Structure):
-    _fields_ = [
-        ("pht", ctypes.POINTER(ctypes.c_ubyte)),
-        ("pht_mask", _LL),
-        ("history", _LL),
-        ("history_mask", _LL),
-        ("btb", ctypes.POINTER(_LL)),
-        ("btb_mask", _LL),
-        ("ras", ctypes.POINTER(_LL)),
-        ("ras_n", _LL),
-        ("ras_cap", _LL),
-        ("prev_line", _LL),
-        ("lookahead", _LL),
-        ("k_call", _LL),
-        ("k_jump", _LL),
-        ("k_return", _LL),
-    ]
-
-
-class _CStbEntry(ctypes.Structure):
-    _fields_ = [("line", _LL), ("target", _LL), ("confidence", _LL)]
-
-
-class _CShadow(ctypes.Structure):
-    _fields_ = [
-        ("b", _CBranch),
-        ("ftq_entries", _LL),
-        ("degree", _LL),
-        ("ftq_lines", ctypes.POINTER(_LL)),
-        ("ftq_seq", ctypes.POINTER(_LL)),
-        ("stb_set_mask", _LL),
-        ("stb_assoc", _LL),
-        ("stb", ctypes.POINTER(_CStbEntry)),
-        ("stb_counts", ctypes.POINTER(_LL)),
-        ("discoveries", _LL),
-    ]
-
-
-class _CHist(ctypes.Structure):
-    _fields_ = [
-        ("capacity", _LL),
-        ("n", _LL),
-        ("keys", ctypes.POINTER(_LL)),
-        ("prev", ctypes.POINTER(_LL)),
-        ("next", ctypes.POINTER(_LL)),
-        ("head", _LL),
-        ("tail", _LL),
-        ("free_node", _LL),
-        ("slots", ctypes.POINTER(_LL)),
-        ("slot_bits", _LL),
-    ]
-
-
-class _CTarget(ctypes.Structure):
-    _fields_ = [("map", _CHist), ("targets", ctypes.POINTER(_LL)), ("degree", _LL)]
-
-
-class _CSucc(ctypes.Structure):
-    _fields_ = [("target", _LL), ("count", _LL)]
-
-
-_MARKOV_STAT_FIELDS = ("allocations", "evictions", "successor_updates", "probe_hits")
-
-
-class _CMarkov(ctypes.Structure):
-    _fields_ = [
-        ("map", _CHist),
-        ("succ", ctypes.POINTER(_CSucc)),
-        ("succ_n", ctypes.POINTER(_LL)),
-        ("targets_per_entry", _LL),
-        ("fanout", _LL),
-        ("ahead", _LL),
-    ] + [(name, _LL) for name in _MARKOV_STAT_FIELDS]
-
-
-class _CManaRecord(ctypes.Structure):
-    _fields_ = [
-        ("trigger", _LL),
-        ("footprint", ctypes.c_ulonglong),
-        ("successor", _LL),
-        ("confidence", _LL),
-    ]
-
-
-_MANA_STAT_FIELDS = ("commits", "allocations", "evictions", "probe_hits", "replays", "credits")
-
-
-class _CMana(ctypes.Structure):
-    _fields_ = (
-        [
-            ("set_mask", _LL),
-            ("assoc", _LL),
-            ("ways", ctypes.POINTER(_CManaRecord)),
-            ("counts", ctypes.POINTER(_LL)),
-        ]
-        + [(name, _LL) for name in _MANA_STAT_FIELDS]
-        + [
-            ("region_shift", _LL),
-            ("offset_mask", _LL),
-            ("replay_depth", _LL),
-            ("rec_region", _LL),
-            ("rec_trigger", _LL),
-            ("rec_footprint", ctypes.c_ulonglong),
-            ("prev_trigger", _LL),
-        ]
-    )
-
-
-class _PfOps(ctypes.Structure):
-    """``PfOps``: a family's hooks (entry points of its object)."""
-
-    _fields_ = [
-        (
-            "demand",
-            ctypes.CFUNCTYPE(
-                _LL, ctypes.c_void_p, _LL, ctypes.c_int, ctypes.c_int, _LL,
-                ctypes.POINTER(_CCand),
-            ),
-        ),
-        ("discontinuity", ctypes.CFUNCTYPE(None, ctypes.c_void_p, _LL, _LL, ctypes.c_int)),
-        ("credit", ctypes.CFUNCTYPE(None, ctypes.c_void_p, _LL, _LL, _LL)),
-    ]
-
-
-#: C struct name -> its ctypes mirror, for the load-time layout check.
-MIRRORS = {
-    cls.__name__[1:]: cls
-    for cls in (
-        _CLine, _CCache, _CCand, _PfOps, _CQEntry, _CQueue, _CMshr, _CLink,
-        _CCore, _CSeq, _CDisc, _CBranch, _CStbEntry, _CShadow, _CHist,
-        _CTarget, _CSucc, _CMarkov, _CManaRecord, _CMana,
-    )
-}
-
-
-class _CLayout(ctypes.Structure):
-    """One row of a unit's ``repro_layout_<unit>`` table (``kernel.h``)."""
-
-    _fields_ = [
-        ("name", ctypes.c_char_p),
-        ("field", ctypes.c_char_p),
-        ("offset", _LL),
-        ("size", _LL),
-    ]
-
-
-class KernelLayoutError(RuntimeError):
-    """A kernel object's struct layout differs from its ctypes mirror."""
-
-
-def layout_rows(lib, unit: str):
-    """``(struct, field, offset, size)`` rows of the layout table *unit*
-    exports from *lib*; ``field`` is None on a struct's size row."""
-    rows = ctypes.cast(
-        ctypes.addressof(_CLayout.in_dll(lib, f"repro_layout_{Path(unit).stem}")),
-        ctypes.POINTER(_CLayout),
-    )
-    k = 0
-    while rows[k].name:
-        row = rows[k]
-        yield row.name.decode(), row.field and row.field.decode(), row.offset, row.size
-        k += 1
-
-
-def check_layout(lib, unit: str) -> None:
-    """Compare the layout table *unit* exports from *lib* with the ctypes
-    mirrors; raise :class:`KernelLayoutError` naming the first struct and
-    field that differ (size, offset, a field one side lacks)."""
-    declared: Dict[str, set] = {}
-    for name, field, offset, size in layout_rows(lib, unit):
-        mirror = MIRRORS.get(name)
-        if mirror is None:
-            raise KernelLayoutError(f"{unit}: struct {name} has no ctypes mirror")
-        fields = declared.setdefault(name, set())
-        if field is None:
-            if ctypes.sizeof(mirror) != size:
-                raise KernelLayoutError(
-                    f"{unit}: struct {name} is {size} bytes, its mirror "
-                    f"{ctypes.sizeof(mirror)}"
-                )
-            continue
-        fields.add(field)
-        if field not in dict(mirror._fields_):
-            raise KernelLayoutError(f"{unit}: field {name}.{field} is missing from its mirror")
-        described = getattr(mirror, field)
-        if (described.offset, described.size) != (offset, size):
-            raise KernelLayoutError(
-                f"{unit}: field {name}.{field} is at offset {offset} (size {size}), "
-                f"its mirror at {described.offset} (size {described.size})"
-            )
-    for name, fields in declared.items():
-        extra = [field for field, _ in MIRRORS[name]._fields_ if field not in fields]
-        if extra:
-            raise KernelLayoutError(
-                f"{unit}: field {name}.{extra[0]} of the mirror is not in the struct"
-            )
 
 
 # --------------------------------------------------------------------- #
@@ -614,24 +236,21 @@ def kernel_source_hash(stem: Optional[str] = None) -> str:
 
 
 def _load_object(stem: str):
-    """Compile (or load from cache) one kernel object and check its
-    struct layouts against the mirrors."""
+    """Compile (or load from cache) one kernel object."""
     lib, seconds = ccompile.load(stem, kernel_source(stem))
     if seconds:
         _compile_seconds[stem] = seconds
-    for unit in (KERNEL_HEADER,) + KERNEL_OBJECTS[stem]:
-        check_layout(lib, unit)
     return lib
 
 
 def _build_kernel():
     """Compile (or load from cache) the core object; return the library."""
     lib = _load_object(CORE)
-    lib.repro_span.argtypes = [ctypes.POINTER(_CCore), _LL]
+    lib.repro_span.argtypes = [ctypes.POINTER(STRUCTS["CCore"]), _LL]
     lib.repro_span.restype = None
-    lib.repro_run.argtypes = [ctypes.POINTER(_CCore)]
+    lib.repro_run.argtypes = [ctypes.POINTER(STRUCTS["CCore"])]
     lib.repro_run.restype = None
-    lib.repro_run_system.argtypes = [ctypes.POINTER(ctypes.POINTER(_CCore)), _LL]
+    lib.repro_run_system.argtypes = [ctypes.POINTER(ctypes.POINTER(STRUCTS["CCore"])), _LL]
     lib.repro_run_system.restype = None
     return lib
 
@@ -728,9 +347,9 @@ def _ll_array(values, keep: list):
     return _ptr(buffer, _LL)
 
 
-def _line_to_c(line: int, state) -> _CLine:
+def _line_to_c(line: int, state) -> ctypes.Structure:
     pk, pi, pl = _encode_prov(state.provenance)
-    return _CLine(
+    return STRUCTS["CLine"](
         tag=line,
         arrival=float(state.arrival),
         prov_kind=pk,
@@ -799,7 +418,7 @@ class _Sequential(_Family):
 
     def bind(self, prefetcher, keep):
         first, count = self.reach(prefetcher)
-        return _CSeq(trigger=self.trigger, first=first, count=count)
+        return STRUCTS["CSeq"](trigger=self.trigger, first=first, count=count)
 
 
 _DISC_STAT_FIELDS = (
@@ -826,7 +445,7 @@ class _Discontinuity(_Family):
     def bind(self, prefetcher, keep):
         table = prefetcher.table
         stats = table.stats
-        return _CDisc(
+        return STRUCTS["CDisc"](
             mask=table._mask,
             counter_max=table.counter_max,
             sources=_ll_array(
@@ -854,12 +473,12 @@ class _FetchDirected(_Family):
     def candidates(self, prefetcher) -> int:
         return prefetcher.lookahead
 
-    def bind(self, prefetcher, keep) -> _CBranch:
+    def bind(self, prefetcher, keep) -> ctypes.Structure:
         gshare, btb, ras = prefetcher.gshare, prefetcher.btb, prefetcher.ras
         pht = (ctypes.c_ubyte * gshare.entries).from_buffer_copy(bytes(gshare._pht))
         frames = (_LL * ras.capacity)(*ras._stack)
         keep.extend((pht, frames))
-        return _CBranch(
+        return STRUCTS["CBranch"](
             pht=_ptr(pht, ctypes.c_ubyte),
             pht_mask=gshare._mask,
             history=gshare._history,
@@ -889,11 +508,11 @@ class _ShadowBranch(_FetchDirected):
     def bind(self, prefetcher, keep):
         stb = prefetcher.stb
         assoc = stb.assoc
-        ways_c = (_CStbEntry * stb.entries)()
+        ways_c = (STRUCTS["CStbEntry"] * stb.entries)()
         counts = (_LL * (stb._set_mask + 1))()
         for si, ways in enumerate(stb._sets):
             for k, entry in enumerate(ways):
-                ways_c[si * assoc + k] = _CStbEntry(
+                ways_c[si * assoc + k] = STRUCTS["CStbEntry"](
                     entry.line, entry.target, entry.confidence
                 )
             counts[si] = len(ways)
@@ -901,7 +520,7 @@ class _ShadowBranch(_FetchDirected):
         ftq_lines = (_LL * steps)()
         ftq_seq = (_LL * steps)()
         keep.extend((ways_c, counts, ftq_lines, ftq_seq))
-        return _CShadow(
+        return STRUCTS["CShadow"](
             b=super().bind(prefetcher, keep),
             ftq_entries=prefetcher.ftq_entries,
             degree=prefetcher.shadow_degree,
@@ -909,7 +528,7 @@ class _ShadowBranch(_FetchDirected):
             ftq_seq=_ptr(ftq_seq, _LL),
             stb_set_mask=stb._set_mask,
             stb_assoc=assoc,
-            stb=_ptr(ways_c, _CStbEntry),
+            stb=_ptr(ways_c, STRUCTS["CStbEntry"]),
             stb_counts=_ptr(counts, _LL),
             discoveries=prefetcher.shadow_discoveries,
         )
@@ -918,7 +537,7 @@ class _ShadowBranch(_FetchDirected):
         prefetcher.shadow_discoveries = state.discoveries
 
 
-def _hist_map(keys: list, capacity: int, keep: list) -> _CHist:
+def _hist_map(keys: list, capacity: int, keep: list) -> ctypes.Structure:
     """``history.c``'s map over *keys* (OrderedDict order, LRU first) of a
     table holding at most *capacity* entries; node ``k`` takes the
     ``k``-th key once ``repro_hist_init`` has run."""
@@ -928,7 +547,7 @@ def _hist_map(keys: list, capacity: int, keep: list) -> _CHist:
     slots = (_LL * (1 << slot_bits))()
     keep.extend(buffers + [slots])
     keys_c, prev, nxt = (_ptr(buffer, _LL) for buffer in buffers)
-    return _CHist(
+    return STRUCTS["CHist"](
         capacity=capacity,
         n=len(keys),
         keys=keys_c,
@@ -947,7 +566,7 @@ class _History(_Family):
     def _init(self, state) -> None:
         """Index the map of a freshly marshalled *state*."""
         init = self.library().repro_hist_init
-        init.argtypes = [ctypes.POINTER(_CHist)]
+        init.argtypes = [ctypes.POINTER(STRUCTS["CHist"])]
         init.restype = None
         init(ctypes.byref(state.map))
 
@@ -961,17 +580,20 @@ class _Target(_History):
     def candidates(self, prefetcher) -> int:
         return prefetcher.degree
 
-    def bind(self, prefetcher, keep) -> _CTarget:
+    def bind(self, prefetcher, keep) -> ctypes.Structure:
         table = prefetcher._table
         targets = (_LL * (prefetcher.capacity + 1))(*table.values())
         keep.append(targets)
-        state = _CTarget(
+        state = STRUCTS["CTarget"](
             map=_hist_map(list(table), prefetcher.capacity, keep),
             targets=_ptr(targets, _LL),
             degree=prefetcher.degree,
         )
         self._init(state)
         return state
+
+
+_MARKOV_STAT_FIELDS = ("allocations", "evictions", "successor_updates", "probe_hits")
 
 
 class _Markov(_History):
@@ -984,21 +606,21 @@ class _Markov(_History):
         top = min(prefetcher.fanout, prefetcher.table.targets_per_entry)
         return ahead + top * (ahead + 1) * (ahead + 2) // 2
 
-    def bind(self, prefetcher, keep) -> _CMarkov:
+    def bind(self, prefetcher, keep) -> ctypes.Structure:
         table = prefetcher.table
         width = table.targets_per_entry
         nodes = table.capacity + 1
-        succ = (_CSucc * (nodes * width))()
+        succ = (STRUCTS["CSucc"] * (nodes * width))()
         succ_n = (_LL * nodes)()
         for node, entry in enumerate(table._table.values()):
             for k, (target, count) in enumerate(entry.successors):
-                succ[node * width + k] = _CSucc(target, count)
+                succ[node * width + k] = STRUCTS["CSucc"](target, count)
             succ_n[node] = len(entry.successors)
         keep.extend((succ, succ_n))
         stats = table.stats
-        state = _CMarkov(
+        state = STRUCTS["CMarkov"](
             map=_hist_map(list(table._table), table.capacity, keep),
-            succ=_ptr(succ, _CSucc),
+            succ=_ptr(succ, STRUCTS["CSucc"]),
             succ_n=_ptr(succ_n, _LL),
             targets_per_entry=width,
             fanout=prefetcher.fanout,
@@ -1016,6 +638,8 @@ class _Markov(_History):
 
 #: widest region whose footprint fits ``mana.c``'s 64-bit bitmap.
 _MANA_MAX_REGION = 64
+
+_MANA_STAT_FIELDS = ("commits", "allocations", "evictions", "probe_hits", "replays", "credits")
 
 
 class _Mana(_Family):
@@ -1035,23 +659,23 @@ class _Mana(_Family):
     def candidates(self, prefetcher) -> int:
         return prefetcher.replay_depth * prefetcher.region_lines
 
-    def bind(self, prefetcher, keep) -> _CMana:
+    def bind(self, prefetcher, keep) -> ctypes.Structure:
         table = prefetcher.table
         assoc = table.assoc
-        ways = (_CManaRecord * table.entries)()
+        ways = (STRUCTS["CManaRecord"] * table.entries)()
         counts = (_LL * (table._set_mask + 1))()
         for si, records in enumerate(table._sets):
             for k, record in enumerate(records):
-                ways[si * assoc + k] = _CManaRecord(
+                ways[si * assoc + k] = STRUCTS["CManaRecord"](
                     record.trigger, record.footprint, record.successor, record.confidence
                 )
             counts[si] = len(records)
         keep.extend((ways, counts))
         stats = table.stats
-        return _CMana(
+        return STRUCTS["CMana"](
             set_mask=table._set_mask,
             assoc=assoc,
-            ways=_ptr(ways, _CManaRecord),
+            ways=_ptr(ways, STRUCTS["CManaRecord"]),
             counts=_ptr(counts, _LL),
             region_shift=prefetcher._region_shift,
             offset_mask=prefetcher._offset_mask,
@@ -1100,7 +724,7 @@ class _CacheImage:
     def __init__(self, cache: SetAssociativeCache) -> None:
         n_sets = cache._set_mask + 1
         assoc = cache._assoc
-        self.lines = (_CLine * (n_sets * assoc))()
+        self.lines = (STRUCTS["CLine"] * (n_sets * assoc))()
         self.counts = (_LL * n_sets)()
         for si, cache_set in enumerate(cache._sets):
             base = si * assoc
@@ -1108,10 +732,10 @@ class _CacheImage:
                 self.lines[base + k] = _line_to_c(line, state)
             self.counts[si] = len(cache_set)
         stats = cache.stats
-        self.struct = _CCache(
+        self.struct = STRUCTS["CCache"](
             set_mask=cache._set_mask,
             assoc=assoc,
-            lines=_ptr(self.lines, _CLine),
+            lines=_ptr(self.lines, STRUCTS["CLine"]),
             counts=_ptr(self.counts, _LL),
             lookups=stats.lookups,
             hits=stats.hits,
@@ -1172,7 +796,7 @@ class _DecodedSets:
         return iter(self._decoded())
 
 
-def _sync_cache_stats(cache: SetAssociativeCache, cstruct: _CCache) -> None:
+def _sync_cache_stats(cache: SetAssociativeCache, cstruct: ctypes.Structure) -> None:
     stats = cache.stats
     for name in _CACHE_STAT_FIELDS:
         setattr(stats, name, getattr(cstruct, name))
@@ -1194,7 +818,7 @@ class _JitSystem:
         self.l2_image = _CacheImage(l2)
         self.c_l2 = self.l2_image.struct
         stats = link.stats
-        self.c_link = _CLink(
+        self.c_link = STRUCTS["CLink"](
             next_free=link._next_free,
             occupancy=link.occupancy_cycles,
             requests=stats.requests,
@@ -1265,7 +889,7 @@ class JittedCoreEngine(CoreEngine):
         #: why this engine steps on reference (None: it runs in the
         #: kernel, or eligibility is not decided yet).
         self.fallback_reason: Optional[str] = None
-        self._c: Optional[_CCore] = None
+        self._c: Optional[ctypes.Structure] = None
         self._c_started = False
         self._lib = None
         self._jit_system: Optional[_JitSystem] = None
@@ -1330,7 +954,7 @@ class JittedCoreEngine(CoreEngine):
         assert lib is not None  # guarded by jit_available() in _twin_ready
         self._lib = lib
         trace = self.trace
-        c = _CCore()
+        c = STRUCTS["CCore"]()
         keep = self._buffers
 
         def col(column, ctype):
@@ -1381,11 +1005,11 @@ class JittedCoreEngine(CoreEngine):
         prefetcher = self.prefetcher
         family = _PF_MODES[type(prefetcher)]
         state = family.bind(prefetcher, keep)
-        cand = (_CCand * max(1, family.candidates(prefetcher)))()
+        cand = (STRUCTS["CCand"] * max(1, family.candidates(prefetcher)))()
         keep.append(cand)
-        c.pf_ops = ctypes.addressof(ctypes.c_char.in_dll(family.library(), family.ops))
+        c.pf_ops = ctypes.pointer(STRUCTS["PfOps"].in_dll(family.library(), family.ops))
         c.pf = ctypes.addressof(state) if state is not None else None
-        c.cand = _ptr(cand, _CCand)
+        c.cand = _ptr(cand, STRUCTS["CCand"])
         self._family = family
         self._pf_state = state
 
@@ -1435,10 +1059,10 @@ class JittedCoreEngine(CoreEngine):
         # Queue (entries + recent-demand filter + stats).
         queue = self.queue
         qconfig = queue._config
-        entries = (_CQEntry * qconfig.capacity)()
+        entries = (STRUCTS["CQEntry"] * qconfig.capacity)()
         for k, entry in enumerate(queue._entries):
             pk, pi, pl = _encode_prov(entry.provenance)
-            entries[k] = _CQEntry(
+            entries[k] = STRUCTS["CQEntry"](
                 line=entry.line, prov_kind=pk, prov_index=pi, prov_line=pl,
                 state=int(entry.state),
             )
@@ -1448,12 +1072,12 @@ class JittedCoreEngine(CoreEngine):
             recent[k] = line
         keep.extend((entries, recent))
         qstats = queue.stats
-        c.queue = _CQueue(
+        c.queue = STRUCTS["CQueue"](
             capacity=qconfig.capacity,
             recent_capacity=qconfig.recent_capacity,
             lifo=1 if qconfig.lifo else 0,
             filtering=1 if qconfig.filtering else 0,
-            entries=_ptr(entries, _CQEntry),
+            entries=_ptr(entries, STRUCTS["CQEntry"]),
             n_entries=len(queue._entries),
             recent=_ptr(recent, _LL),
             n_recent=len(recent_keys),
@@ -1469,7 +1093,7 @@ class JittedCoreEngine(CoreEngine):
             mshr_lines[k] = line
             mshr_arrivals[k] = arrival
         keep.extend((mshr_lines, mshr_arrivals))
-        c.mshr = _CMshr(
+        c.mshr = STRUCTS["CMshr"](
             lines=_ptr(mshr_lines, _LL),
             arrivals=_ptr(mshr_arrivals, _DBL),
             n=len(mshr._entries),
@@ -1599,7 +1223,7 @@ class JittedCoreEngine(CoreEngine):
                             else "a sibling core steps on reference"
                         )
             return False
-        cores = (ctypes.POINTER(_CCore) * len(engines))(
+        cores = (ctypes.POINTER(STRUCTS["CCore"]) * len(engines))(
             *(ctypes.pointer(engine._c) for engine in engines)
         )
         for engine in engines:

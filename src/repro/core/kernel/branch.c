@@ -241,25 +241,3 @@ static void shadow_credit(void *pf, long long prov_kind, long long prov_index,
 }
 
 const PfOps repro_pf_shadow = {shadow_demand, shadow_discontinuity, shadow_credit};
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_branch[] = {
-    LAYOUT_SIZE(CBranch),
-    LAYOUT_FIELD(CBranch, pht), LAYOUT_FIELD(CBranch, pht_mask),
-    LAYOUT_FIELD(CBranch, history), LAYOUT_FIELD(CBranch, history_mask),
-    LAYOUT_FIELD(CBranch, btb), LAYOUT_FIELD(CBranch, btb_mask),
-    LAYOUT_FIELD(CBranch, ras), LAYOUT_FIELD(CBranch, ras_n),
-    LAYOUT_FIELD(CBranch, ras_cap), LAYOUT_FIELD(CBranch, prev_line),
-    LAYOUT_FIELD(CBranch, lookahead), LAYOUT_FIELD(CBranch, k_call),
-    LAYOUT_FIELD(CBranch, k_jump), LAYOUT_FIELD(CBranch, k_return),
-    LAYOUT_SIZE(CStbEntry),
-    LAYOUT_FIELD(CStbEntry, line), LAYOUT_FIELD(CStbEntry, target),
-    LAYOUT_FIELD(CStbEntry, confidence),
-    LAYOUT_SIZE(CShadow),
-    LAYOUT_FIELD(CShadow, b), LAYOUT_FIELD(CShadow, ftq_entries),
-    LAYOUT_FIELD(CShadow, degree), LAYOUT_FIELD(CShadow, ftq_lines),
-    LAYOUT_FIELD(CShadow, ftq_seq), LAYOUT_FIELD(CShadow, stb_set_mask),
-    LAYOUT_FIELD(CShadow, stb_assoc), LAYOUT_FIELD(CShadow, stb),
-    LAYOUT_FIELD(CShadow, stb_counts), LAYOUT_FIELD(CShadow, discoveries),
-    LAYOUT_END,
-};

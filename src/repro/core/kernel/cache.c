@@ -112,20 +112,3 @@ static CLine mkline(long long tag, int prefetched, int used, double arrival,
     s.useless_hint = 0;
     return s;
 }
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_cache[] = {
-    LAYOUT_SIZE(CLine),
-    LAYOUT_FIELD(CLine, tag), LAYOUT_FIELD(CLine, arrival),
-    LAYOUT_FIELD(CLine, prov_kind), LAYOUT_FIELD(CLine, prov_index),
-    LAYOUT_FIELD(CLine, prov_line), LAYOUT_FIELD(CLine, prefetched),
-    LAYOUT_FIELD(CLine, used), LAYOUT_FIELD(CLine, bypass_pending),
-    LAYOUT_FIELD(CLine, from_memory), LAYOUT_FIELD(CLine, useless_hint),
-    LAYOUT_SIZE(CCache),
-    LAYOUT_FIELD(CCache, set_mask), LAYOUT_FIELD(CCache, assoc),
-    LAYOUT_FIELD(CCache, lines), LAYOUT_FIELD(CCache, counts),
-    LAYOUT_FIELD(CCache, lookups), LAYOUT_FIELD(CCache, hits),
-    LAYOUT_FIELD(CCache, misses), LAYOUT_FIELD(CCache, installs),
-    LAYOUT_FIELD(CCache, evictions),
-    LAYOUT_END,
-};

@@ -110,16 +110,3 @@ static void disc_credit(void *pf, long long prov_kind, long long prov_index,
 }
 
 const PfOps repro_pf_disc = {disc_demand, disc_discontinuity, disc_credit};
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_discontinuity[] = {
-    LAYOUT_SIZE(CDisc),
-    LAYOUT_FIELD(CDisc, mask), LAYOUT_FIELD(CDisc, counter_max),
-    LAYOUT_FIELD(CDisc, sources), LAYOUT_FIELD(CDisc, targets),
-    LAYOUT_FIELD(CDisc, counters), LAYOUT_FIELD(CDisc, allocations),
-    LAYOUT_FIELD(CDisc, replacements), LAYOUT_FIELD(CDisc, replacement_denied),
-    LAYOUT_FIELD(CDisc, target_updates), LAYOUT_FIELD(CDisc, probe_hits),
-    LAYOUT_FIELD(CDisc, credits), LAYOUT_FIELD(CDisc, ahead),
-    LAYOUT_FIELD(CDisc, probe),
-    LAYOUT_END,
-};

@@ -381,46 +381,3 @@ void repro_run_system(CCore **cores, long long n) {
         }
     }
 }
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_engine[] = {
-    LAYOUT_SIZE(CCore),
-    LAYOUT_FIELD(CCore, t_lines), LAYOUT_FIELD(CCore, t_kinds),
-    LAYOUT_FIELD(CCore, t_ninstr), LAYOUT_FIELD(CCore, t_data),
-    LAYOUT_FIELD(CCore, t_offsets), LAYOUT_FIELD(CCore, t_disc),
-    LAYOUT_FIELD(CCore, visit_index), LAYOUT_FIELD(CCore, visit_count),
-    LAYOUT_FIELD(CCore, cycle), LAYOUT_FIELD(CCore, slot_credit),
-    LAYOUT_FIELD(CCore, last_slot_cycle), LAYOUT_FIELD(CCore, cycle_mark),
-    LAYOUT_FIELD(CCore, prev_line), LAYOUT_FIELD(CCore, total_instructions),
-    LAYOUT_FIELD(CCore, warmed), LAYOUT_FIELD(CCore, warm_target),
-    LAYOUT_FIELD(CCore, finished), LAYOUT_FIELD(CCore, slot_rate),
-    LAYOUT_FIELD(CCore, exec_cpi), LAYOUT_FIELD(CCore, l2_latency),
-    LAYOUT_FIELD(CCore, memory_latency),
-    LAYOUT_FIELD(CCore, fetch_stall_exposed),
-    LAYOUT_FIELD(CCore, data_l2_exposed),
-    LAYOUT_FIELD(CCore, data_memory_exposed), LAYOUT_FIELD(CCore, line_shift),
-    LAYOUT_FIELD(CCore, useless_hint_filter),
-    LAYOUT_FIELD(CCore, pol_install_fills), LAYOUT_FIELD(CCore, pol_promote),
-    LAYOUT_FIELD(CCore, pol_evict_install), LAYOUT_FIELD(CCore, free_kind),
-    LAYOUT_FIELD(CCore, pf_ops), LAYOUT_FIELD(CCore, pf),
-    LAYOUT_FIELD(CCore, cand), LAYOUT_FIELD(CCore, instructions),
-    LAYOUT_FIELD(CCore, st_cycles), LAYOUT_FIELD(CCore, exec_cycles),
-    LAYOUT_FIELD(CCore, fetch_stall_cycles),
-    LAYOUT_FIELD(CCore, data_stall_cycles), LAYOUT_FIELD(CCore, l1i_fetches),
-    LAYOUT_FIELD(CCore, l1i_misses), LAYOUT_FIELD(CCore, l2i_demand_accesses),
-    LAYOUT_FIELD(CCore, l2i_demand_misses), LAYOUT_FIELD(CCore, data_accesses),
-    LAYOUT_FIELD(CCore, l1d_misses), LAYOUT_FIELD(CCore, l2d_accesses),
-    LAYOUT_FIELD(CCore, l2d_misses), LAYOUT_FIELD(CCore, l1i_breakdown),
-    LAYOUT_FIELD(CCore, l2i_breakdown), LAYOUT_FIELD(CCore, generated),
-    LAYOUT_FIELD(CCore, probe_found_present), LAYOUT_FIELD(CCore, issued),
-    LAYOUT_FIELD(CCore, issued_from_l2),
-    LAYOUT_FIELD(CCore, issued_from_memory), LAYOUT_FIELD(CCore, useful),
-    LAYOUT_FIELD(CCore, useful_late), LAYOUT_FIELD(CCore, useful_from_memory),
-    LAYOUT_FIELD(CCore, useless_evicted),
-    LAYOUT_FIELD(CCore, dropped_useless_hint),
-    LAYOUT_FIELD(CCore, promoted_to_l2), LAYOUT_FIELD(CCore, l1i),
-    LAYOUT_FIELD(CCore, l1d), LAYOUT_FIELD(CCore, l2),
-    LAYOUT_FIELD(CCore, link), LAYOUT_FIELD(CCore, queue),
-    LAYOUT_FIELD(CCore, mshr),
-    LAYOUT_END,
-};

@@ -271,26 +271,3 @@ static void markov_discontinuity(void *pf, long long source, long long target,
 }
 
 const PfOps repro_pf_markov = {markov_demand, markov_discontinuity, 0};
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_history[] = {
-    LAYOUT_SIZE(CHist),
-    LAYOUT_FIELD(CHist, capacity), LAYOUT_FIELD(CHist, n),
-    LAYOUT_FIELD(CHist, keys), LAYOUT_FIELD(CHist, prev),
-    LAYOUT_FIELD(CHist, next), LAYOUT_FIELD(CHist, head),
-    LAYOUT_FIELD(CHist, tail), LAYOUT_FIELD(CHist, free_node),
-    LAYOUT_FIELD(CHist, slots), LAYOUT_FIELD(CHist, slot_bits),
-    LAYOUT_SIZE(CTarget),
-    LAYOUT_FIELD(CTarget, map), LAYOUT_FIELD(CTarget, targets),
-    LAYOUT_FIELD(CTarget, degree),
-    LAYOUT_SIZE(CSucc),
-    LAYOUT_FIELD(CSucc, target), LAYOUT_FIELD(CSucc, count),
-    LAYOUT_SIZE(CMarkov),
-    LAYOUT_FIELD(CMarkov, map), LAYOUT_FIELD(CMarkov, succ),
-    LAYOUT_FIELD(CMarkov, succ_n), LAYOUT_FIELD(CMarkov, targets_per_entry),
-    LAYOUT_FIELD(CMarkov, fanout), LAYOUT_FIELD(CMarkov, ahead),
-    LAYOUT_FIELD(CMarkov, allocations), LAYOUT_FIELD(CMarkov, evictions),
-    LAYOUT_FIELD(CMarkov, successor_updates),
-    LAYOUT_FIELD(CMarkov, probe_hits),
-    LAYOUT_END,
-};

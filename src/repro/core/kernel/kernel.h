@@ -6,7 +6,9 @@
  * unit may use every type and function of the units before it) and one
  * object per stateful prefetcher family.  Every object starts with this
  * header: the candidate type and the PfOps hook table the engine calls a
- * family through, and the struct layout table each unit exports.
+ * family through.  Python reads every `typedef struct` of the units as
+ * its ctypes type (repro.util.ccompile.struct_types), so a typedef is the
+ * only declaration of its struct.
  *
  * Float discipline: compiled with -ffp-contract=off and no fast-math, so
  * every double op rounds exactly like the CPython interpreter's.  All
@@ -40,28 +42,3 @@ typedef struct {
     void (*credit)(void *pf, long long prov_kind, long long prov_index,
                    long long prov_line);
 } PfOps;
-
-/* One row of a unit's layout table `repro_layout_<unit>`: a struct's
- * size (field NULL) or one field's offset and size.  The loader compares
- * every row with the struct's ctypes mirror and refuses the object on
- * any difference; a NULL name ends the table. */
-typedef struct {
-    const char *name;
-    const char *field;
-    long long offset, size;
-} CLayout;
-
-#define LAYOUT_SIZE(T) {#T, 0, 0, (long long)sizeof(T)}
-#define LAYOUT_FIELD(T, f) \
-    {#T, #f, (long long)offsetof(T, f), (long long)sizeof(((T *)0)->f)}
-#define LAYOUT_END {0, 0, 0, 0}
-
-const CLayout repro_layout_kernel[] = {
-    LAYOUT_SIZE(CCand),
-    LAYOUT_FIELD(CCand, line), LAYOUT_FIELD(CCand, prov_kind),
-    LAYOUT_FIELD(CCand, prov_index), LAYOUT_FIELD(CCand, prov_line),
-    LAYOUT_SIZE(PfOps),
-    LAYOUT_FIELD(PfOps, demand), LAYOUT_FIELD(PfOps, discontinuity),
-    LAYOUT_FIELD(PfOps, credit),
-    LAYOUT_END,
-};

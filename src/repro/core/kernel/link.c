@@ -15,12 +15,3 @@ static double link_request(CLink *l, double now) {
     l->queue_delay_cycles += start - now;
     return start;
 }
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_link[] = {
-    LAYOUT_SIZE(CLink),
-    LAYOUT_FIELD(CLink, next_free), LAYOUT_FIELD(CLink, occupancy),
-    LAYOUT_FIELD(CLink, requests), LAYOUT_FIELD(CLink, busy_cycles),
-    LAYOUT_FIELD(CLink, queue_delay_cycles),
-    LAYOUT_END,
-};

@@ -83,7 +83,8 @@ static void mana_commit(CMana *m, long long trigger, unsigned long long footprin
 }
 
 /* ManaPrefetcher._record: the SAB recorder.  Leaving a region commits
- * its record and chains the previous record's successor to it. */
+ * its record (successor: the line that left it) and probes the previous
+ * record, which already chains to this one. */
 static void mana_record(CMana *m, long long line) {
     long long region = line >> m->region_shift;
     if (region == m->rec_region) {
@@ -92,11 +93,7 @@ static void mana_record(CMana *m, long long line) {
     }
     if (m->rec_region >= 0) {
         mana_commit(m, m->rec_trigger, m->rec_footprint, line);
-        if (m->prev_trigger >= 0) {
-            CManaRecord *previous = mana_lookup(m, m->prev_trigger);
-            if (previous && previous->successor != m->rec_trigger)
-                previous->successor = m->rec_trigger;
-        }
+        if (m->prev_trigger >= 0) mana_lookup(m, m->prev_trigger);
         m->prev_trigger = m->rec_trigger;
     }
     m->rec_region = region;
@@ -160,22 +157,3 @@ static void mana_credit(void *pf, long long prov_kind, long long prov_index,
 }
 
 const PfOps repro_pf_mana = {mana_demand, 0, mana_credit};
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_mana[] = {
-    LAYOUT_SIZE(CManaRecord),
-    LAYOUT_FIELD(CManaRecord, trigger), LAYOUT_FIELD(CManaRecord, footprint),
-    LAYOUT_FIELD(CManaRecord, successor),
-    LAYOUT_FIELD(CManaRecord, confidence),
-    LAYOUT_SIZE(CMana),
-    LAYOUT_FIELD(CMana, set_mask), LAYOUT_FIELD(CMana, assoc),
-    LAYOUT_FIELD(CMana, ways), LAYOUT_FIELD(CMana, counts),
-    LAYOUT_FIELD(CMana, commits), LAYOUT_FIELD(CMana, allocations),
-    LAYOUT_FIELD(CMana, evictions), LAYOUT_FIELD(CMana, probe_hits),
-    LAYOUT_FIELD(CMana, replays), LAYOUT_FIELD(CMana, credits),
-    LAYOUT_FIELD(CMana, region_shift), LAYOUT_FIELD(CMana, offset_mask),
-    LAYOUT_FIELD(CMana, replay_depth), LAYOUT_FIELD(CMana, rec_region),
-    LAYOUT_FIELD(CMana, rec_trigger), LAYOUT_FIELD(CMana, rec_footprint),
-    LAYOUT_FIELD(CMana, prev_trigger),
-    LAYOUT_END,
-};

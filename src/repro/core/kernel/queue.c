@@ -147,27 +147,3 @@ static void mshr_add(CMshr *m, long long line, double arrival, double now) {
     m->arrivals[m->n] = arrival;
     m->n++;
 }
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_queue[] = {
-    LAYOUT_SIZE(CQEntry),
-    LAYOUT_FIELD(CQEntry, line), LAYOUT_FIELD(CQEntry, prov_kind),
-    LAYOUT_FIELD(CQEntry, prov_index), LAYOUT_FIELD(CQEntry, prov_line),
-    LAYOUT_FIELD(CQEntry, state),
-    LAYOUT_SIZE(CQueue),
-    LAYOUT_FIELD(CQueue, capacity), LAYOUT_FIELD(CQueue, recent_capacity),
-    LAYOUT_FIELD(CQueue, lifo), LAYOUT_FIELD(CQueue, filtering),
-    LAYOUT_FIELD(CQueue, entries), LAYOUT_FIELD(CQueue, n_entries),
-    LAYOUT_FIELD(CQueue, recent), LAYOUT_FIELD(CQueue, n_recent),
-    LAYOUT_FIELD(CQueue, waiting), LAYOUT_FIELD(CQueue, offered),
-    LAYOUT_FIELD(CQueue, accepted),
-    LAYOUT_FIELD(CQueue, dropped_recent_demand),
-    LAYOUT_FIELD(CQueue, dropped_dup_issued),
-    LAYOUT_FIELD(CQueue, dropped_dup_invalid), LAYOUT_FIELD(CQueue, hoisted),
-    LAYOUT_FIELD(CQueue, invalidated_by_demand),
-    LAYOUT_FIELD(CQueue, overflow_drops), LAYOUT_FIELD(CQueue, popped),
-    LAYOUT_SIZE(CMshr),
-    LAYOUT_FIELD(CMshr, lines), LAYOUT_FIELD(CMshr, arrivals),
-    LAYOUT_FIELD(CMshr, n), LAYOUT_FIELD(CMshr, cap),
-    LAYOUT_END,
-};

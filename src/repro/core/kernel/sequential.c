@@ -29,11 +29,3 @@ static long long seq_demand(void *pf, long long line, int was_miss,
 }
 
 const PfOps repro_pf_seq = {seq_demand, 0, 0};
-
-/* struct layouts (kernel.h CLayout) */
-const CLayout repro_layout_sequential[] = {
-    LAYOUT_SIZE(CSeq),
-    LAYOUT_FIELD(CSeq, trigger), LAYOUT_FIELD(CSeq, first),
-    LAYOUT_FIELD(CSeq, count),
-    LAYOUT_END,
-};

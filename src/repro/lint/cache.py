@@ -11,19 +11,18 @@ The cache lives at ``.repro-cache/lint-facts.json`` under the project root
 (same directory the disk result cache uses, already git-ignored).  It is
 strictly an accelerator: corruption, partial writes, version skew, or a
 read-only directory all degrade to "analyze again", never to wrong
-results or a crash.  Writes are atomic (same-directory tmp file +
-``os.replace``), mirroring :mod:`repro.eval.diskcache`.
+results or a crash.  Writes go through :class:`repro.util.filestore.EntryDir`,
+so a reader sees the old file or the new one, never a partial write.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.lint.dataflow import FACTS_VERSION, ModuleFacts
+from repro.util.filestore import EntryDir
 
 #: cache location relative to the project root.
 CACHE_REL_PATH = ".repro-cache/lint-facts.json"
@@ -70,26 +69,11 @@ class FactsCache:
         self._dirty = True
 
     def save(self) -> None:
-        """Atomically persist the cache; failures are silently ignored
-        (the cache is an accelerator, not a correctness surface)."""
+        """Atomically persist the cache; an unwritable directory is silently
+        ignored (the cache is an accelerator, not a correctness surface)."""
         if not self._dirty:
             return
         payload = {"facts_version": FACTS_VERSION, "files": self._entries}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                dir=str(self.path.parent), prefix=".lint-facts-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                    json.dump(payload, stream)
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self._dirty = False
+        store = EntryDir(lambda: self.path.parent, "")
+        if store.write(self.path.name, json.dumps(payload).encode("utf-8")):
+            self._dirty = False

@@ -15,9 +15,10 @@ Structures, adapted to this repo's line-granularity front end:
   ``(trigger, footprint, successor)`` is committed.
 - the **record table** is set-associative (``table_entries`` total,
   ``assoc`` ways), keyed by trigger line, with a small saturating
-  confidence counter per entry.  Committing a record also patches the
-  *previous* record's successor pointer to the new trigger, chaining
-  records in stream order (MANA's pointer chain).
+  confidence counter per entry.  A record's successor is the line that
+  left its region, which is the next record's trigger, so records chain
+  in stream order (MANA's pointer chain); committing a record also
+  probes the previous one, touching it in LRU order.
 - **replay**: on a tagged trigger (demand miss or first use of a
   prefetched line) the table is probed with the missing line; a hit
   replays the recorded footprint and follows successor pointers for up to
@@ -176,7 +177,7 @@ class ManaPrefetcher(Prefetcher):
         self._region_shift = region_lines.bit_length() - 1
         self._offset_mask = region_lines - 1
         # SAB recorder state: the region currently being recorded plus the
-        # trigger of the previously committed record (successor linkage).
+        # trigger of the previously committed record (probed at each commit).
         self._rec_region = -1
         self._rec_trigger = -1
         self._rec_footprint = 0
@@ -194,9 +195,10 @@ class ManaPrefetcher(Prefetcher):
         if self._rec_region >= 0:
             self.table.commit(self._rec_trigger, self._rec_footprint, line)
             if self._prev_trigger >= 0:
-                previous = self.table.lookup(self._prev_trigger)
-                if previous is not None and previous.successor != self._rec_trigger:
-                    previous.successor = self._rec_trigger
+                # The previous record already chains to this one: its
+                # successor was set to this record's trigger at its own
+                # commit.  The probe only counts a hit and touches it.
+                self.table.lookup(self._prev_trigger)
             self._prev_trigger = self._rec_trigger
         self._rec_region = region
         self._rec_trigger = line

@@ -166,8 +166,8 @@ static int reserve(void **ptr, int64_t *cap, int64_t need, size_t size) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Workload profile (trace/synth/params.py); field order is mirrored by */
-/* repro.trace.synth.native._Profile.                                   */
+/* Workload profile (trace/synth/params.py): each field is filled from  */
+/* the WorkloadProfile attribute of its name.                          */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -655,7 +655,7 @@ static int64_t one_address(DataStream *data) {
 /* ------------------------------------------------------------------ */
 
 /* One core's block events: event i covers data[data_offsets[i] ..
- * data_offsets[i + 1]).  Mirrored by repro.trace.synth.native._Blocks. */
+ * data_offsets[i + 1]). */
 typedef struct {
     int64_t *addr;
     int32_t *ninstr;

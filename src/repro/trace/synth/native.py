@@ -23,7 +23,8 @@ Two steps, so a sweep across line sizes synthesizes once:
   visit boundaries), so every line size shares that array.
 
 The unit is built on the first :func:`available` call — never at import —
-through :mod:`repro.util.ccompile`, under its own source hash.
+through :mod:`repro.util.ccompile`, under its own source hash.  The
+ctypes types of its structs (:data:`STRUCTS`) are read from its typedefs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import ctypes
 import logging
 from array import array
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.trace.compiled import CompiledTrace
 from repro.trace.stream import check_line_size
@@ -45,74 +46,8 @@ logger = logging.getLogger(__name__)
 #: the C unit, shipped beside this module.
 SOURCE_PATH = Path(__file__).with_name("native.c")
 
-#: WorkloadProfile fields in the order of native.c's ``Profile`` struct.
-_INT_FIELDS = (
-    "n_functions",
-    "fn_median_instr",
-    "fn_min_instr",
-    "fn_max_instr",
-    "loop_span_max",
-    "poly_targets",
-    "switch_targets",
-    "max_call_depth",
-    "max_transaction_instr",
-    "reuse_window_lines",
-    "hot_bytes",
-    "cold_bytes",
-    "code_base",
-    "fn_align",
-)
-_FLOAT_FIELDS = (
-    "fn_sigma",
-    "block_mean_instr",
-    "entry_fraction",
-    "p_cond",
-    "p_uncond",
-    "p_call",
-    "p_switch",
-    "p_early_return",
-    "p_backward",
-    "fwd_skip_mean",
-    "fwd_taken_lo",
-    "fwd_taken_hi",
-    "loop_taken_lo",
-    "loop_taken_hi",
-    "p_poly_call",
-    "far_jump_fraction",
-    "callee_zipf",
-    "entry_zipf",
-    "text_shared_fraction",
-    "p_trap",
-    "data_rate",
-    "p_reuse",
-    "hot_zipf",
-    "p_cold",
-    "cold_zipf",
-    "cold_private_fraction",
-)
-
 _I64 = ctypes.c_int64
 _PTR = ctypes.c_void_p
-
-
-class _Profile(ctypes.Structure):
-    _fields_ = [(name, _I64) for name in _INT_FIELDS] + [
-        (name, ctypes.c_double) for name in _FLOAT_FIELDS
-    ]
-
-
-class _Blocks(ctypes.Structure):
-    _fields_ = [
-        ("addr", _PTR),
-        ("ninstr", _PTR),
-        ("kind", _PTR),
-        ("data_offsets", _PTR),
-        ("data", _PTR),
-        ("n_events", _I64),
-        ("events_cap", _I64),
-        ("n_data", _I64),
-        ("data_cap", _I64),
-    ]
 
 
 class BlockColumns(NamedTuple):
@@ -133,6 +68,13 @@ def source() -> str:
     return SOURCE_PATH.read_text(encoding="utf-8")
 
 
+#: the unit's structs as ctypes types (C name -> type), read from its
+#: typedefs.
+STRUCTS = ccompile.struct_types(source())
+_PROFILE = STRUCTS["Profile"]
+_BLOCKS = STRUCTS["Blocks"]
+
+
 def source_hash() -> str:
     """Hash naming the cached shared object (and the CI cache key)."""
     return ccompile.source_hash(source())
@@ -149,7 +91,7 @@ def _build():
     lib, seconds = ccompile.load("repro_synth", source())
     if seconds:
         _compile_seconds = seconds
-    lib.repro_synth_program.argtypes = [ctypes.POINTER(_Profile), ctypes.c_uint64]
+    lib.repro_synth_program.argtypes = [ctypes.POINTER(_PROFILE), ctypes.c_uint64]
     lib.repro_synth_program.restype = _PTR
     lib.repro_synth_program_free.argtypes = [_PTR]
     lib.repro_synth_program_free.restype = None
@@ -160,10 +102,10 @@ def _build():
         _I64,
         _I64,
         _I64,
-        ctypes.POINTER(_Blocks),
+        ctypes.POINTER(_BLOCKS),
     ]
     lib.repro_synth_walk.restype = ctypes.c_int
-    lib.repro_synth_blocks_free.argtypes = [ctypes.POINTER(_Blocks)]
+    lib.repro_synth_blocks_free.argtypes = [ctypes.POINTER(_BLOCKS)]
     lib.repro_synth_blocks_free.restype = None
     lib.repro_synth_lower.argtypes = [_PTR] * 4 + [_I64, _I64] + [_PTR] * 5
     lib.repro_synth_lower.restype = _I64
@@ -191,19 +133,19 @@ def compile_seconds() -> float:
     return _compile_seconds
 
 
-def _profile_struct(profile: WorkloadProfile) -> _Profile:
-    struct = _Profile()
-    for name in _INT_FIELDS:
-        setattr(struct, name, int(getattr(profile, name)))
-    for name in _FLOAT_FIELDS:
-        setattr(struct, name, float(getattr(profile, name)))
+def _profile_struct(profile: WorkloadProfile) -> ctypes.Structure:
+    """``Profile`` with each field set from *profile*'s attribute of its name."""
+    struct = _PROFILE()
+    for name, ctype in ccompile.struct_fields(_PROFILE):
+        convert = float if ctype is ctypes.c_double else int
+        setattr(struct, name, convert(getattr(profile, name)))
     return struct
 
 
-def _copy(typecode: str, address: Optional[int], count: int) -> array:
+def _copy(typecode: str, pointer, count: int) -> array:
     column = array(typecode)
     if count:
-        column.frombytes(ctypes.string_at(address, count * column.itemsize))
+        column.frombytes(ctypes.string_at(pointer, count * column.itemsize))
     return column
 
 
@@ -230,7 +172,7 @@ def synthesize(walks: Sequence[CoreWalk], n_instructions: int) -> List[BlockColu
                 if not program:
                     raise MemoryError("trace synthesis: program build failed")
                 programs[key] = program
-            blocks = _Blocks()
+            blocks = _BLOCKS()
             try:
                 status = lib.repro_synth_walk(
                     program,

@@ -28,6 +28,11 @@ toolchain.  This module is the one place that knows how:
 
 A unit that cannot be built (no compiler, a compiler error) is reported
 once, through :func:`load_or_warn`, with one warning naming the cause.
+
+Python reaches a unit's structs through :func:`struct_types`, which reads
+every ``typedef struct { ... } Name;`` of the source text :func:`load`
+compiles into a ``ctypes.Structure``: the typedef is the only declaration
+of a struct, so there is no hand-kept mirror that could drift from it.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ import ctypes
 import hashlib
 import logging
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
-from typing import Callable, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR
 from repro.util import clock
@@ -140,3 +146,103 @@ def load_or_warn(
     except Exception as exc:
         logger.warning("%s unavailable (%s); %s", what, exc, fallback)
         return None
+
+
+#: C types :func:`struct_types` reads -> their ctypes type (``void`` is
+#: None: a function returning nothing, or ``c_void_p`` behind a pointer).
+C_TYPES = {
+    "long long": ctypes.c_longlong,
+    "unsigned long long": ctypes.c_ulonglong,
+    "int64_t": ctypes.c_int64,
+    "uint64_t": ctypes.c_uint64,
+    "int32_t": ctypes.c_int32,
+    "int8_t": ctypes.c_int8,
+    "int": ctypes.c_int,
+    "signed char": ctypes.c_byte,
+    "unsigned char": ctypes.c_ubyte,
+    "double": ctypes.c_double,
+    "void": None,
+}
+
+_COMMENT = re.compile(r"/\*.*?\*/|//[^\n]*", re.S)
+_DEFINE = re.compile(r"^#define\s+(\w+)\s+(\d+)\s*$", re.M)
+_TYPEDEF = re.compile(r"typedef\s+struct\s*\{([^{}]*)\}\s*(\w+)\s*;")
+#: ``ret (*name)(params)``
+_FUNCTION = re.compile(r"(.+?)\(\s*\*\s*(\w+)\s*\)\s*\((.*)\)")
+#: ``**name[N]``: pointer depth, name and an optional array length.
+_DECLARATOR = r"(\**)\s*(\w+)\s*(?:\[\s*(\w+)\s*\])?"
+
+
+def struct_types(source: str) -> Dict[str, Type[ctypes.Structure]]:
+    """Every ``typedef struct { ... } Name;`` of *source* as a
+    ``ctypes.Structure``, in source order, by name.
+
+    A field is a scalar of :data:`C_TYPES`, an earlier struct of *source*
+    embedded by name, a pointer to either, an array whose length is a
+    literal or a ``#define`` of *source*, or a function pointer; ``const``
+    is dropped and comma-separated declarators share their type.  Any
+    other field raises ``ValueError`` naming ``Struct.field``.
+    """
+    text = _COMMENT.sub(" ", source)
+    lengths = {name: int(value) for name, value in _DEFINE.findall(text)}
+    structs: Dict[str, Type[ctypes.Structure]] = {}
+
+    def resolve(base: str, stars: str, where: str):
+        if base in C_TYPES:
+            ctype = C_TYPES[base]
+        elif base in structs:
+            ctype = structs[base]
+        else:
+            raise ValueError(f"{where}: C type {base!r} is not one the struct reader knows")
+        if ctype is None and stars:
+            ctype, stars = ctypes.c_void_p, stars[1:]
+        for _ in stars:
+            ctype = ctypes.POINTER(ctype)
+        return ctype
+
+    def declared(decl: str, where: str):
+        """(name, ctype) of every declarator of one declaration."""
+        function = _FUNCTION.fullmatch(decl)
+        if function:
+            result, name, params = function.groups()
+            where = f"{where}.{name}"
+            args = [] if params in ("", "void") else [
+                declared(param.strip(), where)[0][1] for param in params.split(",")
+            ]
+            return [(name, ctypes.CFUNCTYPE(resolve(result.strip(), "", where), *args))]
+        head, *rest = decl.split(",")
+        match = re.fullmatch(r"(.+?)\s*" + _DECLARATOR, head)
+        if match is None:
+            raise ValueError(f"{where}: cannot read the declaration {decl!r}")
+        base = match.group(1)
+        fields = []
+        for part in [head[match.end(1):], *rest]:
+            declarator = re.fullmatch(_DECLARATOR, part.strip())
+            if declarator is None:
+                raise ValueError(f"{where}: cannot read the declarator {part.strip()!r}")
+            stars, name, length = declarator.groups()
+            ctype = resolve(base, stars, f"{where}.{name}")
+            if ctype is None:
+                raise ValueError(f"{where}.{name}: a field cannot be void")
+            if length is not None:
+                count = int(length) if length.isdigit() else lengths.get(length)
+                if count is None:
+                    raise ValueError(f"{where}.{name}: unknown array length {length!r}")
+                ctype = ctype * count
+            fields.append((name, ctype))
+        return fields
+
+    for body, struct in _TYPEDEF.findall(text):
+        fields = []
+        for decl in body.split(";"):
+            decl = " ".join(re.sub(r"\bconst\b", " ", decl).split())
+            if decl:
+                fields.extend(declared(decl, struct))
+        structs[struct] = type(struct, (ctypes.Structure,), {"_fields_": fields})
+    return structs
+
+
+def struct_fields(struct: Type[ctypes.Structure]) -> Sequence[Tuple[str, type]]:
+    """``(name, ctypes type)`` of each field of a :func:`struct_types`
+    struct, in declaration order."""
+    return struct._fields_

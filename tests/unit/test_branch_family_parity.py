@@ -218,8 +218,8 @@ def test_branch_hooks_match_the_classes(prefetcher, overrides, seed) -> None:
     family = jitted._PF_MODES[type(twin)]
     keep: list = []
     state = family.bind(twin, keep)
-    ops = jitted._PfOps.in_dll(family.library(), family.ops)
-    cand = (jitted._CCand * family.candidates(twin))()
+    ops = jitted.STRUCTS["PfOps"].in_dll(family.library(), family.ops)
+    cand = (jitted.STRUCTS["CCand"] * family.candidates(twin))()
     address = ctypes.addressof(state)
     rng = random.Random(seed)
     recent = [0]

@@ -4,10 +4,15 @@ Every compiled unit — the jit engine kernel and the trace synthesizer —
 is published with a sha256 sidecar and loaded only when the object still
 matches it.  A truncated object used to reach ``dlopen`` and kill the
 process with ``SIGBUS``; it must now be rebuilt, with identical results.
+
+Python reaches both units' structs only through the ctypes types
+:func:`~repro.util.ccompile.struct_types` reads from their typedefs; a
+compiled probe of every struct proves the reader against the compiler.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import os
@@ -17,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import jitted
 from repro.envvars import REPRO_JIT_CACHE_DIR
+from repro.trace.synth import native
 from repro.util import ccompile
 
 SRC = Path(ccompile.__file__).resolve().parents[2]
@@ -180,3 +187,75 @@ def test_truncated_cached_objects_are_rebuilt_in_a_fresh_process(tmp_path):
     # And the rebuilt objects are now served from the cache.
     third = _probe(tmp_path)
     assert third["kernel_compile_s"] == 0.0 and third["synth_compile_s"] == 0.0
+
+
+def _layout_rows(structs: dict):
+    """``(label, C expression, ctypes value)`` of every struct's size and,
+    per field, its offset, its size and, through each pointer or array
+    level, the element's size; a scalar also gets its kind (1 signed,
+    2 floating)."""
+    for name, struct in structs.items():
+        yield f"sizeof({name})", f"sizeof({name})", ctypes.sizeof(struct)
+        for field, ctype in ccompile.struct_fields(struct):
+            label = f"{name}.{field}"
+            yield f"{label} offset", f"offsetof({name}, {field})", getattr(struct, field).offset
+            expr = f"(({name} *)0)->{field}"
+            while True:
+                yield f"{label} size", f"sizeof({expr})", ctypes.sizeof(ctype)
+                if issubclass(ctype, (ctypes._Pointer, ctypes.Array)):
+                    expr, ctype, label = f"({expr})[0]", ctype._type_, f"{label}[0]"
+                    continue
+                if ctype in ccompile.C_TYPES.values():
+                    floating = isinstance(ctype(0).value, float)
+                    signed = ctype(-1).value < 0
+                    cast = f"(__typeof__({expr}))"
+                    yield (
+                        f"{label} kind",
+                        f"2 * ({cast}0.5 != 0) + ({cast}-1 < 0)",
+                        2 * floating + signed,
+                    )
+                break
+
+
+def _probe_source(structs: dict) -> tuple:
+    rows = list(_layout_rows(structs))
+    body = "".join(f"    out[{k}] = {expr};\n" for k, (_, expr, _) in enumerate(rows))
+    probe = f"\n#include <stddef.h>\nvoid repro_probe(long long *out) {{\n{body}}}\n"
+    return rows, probe
+
+
+def _object_structs(stem: str) -> tuple:
+    """One compiled unit's source and the ctypes types its caller uses
+    for the structs that source declares."""
+    if stem == "repro_synth":
+        return native.source(), native.STRUCTS
+    source = jitted.kernel_source(stem)
+    return source, {name: jitted.STRUCTS[name] for name in ccompile.struct_types(source)}
+
+
+def test_every_kernel_struct_is_declared_in_an_object() -> None:
+    declared = set()
+    for stem in jitted.KERNEL_OBJECTS:
+        declared.update(ccompile.struct_types(jitted.kernel_source(stem)))
+    assert declared == set(jitted.STRUCTS)
+
+
+@needs_cc
+@pytest.mark.parametrize("stem", [*jitted.KERNEL_OBJECTS, "repro_synth"])
+def test_struct_types_match_the_compiled_layout(cache, stem) -> None:
+    """Each struct the reader returns has the size, field offsets, field
+    sizes, element sizes and scalar kinds the compiler gives it."""
+    source, structs = _object_structs(stem)
+    assert structs
+    rows, probe = _probe_source(structs)
+    lib, _ = ccompile.load(f"repro_probe_{stem}", source + probe)
+    out = (ctypes.c_longlong * len(rows))()
+    lib.repro_probe(out)
+    compiled = {label: value for (label, _, _), value in zip(rows, out)}
+    assert compiled == {label: value for label, _, value in rows}
+
+
+def test_a_type_outside_the_table_raises_naming_the_field() -> None:
+    source = "typedef struct { long long id; } Tag;\ntypedef struct { Tag tag; float x; } Point;"
+    with pytest.raises(ValueError, match=r"Point\.x: C type 'float'"):
+        ccompile.struct_types(source)

@@ -112,9 +112,9 @@ def _hist_nodes(cmap) -> list:
 
 
 def _c_table(prefetcher, state) -> list:
-    if isinstance(state, jitted._CTarget):
+    if isinstance(state, jitted.STRUCTS["CTarget"]):
         return [(state.map.keys[node], state.targets[node]) for node in _hist_nodes(state.map)]
-    if isinstance(state, jitted._CMarkov):
+    if isinstance(state, jitted.STRUCTS["CMarkov"]):
         width = state.targets_per_entry
         return [
             (
@@ -178,8 +178,8 @@ def test_hooks_match_the_classes(prefetcher, overrides, seed) -> None:
     family = jitted._PF_MODES[type(twin)]
     keep: list = []
     state = family.bind(twin, keep)
-    ops = jitted._PfOps.in_dll(family.library(), family.ops)
-    cand = (jitted._CCand * family.candidates(twin))()
+    ops = jitted.STRUCTS["PfOps"].in_dll(family.library(), family.ops)
+    cand = (jitted.STRUCTS["CCand"] * family.candidates(twin))()
     address = ctypes.addressof(state)
     rng = random.Random(seed)
     recent = [0]

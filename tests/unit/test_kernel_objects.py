@@ -1,19 +1,18 @@
 """The kernel's shared objects: one core, one per stateful family.
 
-Covers what the split build promises: every object's struct layouts are
-checked against the ctypes mirrors when it loads (a mismatch refuses the
-object and names the struct and field), a family object that cannot be
+Covers what the split build promises: a family object that cannot be
 built sends only that family to reference stepping, the source hash and
 the compile-time report cover every object, and concurrent first-use
 builds from real pool workers publish one object per family and leave no
-temporary files behind.
+temporary files behind.  No object is checked against its struct
+layouts when it loads: every ctypes type is read from its C typedef
+(``jitted.STRUCTS``), and ``test_ccompile.py`` proves that reader against
+the compiler.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -45,40 +44,6 @@ def fresh_families(monkeypatch):
 def _engine(prefetcher: str):
     config = SystemConfig(prefetcher=prefetcher, engine_backend="jit")
     return System(config, get_compiled_traces("db", 1, 3_000)).engines[0]
-
-
-def test_every_object_builds_and_every_mirror_is_checked() -> None:
-    checked = set()
-    for stem, units in jitted.KERNEL_OBJECTS.items():
-        assert jitted.jit_available(stem), stem
-        lib = jitted._kernel() if stem == jitted.CORE else jitted._family_lib(stem)
-        for unit in (jitted.KERNEL_HEADER,) + units:
-            checked.update(name for name, *_ in jitted.layout_rows(lib, unit))
-    assert checked == set(jitted.MIRRORS)
-
-
-def _swapped(mirror, first: str, second: str):
-    fields = list(mirror._fields_)
-    names = [name for name, _ in fields]
-    i, j = names.index(first), names.index(second)
-    fields[i], fields[j] = fields[j], fields[i]
-    return type(mirror.__name__, (ctypes.Structure,), {"_fields_": fields})
-
-
-def test_swapped_mirror_fields_refuse_the_object(monkeypatch, fresh_families, caplog) -> None:
-    """Two same-typed fields swapped in a mirror keep every size equal;
-    the field-by-field check still refuses the object, names the struct
-    and field, and only that family steps on reference."""
-    monkeypatch.setitem(
-        jitted.MIRRORS, "CMarkov", _swapped(jitted._CMarkov, "allocations", "evictions")
-    )
-    with pytest.raises(jitted.KernelLayoutError, match=r"CMarkov\.allocations"):
-        jitted._load_object("repro_jit_history")
-    with caplog.at_level(logging.WARNING, logger=jitted.__name__):
-        reason = _engine("markov").kernel_fallback_reason()
-    assert reason is not None and "CMarkov.allocations" in reason
-    assert any("repro_jit_history" in record.getMessage() for record in caplog.records)
-    assert _engine("discontinuity").kernel_fallback_reason() is None
 
 
 def test_a_family_that_fails_to_build_falls_back_alone(monkeypatch, fresh_families) -> None:

@@ -5,8 +5,10 @@ pre-refactor hand-written drivers: for every experiment, the sorted set
 of deduplicated :meth:`RunSpec.content_hash` values at smoke scale.  The
 catalog declarations must reproduce those sets bit-identically — that is
 the proof that the refactor changed how experiments are *expressed*, not
-which simulations they run (and therefore that no disk-cache
-``SCHEMA_VERSION`` bump is needed).
+which simulations they run.  Cached results need no attention either way:
+the result cache and the trace store stamp every entry with
+``repro.version.code_hash()`` and invalidate on any source edit by
+themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def test_catalog_reproduces_golden_spec_hashes(name):
     assert hashes_for(name, scale) == sorted(data["experiments"][name]), (
         f"{name}: catalog declaration no longer expands to the pre-refactor "
         "RunSpec set; if the change is intentional, regenerate the golden "
-        "file and consider a diskcache SCHEMA_VERSION review"
+        "file (both caches invalidate on repro.version.code_hash() by themselves)"
     )
 
 
