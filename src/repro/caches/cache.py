@@ -13,14 +13,29 @@ and ``random`` available for sensitivity studies
 The ``fifo`` and ``plru`` variants reuse the OrderedDict sets: FIFO simply
 never refreshes recency; tree-PLRU keeps a per-set bit tree indexed by way
 and maps victim ways back to keys.
+
+The per-set list is built lazily.  A cache starts with a :class:`LazySets`
+stand-in in ``_sets``; the first read through it builds the list and puts
+it in the stand-in's place, so from then on the hot paths index a plain
+list.  The sets of a cache go through these states:
+
+1. **unbuilt** — ``LazySets`` with no builder: the cache is empty.  A 2 MB
+   L2 has 8,192 sets, and a cache that the jit kernel runs (see
+   :mod:`repro.core.jitted`) is never read in Python, so it binds as a
+   zeroed C image and never builds them;
+2. **built** — a list of ``OrderedDict``: the reference engine's state,
+   and the state every read of an unbuilt cache leaves;
+3. **decoded on read** — ``LazySets`` whose builder decodes the C image
+   the kernel finished with; the first read turns it into state 2.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.caches.config import CacheConfig
 from repro.caches.line import LineState
@@ -49,6 +64,43 @@ class CacheStats:
         self.misses = 0
         self.installs = 0
         self.evictions = 0
+
+
+class LazySets:
+    """Stand-in for a cache's ``_sets`` until the first read: builds the
+    per-set list — empty sets, or ``build()`` — and puts it in its own
+    place, so later reads index the list directly.
+
+    The cache is held weakly: a strong reference would form a cache ->
+    stand-in -> cache cycle, keeping every dropped cache alive until the
+    cyclic garbage collector runs.
+    """
+
+    __slots__ = ("_cache", "_n_sets", "build")
+
+    def __init__(
+        self,
+        cache: "SetAssociativeCache",
+        build: Optional[Callable[[], List[OrderedDict]]] = None,
+    ) -> None:
+        self._cache = weakref.ref(cache)
+        self._n_sets = cache.config.n_sets
+        #: None: every set is empty.
+        self.build = build
+
+    def _built(self) -> List[OrderedDict]:
+        build = self.build
+        sets = [OrderedDict() for _ in range(self._n_sets)] if build is None else build()
+        cache = self._cache()
+        if cache is not None:
+            cache._sets = sets
+        return sets
+
+    def __getitem__(self, index: int) -> OrderedDict:
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[OrderedDict]:
+        return iter(self._built())
 
 
 class SetAssociativeCache:
@@ -90,7 +142,7 @@ class SetAssociativeCache:
         self.name = name
         self.config = config
         self.stats = CacheStats()
-        self._sets = [OrderedDict() for _ in range(config.n_sets)]
+        self._sets: List[OrderedDict] = LazySets(self)  # type: ignore[assignment]
         self._set_mask = config.n_sets - 1
         self._assoc = config.associativity
         self._policy = policy
@@ -272,8 +324,7 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         """Empty the cache (statistics are left untouched)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets = LazySets(self)  # type: ignore[assignment]
         if self._is_plru:
             for bits in self._plru_bits:
                 for index in range(len(bits)):

@@ -109,15 +109,31 @@ for cache/queue/MSHR/predictor-table *contents*.  Scalars and every stats
 object (including the discontinuity, Markov and MANA table stats and the
 shadow prefetcher's ``shadow_discoveries``) are synced back after each kernel
 call, so ``--verify`` lockstep, the CMP interleave driven from Python, and
-all result aggregation see exact values.  When an engine finishes inside
-the kernel (``run()``, ``run_multicore()`` or the final ``step()``), its
-L1I, L1D and the shared L2 are handed their C images and decode them on
-first read, so the public cache inspection API (``probe``,
-``resident_lines``, ``in``, ``len``) sees exactly what the reference
-engine leaves behind.  Queue, MSHR and predictor-table contents have no
-reader outside the engine and stay C-resident.  Engines of one system
-share one :class:`_JitSystem` (the C images of the shared L2 and off-chip
-link), keyed by link identity.
+all result aggregation see exact values.  Queue, MSHR and predictor-table
+contents have no reader outside the engine and stay C-resident.  Engines
+of one system share one :class:`_JitSystem` (the C images of the shared
+L2 and off-chip link), keyed by link identity.
+
+Cache sets through a kernel run (:class:`~repro.caches.cache.LazySets`):
+
+1. **unbuilt** — a new cache holds a ``LazySets`` stand-in, no per-set
+   ``OrderedDict``.  Binding it (:class:`_CacheImage`) only allocates the
+   C arrays, which ctypes zero-fills: an empty cache, with no Python loop
+   (a 2 MB L2 has 8,192 sets).  A cache that was read or installed into
+   before binding has built sets and is marshalled set by set instead;
+2. **C image** — while the kernel runs, the image is authoritative;
+3. **decoded on read** — when an engine finishes inside the kernel
+   (``run()``, ``run_multicore()`` or the final ``step()``), its L1I, L1D
+   and the shared L2 get a ``LazySets`` whose builder is the image's
+   :meth:`_CacheImage.decode`.  The first read (``probe``,
+   ``resident_lines``, ``in``, ``len``) decodes it into the plain list the
+   reference engine would have left, so a sweep that never inspects a
+   cache never builds its sets.
+
+Every ctypes pointer into a buffer is cast from the buffer's address
+(:func:`_ptr`), and the buffer is held by its engine or image: a cast from
+the buffer object itself stores the buffer in a reference cycle, which
+only the cyclic garbage collector frees.
 """
 
 from __future__ import annotations
@@ -131,7 +147,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.caches.cache import SetAssociativeCache
+from repro.caches.cache import LazySets, SetAssociativeCache
 from repro.caches.line import LineState
 from repro.core.engine import CoreEngine
 from repro.core.metrics import CoreStats
@@ -336,8 +352,15 @@ def _decode_prov(kind: int, index: int, line: int):
 
 
 def _ptr(buffer, ctype):
-    """*buffer* (a ctypes array) as a ``POINTER(ctype)``."""
-    return ctypes.cast(buffer, ctypes.POINTER(ctype))
+    """*buffer* (a ctypes array) as a ``POINTER(ctype)``.
+
+    Cast from the address, not the array: ``ctypes.cast(buffer, ...)``
+    stores the array in its own ``_objects`` dict, a cycle that only the
+    cyclic garbage collector frees (a 2 MB L2's line array is 1.6 MB).
+    The pointer keeps nothing alive; the caller holds *buffer* (``keep``
+    or an image).
+    """
+    return ctypes.cast(ctypes.addressof(buffer), ctypes.POINTER(ctype))
 
 
 def _ll_array(values, keep: list):
@@ -719,18 +742,25 @@ _CACHE_STAT_FIELDS = ("lookups", "hits", "misses", "installs", "evictions")
 
 
 class _CacheImage:
-    """C image of one :class:`SetAssociativeCache` (LRU sets as arrays)."""
+    """C image of one :class:`SetAssociativeCache` (LRU sets as arrays).
+
+    ctypes zero-fills the arrays, which is an empty cache: one whose sets
+    were never built is bound without a Python loop.  Only a cache that
+    was read (or installed into) before binding is marshalled set by set.
+    """
 
     def __init__(self, cache: SetAssociativeCache) -> None:
         n_sets = cache._set_mask + 1
         assoc = cache._assoc
         self.lines = (STRUCTS["CLine"] * (n_sets * assoc))()
         self.counts = (_LL * n_sets)()
-        for si, cache_set in enumerate(cache._sets):
-            base = si * assoc
-            for k, (line, state) in enumerate(cache_set.items()):
-                self.lines[base + k] = _line_to_c(line, state)
-            self.counts[si] = len(cache_set)
+        sets = cache._sets
+        if not (isinstance(sets, LazySets) and sets.build is None):
+            for si, cache_set in enumerate(sets):
+                base = si * assoc
+                for k, (line, state) in enumerate(cache_set.items()):
+                    self.lines[base + k] = _line_to_c(line, state)
+                self.counts[si] = len(cache_set)
         stats = cache.stats
         self.struct = STRUCTS["CCache"](
             set_mask=cache._set_mask,
@@ -764,36 +794,6 @@ class _CacheImage:
                 )
             sets.append(cache_set)
         return sets
-
-
-class _DecodedSets:
-    """Stand-in for a cache's ``_sets`` once its engine finished in the
-    kernel: decodes the C image on first read and puts the real per-set
-    list in its own place, so later reads cost nothing extra.
-
-    The cache is held weakly: a strong reference would form a cache ->
-    stand-in -> cache cycle, keeping every finished system alive until
-    the cyclic garbage collector runs.
-    """
-
-    __slots__ = ("_cache", "_image")
-
-    def __init__(self, cache: SetAssociativeCache, image: _CacheImage) -> None:
-        self._cache = weakref.ref(cache)
-        self._image = image
-
-    def _decoded(self) -> list:
-        sets = self._image.decode()
-        cache = self._cache()
-        if cache is not None:
-            cache._sets = sets
-        return sets
-
-    def __getitem__(self, index):
-        return self._decoded()[index]
-
-    def __iter__(self):
-        return iter(self._decoded())
 
 
 def _sync_cache_stats(cache: SetAssociativeCache, cstruct: ctypes.Structure) -> None:
@@ -958,8 +958,7 @@ class JittedCoreEngine(CoreEngine):
         keep = self._buffers
 
         def col(column, ctype):
-            address, _length = column.buffer_info()
-            return ctypes.cast(ctypes.c_void_p(address), ctypes.POINTER(ctype))
+            return ctypes.cast(column.buffer_info()[0], ctypes.POINTER(ctype))
 
         # Trace columns are borrowed; self.trace keeps the arrays alive.
         c.t_lines = col(trace.lines, _LL)
@@ -1193,7 +1192,7 @@ class JittedCoreEngine(CoreEngine):
         on first read (see the module docstring)."""
         self._finished = True
         for cache, image in self._cache_images:
-            cache._sets = _DecodedSets(cache, image)  # type: ignore[assignment]
+            cache._sets = LazySets(cache, image.decode)  # type: ignore[assignment]
 
     @staticmethod
     def run_multicore(engines: List["JittedCoreEngine"]) -> bool:

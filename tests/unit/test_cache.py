@@ -1,8 +1,11 @@
 """Unit tests for the set-associative cache (repro.caches.cache)."""
 
+import weakref
+from collections import OrderedDict
+
 import pytest
 
-from repro.caches.cache import SetAssociativeCache
+from repro.caches.cache import LazySets, SetAssociativeCache
 from repro.caches.config import CacheConfig
 from repro.caches.line import LineState
 
@@ -178,3 +181,76 @@ class TestIntrospection:
         cache.lookup(0)
         cache.stats.reset()
         assert cache.stats.lookups == 0
+
+
+def _unbuilt(cache) -> bool:
+    return isinstance(cache._sets, LazySets)
+
+
+class TestLazySets:
+    """A cache builds its per-set list on the first read, not in __init__."""
+
+    @pytest.mark.parametrize("policy", SetAssociativeCache.POLICIES)
+    def test_fresh_cache_has_no_built_sets(self, policy):
+        assert _unbuilt(make_cache(policy=policy))
+
+    def test_probe_and_contains_read_an_empty_cache(self):
+        cache = make_cache()
+        assert cache.probe(7) is None
+        assert not _unbuilt(cache)
+        assert type(cache._sets) is list
+        assert len(cache._sets) == cache.config.n_sets
+        fresh = make_cache()
+        assert 7 not in fresh
+        assert not _unbuilt(fresh)
+
+    def test_len_and_resident_lines_of_a_fresh_cache(self):
+        assert len(make_cache()) == 0
+        assert list(make_cache().resident_lines()) == []
+        assert make_cache().set_occupancy(3) == 0
+
+    def test_install_on_a_fresh_cache(self):
+        cache = make_cache()
+        assert cache.install(5, LineState(used=True)) is None
+        assert type(cache._sets) is list
+        assert cache.probe(5).used
+        assert len(cache) == 1
+        assert cache.stats.installs == 1
+
+    @pytest.mark.parametrize("policy", SetAssociativeCache.POLICIES)
+    def test_flush_returns_to_unbuilt_and_behaves_as_empty(self, policy):
+        cache = make_cache(policy=policy)
+        for line in range(12):
+            cache.install(line, LineState())
+        cache.flush()
+        assert _unbuilt(cache)
+        assert len(cache) == 0
+        assert 0 not in cache
+        assert cache.stats.installs == 12
+        if policy == "random":
+            return  # its victim stream continues across a flush
+        # Refills from scratch exactly like a new cache.
+        fresh = make_cache(policy=policy)
+        for line in range(12):
+            ours, theirs = (c.install(line, LineState()) for c in (cache, fresh))
+            assert (ours and ours[0]) == (theirs and theirs[0])
+        assert [line for line, _ in cache.resident_lines()] == [
+            line for line, _ in fresh.resident_lines()
+        ]
+
+    def test_builder_supplies_the_sets(self):
+        cache = make_cache()
+        built = [OrderedDict() for _ in range(cache.config.n_sets)]
+        built[1][5] = LineState(prefetched=True)
+        cache._sets = LazySets(cache, lambda: built)
+        assert cache.probe(5).prefetched
+        assert cache._sets is built
+
+    def test_stand_in_does_not_keep_its_cache_alive(self):
+        cache = make_cache()
+        stand_in = cache._sets
+        ref = weakref.ref(cache)
+        del cache
+        assert ref() is None
+        # A read through an orphaned stand-in still answers.
+        assert list(stand_in) == [OrderedDict()] * 4

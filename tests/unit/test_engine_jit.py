@@ -18,11 +18,14 @@ import weakref
 
 import pytest
 
+from repro.caches.cache import LazySets
+from repro.caches.line import LineState
 from repro.cmp.system import System, SystemConfig
 from repro.core import jitted
 from repro.core.jitted import JittedCoreEngine
 from repro.eval.profiles import get_scale
-from repro.eval.runner import get_compiled_traces
+from repro.eval.runner import get_compiled_traces, run_system
+from repro.eval.runspec import RunSpec
 from repro.prefetch.registry import PREFETCHER_NAMES, create_prefetcher
 from repro.prefetch.sequential import NextLineTagged
 from repro.util import ccompile
@@ -271,6 +274,78 @@ def test_post_step_contents_match_reference() -> None:
     assert _contents(jit) == _contents(reference)
     assert len(jit.l2) == len(reference.l2)
     assert len(engine.l1i) == len(reference.engines[0].l1i)
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record every per-set list a :class:`LazySets` stand-in builds."""
+    built = []
+    build = LazySets._built
+
+    def spy(self):
+        built.append(self.build)
+        return build(self)
+
+    monkeypatch.setattr(LazySets, "_built", spy)
+    return built
+
+
+@pytest.mark.parametrize("n_cores", [1, 4])
+def test_jit_sweep_builds_no_python_sets(monkeypatch, n_cores) -> None:
+    """A jit run that nobody inspects binds every cache as a zeroed image
+    and leaves each one decodable but unbuilt."""
+    built = _count_builds(monkeypatch)
+    spec = RunSpec.create(
+        "db", n_cores, "discontinuity", scale="smoke", engine_backend="jit"
+    )
+    assert run_system(spec).total_instructions > 0
+    system = _build_system(n_cores)
+    system.run()
+    assert built == []
+    for cache in _caches(system):
+        assert isinstance(cache._sets, LazySets)
+        assert cache._sets.build is not None  # the kernel image's decoder
+
+
+def test_jit_run_sets_built_on_first_read() -> None:
+    """The first read decodes the kernel's image into a plain list, equal
+    to the reference backend's contents."""
+    reference = _build_system(4, "reference")
+    reference.run()
+    jit = _build_system(4)
+    jit.run()
+    assert all(isinstance(cache._sets, LazySets) for cache in _caches(jit))
+    jit.l2.probe(0)
+    assert type(jit.l2._sets) is list
+    assert all(
+        isinstance(engine.l1i._sets, LazySets) for engine in jit.engines
+    )
+    assert _contents(jit) == _contents(reference)
+    assert all(type(cache._sets) is list for cache in _caches(jit))
+
+
+def _preinstall(system: System) -> None:
+    """Warm lines in the shared L2 and every L1I before any core steps."""
+    for line in range(0, 4096, 7):
+        system.l2.install(line, LineState(used=True, arrival=1.5))
+    for engine in system.engines:
+        for line in range(0, 512, 3):
+            engine.l1i.install(line, LineState(prefetched=True, provenance=("seq",)))
+
+
+@pytest.mark.parametrize("n_cores", [1, 4])
+def test_caches_installed_before_binding_are_marshalled(n_cores) -> None:
+    """A cache read before binding is not pristine: its lines reach the
+    kernel, and the run ends where the reference backend's does."""
+    reference = _build_system(n_cores, "reference")
+    _preinstall(reference)
+    expected = reference.run()
+    jit = _build_system(n_cores)
+    _preinstall(jit)
+    assert type(jit.l2._sets) is list
+    got = jit.run()
+    assert all(engine._twin_ready() for engine in jit.engines)
+    assert repr(got.aggregate_ipc) == repr(expected.aggregate_ipc)
+    assert _contents(jit) == _contents(reference)
 
 
 def test_finished_system_freed_without_cyclic_gc() -> None:

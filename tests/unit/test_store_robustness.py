@@ -8,12 +8,16 @@ The result cache (:mod:`repro.eval.diskcache`) and the compiled-trace store
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 import pytest
 
+import repro
 from repro import version
 from repro.cmp.link import OffChipLink
 from repro.cmp.system import SystemConfig, SystemResult
@@ -117,3 +121,50 @@ def test_entry_from_other_code_is_a_miss_and_is_overwritten(entries, monkeypatch
     assert entries.write()
     assert entries.load() is not None
     assert entries.entry_count() == 1
+
+
+#: one writer process: announce readiness, wait for the start signal, then
+#: overwrite one entry with its own payload, again and again.
+_WRITER = """
+import sys, time
+from pathlib import Path
+from repro.util.filestore import EntryDir
+
+directory, fill = Path(sys.argv[1]), sys.argv[2]
+entries = EntryDir(lambda: directory, ".bin")
+payload = fill.encode() * (4 << 20)
+(directory.parent / ("ready-" + fill)).touch()
+while not (directory.parent / "go").exists():
+    time.sleep(0.001)
+for _ in range(10):
+    assert entries.write("shared", payload)
+"""
+
+
+def test_concurrent_writers_leave_one_whole_entry(tmp_path):
+    """Two processes writing one entry at once leave exactly one whole,
+    readable entry and no tmp file."""
+    directory = tmp_path / "store"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(directory), fill], env=env
+        )
+        for fill in "ab"
+    ]
+    try:
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"ready-{fill}").exists() for fill in "ab"):
+            assert all(writer.poll() is None for writer in writers)
+            assert time.monotonic() < deadline, "writers never became ready"
+            time.sleep(0.01)
+        (tmp_path / "go").touch()
+        assert [writer.wait(timeout=120) for writer in writers] == [0, 0]
+    finally:
+        for writer in writers:
+            if writer.poll() is None:
+                writer.kill()
+                writer.wait()
+    assert sorted(path.name for path in directory.iterdir()) == ["shared.bin"]
+    data = filestore.EntryDir(lambda: directory, ".bin").read("shared")
+    assert data in (b"a" * (4 << 20), b"b" * (4 << 20))
