@@ -8,21 +8,22 @@ commercial instruction footprints.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
+from repro.util.containers import LazyTable
 from repro.util.validation import check_power_of_two
 
 
 class BranchTargetBuffer:
     """Direct-mapped, tagless target store at line granularity."""
 
-    __slots__ = ("entries", "_targets", "_mask")
+    __slots__ = ("entries", "_targets", "_mask", "__weakref__")
 
     def __init__(self, entries: int = 1024) -> None:
         check_power_of_two("BTB entries", entries)
         self.entries = entries
-        self._targets = [-1] * entries
         self._mask = entries - 1
+        self.reset()
 
     def predict(self, line: int) -> Optional[int]:
         """Predicted target line, or None if the entry was never trained."""
@@ -36,4 +37,8 @@ class BranchTargetBuffer:
         return sum(1 for target in self._targets if target >= 0)
 
     def reset(self) -> None:
-        self._targets = [-1] * self.entries
+        """Untrain every entry; the table is built on first read."""
+        entries = self.entries
+        self._targets: List[int] = LazyTable(  # type: ignore[assignment]
+            self, "_targets", lambda: [-1] * entries
+        )

@@ -7,13 +7,24 @@ saturating counters is indexed by (line index XOR global history).
 
 from __future__ import annotations
 
+from typing import List
+
+from repro.util.containers import LazyTable
 from repro.util.validation import check_power_of_two
 
 
 class GsharePredictor:
     """2-bit-counter PHT indexed by line ^ global history."""
 
-    __slots__ = ("entries", "history_bits", "_pht", "_history", "_mask", "_history_mask")
+    __slots__ = (
+        "entries",
+        "history_bits",
+        "_pht",
+        "_history",
+        "_mask",
+        "_history_mask",
+        "__weakref__",
+    )
 
     def __init__(self, entries: int = 65536, history_bits: int = 12) -> None:
         check_power_of_two("gshare entries", entries)
@@ -21,12 +32,9 @@ class GsharePredictor:
             raise ValueError(f"history_bits must be in [0, 30], got {history_bits}")
         self.entries = entries
         self.history_bits = history_bits
-        # Initialised weakly NOT-taken: at fetch-line granularity most
-        # lines exit sequentially, so the untrained prior is sequential.
-        self._pht = [1] * entries
-        self._history = 0
         self._mask = entries - 1
         self._history_mask = (1 << history_bits) - 1
+        self.reset()
 
     def _index(self, line: int, history: int) -> int:
         return (line ^ history) & self._mask
@@ -62,5 +70,11 @@ class GsharePredictor:
         return self._history
 
     def reset(self) -> None:
-        self._pht = [1] * self.entries
+        """Untrain every counter; the table is built on first read."""
+        entries = self.entries
+        # Initialised weakly NOT-taken: at fetch-line granularity most
+        # lines exit sequentially, so the untrained prior is sequential.
+        self._pht: List[int] = LazyTable(  # type: ignore[assignment]
+            self, "_pht", lambda: [1] * entries
+        )
         self._history = 0

@@ -15,9 +15,10 @@ never refreshes recency; tree-PLRU keeps a per-set bit tree indexed by way
 and maps victim ways back to keys.
 
 The per-set list is built lazily.  A cache starts with a :class:`LazySets`
-stand-in in ``_sets``; the first read through it builds the list and puts
-it in the stand-in's place, so from then on the hot paths index a plain
-list.  The sets of a cache go through these states:
+stand-in (a :class:`~repro.util.containers.LazyTable`) in ``_sets``; the
+first read through it builds the list and puts it in the stand-in's
+place, so from then on the hot paths index a plain list.  The sets of a
+cache go through these states:
 
 1. **unbuilt** — ``LazySets`` with no builder: the cache is empty.  A 2 MB
    L2 has 8,192 sets, and a cache that the jit kernel runs (see
@@ -31,7 +32,6 @@ list.  The sets of a cache go through these states:
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
@@ -39,6 +39,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.caches.config import CacheConfig
 from repro.caches.line import LineState
+from repro.util.containers import LazyTable
 from repro.util.rng import SplitMix64
 
 
@@ -66,41 +67,19 @@ class CacheStats:
         self.evictions = 0
 
 
-class LazySets:
-    """Stand-in for a cache's ``_sets`` until the first read: builds the
-    per-set list — empty sets, or ``build()`` — and puts it in its own
-    place, so later reads index the list directly.
+class LazySets(LazyTable):
+    """A cache's ``_sets`` until the first read: empty sets (one
+    ``OrderedDict`` each), or ``build()``."""
 
-    The cache is held weakly: a strong reference would form a cache ->
-    stand-in -> cache cycle, keeping every dropped cache alive until the
-    cyclic garbage collector runs.
-    """
-
-    __slots__ = ("_cache", "_n_sets", "build")
+    __slots__ = ()
 
     def __init__(
         self,
         cache: "SetAssociativeCache",
         build: Optional[Callable[[], List[OrderedDict]]] = None,
     ) -> None:
-        self._cache = weakref.ref(cache)
-        self._n_sets = cache.config.n_sets
-        #: None: every set is empty.
-        self.build = build
-
-    def _built(self) -> List[OrderedDict]:
-        build = self.build
-        sets = [OrderedDict() for _ in range(self._n_sets)] if build is None else build()
-        cache = self._cache()
-        if cache is not None:
-            cache._sets = sets
-        return sets
-
-    def __getitem__(self, index: int) -> OrderedDict:
-        return self._built()[index]
-
-    def __iter__(self) -> Iterator[OrderedDict]:
-        return iter(self._built())
+        n_sets = cache.config.n_sets
+        super().__init__(cache, "_sets", lambda: [OrderedDict() for _ in range(n_sets)], build)
 
 
 class SetAssociativeCache:
@@ -196,21 +175,16 @@ class SetAssociativeCache:
         return self._sets[line & self._set_mask].get(line)
 
     def install(self, line: int, state: LineState) -> Optional[Tuple[int, LineState]]:
-        """Insert *line*; return the evicted ``(line, state)`` if any.
+        """Insert *line*, which must not be resident; return the evicted
+        ``(line, state)`` if any.
 
-        If the line is already resident its state object is replaced and
-        recency refreshed (no eviction).
+        Every fill path of the engine installs a line only after a lookup
+        or probe missed it, so a resident install is a caller bug.
         """
         self.stats.installs += 1
         set_index = line & self._set_mask
         cache_set = self._sets[set_index]
-        if line in cache_set:
-            cache_set[line] = state
-            if self._is_lru:
-                cache_set.move_to_end(line)
-            elif self._is_plru:
-                self._plru_touch(line)
-            return None
+        assert line not in cache_set, f"{self.name}: install of resident line {line}"
         victim = None
         if len(cache_set) >= self._assoc:
             victim = self._evict(cache_set, set_index)

@@ -77,8 +77,12 @@ with explicit arrays:
 - cache sets become per-set way arrays ordered LRU → MRU (an
   ``OrderedDict.move_to_end`` is a remove + append, ``popitem(last=False)``
   removes index 0);
-- the prefetch queue/recent-demand filter/MSHR become capacity-sized flat
-  arrays with the reference's exact scan, hoist and overflow behavior;
+- the prefetch queue and its recent-demand filter become two node pools
+  with doubly linked age lists (every entry, the waiting entries, the
+  recent lines) and one open-addressed index from a line to its nodes,
+  so offer, note-demand, hoist, overflow and pop move no memory and need
+  no scan (:func:`queue_image` hands C the Python queue in age order);
+  the MSHR stays an insertion-ordered flat array;
 - the discontinuity table becomes three flat arrays (``None`` sources
   encoded as ``-1``);
 - the gshare PHT, the tagless BTB (``-1`` = no target), the return
@@ -130,6 +134,13 @@ Cache sets through a kernel run (:class:`~repro.caches.cache.LazySets`):
    reference engine would have left, so a sweep that never inspects a
    cache never builds its sets.
 
+Family tables follow the same first state: the discontinuity table's
+columns, the gshare PHT, the BTB, the shadow target buffer's sets and
+MANA's record sets are :class:`~repro.util.containers.LazyTable`
+stand-ins until first read, and one never read binds as its initial C
+image — zeroed, or filled by one ``memset`` (:func:`_table_array`) —
+with no Python loop or list copy.
+
 Every ctypes pointer into a buffer is cast from the buffer's address
 (:func:`_ptr`), and the buffer is held by its engine or image: a cast from
 the buffer object itself stores the buffer in a reference cycle, which
@@ -167,6 +178,7 @@ from repro.prefetch.sequential import (
 from repro.prefetch.shadow import ShadowBranchPrefetcher
 from repro.prefetch.target import TargetPrefetcher
 from repro.util import ccompile
+from repro.util.containers import pristine
 
 logger = logging.getLogger(__name__)
 
@@ -268,6 +280,8 @@ def _build_kernel():
     lib.repro_run.restype = None
     lib.repro_run_system.argtypes = [ctypes.POINTER(ctypes.POINTER(STRUCTS["CCore"])), _LL]
     lib.repro_run_system.restype = None
+    lib.repro_queue_init.argtypes = [ctypes.POINTER(STRUCTS["CQueue"])]
+    lib.repro_queue_init.restype = None
     return lib
 
 
@@ -363,11 +377,27 @@ def _ptr(buffer, ctype):
     return ctypes.cast(ctypes.addressof(buffer), ctypes.POINTER(ctype))
 
 
-def _ll_array(values, keep: list):
-    """A ``long long`` array holding *values*, filled by one buffer copy."""
-    buffer = (_LL * len(values)).from_buffer_copy(array("q", values))
+#: ``array`` type code of each element type :func:`_table_array` copies.
+_ARRAY_CODES = {_LL: "q", ctypes.c_ubyte: "B"}
+
+
+def _table_array(table, n: int, initial: int, ctype, keep: list):
+    """A family's table column of *n* entries as a C array of *ctype*.
+
+    A never-read :class:`~repro.util.containers.LazyTable` still holds
+    *initial* in every entry, so its array is allocated and, unless
+    *initial* is 0, filled by one ``memset`` (*initial* is -1 for a
+    ``long long`` column): no Python loop and no list copy.  A built
+    table is copied by one buffer copy.
+    """
+    if pristine(table):
+        buffer = (ctype * n)()
+        if initial:
+            ctypes.memset(buffer, initial & 0xFF, ctypes.sizeof(buffer))
+    else:
+        buffer = (ctype * n).from_buffer_copy(array(_ARRAY_CODES[ctype], table))
     keep.append(buffer)
-    return _ptr(buffer, _LL)
+    return _ptr(buffer, ctype)
 
 
 def _line_to_c(line: int, state) -> ctypes.Structure:
@@ -467,15 +497,17 @@ class _Discontinuity(_Family):
 
     def bind(self, prefetcher, keep):
         table = prefetcher.table
+        n = table.entries
+        sources = table._sources
+        if not pristine(sources):
+            sources = [-1 if src is None else src for src in sources]
         stats = table.stats
         return STRUCTS["CDisc"](
             mask=table._mask,
             counter_max=table.counter_max,
-            sources=_ll_array(
-                [-1 if src is None else src for src in table._sources], keep
-            ),
-            targets=_ll_array(table._targets, keep),
-            counters=_ll_array(table._counters, keep),
+            sources=_table_array(sources, n, -1, _LL, keep),
+            targets=_table_array(table._targets, n, 0, _LL, keep),
+            counters=_table_array(table._counters, n, 0, _LL, keep),
             ahead=prefetcher.prefetch_ahead,
             probe=1 if prefetcher.probe_ahead else 0,
             **{name: getattr(stats, name) for name in _DISC_STAT_FIELDS},
@@ -498,15 +530,14 @@ class _FetchDirected(_Family):
 
     def bind(self, prefetcher, keep) -> ctypes.Structure:
         gshare, btb, ras = prefetcher.gshare, prefetcher.btb, prefetcher.ras
-        pht = (ctypes.c_ubyte * gshare.entries).from_buffer_copy(bytes(gshare._pht))
         frames = (_LL * ras.capacity)(*ras._stack)
-        keep.extend((pht, frames))
+        keep.append(frames)
         return STRUCTS["CBranch"](
-            pht=_ptr(pht, ctypes.c_ubyte),
+            pht=_table_array(gshare._pht, gshare.entries, 1, ctypes.c_ubyte, keep),
             pht_mask=gshare._mask,
             history=gshare._history,
             history_mask=gshare._history_mask,
-            btb=_ll_array(btb._targets, keep),
+            btb=_table_array(btb._targets, btb.entries, -1, _LL, keep),
             btb_mask=btb._mask,
             ras=_ptr(frames, _LL),
             ras_n=len(ras._stack),
@@ -533,12 +564,13 @@ class _ShadowBranch(_FetchDirected):
         assoc = stb.assoc
         ways_c = (STRUCTS["CStbEntry"] * stb.entries)()
         counts = (_LL * (stb._set_mask + 1))()
-        for si, ways in enumerate(stb._sets):
-            for k, entry in enumerate(ways):
-                ways_c[si * assoc + k] = STRUCTS["CStbEntry"](
-                    entry.line, entry.target, entry.confidence
-                )
-            counts[si] = len(ways)
+        if not pristine(stb._sets):
+            for si, ways in enumerate(stb._sets):
+                for k, entry in enumerate(ways):
+                    ways_c[si * assoc + k] = STRUCTS["CStbEntry"](
+                        entry.line, entry.target, entry.confidence
+                    )
+                counts[si] = len(ways)
         steps = min(prefetcher.lookahead, prefetcher.ftq_entries)
         ftq_lines = (_LL * steps)()
         ftq_seq = (_LL * steps)()
@@ -687,12 +719,13 @@ class _Mana(_Family):
         assoc = table.assoc
         ways = (STRUCTS["CManaRecord"] * table.entries)()
         counts = (_LL * (table._set_mask + 1))()
-        for si, records in enumerate(table._sets):
-            for k, record in enumerate(records):
-                ways[si * assoc + k] = STRUCTS["CManaRecord"](
-                    record.trigger, record.footprint, record.successor, record.confidence
-                )
-            counts[si] = len(records)
+        if not pristine(table._sets):
+            for si, records in enumerate(table._sets):
+                for k, record in enumerate(records):
+                    ways[si * assoc + k] = STRUCTS["CManaRecord"](
+                        record.trigger, record.footprint, record.successor, record.confidence
+                    )
+                counts[si] = len(records)
         keep.extend((ways, counts))
         stats = table.stats
         return STRUCTS["CMana"](
@@ -755,7 +788,7 @@ class _CacheImage:
         self.lines = (STRUCTS["CLine"] * (n_sets * assoc))()
         self.counts = (_LL * n_sets)()
         sets = cache._sets
-        if not (isinstance(sets, LazySets) and sets.build is None):
+        if not pristine(sets):
             for si, cache_set in enumerate(sets):
                 base = si * assoc
                 for k, (line, state) in enumerate(cache_set.items()):
@@ -859,6 +892,58 @@ _QUEUE_STAT_FIELDS = (
     "overflow_drops",
     "popped",
 )
+
+
+def _index(nodes: int, keep: list) -> ctypes.Structure:
+    """An empty ``CIndex`` for up to *nodes* lines, at most a quarter full."""
+    bits = max(2, (4 * nodes - 1).bit_length())
+    slots = (STRUCTS["CSlot"] * (1 << bits))()
+    keep.append(slots)
+    return STRUCTS["CIndex"](slots=_ptr(slots, STRUCTS["CSlot"]), bits=bits)
+
+
+def _list(nodes: int, keep: list) -> ctypes.Structure:
+    """A ``CList`` over a pool of *nodes* nodes (``repro_queue_init`` links it)."""
+    links = (_LL * (2 * nodes))()
+    keep.append(links)
+    return STRUCTS["CList"](links=_ptr(links, _LL))
+
+
+def queue_image(queue, keep: list, init) -> ctypes.Structure:
+    """C image (``CQueue``) of a :class:`~repro.prefetch.queue.PrefetchQueue`.
+
+    Entries and recent demand lines are written oldest first into their
+    node pools, and *init* (the kernel's ``repro_queue_init``) links and
+    indexes them; every buffer is appended to *keep*.
+    """
+    config = queue._config
+    entries = (STRUCTS["CQEntry"] * config.capacity)()
+    for k, entry in enumerate(queue._entries):
+        entries[k] = STRUCTS["CQEntry"](
+            entry.line, *_encode_prov(entry.provenance), int(entry.state)
+        )
+    recent_keys = queue._recent.keys()
+    recent = (_LL * config.recent_capacity)(*recent_keys)
+    keep.extend((entries, recent))
+    state = STRUCTS["CQueue"](
+        capacity=config.capacity,
+        recent_capacity=config.recent_capacity,
+        lifo=1 if config.lifo else 0,
+        filtering=1 if config.filtering else 0,
+        entries=_ptr(entries, STRUCTS["CQEntry"]),
+        n_entries=len(queue._entries),
+        age=_list(config.capacity, keep),
+        ready=_list(config.capacity, keep),
+        recent=_ptr(recent, _LL),
+        n_recent=len(recent_keys),
+        recency=_list(config.recent_capacity, keep),
+        index=_index(config.capacity + config.recent_capacity, keep),
+        waiting=queue.waiting,
+        **{name: getattr(queue.stats, name) for name in _QUEUE_STAT_FIELDS},
+    )
+    init(ctypes.byref(state))
+    return state
+
 
 _PF_STAT_FIELDS = (
     "generated",
@@ -1056,33 +1141,7 @@ class JittedCoreEngine(CoreEngine):
         c.link = ctypes.pointer(jitsys.c_link)
 
         # Queue (entries + recent-demand filter + stats).
-        queue = self.queue
-        qconfig = queue._config
-        entries = (STRUCTS["CQEntry"] * qconfig.capacity)()
-        for k, entry in enumerate(queue._entries):
-            pk, pi, pl = _encode_prov(entry.provenance)
-            entries[k] = STRUCTS["CQEntry"](
-                line=entry.line, prov_kind=pk, prov_index=pi, prov_line=pl,
-                state=int(entry.state),
-            )
-        recent = (_LL * (qconfig.recent_capacity + 1))()
-        recent_keys = list(queue._recent._entries.keys())
-        for k, line in enumerate(recent_keys):
-            recent[k] = line
-        keep.extend((entries, recent))
-        qstats = queue.stats
-        c.queue = STRUCTS["CQueue"](
-            capacity=qconfig.capacity,
-            recent_capacity=qconfig.recent_capacity,
-            lifo=1 if qconfig.lifo else 0,
-            filtering=1 if qconfig.filtering else 0,
-            entries=_ptr(entries, STRUCTS["CQEntry"]),
-            n_entries=len(queue._entries),
-            recent=_ptr(recent, _LL),
-            n_recent=len(recent_keys),
-            waiting=queue.waiting,
-            **{name: getattr(qstats, name) for name in _QUEUE_STAT_FIELDS},
-        )
+        c.queue = queue_image(self.queue, keep, lib.repro_queue_init)
 
         # MSHR (insertion-ordered flat arrays).
         mshr = self._mshr

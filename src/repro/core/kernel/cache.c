@@ -68,21 +68,13 @@ static void cache_touch(CCache *cc, long long line) {
     }
 }
 
-/* install(line, state): returns 1 and fills *victim when a line was
- * evicted (resident replace refreshes recency, evicts nothing). */
+/* install(line, state) of a line that is not resident: returns 1 and
+ * fills *victim when a line was evicted. */
 static int cache_install(CCache *cc, const CLine *state, CLine *victim) {
-    long long line = state->tag;
-    long long si = line & cc->set_mask;
+    long long si = state->tag & cc->set_mask;
     CLine *base = cc->lines + si * cc->assoc;
-    long long cnt = cc->counts[si], k, j;
+    long long cnt = cc->counts[si], j;
     cc->installs++;
-    for (k = 0; k < cnt; k++) {
-        if (base[k].tag == line) {
-            for (j = k; j < cnt - 1; j++) base[j] = base[j + 1];
-            base[cnt - 1] = *state;
-            return 0;
-        }
-    }
     if (cnt >= cc->assoc) {              /* popitem(last=False) */
         cc->evictions++;
         *victim = base[0];

@@ -172,8 +172,7 @@ static void issue_prefetches(CCore *c, double now) {
             continue;
         }
         if (!mshr_can_accept(&c->mshr, now)) {  /* requeue + stop */
-            e->state = 0;
-            c->queue.waiting++;
+            queue_requeue(&c->queue, ei);
             break;
         }
         issue_one(c, e->line, e->prov_kind, e->prov_index, e->prov_line, now);
@@ -360,24 +359,36 @@ void repro_run(CCore *c) {
 
 /* System.run() multi-core branch: advance the core with the smallest
  * local clock (first minimum wins ties, matching the Python scan), drop
- * finished cores preserving order. */
+ * finished cores preserving order.  The other clocks stand still while
+ * one core runs, so the chosen core keeps running without a rescan while
+ * its clock stays below limit, the smallest of theirs (a tie rescans). */
 void repro_run_system(CCore **cores, long long n) {
     long long active[256];
     long long na = 0, k;
     for (k = 0; k < n && k < 256; k++) active[na++] = k;
     while (na > 0) {
         long long best = 0;
+        double limit = DBL_MAX;
         CCore *c;
-        for (k = 1; k < na; k++)
-            if (cores[active[k]]->cycle < cores[active[best]]->cycle) best = k;
-        c = cores[active[best]];
-        if (c->visit_index >= c->visit_count) {
-            c->finished = 1;
-            c->st_cycles = c->cycle - c->cycle_mark;
-            for (k = best; k < na - 1; k++) active[k] = active[k + 1];
-            na--;
-        } else {
-            process_visit(c);
+        for (k = 1; k < na; k++) {
+            double cycle = cores[active[k]]->cycle;
+            if (cycle < cores[active[best]]->cycle) {
+                limit = cores[active[best]]->cycle;
+                best = k;
+            } else if (cycle < limit) {
+                limit = cycle;
+            }
         }
+        c = cores[active[best]];
+        do {
+            if (c->visit_index >= c->visit_count) {
+                c->finished = 1;
+                c->st_cycles = c->cycle - c->cycle_mark;
+                for (k = best; k < na - 1; k++) active[k] = active[k + 1];
+                na--;
+                break;
+            }
+            process_visit(c);
+        } while (c->cycle < limit);
     }
 }

@@ -18,6 +18,7 @@
  * 2 ("disc", index, line), 3 ("fdp",), 4 ("shadow", line),
  * 5 ("tgt", line), 6 ("markov", line), 7 ("mana", line).
  */
+#include <float.h>
 #include <stddef.h>
 #include <string.h>
 

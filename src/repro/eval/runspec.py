@@ -179,9 +179,17 @@ class RunSpec:
         }
 
     def content_hash(self) -> str:
-        """SHA-256 of the canonical form — the persistent cache key."""
-        blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical form — the persistent cache key.
+
+        Memoized per instance (the fields are frozen); the result cache
+        asks for it on every load and write of a spec.
+        """
+        memo = self.__dict__.get("_content_hash")
+        if memo is None:
+            blob = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
+            memo = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            self.__dict__["_content_hash"] = memo  # frozen: bypass __setattr__
+        return memo
 
     def describe(self) -> str:
         """Short human-readable label (progress logging)."""

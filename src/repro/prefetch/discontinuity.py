@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.prefetch.base import PrefetchCandidate, Prefetcher
+from repro.util.containers import LazyTable
 from repro.util.validation import check_power_of_two
 
 _SEQ_PROVENANCE = ("seq",)
@@ -71,7 +72,16 @@ class DiscontinuityTable:
     entry — which the eviction-counter ablation uses).
     """
 
-    __slots__ = ("entries", "counter_max", "stats", "_mask", "_sources", "_targets", "_counters")
+    __slots__ = (
+        "entries",
+        "counter_max",
+        "stats",
+        "_mask",
+        "_sources",
+        "_targets",
+        "_counters",
+        "__weakref__",
+    )
 
     def __init__(self, entries: int = 8192, counter_max: int = COUNTER_MAX) -> None:
         check_power_of_two("table entries", entries)
@@ -81,9 +91,21 @@ class DiscontinuityTable:
         self.counter_max = counter_max
         self.stats = DiscontinuityTableStats()
         self._mask = entries - 1
-        self._sources: List[Optional[int]] = [None] * entries
-        self._targets: List[int] = [0] * entries
-        self._counters: List[int] = [0] * entries
+        self._unbuilt()
+
+    def _unbuilt(self) -> None:
+        """Empty the table: each column becomes a stand-in built on first
+        read (:class:`~repro.util.containers.LazyTable`)."""
+        entries = self.entries
+        self._sources: List[Optional[int]] = LazyTable(  # type: ignore[assignment]
+            self, "_sources", lambda: [None] * entries
+        )
+        self._targets: List[int] = LazyTable(  # type: ignore[assignment]
+            self, "_targets", lambda: [0] * entries
+        )
+        self._counters: List[int] = LazyTable(  # type: ignore[assignment]
+            self, "_counters", lambda: [0] * entries
+        )
 
     def index_of(self, source_line: int) -> int:
         """Direct-mapped index for a source line."""
@@ -150,9 +172,7 @@ class DiscontinuityTable:
         return sum(1 for source in self._sources if source is not None)
 
     def reset(self) -> None:
-        self._sources = [None] * self.entries
-        self._targets = [0] * self.entries
-        self._counters = [0] * self.entries
+        self._unbuilt()
         self.stats.reset()
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.prefetch.base import PrefetchCandidate, Prefetcher
+from repro.util.containers import LazyTable
 from repro.util.validation import check_power_of_two
 
 #: saturation value of the per-entry confidence counter (2 bits).
@@ -84,7 +85,7 @@ class ManaTable:
     producing useful replays outlive stray one-shot regions.
     """
 
-    __slots__ = ("entries", "assoc", "stats", "_sets", "_set_mask")
+    __slots__ = ("entries", "assoc", "stats", "_sets", "_set_mask", "__weakref__")
 
     def __init__(self, entries: int = 4096, assoc: int = 4) -> None:
         check_power_of_two("table entries", entries)
@@ -96,9 +97,15 @@ class ManaTable:
         self.entries = entries
         self.assoc = assoc
         self.stats = ManaStats()
-        n_sets = entries // assoc
-        self._set_mask = n_sets - 1
-        self._sets: List[List[_Record]] = [[] for _ in range(n_sets)]
+        self._set_mask = entries // assoc - 1
+        self._unbuilt()
+
+    def _unbuilt(self) -> None:
+        """Empty every set; the per-set lists are built on first read."""
+        n_sets = self._set_mask + 1
+        self._sets: List[List[_Record]] = LazyTable(  # type: ignore[assignment]
+            self, "_sets", lambda: [[] for _ in range(n_sets)]
+        )
 
     def _set_for(self, trigger: int) -> List[_Record]:
         return self._sets[trigger & self._set_mask]
@@ -152,8 +159,7 @@ class ManaTable:
         return sum(len(ways) for ways in self._sets)
 
     def reset(self) -> None:
-        for ways in self._sets:
-            ways.clear()
+        self._unbuilt()
         self.stats.reset()
 
 

@@ -24,6 +24,7 @@ Name                        Scheme
 
 from __future__ import annotations
 
+import functools
 import inspect
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
@@ -121,9 +122,10 @@ def create_prefetcher(name: str, **overrides) -> Prefetcher:
     return _REGISTRY[name][1](**{key: value for key, value in overrides.items() if key in keys})
 
 
+@functools.lru_cache(maxsize=None)
 def override_keys(name: str) -> FrozenSet[str]:
     """The override keys the scheme registered under *name* reads: its
-    factory's keyword parameters."""
+    factory's keyword parameters (cached per name: the registry is fixed)."""
     try:
         _, factory = _REGISTRY[name]
     except KeyError:

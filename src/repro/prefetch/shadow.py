@@ -31,6 +31,7 @@ from typing import List, Optional
 
 from repro.prefetch.base import PrefetchCandidate
 from repro.prefetch.fdp import FetchDirectedPrefetcher
+from repro.util.containers import LazyTable
 from repro.util.validation import check_power_of_two
 
 _FDP_PROVENANCE = ("fdp",)
@@ -53,7 +54,7 @@ class _ShadowEntry:
 class ShadowTargetBuffer:
     """Set-associative line → branch-target store (the predecode proxy)."""
 
-    __slots__ = ("entries", "assoc", "_sets", "_set_mask")
+    __slots__ = ("entries", "assoc", "_sets", "_set_mask", "__weakref__")
 
     def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
         check_power_of_two("shadow entries", entries)
@@ -62,9 +63,8 @@ class ShadowTargetBuffer:
             raise ValueError(f"associativity {assoc} exceeds entries {entries}")
         self.entries = entries
         self.assoc = assoc
-        n_sets = entries // assoc
-        self._set_mask = n_sets - 1
-        self._sets: List[List[_ShadowEntry]] = [[] for _ in range(n_sets)]
+        self._set_mask = entries // assoc - 1
+        self.reset()
 
     def _set_for(self, line: int) -> List[_ShadowEntry]:
         return self._sets[line & self._set_mask]
@@ -107,8 +107,11 @@ class ShadowTargetBuffer:
         return sum(len(ways) for ways in self._sets)
 
     def reset(self) -> None:
-        for ways in self._sets:
-            ways.clear()
+        """Empty every set; the per-set lists are built on first read."""
+        n_sets = self._set_mask + 1
+        self._sets: List[List[_ShadowEntry]] = LazyTable(  # type: ignore[assignment]
+            self, "_sets", lambda: [[] for _ in range(n_sets)]
+        )
 
 
 class ShadowBranchPrefetcher(FetchDirectedPrefetcher):

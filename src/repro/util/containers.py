@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import List
+from typing import Any, Callable, List, Optional
 
 
 class BoundedRecentSet:
@@ -49,3 +50,55 @@ class BoundedRecentSet:
     def keys(self) -> List[int]:
         """Return the keys from least to most recently added."""
         return list(self._entries)
+
+
+class LazyTable:
+    """Stand-in for a table attribute (a list) of *owner* until its first
+    read: builds the table — its initial contents ``initial()``, or
+    ``build()`` — and puts it in the attribute, so later reads index the
+    table directly.
+
+    A stand-in whose ``build`` is None was never read, so its table still
+    holds the initial contents.  The jit kernel binds such a table as a C
+    array it fills in one call (``repro.core.jitted``), with no Python loop
+    or list copy.  The owner is held weakly: a strong reference would form
+    an owner -> stand-in -> owner cycle, keeping every dropped owner alive
+    until the cyclic garbage collector runs.
+    """
+
+    __slots__ = ("_owner", "_name", "_initial", "build")
+
+    def __init__(
+        self,
+        owner: Any,
+        name: str,
+        initial: Callable[[], list],
+        build: Optional[Callable[[], list]] = None,
+    ) -> None:
+        self._owner = weakref.ref(owner)
+        self._name = name
+        self._initial = initial
+        #: None: the table holds its initial contents.
+        self.build = build
+
+    def _built(self) -> list:
+        build = self.build
+        table = self._initial() if build is None else build()
+        owner = self._owner()
+        if owner is not None:
+            setattr(owner, self._name, table)
+        return table
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __setitem__(self, index, value) -> None:
+        self._built()[index] = value
+
+    def __iter__(self):
+        return iter(self._built())
+
+
+def pristine(table: Any) -> bool:
+    """True when *table* is a :class:`LazyTable` that was never read."""
+    return isinstance(table, LazyTable) and table.build is None

@@ -22,9 +22,10 @@ and every registered prefetcher with random constructor overrides.  The
 traces are ``BlockEvent`` lists or PC streams collapsed by
 :func:`repro.trace.ingest.events_from_pcs`.  The draws are shaped so that
 a divergence has somewhere to show: code and data footprints of a few
-dozen lines, so that lines are revisited and evicted; queues deeper than
-the issue cap; prefetch degrees past it; and an off-chip link slow enough
-to queue.
+dozen lines, so that lines are revisited and evicted; queues and recent
+sets of 1-40 entries, past both the issue cap and the catalog's 32;
+prefetch degrees past the cap; and an off-chip link slow enough to
+queue.
 
 ``kernel_fallback_reason()`` splits the draws into configurations the
 kernel claims and those it steps on reference.  A jit core whose
@@ -188,8 +189,8 @@ def system_configs(draw) -> SystemConfig:
         prefetcher=prefetcher,
         prefetcher_overrides=overrides,
         l2_policy=draw(st.sampled_from(["normal", "bypass"])),
-        queue_capacity=draw(st.integers(1, 24)),
-        queue_recent_capacity=draw(st.integers(1, 24)),
+        queue_capacity=draw(st.integers(1, 40)),
+        queue_recent_capacity=draw(st.integers(1, 40)),
         queue_lifo=draw(st.booleans()),
         queue_filtering=draw(st.booleans()),
         warm_instructions=draw(st.one_of(st.just(0), st.integers(1, 600))),

@@ -8,6 +8,10 @@ Invariants checked against random access sequences:
 - lookup(x) hits iff x was installed and not since evicted/invalidated —
   modelled against a reference dict-of-sets simulator with LRU order;
 - probe never changes observable state.
+
+``install`` takes only a line that is not resident (the engine installs
+after a miss), so the sequences install a drawn line only when it is
+absent.
 """
 
 from collections import OrderedDict
@@ -44,9 +48,6 @@ class ReferenceCache:
 
     def install(self, line):
         s = self.sets[line & self.mask]
-        if line in s:
-            s.move_to_end(line)
-            return
         if len(s) >= self.assoc:
             s.popitem(last=False)
         s[line] = None
@@ -61,6 +62,11 @@ class ReferenceCache:
         return sum(len(s) for s in self.sets)
 
 
+def _install_absent(cache, line):
+    if cache.probe(line) is None:
+        cache.install(line, LineState())
+
+
 @given(ops)
 @settings(max_examples=200, deadline=None)
 def test_cache_matches_reference_lru(operations):
@@ -70,8 +76,9 @@ def test_cache_matches_reference_lru(operations):
         if op == "lookup":
             assert (cache.lookup(line) is not None) == reference.lookup(line)
         elif op == "install":
-            cache.install(line, LineState())
-            reference.install(line)
+            if not reference.resident(line):
+                cache.install(line, LineState())
+                reference.install(line)
         elif op == "invalidate":
             cache.invalidate(line)
             reference.invalidate(line)
@@ -87,7 +94,7 @@ def test_set_occupancy_never_exceeds_associativity(operations):
     cache = SetAssociativeCache("p", CONFIG)
     for op, line in operations:
         if op == "install":
-            cache.install(line, LineState())
+            _install_absent(cache, line)
         elif op == "lookup":
             cache.lookup(line)
         elif op == "invalidate":
@@ -100,7 +107,7 @@ def test_set_occupancy_never_exceeds_associativity(operations):
 def test_probe_is_pure(installs):
     cache = SetAssociativeCache("p", CONFIG)
     for line in installs:
-        cache.install(line, LineState())
+        _install_absent(cache, line)
     before = sorted(line for line, _ in cache.resident_lines())
     stats_before = (cache.stats.lookups, cache.stats.hits, cache.stats.misses)
     for line in range(64):
@@ -115,9 +122,9 @@ def test_probe_is_pure(installs):
 def test_random_policy_respects_capacity(installs, extra):
     cache = SetAssociativeCache("p", CONFIG, policy="random", rng_seed=7)
     for line in installs:
-        cache.install(line, LineState())
+        _install_absent(cache, line)
     assert len(cache) <= CONFIG.n_lines
-    cache.install(extra, LineState())
+    _install_absent(cache, extra)
     assert cache.probe(extra) is not None
 
 
@@ -129,7 +136,7 @@ def test_all_policies_maintain_residency_invariants(operations, policy):
     cache = SetAssociativeCache("p", CONFIG, policy=policy, rng_seed=11)
     for op, line in operations:
         if op == "install":
-            cache.install(line, LineState())
+            _install_absent(cache, line)
             assert cache.probe(line) is not None
         elif op == "lookup":
             cache.lookup(line)

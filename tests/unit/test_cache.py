@@ -91,14 +91,11 @@ class TestLookupInstall:
         victim_line, _ = cache.install(8, LineState())
         assert victim_line == 0
 
-    def test_reinstall_refreshes_without_eviction(self):
+    def test_install_of_resident_line_is_rejected(self):
         cache = make_cache()
         cache.install(0, LineState())
-        cache.install(4, LineState())
-        new_state = LineState(prefetched=True)
-        assert cache.install(0, new_state) is None
-        assert cache.lookup(0) is new_state
-        assert len(cache) == 2
+        with pytest.raises(AssertionError, match="resident line 0"):
+            cache.install(0, LineState(prefetched=True))
 
     def test_different_sets_do_not_interfere(self):
         cache = make_cache()

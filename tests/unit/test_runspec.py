@@ -102,6 +102,14 @@ class TestContentHash:
     def test_any_parameter_changes_the_hash(self, change):
         assert spec(**change).content_hash() != spec().content_hash()
 
+    def test_memoized_per_instance(self):
+        s = spec()
+        assert s.content_hash() is s.content_hash()
+        assert s.content_hash() == spec().content_hash()
+        moved = dataclasses.replace(s, seed=DEFAULT_SEED + 1)
+        assert moved.content_hash() == spec(seed=DEFAULT_SEED + 1).content_hash()
+        assert moved.content_hash() != s.content_hash()
+
     def test_every_field_but_non_keyed_keys_the_cache(self):
         fields = {field.name for field in dataclasses.fields(RunSpec)}
         assert NON_KEYED == {"engine_backend"}
