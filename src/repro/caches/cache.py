@@ -60,11 +60,8 @@ class CacheStats:
         return self.misses / self.lookups
 
     def reset(self) -> None:
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.installs = 0
-        self.evictions = 0
+        for name in self.__dataclass_fields__:
+            setattr(self, name, 0)
 
 
 class LazySets(LazyTable):

@@ -25,9 +25,8 @@ class LinkStats:
     queue_delay_cycles: float = 0.0
 
     def reset(self) -> None:
-        self.requests = 0
-        self.busy_cycles = 0.0
-        self.queue_delay_cycles = 0.0
+        for name, field in self.__dataclass_fields__.items():
+            setattr(self, name, field.default)
 
 
 class OffChipLink:

@@ -51,10 +51,10 @@ Prefetcher families
 The engine unit calls a prefetcher only through a ``PfOps`` table of
 hooks (demand fetch, discontinuity, credit), one table per family
 exported by the family's unit; ``CCore.pf_ops`` points into whichever
-object holds it.  Each family has one Python marshaller
+object holds it.  Each family has one Python binding
 (:class:`_Family`), looked up by the prefetcher's *exact* type in
 :data:`_PF_MODES`: it names the family's object and ops table, sizes the
-core's candidate buffer, marshals the family state into C and syncs its
+core's candidate buffer, builds the family's C state and syncs its
 counters back.  A family's demand hook fills the candidate buffer; the
 engine counts every candidate as generated and offers each one whose
 line differs from the demand line, as ``CoreEngine._process_visit`` does.
@@ -81,8 +81,8 @@ with explicit arrays:
   with doubly linked age lists (every entry, the waiting entries, the
   recent lines) and one open-addressed index from a line to its nodes,
   so offer, note-demand, hoist, overflow and pop move no memory and need
-  no scan (:func:`queue_image` hands C the Python queue in age order);
-  the MSHR stays an insertion-ordered flat array;
+  no scan (:func:`queue_image`); the MSHR stays an insertion-ordered flat
+  array;
 - the discontinuity table becomes three flat arrays (``None`` sources
   encoded as ``-1``);
 - the gshare PHT, the tagless BTB (``-1`` = no target), the return
@@ -107,16 +107,26 @@ prefetcher passes the backend parity suite by construction.
 :meth:`JittedCoreEngine.kernel_fallback_reason` says why a configuration
 falls back.
 
-State ownership: once an engine binds its state into the kernel (first
-``step()``/``run()`` on an eligible config), the C state is authoritative
-for cache/queue/MSHR/predictor-table *contents*.  Scalars and every stats
-object (including the discontinuity, Markov and MANA table stats and the
-shadow prefetcher's ``shadow_discoveries``) are synced back after each kernel
-call, so ``--verify`` lockstep, the CMP interleave driven from Python, and
-all result aggregation see exact values.  Queue, MSHR and predictor-table
-contents have no reader outside the engine and stay C-resident.  Engines
-of one system share one :class:`_JitSystem` (the C images of the shared
-L2 and off-chip link), keyed by link identity.
+State ownership: an engine binds into the kernel on its first
+``step()``/``run()`` on an eligible config, and binding builds every C
+image from configuration and construction scalars only: caches, queue,
+MSHR, return address stack and predictor tables start empty (or at their
+initial contents) and every counter at zero, with no copy of Python
+contents.  So an engine binds only while it still holds its construction
+state (:meth:`JittedCoreEngine._touched`); one whose state was touched
+before binding (a cache installed into, a table read, a counter moved)
+steps on reference, and its fallback reason names the component.  From
+then on the C state is authoritative for cache/queue/MSHR/predictor-table
+*contents*.  Scalars and every stats object (including the discontinuity,
+Markov and MANA table stats and the shadow prefetcher's
+``shadow_discoveries``) are synced back after each kernel call, so
+``--verify`` lockstep, the CMP interleave driven from Python, and all
+result aggregation see exact values; each flat stats dataclass is copied
+field by field under its own field names (:func:`_sync_fields`).  Queue,
+MSHR and predictor-table contents have no reader outside the engine and
+stay C-resident.  Engines of one system share one :class:`_JitSystem`
+(the C images of the shared L2 and off-chip link), keyed by link
+identity; a core that binds after a sibling uses that image as it is.
 
 Cache sets through a kernel run (:class:`~repro.caches.cache.LazySets`):
 
@@ -124,7 +134,7 @@ Cache sets through a kernel run (:class:`~repro.caches.cache.LazySets`):
    ``OrderedDict``.  Binding it (:class:`_CacheImage`) only allocates the
    C arrays, which ctypes zero-fills: an empty cache, with no Python loop
    (a 2 MB L2 has 8,192 sets).  A cache that was read or installed into
-   before binding has built sets and is marshalled set by set instead;
+   before binding has built sets, so its engine steps on reference;
 2. **C image** — while the kernel runs, the image is authoritative;
 3. **decoded on read** — when an engine finishes inside the kernel
    (``run()``, ``run_multicore()`` or the final ``step()``), its L1I, L1D
@@ -137,9 +147,11 @@ Cache sets through a kernel run (:class:`~repro.caches.cache.LazySets`):
 Family tables follow the same first state: the discontinuity table's
 columns, the gshare PHT, the BTB, the shadow target buffer's sets and
 MANA's record sets are :class:`~repro.util.containers.LazyTable`
-stand-ins until first read, and one never read binds as its initial C
-image — zeroed, or filled by one ``memset`` (:func:`_table_array`) —
-with no Python loop or list copy.
+stand-ins until first read, and bind as their initial C image — zeroed,
+or filled by one ``memset`` (:func:`_filled`) — with no Python loop or
+list copy; the target and Markov tables and the return address stack
+bind empty.  Each family declares what it binds that way
+(:meth:`_Family.held`).
 
 Every ctypes pointer into a buffer is cast from the buffer's address
 (:func:`_ptr`), and the buffer is held by its engine or image: a cast from
@@ -150,16 +162,17 @@ only the cyclic garbage collector frees.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import logging
 import weakref
-from array import array
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.caches.cache import LazySets, SetAssociativeCache
 from repro.caches.line import LineState
+from repro.caches.missclass import MissBreakdown
 from repro.core.engine import CoreEngine
 from repro.core.metrics import CoreStats
 from repro.isa.kinds import TransitionKind
@@ -178,7 +191,7 @@ from repro.prefetch.sequential import (
 from repro.prefetch.shadow import ShadowBranchPrefetcher
 from repro.prefetch.target import TargetPrefetcher
 from repro.util import ccompile
-from repro.util.containers import pristine
+from repro.util.containers import LazyTable, pristine
 
 logger = logging.getLogger(__name__)
 
@@ -327,7 +340,7 @@ def kernel_compile_seconds() -> float:
 
 
 # --------------------------------------------------------------------- #
-# Marshaling helpers
+# Image helpers
 # --------------------------------------------------------------------- #
 
 
@@ -377,47 +390,42 @@ def _ptr(buffer, ctype):
     return ctypes.cast(ctypes.addressof(buffer), ctypes.POINTER(ctype))
 
 
-#: ``array`` type code of each element type :func:`_table_array` copies.
-_ARRAY_CODES = {_LL: "q", ctypes.c_ubyte: "B"}
-
-
-def _table_array(table, n: int, initial: int, ctype, keep: list):
-    """A family's table column of *n* entries as a C array of *ctype*.
-
-    A never-read :class:`~repro.util.containers.LazyTable` still holds
-    *initial* in every entry, so its array is allocated and, unless
-    *initial* is 0, filled by one ``memset`` (*initial* is -1 for a
-    ``long long`` column): no Python loop and no list copy.  A built
-    table is copied by one buffer copy.
-    """
-    if pristine(table):
-        buffer = (ctype * n)()
-        if initial:
-            ctypes.memset(buffer, initial & 0xFF, ctypes.sizeof(buffer))
-    else:
-        buffer = (ctype * n).from_buffer_copy(array(_ARRAY_CODES[ctype], table))
+def _filled(n: int, initial: int, ctype, keep: list):
+    """A C array of *n* entries of *ctype*, each *initial*: zero-filled by
+    ctypes and, unless *initial* is 0, filled by one ``memset`` (*initial*
+    is -1 for a ``long long`` column)."""
+    buffer = (ctype * n)()
+    if initial:
+        ctypes.memset(buffer, initial & 0xFF, ctypes.sizeof(buffer))
     keep.append(buffer)
     return _ptr(buffer, ctype)
 
 
-def _line_to_c(line: int, state) -> ctypes.Structure:
-    pk, pi, pl = _encode_prov(state.provenance)
-    return STRUCTS["CLine"](
-        tag=line,
-        arrival=float(state.arrival),
-        prov_kind=pk,
-        prov_index=pi,
-        prov_line=pl,
-        prefetched=1 if state.prefetched else 0,
-        used=1 if state.used else 0,
-        bypass_pending=1 if state.bypass_pending else 0,
-        from_memory=1 if state.from_memory else 0,
-        useless_hint=1 if state.useless_hint else 0,
-    )
+def _sync_fields(stats, state) -> None:
+    """Copy every field of the flat stats dataclass *stats* from the C
+    struct *state*, whose counters carry the same names (a counter missing
+    from *state* raises on the first sync)."""
+    for field in dataclasses.fields(stats):
+        setattr(stats, field.name, getattr(state, field.name))
+
+
+def _fresh(value) -> bool:
+    """True when *value* still holds its construction state: a never-read
+    :class:`~repro.util.containers.LazyTable`, a stats dataclass (or
+    breakdown) of zero counters, a zero scalar or an empty container."""
+    if type(value) is int or type(value) is float:  # most values: counters
+        return not value
+    if isinstance(value, LazyTable):
+        return pristine(value)
+    if dataclasses.is_dataclass(value):
+        return all(map(_fresh, vars(value).values()))
+    if isinstance(value, MissBreakdown):
+        return not any(value._counts)
+    return not value
 
 
 # --------------------------------------------------------------------- #
-# Prefetcher families: one marshaller per kernel unit's ops table
+# Prefetcher families: one binding per kernel unit's ops table
 # --------------------------------------------------------------------- #
 
 
@@ -445,13 +453,29 @@ class _Family:
         """Most candidates one demand fetch can produce (buffer size)."""
         return 0
 
+    def held(self, prefetcher) -> tuple:
+        """The tables and containers of *prefetcher* that :meth:`bind`
+        does not read: its C state starts as their construction state, so
+        each must still hold it (:func:`_fresh`)."""
+        return ()
+
+    def stats(self, prefetcher):
+        """The family's flat stats dataclass, whose fields the C state
+        counts under the same names (None: it has none)."""
+        return None
+
     def bind(self, prefetcher, keep: list) -> Optional[ctypes.Structure]:
-        """The family's C state, marshalled from *prefetcher* (None when
-        stateless); every buffer it points into is appended to *keep*."""
+        """The family's C state, built from *prefetcher*'s configuration
+        and scalars (None when stateless): its tables start as their
+        construction contents and its counters at zero.  Every buffer it
+        points into is appended to *keep*."""
         return None
 
     def sync_out(self, prefetcher, state) -> None:
         """Copy the family's counters from *state* back to *prefetcher*."""
+        stats = self.stats(prefetcher)
+        if stats is not None:
+            _sync_fields(stats, state)
 
 
 class _Sequential(_Family):
@@ -474,16 +498,6 @@ class _Sequential(_Family):
         return STRUCTS["CSeq"](trigger=self.trigger, first=first, count=count)
 
 
-_DISC_STAT_FIELDS = (
-    "allocations",
-    "replacements",
-    "replacement_denied",
-    "target_updates",
-    "probe_hits",
-    "credits",
-)
-
-
 class _Discontinuity(_Family):
     """``discontinuity.c``: the table plus the prefetch-ahead window."""
 
@@ -495,28 +509,25 @@ class _Discontinuity(_Family):
         probes = ahead + 1 if prefetcher.probe_ahead else 1
         return ahead + probes * (ahead + 1)
 
+    def held(self, prefetcher):
+        table = prefetcher.table
+        return (table._sources, table._targets, table._counters)
+
+    def stats(self, prefetcher):
+        return prefetcher.table.stats
+
     def bind(self, prefetcher, keep):
         table = prefetcher.table
         n = table.entries
-        sources = table._sources
-        if not pristine(sources):
-            sources = [-1 if src is None else src for src in sources]
-        stats = table.stats
         return STRUCTS["CDisc"](
             mask=table._mask,
             counter_max=table.counter_max,
-            sources=_table_array(sources, n, -1, _LL, keep),
-            targets=_table_array(table._targets, n, 0, _LL, keep),
-            counters=_table_array(table._counters, n, 0, _LL, keep),
+            sources=_filled(n, -1, _LL, keep),  # -1: no source (None)
+            targets=_filled(n, 0, _LL, keep),
+            counters=_filled(n, 0, _LL, keep),
             ahead=prefetcher.prefetch_ahead,
             probe=1 if prefetcher.probe_ahead else 0,
-            **{name: getattr(stats, name) for name in _DISC_STAT_FIELDS},
         )
-
-    def sync_out(self, prefetcher, state) -> None:
-        stats = prefetcher.table.stats
-        for name in _DISC_STAT_FIELDS:
-            setattr(stats, name, getattr(state, name))
 
 
 class _FetchDirected(_Family):
@@ -528,19 +539,19 @@ class _FetchDirected(_Family):
     def candidates(self, prefetcher) -> int:
         return prefetcher.lookahead
 
+    def held(self, prefetcher):
+        return (prefetcher.gshare._pht, prefetcher.btb._targets, prefetcher.ras._stack)
+
     def bind(self, prefetcher, keep) -> ctypes.Structure:
         gshare, btb, ras = prefetcher.gshare, prefetcher.btb, prefetcher.ras
-        frames = (_LL * ras.capacity)(*ras._stack)
-        keep.append(frames)
         return STRUCTS["CBranch"](
-            pht=_table_array(gshare._pht, gshare.entries, 1, ctypes.c_ubyte, keep),
+            pht=_filled(gshare.entries, 1, ctypes.c_ubyte, keep),
             pht_mask=gshare._mask,
             history=gshare._history,
             history_mask=gshare._history_mask,
-            btb=_table_array(btb._targets, btb.entries, -1, _LL, keep),
+            btb=_filled(btb.entries, -1, _LL, keep),
             btb_mask=btb._mask,
-            ras=_ptr(frames, _LL),
-            ras_n=len(ras._stack),
+            ras=_filled(ras.capacity, 0, _LL, keep),
             ras_cap=ras.capacity,
             prev_line=prefetcher._prev_line,
             lookahead=prefetcher.lookahead,
@@ -559,53 +570,42 @@ class _ShadowBranch(_FetchDirected):
         steps = min(prefetcher.lookahead, prefetcher.ftq_entries)
         return steps * (1 + prefetcher.shadow_degree)
 
+    def held(self, prefetcher):
+        return super().held(prefetcher) + (prefetcher.stb._sets, prefetcher.shadow_discoveries)
+
     def bind(self, prefetcher, keep):
         stb = prefetcher.stb
-        assoc = stb.assoc
-        ways_c = (STRUCTS["CStbEntry"] * stb.entries)()
-        counts = (_LL * (stb._set_mask + 1))()
-        if not pristine(stb._sets):
-            for si, ways in enumerate(stb._sets):
-                for k, entry in enumerate(ways):
-                    ways_c[si * assoc + k] = STRUCTS["CStbEntry"](
-                        entry.line, entry.target, entry.confidence
-                    )
-                counts[si] = len(ways)
+        ways = (STRUCTS["CStbEntry"] * stb.entries)()
+        keep.append(ways)
         steps = min(prefetcher.lookahead, prefetcher.ftq_entries)
-        ftq_lines = (_LL * steps)()
-        ftq_seq = (_LL * steps)()
-        keep.extend((ways_c, counts, ftq_lines, ftq_seq))
         return STRUCTS["CShadow"](
             b=super().bind(prefetcher, keep),
             ftq_entries=prefetcher.ftq_entries,
             degree=prefetcher.shadow_degree,
-            ftq_lines=_ptr(ftq_lines, _LL),
-            ftq_seq=_ptr(ftq_seq, _LL),
+            ftq_lines=_filled(steps, 0, _LL, keep),
+            ftq_seq=_filled(steps, 0, _LL, keep),
             stb_set_mask=stb._set_mask,
-            stb_assoc=assoc,
-            stb=_ptr(ways_c, STRUCTS["CStbEntry"]),
-            stb_counts=_ptr(counts, _LL),
-            discoveries=prefetcher.shadow_discoveries,
+            stb_assoc=stb.assoc,
+            stb=_ptr(ways, STRUCTS["CStbEntry"]),
+            stb_counts=_filled(stb._set_mask + 1, 0, _LL, keep),
         )
 
     def sync_out(self, prefetcher, state) -> None:
         prefetcher.shadow_discoveries = state.discoveries
 
 
-def _hist_map(keys: list, capacity: int, keep: list) -> ctypes.Structure:
-    """``history.c``'s map over *keys* (OrderedDict order, LRU first) of a
-    table holding at most *capacity* entries; node ``k`` takes the
-    ``k``-th key once ``repro_hist_init`` has run."""
+def _hist_map(capacity: int, keep: list) -> ctypes.Structure:
+    """``history.c``'s map of a table holding at most *capacity* entries,
+    empty once ``repro_hist_init`` has run."""
     nodes = capacity + 1
     slot_bits = (2 * nodes - 1).bit_length()
-    buffers = [(_LL * nodes)(*keys), (_LL * nodes)(), (_LL * nodes)()]
+    buffers = [(_LL * nodes)(), (_LL * nodes)(), (_LL * nodes)()]
     slots = (_LL * (1 << slot_bits))()
     keep.extend(buffers + [slots])
-    keys_c, prev, nxt = (_ptr(buffer, _LL) for buffer in buffers)
+    keys, prev, nxt = (_ptr(buffer, _LL) for buffer in buffers)
     return STRUCTS["CHist"](
         capacity=capacity,
-        n=len(keys),
-        keys=keys_c,
+        keys=keys,
         prev=prev,
         next=nxt,
         slots=_ptr(slots, _LL),
@@ -619,7 +619,7 @@ class _History(_Family):
     stem = "repro_jit_history"
 
     def _init(self, state) -> None:
-        """Index the map of a freshly marshalled *state*."""
+        """Set up the empty map of a freshly built *state*."""
         init = self.library().repro_hist_init
         init.argtypes = [ctypes.POINTER(STRUCTS["CHist"])]
         init.restype = None
@@ -635,20 +635,17 @@ class _Target(_History):
     def candidates(self, prefetcher) -> int:
         return prefetcher.degree
 
+    def held(self, prefetcher):
+        return (prefetcher._table,)
+
     def bind(self, prefetcher, keep) -> ctypes.Structure:
-        table = prefetcher._table
-        targets = (_LL * (prefetcher.capacity + 1))(*table.values())
-        keep.append(targets)
         state = STRUCTS["CTarget"](
-            map=_hist_map(list(table), prefetcher.capacity, keep),
-            targets=_ptr(targets, _LL),
+            map=_hist_map(prefetcher.capacity, keep),
+            targets=_filled(prefetcher.capacity + 1, 0, _LL, keep),
             degree=prefetcher.degree,
         )
         self._init(state)
         return state
-
-
-_MARKOV_STAT_FIELDS = ("allocations", "evictions", "successor_updates", "probe_hits")
 
 
 class _Markov(_History):
@@ -661,40 +658,32 @@ class _Markov(_History):
         top = min(prefetcher.fanout, prefetcher.table.targets_per_entry)
         return ahead + top * (ahead + 1) * (ahead + 2) // 2
 
+    def held(self, prefetcher):
+        return (prefetcher.table._table,)
+
+    def stats(self, prefetcher):
+        return prefetcher.table.stats
+
     def bind(self, prefetcher, keep) -> ctypes.Structure:
         table = prefetcher.table
         width = table.targets_per_entry
         nodes = table.capacity + 1
         succ = (STRUCTS["CSucc"] * (nodes * width))()
-        succ_n = (_LL * nodes)()
-        for node, entry in enumerate(table._table.values()):
-            for k, (target, count) in enumerate(entry.successors):
-                succ[node * width + k] = STRUCTS["CSucc"](target, count)
-            succ_n[node] = len(entry.successors)
-        keep.extend((succ, succ_n))
-        stats = table.stats
+        keep.append(succ)
         state = STRUCTS["CMarkov"](
-            map=_hist_map(list(table._table), table.capacity, keep),
+            map=_hist_map(table.capacity, keep),
             succ=_ptr(succ, STRUCTS["CSucc"]),
-            succ_n=_ptr(succ_n, _LL),
+            succ_n=_filled(nodes, 0, _LL, keep),
             targets_per_entry=width,
             fanout=prefetcher.fanout,
             ahead=prefetcher.prefetch_ahead,
-            **{name: getattr(stats, name) for name in _MARKOV_STAT_FIELDS},
         )
         self._init(state)
         return state
 
-    def sync_out(self, prefetcher, state) -> None:
-        stats = prefetcher.table.stats
-        for name in _MARKOV_STAT_FIELDS:
-            setattr(stats, name, getattr(state, name))
-
 
 #: widest region whose footprint fits ``mana.c``'s 64-bit bitmap.
 _MANA_MAX_REGION = 64
-
-_MANA_STAT_FIELDS = ("commits", "allocations", "evictions", "probe_hits", "replays", "credits")
 
 
 class _Mana(_Family):
@@ -714,25 +703,21 @@ class _Mana(_Family):
     def candidates(self, prefetcher) -> int:
         return prefetcher.replay_depth * prefetcher.region_lines
 
+    def held(self, prefetcher):
+        return (prefetcher.table._sets,)
+
+    def stats(self, prefetcher):
+        return prefetcher.table.stats
+
     def bind(self, prefetcher, keep) -> ctypes.Structure:
         table = prefetcher.table
-        assoc = table.assoc
         ways = (STRUCTS["CManaRecord"] * table.entries)()
-        counts = (_LL * (table._set_mask + 1))()
-        if not pristine(table._sets):
-            for si, records in enumerate(table._sets):
-                for k, record in enumerate(records):
-                    ways[si * assoc + k] = STRUCTS["CManaRecord"](
-                        record.trigger, record.footprint, record.successor, record.confidence
-                    )
-                counts[si] = len(records)
-        keep.extend((ways, counts))
-        stats = table.stats
+        keep.append(ways)
         return STRUCTS["CMana"](
             set_mask=table._set_mask,
-            assoc=assoc,
+            assoc=table.assoc,
             ways=_ptr(ways, STRUCTS["CManaRecord"]),
-            counts=_ptr(counts, _LL),
+            counts=_filled(table._set_mask + 1, 0, _LL, keep),
             region_shift=prefetcher._region_shift,
             offset_mask=prefetcher._offset_mask,
             replay_depth=prefetcher.replay_depth,
@@ -740,13 +725,7 @@ class _Mana(_Family):
             rec_trigger=prefetcher._rec_trigger,
             rec_footprint=prefetcher._rec_footprint,
             prev_trigger=prefetcher._prev_trigger,
-            **{name: getattr(stats, name) for name in _MANA_STAT_FIELDS},
         )
-
-    def sync_out(self, prefetcher, state) -> None:
-        stats = prefetcher.table.stats
-        for name in _MANA_STAT_FIELDS:
-            setattr(stats, name, getattr(state, name))
 
 
 #: exact prefetcher type -> kernel family (subclasses with overridden
@@ -771,40 +750,22 @@ _PF_MODES = {
 # Cache and system images
 # --------------------------------------------------------------------- #
 
-_CACHE_STAT_FIELDS = ("lookups", "hits", "misses", "installs", "evictions")
-
 
 class _CacheImage:
-    """C image of one :class:`SetAssociativeCache` (LRU sets as arrays).
-
-    ctypes zero-fills the arrays, which is an empty cache: one whose sets
-    were never built is bound without a Python loop.  Only a cache that
-    was read (or installed into) before binding is marshalled set by set.
-    """
+    """C image of one empty :class:`SetAssociativeCache` (LRU sets as
+    arrays): ctypes zero-fills the arrays and the counters, which is an
+    empty cache, so binding runs no Python loop (a 2 MB L2 has 8,192
+    sets)."""
 
     def __init__(self, cache: SetAssociativeCache) -> None:
         n_sets = cache._set_mask + 1
-        assoc = cache._assoc
-        self.lines = (STRUCTS["CLine"] * (n_sets * assoc))()
+        self.lines = (STRUCTS["CLine"] * (n_sets * cache._assoc))()
         self.counts = (_LL * n_sets)()
-        sets = cache._sets
-        if not pristine(sets):
-            for si, cache_set in enumerate(sets):
-                base = si * assoc
-                for k, (line, state) in enumerate(cache_set.items()):
-                    self.lines[base + k] = _line_to_c(line, state)
-                self.counts[si] = len(cache_set)
-        stats = cache.stats
         self.struct = STRUCTS["CCache"](
             set_mask=cache._set_mask,
-            assoc=assoc,
+            assoc=cache._assoc,
             lines=_ptr(self.lines, STRUCTS["CLine"]),
             counts=_ptr(self.counts, _LL),
-            lookups=stats.lookups,
-            hits=stats.hits,
-            misses=stats.misses,
-            installs=stats.installs,
-            evictions=stats.evictions,
         )
 
     def decode(self) -> list:
@@ -829,12 +790,6 @@ class _CacheImage:
         return sets
 
 
-def _sync_cache_stats(cache: SetAssociativeCache, cstruct: ctypes.Structure) -> None:
-    stats = cache.stats
-    for name in _CACHE_STAT_FIELDS:
-        setattr(stats, name, getattr(cstruct, name))
-
-
 class _JitSystem:
     """Shared C images (L2 + off-chip link) for one system's engines.
 
@@ -850,48 +805,30 @@ class _JitSystem:
         self.l2 = l2
         self.l2_image = _CacheImage(l2)
         self.c_l2 = self.l2_image.struct
-        stats = link.stats
-        self.c_link = STRUCTS["CLink"](
-            next_free=link._next_free,
-            occupancy=link.occupancy_cycles,
-            requests=stats.requests,
-            busy_cycles=stats.busy_cycles,
-            queue_delay_cycles=stats.queue_delay_cycles,
-        )
+        self.c_link = STRUCTS["CLink"](occupancy=link.occupancy_cycles)
 
     def sync_out(self) -> None:
-        _sync_cache_stats(self.l2, self.c_l2)
+        _sync_fields(self.l2.stats, self.c_l2)
+        _sync_fields(self.link.stats, self.c_link)
         self.link._next_free = self.c_link.next_free
-        stats = self.link.stats
-        stats.requests = self.c_link.requests
-        stats.busy_cycles = self.c_link.busy_cycles
-        stats.queue_delay_cycles = self.c_link.queue_delay_cycles
 
 
 _SYSTEMS: "weakref.WeakValueDictionary[int, _JitSystem]" = weakref.WeakValueDictionary()
 
 
-def _system_for(link, l2) -> _JitSystem:
-    key = id(link)
-    jitsys = _SYSTEMS.get(key)
+def _imaged(link, l2) -> Optional[_JitSystem]:
+    """The :class:`_JitSystem` already imaging *link* and *l2*, or None."""
+    jitsys = _SYSTEMS.get(id(link))
     if jitsys is not None and jitsys.link is link and jitsys.l2 is l2:
         return jitsys
-    jitsys = _JitSystem(link, l2)
-    _SYSTEMS[key] = jitsys
+    return None
+
+
+def _system_for(link, l2) -> _JitSystem:
+    jitsys = _imaged(link, l2)
+    if jitsys is None:
+        jitsys = _SYSTEMS[id(link)] = _JitSystem(link, l2)
     return jitsys
-
-
-_QUEUE_STAT_FIELDS = (
-    "offered",
-    "accepted",
-    "dropped_recent_demand",
-    "dropped_dup_issued",
-    "dropped_dup_invalid",
-    "hoisted",
-    "invalidated_by_demand",
-    "overflow_drops",
-    "popped",
-)
 
 
 def _index(nodes: int, keep: list) -> ctypes.Structure:
@@ -909,55 +846,28 @@ def _list(nodes: int, keep: list) -> ctypes.Structure:
     return STRUCTS["CList"](links=_ptr(links, _LL))
 
 
-def queue_image(queue, keep: list, init) -> ctypes.Structure:
-    """C image (``CQueue``) of a :class:`~repro.prefetch.queue.PrefetchQueue`.
-
-    Entries and recent demand lines are written oldest first into their
-    node pools, and *init* (the kernel's ``repro_queue_init``) links and
-    indexes them; every buffer is appended to *keep*.
+def queue_image(config, keep: list, init) -> ctypes.Structure:
+    """C image (``CQueue``) of an empty
+    :class:`~repro.prefetch.queue.PrefetchQueue` with *config* (its
+    ``_config``): *init* (the kernel's ``repro_queue_init``) sets up the
+    empty lists; every buffer is appended to *keep*.
     """
-    config = queue._config
     entries = (STRUCTS["CQEntry"] * config.capacity)()
-    for k, entry in enumerate(queue._entries):
-        entries[k] = STRUCTS["CQEntry"](
-            entry.line, *_encode_prov(entry.provenance), int(entry.state)
-        )
-    recent_keys = queue._recent.keys()
-    recent = (_LL * config.recent_capacity)(*recent_keys)
-    keep.extend((entries, recent))
+    keep.append(entries)
     state = STRUCTS["CQueue"](
         capacity=config.capacity,
         recent_capacity=config.recent_capacity,
         lifo=1 if config.lifo else 0,
         filtering=1 if config.filtering else 0,
         entries=_ptr(entries, STRUCTS["CQEntry"]),
-        n_entries=len(queue._entries),
         age=_list(config.capacity, keep),
         ready=_list(config.capacity, keep),
-        recent=_ptr(recent, _LL),
-        n_recent=len(recent_keys),
+        recent=_filled(config.recent_capacity, 0, _LL, keep),
         recency=_list(config.recent_capacity, keep),
         index=_index(config.capacity + config.recent_capacity, keep),
-        waiting=queue.waiting,
-        **{name: getattr(queue.stats, name) for name in _QUEUE_STAT_FIELDS},
     )
     init(ctypes.byref(state))
     return state
-
-
-_PF_STAT_FIELDS = (
-    "generated",
-    "probe_found_present",
-    "issued",
-    "issued_from_l2",
-    "issued_from_memory",
-    "useful",
-    "useful_late",
-    "useful_from_memory",
-    "useless_evicted",
-    "dropped_useless_hint",
-    "promoted_to_l2",
-)
 
 
 # --------------------------------------------------------------------- #
@@ -1012,6 +922,40 @@ class JittedCoreEngine(CoreEngine):
             return "no C compiler: the kernel is unbuildable"
         if family.stem is not None and not jit_available(family.stem):
             return _family_errors[family.stem]
+        if self._c is None:  # once bound, the C state is authoritative
+            touched = self._touched()
+            if touched is not None:
+                return f"{touched} touched before the kernel bound"
+        return None
+
+    def _touched(self) -> Optional[str]:
+        """The first component that no longer holds its construction
+        state (:func:`_fresh`), or None.
+
+        :meth:`_bind` builds every cache, the queue, the MSHR and the
+        prefetcher's tables as constructed and every counter at zero, so
+        it must not bind a touched one.  The shared L2 and link are checked
+        only until a sibling core images them; from then on their C image
+        is authoritative.
+        """
+        queue, prefetcher = self.queue, self.prefetcher
+        family = _PF_MODES[type(prefetcher)]
+        components = [
+            ("core stats", (self.stats,)),
+            ("l1i", (self.l1i._sets, self.l1i.stats)),
+            ("l1d", (self.l1d._sets, self.l1d.stats)),
+            ("queue", (queue._entries, queue._recent, queue.stats)),
+            ("mshr", (self._mshr._entries,)),
+            ("prefetcher", family.held(prefetcher) + (family.stats(prefetcher),)),
+        ]
+        if _imaged(self.link, self.l2) is None:
+            components += [
+                ("l2", (self.l2._sets, self.l2.stats)),
+                ("link", (self.link.stats, self.link._next_free)),
+            ]
+        for name, values in components:
+            if not all(_fresh(value) for value in values):
+                return name
         return None
 
     def _twin_ready(self) -> bool:
@@ -1034,7 +978,9 @@ class JittedCoreEngine(CoreEngine):
         return ok
 
     def _bind(self) -> None:
-        """Marshal the engine's entire live state into a ``CCore``."""
+        """Build the engine's ``CCore`` from its configuration and scalars;
+        every container and counter starts as constructed (checked by
+        :meth:`_touched`)."""
         lib = _kernel()
         assert lib is not None  # guarded by jit_available() in _twin_ready
         self._lib = lib
@@ -1097,31 +1043,14 @@ class JittedCoreEngine(CoreEngine):
         self._family = family
         self._pf_state = state
 
-        # CoreStats (binding may happen mid-run; counters carry over).
-        stats = self.stats
-        c.instructions = stats.instructions
-        c.st_cycles = stats.cycles
-        c.exec_cycles = stats.exec_cycles
-        c.fetch_stall_cycles = stats.fetch_stall_cycles
-        c.data_stall_cycles = stats.data_stall_cycles
-        c.l1i_fetches = stats.l1i_fetches
-        c.l1i_misses = stats.l1i_misses
-        c.l2i_demand_accesses = stats.l2i_demand_accesses
-        c.l2i_demand_misses = stats.l2i_demand_misses
-        c.data_accesses = stats.data_accesses
-        c.l1d_misses = stats.l1d_misses
-        c.l2d_accesses = stats.l2d_accesses
-        c.l2d_misses = stats.l2d_misses
-        l1i_bd = (_LL * _N_KINDS)(*stats.l1i_breakdown._counts)
-        l2i_bd = (_LL * _N_KINDS)(*stats.l2i_breakdown._counts)
+        # CoreStats counters are zero-filled; the breakdowns are arrays.
+        l1i_bd = (_LL * _N_KINDS)()
+        l2i_bd = (_LL * _N_KINDS)()
         keep.extend((l1i_bd, l2i_bd))
         c.l1i_breakdown = _ptr(l1i_bd, _LL)
         c.l2i_breakdown = _ptr(l2i_bd, _LL)
         self._c_l1i_bd = l1i_bd
         self._c_l2i_bd = l2i_bd
-        pf_stats = stats.prefetch
-        for name in _PF_STAT_FIELDS:
-            setattr(c, name, getattr(pf_stats, name))
 
         # Private caches are inline; the shared L2 + link live in the
         # per-system image so sibling cores mutate one copy.
@@ -1140,22 +1069,14 @@ class JittedCoreEngine(CoreEngine):
         c.l2 = ctypes.pointer(jitsys.c_l2)
         c.link = ctypes.pointer(jitsys.c_link)
 
-        # Queue (entries + recent-demand filter + stats).
-        c.queue = queue_image(self.queue, keep, lib.repro_queue_init)
+        c.queue = queue_image(self.queue._config, keep, lib.repro_queue_init)
 
         # MSHR (insertion-ordered flat arrays).
-        mshr = self._mshr
-        mshr_lines = (_LL * mshr._capacity)()
-        mshr_arrivals = (_DBL * mshr._capacity)()
-        for k, (line, arrival) in enumerate(mshr._entries.items()):
-            mshr_lines[k] = line
-            mshr_arrivals[k] = arrival
-        keep.extend((mshr_lines, mshr_arrivals))
+        capacity = self._mshr._capacity
         c.mshr = STRUCTS["CMshr"](
-            lines=_ptr(mshr_lines, _LL),
-            arrivals=_ptr(mshr_arrivals, _DBL),
-            n=len(mshr._entries),
-            cap=mshr._capacity,
+            lines=_filled(capacity, 0, _LL, keep),
+            arrivals=_filled(capacity, 0, _DBL, keep),
+            cap=capacity,
         )
 
         self._c = c
@@ -1198,19 +1119,12 @@ class JittedCoreEngine(CoreEngine):
         stats.l2d_misses = c.l2d_misses
         stats.l1i_breakdown._counts[:] = list(self._c_l1i_bd)
         stats.l2i_breakdown._counts[:] = list(self._c_l2i_bd)
-        pf_stats = stats.prefetch
-        for name in _PF_STAT_FIELDS:
-            setattr(pf_stats, name, getattr(c, name))
-
-        _sync_cache_stats(self.l1i, c.l1i)
-        _sync_cache_stats(self.l1d, c.l1d)
+        _sync_fields(stats.prefetch, c)
+        _sync_fields(self.l1i.stats, c.l1i)
+        _sync_fields(self.l1d.stats, c.l1d)
         self._jit_system.sync_out()
-
-        queue = self.queue
-        queue.waiting = c.queue.waiting
-        qstats = queue.stats
-        for name in _QUEUE_STAT_FIELDS:
-            setattr(qstats, name, getattr(c.queue, name))
+        self.queue.waiting = c.queue.waiting
+        _sync_fields(self.queue.stats, c.queue)
 
         self._family.sync_out(self.prefetcher, self._pf_state)
 

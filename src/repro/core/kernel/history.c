@@ -89,17 +89,13 @@ static void hist_pop_lru(CHist *h) {
     h->n--;
 }
 
-/* Build the list and the index over keys[0..n-1], given LRU -> MRU (the
- * marshaller's OrderedDict order): node k takes keys[k], and the nodes
- * past n are free. */
+/* Empty a zeroed map: no index slot taken, no recency list, and every
+ * node free, chained from node 0. */
 void repro_hist_init(CHist *h) {
-    long long n = h->n, k;
+    long long k;
     for (k = 0; k < 1LL << h->slot_bits; k++) h->slots[k] = -1;
     for (k = 0; k <= h->capacity; k++) h->next[k] = k < h->capacity ? k + 1 : -1;
-    h->free_node = 0;
     h->head = h->tail = -1;
-    h->n = 0;
-    for (k = 0; k < n; k++) hist_insert(h, h->keys[k]);
 }
 
 /* ---- TargetPrefetcher */

@@ -109,32 +109,11 @@ static void list_to_newest(CList *l, long long k) {
     list_insert(l, k, -1);
 }
 
-/* Link a filled-in entry node at the newest end; s is its line's slot. */
-static void entry_link(CQueue *q, long long k, CSlot *s) {
-    list_insert(&q->age, k, -1);
-    if (q->entries[k].state == 0) list_insert(&q->ready, k, -1);
-    s->line = q->entries[k].line;
-    s->entry = k + 1;
-}
-
-/* Link a filled-in recent node at the newest end; s is its line's slot. */
-static void recent_link(CQueue *q, long long k, CSlot *s) {
-    list_insert(&q->recency, k, -1);
-    s->line = q->recent[k];
-    s->recent = k + 1;
-}
-
-/* Link and index the nodes that the binder wrote in age order (entries
- * and recent lines, oldest first) into an otherwise zeroed queue. */
+/* Empty the lists of a zeroed queue (a zeroed index is already empty). */
 void repro_queue_init(CQueue *q) {
-    long long k;
     q->age.oldest = q->age.newest = -1;
     q->ready.oldest = q->ready.newest = -1;
     q->recency.oldest = q->recency.newest = -1;
-    for (k = 0; k < q->n_entries; k++)
-        entry_link(q, k, index_slot(&q->index, q->entries[k].line));
-    for (k = 0; k < q->n_recent; k++)
-        recent_link(q, k, index_slot(&q->index, q->recent[k]));
 }
 
 /* note_demand_fetch(line): recent-set refresh + waiting-dup invalidation */
@@ -158,7 +137,9 @@ static void queue_note_demand(CQueue *q, long long line) {
             s = index_slot(&q->index, line);
         }
         q->recent[k] = line;
-        recent_link(q, k, s);
+        list_insert(&q->recency, k, -1);
+        s->line = line;
+        s->recent = k + 1;
     }
     k = s->entry - 1;
     if (k >= 0 && q->entries[k].state == 0) {
@@ -220,7 +201,10 @@ static void queue_offer(CQueue *q, const CCand *cand) {
     e->prov_index = cand->prov_index;
     e->prov_line = cand->prov_line;
     e->state = 0;
-    entry_link(q, k, s);
+    list_insert(&q->age, k, -1);
+    list_insert(&q->ready, k, -1);
+    s->line = line;
+    s->entry = k + 1;
     q->accepted++;
     q->waiting++;
 }

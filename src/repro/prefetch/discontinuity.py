@@ -55,12 +55,8 @@ class DiscontinuityTableStats:
     credits: int = 0
 
     def reset(self) -> None:
-        self.allocations = 0
-        self.replacements = 0
-        self.replacement_denied = 0
-        self.target_updates = 0
-        self.probe_hits = 0
-        self.credits = 0
+        for name in self.__dataclass_fields__:
+            setattr(self, name, 0)
 
 
 class DiscontinuityTable:

@@ -57,12 +57,8 @@ class ManaStats:
     credits: int = 0
 
     def reset(self) -> None:
-        self.commits = 0
-        self.allocations = 0
-        self.evictions = 0
-        self.probe_hits = 0
-        self.replays = 0
-        self.credits = 0
+        for name in self.__dataclass_fields__:
+            setattr(self, name, 0)
 
 
 class _Record:

@@ -45,10 +45,8 @@ class MarkovStats:
     probe_hits: int = 0
 
     def reset(self) -> None:
-        self.allocations = 0
-        self.evictions = 0
-        self.successor_updates = 0
-        self.probe_hits = 0
+        for name in self.__dataclass_fields__:
+            setattr(self, name, 0)
 
 
 class _Entry:

@@ -23,6 +23,7 @@ from repro.caches.line import LineState
 from repro.cmp.system import System, SystemConfig
 from repro.core import jitted
 from repro.core.jitted import JittedCoreEngine
+from repro.eval.diskcache import _core_to_dict
 from repro.eval.profiles import get_scale
 from repro.eval.runner import get_compiled_traces, run_system
 from repro.eval.runspec import RunSpec
@@ -333,19 +334,37 @@ def _preinstall(system: System) -> None:
 
 
 @pytest.mark.parametrize("n_cores", [1, 4])
-def test_caches_installed_before_binding_are_marshalled(n_cores) -> None:
-    """A cache read before binding is not pristine: its lines reach the
-    kernel, and the run ends where the reference backend's does."""
+def test_caches_installed_before_binding_step_on_reference(n_cores) -> None:
+    """The kernel binds construction state only: an engine whose caches
+    were installed into before binding steps on reference, says which
+    component was touched, and ends where the reference backend does."""
     reference = _build_system(n_cores, "reference")
     _preinstall(reference)
     expected = reference.run()
     jit = _build_system(n_cores)
     _preinstall(jit)
-    assert type(jit.l2._sets) is list
+    assert [engine.kernel_fallback_reason() for engine in jit.engines] == [
+        "l1i touched before the kernel bound"
+    ] * n_cores
     got = jit.run()
-    assert all(engine._twin_ready() for engine in jit.engines)
-    assert repr(got.aggregate_ipc) == repr(expected.aggregate_ipc)
+    assert not any(engine._twin_ready() for engine in jit.engines)
+    assert jit.engines[0].fallback_reason == "l1i touched before the kernel bound"
+    assert [repr(_core_to_dict(core)) for core in got.cores] == [
+        repr(_core_to_dict(core)) for core in expected.cores
+    ]
     assert _contents(jit) == _contents(reference)
+
+
+@pytest.mark.parametrize("n_cores", [1, 4])
+def test_shared_l2_installed_before_binding_steps_on_reference(n_cores) -> None:
+    """Only the shared L2 touched: every core names it."""
+    jit = _build_system(n_cores)
+    jit.l2.install(7, LineState())
+    assert [engine.kernel_fallback_reason() for engine in jit.engines] == [
+        "l2 touched before the kernel bound"
+    ] * n_cores
+    jit.run()
+    assert jit.engines[0].fallback_reason == "l2 touched before the kernel bound"
 
 
 def test_finished_system_freed_without_cyclic_gc() -> None:

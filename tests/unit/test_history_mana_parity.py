@@ -8,9 +8,8 @@ record table, its SAB recorder, successor chaining, replay and credit.
 End-to-end runs compare everything a run leaves behind at table sizes
 that force evictions; a hook-level differential drives each family's
 ``PfOps`` table and the Python classes with the same random event streams
-on tiny tables, bound after a Python warm-up, and compares the
-candidates after every fetch and the table contents, in recency order,
-at the end.
+on tiny tables, bound fresh, and compares the candidates after every fetch
+and the table contents, in recency order, at the end.
 """
 
 from __future__ import annotations
@@ -167,14 +166,6 @@ def test_hooks_match_the_classes(prefetcher, overrides, seed) -> None:
     and the same tables, in recency order, at the end."""
     reference = create_prefetcher(prefetcher, **overrides)
     twin = create_prefetcher(prefetcher, **overrides)
-    # Both learn a prefix in Python first, so the twin binds non-empty
-    # tables (marshalling and ``repro_hist_init`` order).
-    warm = random.Random(-seed)
-    for _ in range(200):
-        line, source = warm.randrange(24), warm.randrange(24)
-        for pf in (reference, twin):
-            pf.on_discontinuity(source, line, True)
-            pf.on_demand_fetch(line, True, False, 0)
     family = jitted._PF_MODES[type(twin)]
     keep: list = []
     state = family.bind(twin, keep)

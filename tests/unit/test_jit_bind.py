@@ -1,10 +1,11 @@
 """Binding a system into the jit kernel: what it allocates and what it frees.
 
-A never-stepped cache binds as zeroed C arrays without building its Python
-sets, and a never-written family table binds as its initial C image
-without building its Python list.  Every ctypes buffer a bound engine owns
-is freed by reference counting when the system is dropped, not left for
-the cyclic collector.
+The kernel binds construction state only.  A never-stepped cache binds as
+zeroed C arrays without building its Python sets, and a never-written
+family table binds as its initial C image without building its Python
+list; that image holds the table's initial contents, entry for entry.
+Every ctypes buffer a bound engine owns is freed by reference counting
+when the system is dropped, not left for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -37,22 +38,36 @@ _CTYPES_INSTANCES = (
 )
 
 
-#: each kernel family's registry name -> its table columns built on first
-#: read, as (component, attribute) of a prefetcher.  ``target`` and
-#: ``markov`` keep an ``OrderedDict`` that is empty until written.
+def _entry(value):
+    """A table entry as its C column holds it (``None`` is -1)."""
+    return -1 if value is None else value
+
+
+#: each kernel family's registry name -> its tables built on first read,
+#: given a prefetcher and its bound C state: (component, attribute, the C
+#: column, each initial entry as that column holds it).  A set table's
+#: column is its per-set way counts.  ``target`` and ``markov`` keep an
+#: ``OrderedDict`` that is empty until written.
 FAMILY_TABLES = {
-    "none": lambda pf: [],
-    "next-4-line": lambda pf: [],
-    "discontinuity": lambda pf: [
-        (pf.table, "_sources"),
-        (pf.table, "_targets"),
-        (pf.table, "_counters"),
+    "none": lambda pf, c: [],
+    "next-4-line": lambda pf, c: [],
+    "discontinuity": lambda pf, c: [
+        (pf.table, "_sources", c.sources, _entry),
+        (pf.table, "_targets", c.targets, _entry),
+        (pf.table, "_counters", c.counters, _entry),
     ],
-    "fdp": lambda pf: [(pf.gshare, "_pht"), (pf.btb, "_targets")],
-    "shadow": lambda pf: [(pf.gshare, "_pht"), (pf.btb, "_targets"), (pf.stb, "_sets")],
-    "target": lambda pf: [],
-    "markov": lambda pf: [],
-    "mana": lambda pf: [(pf.table, "_sets")],
+    "fdp": lambda pf, c: [
+        (pf.gshare, "_pht", c.pht, _entry),
+        (pf.btb, "_targets", c.btb, _entry),
+    ],
+    "shadow": lambda pf, c: [
+        (pf.gshare, "_pht", c.b.pht, _entry),
+        (pf.btb, "_targets", c.b.btb, _entry),
+        (pf.stb, "_sets", c.stb_counts, len),
+    ],
+    "target": lambda pf, c: [],
+    "markov": lambda pf, c: [],
+    "mana": lambda pf, c: [(pf.table, "_sets", c.counts, len)],
 }
 
 
@@ -89,27 +104,25 @@ def test_never_stepped_family_binds_without_building_its_tables(name) -> None:
     assert all(engine._twin_ready() for engine in system.engines)
     for engine in system.engines:
         assert engine.fallback_reason is None
-        for owner, attr in FAMILY_TABLES[name](engine.prefetcher):
+        for owner, attr, _, _ in FAMILY_TABLES[name](engine.prefetcher, engine._pf_state):
             assert pristine(getattr(owner, attr)), attr
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_TABLES))
 def test_unbuilt_table_image_equals_the_marshalled_one(name) -> None:
-    """The C image an unbuilt table binds as is byte for byte the one its
-    built initial contents marshal to."""
+    """Each C column a family binds equals, entry for entry, the initial
+    contents its unbuilt Python table would build, marshalled as the
+    column holds them (``None`` as -1, a set as its way count)."""
     prefetcher = create_prefetcher(name)
     family = jitted._PF_MODES[type(prefetcher)]
     assert family.stem is None or jitted.jit_available(family.stem)
-    unbuilt: list = []
-    family.bind(prefetcher, unbuilt)
-    tables = FAMILY_TABLES[name](prefetcher)
-    for owner, attr in tables:
-        assert pristine(getattr(owner, attr)), attr
-        list(getattr(owner, attr))  # the first read builds it in place
-        assert type(getattr(owner, attr)) is list, attr
-    built: list = []
-    family.bind(prefetcher, built)
-    assert [bytes(buffer) for buffer in unbuilt] == [bytes(buffer) for buffer in built]
+    keep: list = []
+    state = family.bind(prefetcher, keep)
+    for owner, attr, column, as_c in FAMILY_TABLES[name](prefetcher, state):
+        table = getattr(owner, attr)
+        assert pristine(table), attr
+        initial = [as_c(entry) for entry in table._initial()]
+        assert column[: len(initial)] == initial, attr
 
 
 def test_dropped_system_leaves_no_ctypes_garbage() -> None:

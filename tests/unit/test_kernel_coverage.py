@@ -7,7 +7,9 @@ never on trace length or on the software prefetcher's plan, which is
 left empty here — and each engine is asked
 :meth:`~repro.core.jitted.JittedCoreEngine.kernel_fallback_reason`.  The
 count pins kernel coverage: porting a family lowers it, and a family that
-silently drops out of the kernel raises it.
+silently drops out of the kernel raises it.  The kernel binds construction
+state only, so an engine touched before it binds would count under its own
+reason ("... touched before the kernel bound"): none of the catalog's is.
 """
 
 from __future__ import annotations

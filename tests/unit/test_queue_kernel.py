@@ -7,14 +7,13 @@ dicts.  Random streams of offers, demand fetches, pops and requeues drive
 both, with filtering and LIFO each on and off and capacities 1-64 (the
 catalog runs 32/32); after every operation the stats, ``waiting``, the
 entries in age order, the recent lines in recency order and each line's
-state must be equal.  The C queue is bound from a Python queue part-way
-through its stream, as the engine binds one, so the hand-over in age order
-is checked too.
+state must be equal.  Both start empty, as the engine binds its queue.
 """
 
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import random
 
 import pytest
@@ -22,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import jitted
 from repro.prefetch.base import PrefetchCandidate
-from repro.prefetch.queue import PrefetchQueue, QueueState
+from repro.prefetch.queue import PrefetchQueue, QueueState, QueueStats
 from repro.util import ccompile
 
 pytestmark = pytest.mark.skipif(
@@ -113,8 +112,8 @@ def _requeueable(queue: PrefetchQueue, line: int) -> bool:
 
 
 def _check(lib, queue: PrefetchQueue, cq, lines: list) -> None:
-    for name in jitted._QUEUE_STAT_FIELDS:
-        assert getattr(cq, name) == getattr(queue.stats, name), name
+    for field in dataclasses.fields(QueueStats):
+        assert getattr(cq, field.name) == getattr(queue.stats, field.name), field.name
     assert cq.waiting == queue.waiting
     out = (_LL * 65)()
     assert out[: lib.shim_entries(cq, out)] == [e.line for e in queue._entries]
@@ -140,8 +139,7 @@ def _clustered(rng: random.Random, n: int, nodes: int) -> list:
 
 @st.composite
 def _streams(draw):
-    """A queue configuration, its lines, a prefix to bind after and a
-    lockstep stream.
+    """A queue configuration, its lines and a lockstep stream.
 
     There are at most twice as many lines as entries, so duplicates,
     hoists and overflows of a duplicated line are all common.  The lines
@@ -166,21 +164,17 @@ def _streams(draw):
         draw(st.booleans()),
         draw(st.booleans()),
         lines,
-        draw(st.lists(ops, max_size=2 * capacity)),
-        draw(st.lists(ops, min_size=capacity, max_size=4 * capacity + 40)),
+        draw(st.lists(ops, min_size=capacity, max_size=6 * capacity + 40)),
     )
 
 
 @given(_streams())
 @settings(max_examples=300, deadline=None)
 def test_c_queue_matches_reference(lib, draw) -> None:
-    capacity, recent_capacity, lifo, filtering, lines, prefix, stream = draw
+    capacity, recent_capacity, lifo, filtering, lines, stream = draw
     queue = PrefetchQueue(capacity, recent_capacity, lifo=lifo, filtering=filtering)
-    for op, line in prefix:
-        if op != "requeue" or _requeueable(queue, line):
-            _apply(queue, op, line)
     keep: list = []
-    cq = jitted.queue_image(queue, keep, lib.repro_queue_init)
+    cq = jitted.queue_image(queue._config, keep, lib.repro_queue_init)
     _check(lib, queue, cq, lines)
     for op, line in stream:
         if op == "requeue" and not _requeueable(queue, line):
