@@ -165,6 +165,7 @@ import ctypes
 import dataclasses
 import functools
 import logging
+import threading
 import weakref
 from collections import OrderedDict
 from pathlib import Path
@@ -260,6 +261,10 @@ _DBL = ctypes.c_double
 
 _kernel_lib: object = None
 _kernel_probed = False
+#: held while a probe builds or loads an object, so concurrent first
+#: callers (threads of one sweep) wait for the build instead of reading an
+#: unfinished probe as "unavailable".
+_probe_lock = threading.Lock()
 #: seconds this process spent compiling, per kernel object.
 _compile_seconds: Dict[str, float] = {}
 #: family objects probed so far (stem -> library, None when unbuildable),
@@ -302,13 +307,15 @@ def _kernel():
     """The loaded core object, or None when unavailable (one warning)."""
     global _kernel_lib, _kernel_probed
     if not _kernel_probed:
-        _kernel_probed = True
-        _kernel_lib = ccompile.load_or_warn(
-            _build_kernel,
-            logger,
-            "jit engine backend",
-            "falling back to the reference backend",
-        )
+        with _probe_lock:
+            if not _kernel_probed:
+                _kernel_lib = ccompile.load_or_warn(
+                    _build_kernel,
+                    logger,
+                    "jit engine backend",
+                    "falling back to the reference backend",
+                )
+                _kernel_probed = True
     return _kernel_lib
 
 
@@ -316,12 +323,17 @@ def _family_lib(stem: str):
     """A family's object, built on first use; None (after one warning)
     when it cannot be built, which sends only that family to reference."""
     if stem not in _family_libs:
-        try:
-            _family_libs[stem] = _load_object(stem)
-        except Exception as exc:
-            _family_errors[stem] = f"kernel object {stem} unavailable: {exc}"
-            logger.warning("%s; its family steps on reference", _family_errors[stem])
-            _family_libs[stem] = None
+        with _probe_lock:
+            if stem not in _family_libs:
+                try:
+                    lib = _load_object(stem)
+                except Exception as exc:
+                    _family_errors[stem] = f"kernel object {stem} unavailable: {exc}"
+                    logger.warning(
+                        "%s; its family steps on reference", _family_errors[stem]
+                    )
+                    lib = None
+                _family_libs[stem] = lib
     return _family_libs[stem]
 
 
@@ -746,6 +758,43 @@ _PF_MODES = {
 }
 
 
+def config_fallback_reason(
+    prefetcher, all_lru: bool, inclusive_l2: bool
+) -> Optional[str]:
+    """Why the kernel cannot replicate a core configured with *prefetcher*,
+    or None when it can.
+
+    *all_lru* says whether the core's L1I, L1D and L2 all replace LRU, and
+    *inclusive_l2* whether the L2 back-invalidates the L1s.  The one list
+    of configuration fallbacks: :meth:`JittedCoreEngine.kernel_fallback_reason`
+    adds only the touched-state check, and the sweep executor asks it of a
+    spec before any system exists
+    (:func:`repro.eval.runner.kernel_fallback_reason`).  It builds the
+    family's object on first use.
+    """
+    family = _PF_MODES.get(type(prefetcher))
+    if family is None:
+        return f"prefetcher {type(prefetcher).__name__} has no kernel twin"
+    if not all_lru:
+        return "non-LRU replacement"
+    if inclusive_l2:
+        return "inclusive L2 (eviction hook)"
+    unsupported = family.unsupported(prefetcher)
+    if unsupported is not None:
+        return unsupported
+    wanted = family.candidates(prefetcher)
+    if wanted > _MAX_CANDIDATES:
+        return (
+            f"{type(prefetcher).__name__} parameters need {wanted} candidates "
+            f"per fetch, over the kernel cap of {_MAX_CANDIDATES}"
+        )
+    if not jit_available():
+        return "no C compiler: the kernel is unbuildable"
+    if family.stem is not None and not jit_available(family.stem):
+        return _family_errors[family.stem]
+    return None
+
+
 # --------------------------------------------------------------------- #
 # Cache and system images
 # --------------------------------------------------------------------- #
@@ -901,32 +950,16 @@ class JittedCoreEngine(CoreEngine):
         """Why the kernel cannot replicate this configuration exactly, or
         None when it can (binding may still fail; see :meth:`_twin_ready`).
         """
-        prefetcher = self.prefetcher
-        family = _PF_MODES.get(type(prefetcher))
-        if family is None:
-            return f"prefetcher {type(prefetcher).__name__} has no kernel twin"
-        if not (self.l1i._is_lru and self.l1d._is_lru and self.l2._is_lru):
-            return "non-LRU replacement"
-        if self.l2_eviction_hook is not None:
-            return "inclusive L2 (eviction hook)"
-        unsupported = family.unsupported(prefetcher)
-        if unsupported is not None:
-            return unsupported
-        wanted = family.candidates(prefetcher)
-        if wanted > _MAX_CANDIDATES:
-            return (
-                f"{type(prefetcher).__name__} parameters need {wanted} candidates "
-                f"per fetch, over the kernel cap of {_MAX_CANDIDATES}"
-            )
-        if not jit_available():
-            return "no C compiler: the kernel is unbuildable"
-        if family.stem is not None and not jit_available(family.stem):
-            return _family_errors[family.stem]
-        if self._c is None:  # once bound, the C state is authoritative
+        reason = config_fallback_reason(
+            self.prefetcher,
+            all_lru=self.l1i._is_lru and self.l1d._is_lru and self.l2._is_lru,
+            inclusive_l2=self.l2_eviction_hook is not None,
+        )
+        if reason is None and self._c is None:  # once bound, C is authoritative
             touched = self._touched()
             if touched is not None:
-                return f"{touched} touched before the kernel bound"
-        return None
+                reason = f"{touched} touched before the kernel bound"
+        return reason
 
     def _touched(self) -> Optional[str]:
         """The first component that no longer holds its construction
@@ -1180,10 +1213,12 @@ class JittedCoreEngine(CoreEngine):
         the mixed case practically unreachable, but the guard is load-
         bearing for custom per-core prefetcher factories.
         """
-        ready = all(
+        # A list, not a generator: every engine decides, so each records
+        # its own fallback reason rather than a sibling's.
+        ready = all([
             isinstance(engine, JittedCoreEngine) and engine._twin_ready()
             for engine in engines
-        )
+        ])
         if not ready or len(engines) > _MAX_CORES:
             for engine in engines:
                 if isinstance(engine, JittedCoreEngine) and not engine._c_started:

@@ -62,9 +62,9 @@ REGISTRY: Tuple[EnvVar, ...] = (
     EnvVar(
         REPRO_JOBS,
         "CPU count",
-        "Worker processes for a batch; `1` forces the serial in-process path "
-        "(no pool, no pickling). `repro-experiment --jobs N` overrides it per "
-        "invocation.",
+        "Workers for a batch: threads when every spec steps in the jit kernel, "
+        "processes otherwise; `1` forces the serial in-process path (no pool, no "
+        "pickling). `repro-experiment --jobs N` overrides it per invocation.",
     ),
     EnvVar(
         REPRO_CACHE_DIR,

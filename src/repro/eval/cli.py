@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the sweep (default: $REPRO_JOBS or all cores; "
-        "1 runs serially in-process)",
+        help="workers for the sweep: threads for kernel batches, processes "
+        "otherwise (default: $REPRO_JOBS or all cores; 1 runs serially in-process)",
     )
     parser.add_argument(
         "--backend",

@@ -1,4 +1,4 @@
-"""Process-parallel sweep executor with layered caching and fault tolerance.
+"""Parallel sweep executor with layered caching and fault tolerance.
 
 The experiment drivers declare their configurations as
 :class:`~repro.eval.runspec.RunSpec` lists and submit them in one batch to
@@ -9,18 +9,29 @@ The experiment drivers declare their configurations as
 2. **persistent disk cache** (:mod:`repro.eval.diskcache`) — repeat
    invocations across processes and sessions replay from
    ``$REPRO_CACHE_DIR`` instead of re-simulating;
-3. **simulation** — remaining specs run under a
-   :class:`~concurrent.futures.ProcessPoolExecutor` sized by
-   ``$REPRO_JOBS`` (default: all cores), or serially in-process when the
+3. **simulation** — remaining specs run on a pool of ``$REPRO_JOBS``
+   workers (default: all cores), or serially in-process when the
    effective job count is 1.
+
+The pool is chosen per batch.  When every pending spec steps in the jit
+kernel (:func:`~repro.eval.runner.kernel_fallback_reason` is None for
+each), the batch runs on a :class:`~concurrent.futures.ThreadPoolExecutor`
+in this process: a kernel run releases the GIL for all but a few
+milliseconds of Python set-up per spec, and the threads share one
+interpreter and one trace memo.  A batch holding any spec that steps on
+the reference engine, which holds the GIL, runs on a
+:class:`~concurrent.futures.ProcessPoolExecutor` instead.  The parent
+fills the trace memo and the trace store for the batch before either
+pool starts, and deciding on threads builds every kernel object the
+batch needs, so worker threads neither synthesize nor compile.
 
 Workers return results in the disk cache's plain-data form, which the
 parent rehydrates and persists; JSON round-trips ints and floats exactly,
 so parallel results are bit-identical to a serial ``run_system`` call.
-Submission is ordered by :meth:`RunSpec.trace_key` so specs replaying the
-same synthetic traces tend to land on the same worker, whose
-per-process :func:`~repro.eval.runner.get_traces` memo then serves them
-without regenerating.
+Submission is ordered by :meth:`RunSpec.trace_key`, so specs replaying the
+same synthetic traces tend to land on the same process worker, whose
+inherited :func:`~repro.eval.runner.get_compiled_traces` memo then serves
+them without reloading.
 
 Failure semantics (see ``docs/performance.md``): results are harvested
 with :func:`concurrent.futures.as_completed` and **checkpointed the moment
@@ -30,9 +41,11 @@ in-parent serial retry (a crash may be pool-related, not spec-related); a
 :class:`~concurrent.futures.process.BrokenProcessPool` rebuilds the pool
 once and then degrades to serial execution for the remainder;
 ``KeyboardInterrupt`` cancels queued work and re-raises with everything
-already harvested safely on disk.  Specs that still fail surface in one
-terminal :class:`SweepError` carrying per-spec tracebacks, the salvaged
-results and the batch's :class:`SweepReport`.
+already harvested safely on disk.  A thread pool has no crash isolation:
+a fault inside the C kernel kills the whole sweep, and only the
+checkpointed results survive it, so a rerun resumes from them.  Specs that
+still fail surface in one terminal :class:`SweepError` carrying per-spec
+tracebacks, the salvaged results and the batch's :class:`SweepReport`.
 """
 
 from __future__ import annotations
@@ -40,7 +53,12 @@ from __future__ import annotations
 import json
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -51,7 +69,7 @@ from repro.eval import diskcache
 from repro.eval.runspec import RunSpec, dedupe_specs
 from repro.util import clock
 
-#: environment variable bounding the worker-process count; 1 forces the
+#: environment variable bounding the worker count; 1 forces the
 #: in-process serial path (no pool, no pickling).
 JOBS_ENV = REPRO_JOBS
 
@@ -84,6 +102,12 @@ class SweepReport:
     pool_rebuilds: int = 0
     #: True when the rebuilt pool also broke and the remainder ran serially.
     degraded_to_serial: bool = False
+    #: how the simulated specs ran: ``"serial"``, ``"threads"`` or
+    #: ``"processes"`` (None when every spec was a cache hit).
+    pool: Optional[str] = None
+    #: with ``pool == "processes"``: why the first spec that does not step
+    #: in the jit kernel steps on reference.
+    fallback_reason: Optional[str] = None
     wall_seconds: float = 0.0
     #: optional caller-supplied sweep name (figure driver, CLI invocation).
     label: Optional[str] = None
@@ -116,8 +140,11 @@ def report_to_summary(report: SweepReport) -> Dict[str, Any]:
         "failed": report.failed,
         "pool_rebuilds": report.pool_rebuilds,
         "degraded_to_serial": report.degraded_to_serial,
+        "pool": report.pool,
         "wall_seconds": round(report.wall_seconds, 3),
     }
+    if report.fallback_reason is not None:
+        summary["fallback_reason"] = report.fallback_reason
     slowest_spec = None
     slowest_seconds = 0.0
     for spec, seconds in report.durations.items():
@@ -191,18 +218,19 @@ def _simulate(spec: RunSpec) -> SystemResult:
 
 
 def _worker(spec: RunSpec) -> Dict:
-    """Pool entry point: simulate and return the plain-data payload.
+    """Pool entry point (thread or process): simulate and return the
+    plain-data payload.
 
     Returning the payload (not the live ``SystemResult``) keeps the parallel
     path identical to a disk-cache hit — and sidesteps unpicklable state
     such as the software-prefetch factory closure.  Traces inside the
     worker resolve through the compiled-trace layers: the parent's
     pre-pool :func:`~repro.eval.runner.precompile_for_specs` pass has
-    usually populated the on-disk trace store, so workers load packed
-    files; otherwise the worker's own module-level memos persist for its
-    lifetime, so same-trace specs assigned to one worker share a single
-    generation.  The payload carries the worker's wall time under
-    ``wall_seconds``; the parent pops it before rehydrating.
+    usually filled the trace memo, which threads share and forked
+    processes inherit; otherwise a worker loads packed files from the
+    on-disk trace store, or generates them into its memo.  The payload
+    carries the worker's wall time under ``wall_seconds``; the parent pops
+    it before rehydrating.
     """
     started = clock.now()
     payload = diskcache.result_to_payload(_simulate(spec), spec)
@@ -260,8 +288,9 @@ def run_specs_report(
     """Execute a batch of specs; returns ``(results, report)``.
 
     Duplicates are collapsed, cached specs (memo or disk) are served
-    without simulation, and the remainder fans out across worker processes
-    (serial in-process when the effective job count is 1).  Completed
+    without simulation, and the remainder fans out across worker threads
+    or processes (see the module docstring; serial in-process when the
+    effective job count is 1).  Completed
     results are persisted the moment they land, so a failure mid-batch
     never discards a sibling's finished work; specs that fail after their
     retry raise :class:`SweepError` (with the salvaged results attached).
@@ -301,10 +330,20 @@ def run_specs_report(
     if pending:
         jobs = resolve_jobs(jobs)
         if jobs <= 1 or len(pending) == 1:
+            report.pool = "serial"
             _run_serial(pending, results, failures, report, emit)
         else:
             _precompile_pending(pending)
-            _run_pool(pending, jobs, results, failures, report, emit)
+            report.fallback_reason = next(
+                filter(None, map(_fallback_reason, pending)), None
+            )
+            if report.fallback_reason is None:
+                report.pool = "threads"
+                pool_class: Callable[..., Executor] = ThreadPoolExecutor
+            else:
+                report.pool = "processes"
+                pool_class = ProcessPoolExecutor
+            _run_pool(pending, jobs, pool_class, results, failures, report, emit)
 
     report.wall_seconds = watch.elapsed()
     if failures:
@@ -314,15 +353,17 @@ def run_specs_report(
 
 
 def _precompile_pending(pending: List[RunSpec]) -> None:
-    """Populate the on-disk trace store for *pending* before pool dispatch.
+    """Fill the trace memo and the on-disk trace store for *pending*
+    before pool dispatch.
 
-    With the store warm, every worker's ``run_system`` loads packed trace
-    files instead of re-resolving its workload through the trace-source
+    Worker threads then read the shared memo, and forked workers inherit
+    it, instead of re-resolving their workload through the trace-source
     registry (synthesis for the synthetic profiles, stream replay for
-    ingested ``external:<name>`` sources) per process.  Purely an
-    optimization: any failure here is swallowed, and the specs it would
-    have served simply produce their own traces in the workers (where a
-    real trace problem resurfaces with per-spec isolation).
+    ingested ``external:<name>`` sources); no two threads synthesize one
+    trace.  Purely an optimization: any failure here is swallowed, and the
+    specs it would have served simply produce their own traces in the
+    workers (where a real trace problem resurfaces with per-spec
+    isolation).
     """
     try:
         from repro.eval.runner import precompile_for_specs
@@ -330,6 +371,18 @@ def _precompile_pending(pending: List[RunSpec]) -> None:
         precompile_for_specs(pending)
     except Exception:
         pass
+
+
+def _fallback_reason(spec: RunSpec) -> Optional[str]:
+    """:func:`~repro.eval.runner.kernel_fallback_reason` of *spec*; a spec
+    whose check raises is sent to the process pool, where its simulation
+    fails in isolation."""
+    from repro.eval.runner import kernel_fallback_reason
+
+    try:
+        return kernel_fallback_reason(spec)
+    except Exception as exc:
+        return f"fallback check failed: {exc!r}"
 
 
 def _run_serial(
@@ -364,6 +417,7 @@ def _run_serial(
 def _run_pool(
     pending: List[RunSpec],
     jobs: int,
+    pool_class: Callable[..., Executor],
     results: Dict[RunSpec, SystemResult],
     failures: Dict[RunSpec, str],
     report: SweepReport,
@@ -371,7 +425,7 @@ def _run_pool(
 ) -> None:
     """Pool execution with checkpoint-on-completion harvesting.
 
-    A broken pool is rebuilt once; if the rebuild also breaks, the
+    A broken process pool is rebuilt once; if the rebuild also breaks, the
     remainder degrades to serial in-process execution.  Specs whose worker
     raised an ordinary exception get one in-parent serial retry at the end
     (a worker crash may be pool-related — OOM kill, pickling — rather than
@@ -384,7 +438,9 @@ def _run_pool(
             break
         if attempt:
             report.pool_rebuilds += 1
-        broken = _pool_attempt(remaining, jobs, results, worker_errors, report, emit)
+        broken = _pool_attempt(
+            remaining, jobs, pool_class, results, worker_errors, report, emit
+        )
         if not broken:
             break
     if remaining:
@@ -414,12 +470,13 @@ def _run_pool(
 def _pool_attempt(
     remaining: List[RunSpec],
     jobs: int,
+    pool_class: Callable[..., Executor],
     results: Dict[RunSpec, SystemResult],
     worker_errors: Dict[RunSpec, str],
     report: SweepReport,
     emit: Callable[..., None],
 ) -> bool:
-    """One ``ProcessPoolExecutor`` pass over *remaining* (mutated in place).
+    """One *pool_class* pass over *remaining* (mutated in place).
 
     Harvests futures as they complete, persisting each result immediately.
     Returns True when the pool broke; the specs that neither completed nor
@@ -428,7 +485,7 @@ def _pool_attempt(
     harvested: Set[RunSpec] = set()
     broken = False
     interrupted = False
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(remaining)))
+    pool = pool_class(max_workers=min(jobs, len(remaining)))
     try:
         future_map = {pool.submit(_worker, spec): spec for spec in remaining}
         for future in as_completed(future_map):
@@ -447,9 +504,9 @@ def _pool_attempt(
             seconds = float(payload.pop("wall_seconds", 0.0))
             result = diskcache.payload_to_result(payload)
             # Checkpoint on completion: persist *now*, so this result
-            # survives any later failure in the batch.  The parent is the
-            # single cache writer; workers stay read-free so a shared
-            # cache directory never sees write races.
+            # survives any later failure in the batch.  The parent's main
+            # thread is the single cache writer; workers stay read-free so
+            # a shared cache directory never sees write races.
             diskcache.store(spec, result)
             _MEMO[spec] = result
             results[spec] = result
@@ -462,7 +519,8 @@ def _pool_attempt(
         broken = True
     except KeyboardInterrupt:
         # Hand the terminal back fast: drop queued work, don't wait for
-        # running workers.  Everything harvested so far is on disk.
+        # running workers (worker threads finish their kernel call before
+        # the interpreter exits).  Everything harvested so far is on disk.
         interrupted = True
         pool.shutdown(wait=False, cancel_futures=True)
         raise

@@ -36,9 +36,11 @@ import os
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cmp.system import System, SystemConfig, SystemResult
+from repro.core.backends import resolve_backend
 from repro.envvars import REPRO_SYNTH_LOG
 from repro.eval.profiles import ExperimentScale
 from repro.eval.runspec import DEFAULT_SEED, RunSpec
+from repro.prefetch.registry import create_prefetcher
 from repro.trace import store as trace_store
 from repro.trace.compiled import CompiledTrace
 from repro.trace.source import resolve, traces_for
@@ -53,6 +55,7 @@ __all__ = [
     "trace_budget",
     "clear_trace_cache",
     "run_system",
+    "kernel_fallback_reason",
     "run_system_cached",
     "clear_result_cache",
 ]
@@ -274,6 +277,29 @@ def run_system(spec: RunSpec) -> SystemResult:
         engine_backend=spec.engine_backend,
     )
     return System(config, traces).run()
+
+
+def kernel_fallback_reason(spec: RunSpec) -> Optional[str]:
+    """Why :func:`run_system` would step *spec*'s cores on the reference
+    engine, or None when every core steps in the jit kernel.
+
+    Reads only the spec's fields and one registry prefetcher; it never
+    builds the :class:`System` (a software-prefetch set-up costs seconds).
+    Past the backend and the software prefetcher, the reasons are the
+    engine's own (:func:`repro.core.jitted.config_fallback_reason`), and
+    asking builds the kernel objects the spec needs.
+    """
+    if resolve_backend(spec.engine_backend) != "jit":
+        return "reference backend"
+    if spec.software_prefetch:
+        return "software prefetcher has no kernel twin"
+    from repro.core import jitted
+
+    return jitted.config_fallback_reason(
+        create_prefetcher(spec.prefetcher, **spec.overrides),
+        all_lru=spec.l1_replacement == "lru" and spec.l2_replacement == "lru",
+        inclusive_l2=spec.l2_inclusive,
+    )
 
 
 def run_system_cached(spec: RunSpec) -> SystemResult:

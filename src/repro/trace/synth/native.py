@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import threading
 from array import array
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -83,6 +84,9 @@ def source_hash() -> str:
 _lib: object = None
 _probed = False
 _compile_seconds = 0.0
+#: held while the probe builds or loads the unit, so a concurrent first
+#: caller waits for it instead of reading an unfinished probe.
+_probe_lock = threading.Lock()
 
 
 def _build():
@@ -116,10 +120,12 @@ def _library():
     """The loaded library, or None when unavailable (one warning)."""
     global _lib, _probed
     if not _probed:
-        _probed = True
-        _lib = ccompile.load_or_warn(
-            _build, logger, "compiled trace synthesis", "synthesizing in Python"
-        )
+        with _probe_lock:
+            if not _probed:
+                _lib = ccompile.load_or_warn(
+                    _build, logger, "compiled trace synthesis", "synthesizing in Python"
+                )
+                _probed = True
     return _lib
 
 

@@ -18,8 +18,8 @@ toolchain.  This module is the one place that knows how:
 - each unit's shared object is named by a hash of the flags and its
   source and cached under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``, default
   ``.repro-cache/jit``), so editing one unit stales only that unit;
-- a build compiles a per-process copy of the source, so a concurrent
-  builder never reads a file another process is rewriting, and is
+- a build compiles a per-process, per-thread copy of the source, so a
+  concurrent builder never reads a file another one is rewriting, and is
   published atomically (tmp file + ``os.replace``) together with a
   ``.sha256`` sidecar of the object's bytes.  An object whose
   sidecar is missing or does not match (a truncated or corrupt file) is
@@ -44,6 +44,7 @@ import os
 import re
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Type, TypeVar
 
@@ -108,10 +109,10 @@ def load(stem: str, source: str) -> Tuple[ctypes.CDLL, float]:
             raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
         directory.mkdir(parents=True, exist_ok=True)
         # Every file a build writes before publishing is private to this
-        # process, so concurrent builders race benignly: each publishes a
-        # complete object and sidecar, and a mismatched pair only forces a
-        # rebuild.
-        tmp_stem = f".{stem}_{digest}.{os.getpid()}"
+        # process and thread, so concurrent builders race benignly: each
+        # publishes a complete object and sidecar, and a mismatched pair
+        # only forces a rebuild.
+        tmp_stem = f".{stem}_{digest}.{os.getpid()}.{threading.get_ident()}"
         c_path = directory / f"{tmp_stem}.c"
         c_path.write_text(source)
         tmp_path = directory / f"{tmp_stem}.so.tmp"

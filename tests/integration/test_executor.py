@@ -1,15 +1,27 @@
 """Integration tests for the parallel sweep executor.
 
 The load-bearing property is *bit-identical determinism*: a batch executed
-through worker processes must reproduce, exactly, the metrics of the same
-specs run serially in-process (the paper's figures are regenerated from
-whichever path is available, so the two must be indistinguishable).
+through worker threads or worker processes must reproduce, exactly, the
+metrics of the same specs run serially in-process (the paper's figures are
+regenerated from whichever path is available, so they must be
+indistinguishable).
 """
+
+import json
+import multiprocessing
+import os
 
 import pytest
 
+from repro.core import jitted
 from repro.eval import diskcache, executor
-from repro.eval.executor import execute_spec, memo_size, resolve_jobs, run_specs
+from repro.eval.executor import (
+    execute_spec,
+    memo_size,
+    resolve_jobs,
+    run_specs,
+    run_specs_report,
+)
 from repro.eval.profiles import ExperimentScale
 from repro.eval.runner import run_system
 from repro.eval.runspec import RunSpec
@@ -22,11 +34,21 @@ TINY = ExperimentScale(
 )
 
 
-def tiny_specs():
+needs_kernel = pytest.mark.skipif(
+    not jitted.jit_available(), reason="no C compiler: jit kernel unbuildable"
+)
+
+
+def tiny_specs(backend="auto"):
+    def spec(workload, prefetcher, **kwargs):
+        return RunSpec.create(
+            workload, 1, prefetcher, scale=TINY, engine_backend=backend, **kwargs
+        )
+
     return [
-        RunSpec.create("db", 1, "none", scale=TINY),
-        RunSpec.create("db", 1, "discontinuity", scale=TINY, l2_policy="bypass"),
-        RunSpec.create("web", 1, "next-2-line", scale=TINY, l2_policy="bypass"),
+        spec("db", "none"),
+        spec("db", "discontinuity", l2_policy="bypass"),
+        spec("web", "next-2-line", l2_policy="bypass"),
     ]
 
 
@@ -38,6 +60,24 @@ def metrics(result):
         tuple(tuple(core.l1i_breakdown.counts()) for core in result.cores),
         result.link.stats.requests,
     )
+
+
+def parallel_matches_serial(tmp_path, monkeypatch, specs, pool):
+    """A jobs=2 batch of *specs* runs on *pool*, and its results equal a
+    serial batch's exactly."""
+    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "serial"))
+    serial_results, serial_report = run_specs_report(specs, jobs=1)
+    serial = {s: metrics(r) for s, r in serial_results.items()}
+    assert serial_report.pool == "serial"
+
+    executor.clear_memo()
+    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "parallel"))
+    results, report = run_specs_report(specs, jobs=2)
+    parallel = {s: metrics(r) for s, r in results.items()}
+
+    assert report.pool == pool
+    assert (report.fallback_reason is None) == (pool == "threads")
+    assert parallel == serial
 
 
 @pytest.fixture(autouse=True)
@@ -96,16 +136,40 @@ class TestBitIdenticalDeterminism:
         assert metrics(batch) == metrics(direct)
 
     def test_parallel_matches_serial_exactly(self, tmp_path, monkeypatch):
-        specs = tiny_specs()
+        """A kernel batch runs on threads (processes where the kernel does
+        not build) and matches a serial run bit for bit."""
+        pool = "threads" if jitted.jit_available() else "processes"
+        parallel_matches_serial(tmp_path, monkeypatch, tiny_specs("jit"), pool)
 
-        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "serial"))
-        serial = {s: metrics(r) for s, r in run_specs(specs, jobs=1).items()}
+    def test_reference_batch_matches_serial_on_processes(self, tmp_path, monkeypatch):
+        specs = tiny_specs("reference")
+        parallel_matches_serial(tmp_path, monkeypatch, specs, "processes")
 
-        executor.clear_memo()
-        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "parallel"))
-        parallel = {s: metrics(r) for s, r in run_specs(specs, jobs=2).items()}
+    @needs_kernel
+    def test_kernel_batch_starts_no_child_process(self, monkeypatch):
+        """A batch whose every spec steps in the kernel runs on threads of
+        this process: no pool process is created and every simulation
+        runs here."""
 
-        assert parallel == serial
+        def no_processes(*args, **kwargs):
+            raise AssertionError("a kernel batch created a process pool")
+
+        pids = []
+        real = executor._simulate
+
+        def recording(spec):
+            pids.append(os.getpid())
+            return real(spec)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", no_processes)
+        monkeypatch.setattr(executor, "_simulate", recording)
+        specs = tiny_specs("jit")
+        results, report = run_specs_report(specs, jobs=2)
+        assert set(results) == set(specs)
+        assert report.pool == "threads"
+        assert report.simulated == len(specs)
+        assert pids == [os.getpid()] * len(specs)
+        assert multiprocessing.active_children() == []
 
     def test_parallel_results_land_in_memo_and_disk(self, tmp_path, monkeypatch):
         specs = tiny_specs()
@@ -126,5 +190,11 @@ class TestBitIdenticalDeterminism:
         monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "swpf"))
         # Force the pool path by pairing it with a second pending spec.
         other = tiny_specs()[0]
-        results = run_specs([spec, other], jobs=2)
+        results, report = run_specs_report([spec, other], jobs=2)
         assert metrics(results[spec]) == serial
+        # The software prefetcher steps on reference: the batch takes
+        # processes, and the report and its summary say why.
+        summary = json.loads(report.summary_json())
+        assert summary["pool"] == report.pool == "processes"
+        assert report.fallback_reason is not None
+        assert summary["fallback_reason"] == report.fallback_reason

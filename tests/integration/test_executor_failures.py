@@ -7,17 +7,23 @@ what failed.  On top of that: one in-parent serial retry per worker
 failure, pool-rebuild + serial degradation on ``BrokenProcessPool``, and a
 ``SweepReport`` whose counters partition the batch exactly.
 
-The fault-injection tests monkeypatch ``executor._simulate`` in the parent
-and rely on the ``fork`` start method to propagate the patch into pool
-workers, so they skip on platforms that spawn.
+Both pools are covered.  Specs pinned to the reference backend run on the
+process pool; the fault-injection tests for it monkeypatch
+``executor._simulate`` in the parent and rely on the ``fork`` start method
+to propagate the patch into pool workers, so they skip on platforms that
+spawn.  Specs pinned to the jit backend run on the thread pool, which sees
+the patch directly; those tests skip without a C compiler.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
+from repro.core import jitted
 from repro.eval import diskcache, executor
 from repro.eval.executor import (
     SweepError,
@@ -39,14 +45,36 @@ fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="fault injection relies on fork inheriting the monkeypatch",
 )
+needs_kernel = pytest.mark.skipif(
+    not jitted.jit_available(), reason="no C compiler: jit kernel unbuildable"
+)
 
 
-def tiny_specs():
+def tiny_specs(backend="auto"):
+    def spec(workload, prefetcher, **kwargs):
+        return RunSpec.create(
+            workload, 1, prefetcher, scale=TINY, engine_backend=backend, **kwargs
+        )
+
     return [
-        RunSpec.create("db", 1, "none", scale=TINY),
-        RunSpec.create("db", 1, "discontinuity", scale=TINY, l2_policy="bypass"),
-        RunSpec.create("web", 1, "next-2-line", scale=TINY, l2_policy="bypass"),
+        spec("db", "none"),
+        spec("db", "discontinuity", l2_policy="bypass"),
+        spec("web", "next-2-line", l2_policy="bypass"),
     ]
+
+
+def in_worker(parent_pid):
+    """True inside a pool worker: a forked process or a worker thread."""
+    in_thread = threading.current_thread() is not threading.main_thread()
+    return os.getpid() != parent_pid or in_thread
+
+
+def join_pool_threads():
+    """Wait for worker threads an interrupted thread pool left running."""
+    for thread in threading.enumerate():
+        if thread.name.startswith("ThreadPoolExecutor"):
+            thread.join(timeout=60)
+            assert not thread.is_alive()
 
 
 @pytest.fixture(autouse=True)
@@ -59,14 +87,15 @@ def fresh_memo():
 def failing_simulate(victim, real_simulate, child_only=False, exit_code=None):
     """A ``_simulate`` stand-in that fails (only) for *victim*.
 
-    ``child_only`` restricts the failure to pool workers (the parent pid is
-    captured here, at patch time); ``exit_code`` hard-kills the process via
-    ``os._exit`` instead of raising — the ``BrokenProcessPool`` trigger.
+    ``child_only`` restricts the failure to pool workers, processes or
+    threads (the parent pid is captured here, at patch time); ``exit_code``
+    hard-kills the process via ``os._exit`` instead of raising — the
+    ``BrokenProcessPool`` trigger.
     """
     parent_pid = os.getpid()
 
     def simulate(spec):
-        if spec == victim and not (child_only and os.getpid() == parent_pid):
+        if spec == victim and (in_worker(parent_pid) or not child_only):
             if exit_code is not None:
                 os._exit(exit_code)
             raise RuntimeError("injected simulation failure")
@@ -75,47 +104,75 @@ def failing_simulate(victim, real_simulate, child_only=False, exit_code=None):
     return simulate
 
 
-@fork_only
+def siblings_survive_a_worker_failure(monkeypatch, backend, pool):
+    """One crashed spec on *pool*, siblings persisted; a rerun simulates
+    only the crashed one."""
+    specs = tiny_specs(backend)
+    victim = specs[1]
+    real = executor._simulate
+    monkeypatch.setattr(executor, "_simulate", failing_simulate(victim, real))
+    with pytest.raises(SweepError) as excinfo:
+        run_specs(specs, jobs=2)
+    error = excinfo.value
+    assert error.report.pool == pool
+    assert set(error.failures) == {victim}
+    assert "injected simulation failure" in error.failures[victim]
+    assert set(error.results) == set(specs) - {victim}
+    assert error.report.failed == 1
+    assert error.report.retried == 0
+    assert error.report.simulated == 2
+    assert "salvaged" in str(error)
+    # Both siblings reached the disk cache before the error propagated.
+    assert diskcache.entry_count() == 2
+    for spec in error.results:
+        assert diskcache.load(spec) is not None
+
+    # A re-run simulates ONLY the failed spec: siblings replay from
+    # disk (the memo is cleared to prove it is really the disk copy).
+    # The failure patch is *overwritten*, not undo()ne — undo would
+    # also revert the cache-dir isolation fixture's setenv.
+    executor.clear_memo()
+    simulated = []
+
+    def counting(spec):
+        simulated.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(executor, "_simulate", counting)
+    results, report = run_specs_report(specs, jobs=2)
+    # One pending spec runs serially, whatever its backend.
+    assert report.pool == "serial"
+    assert simulated == [victim]
+    assert set(results) == set(specs)
+    assert report.disk_hits == 2
+    assert report.simulated == 1
+    assert report.failed == 0
+
+
 class TestCheckpointOnCompletion:
+    @fork_only
     def test_sibling_results_survive_a_worker_failure(self, monkeypatch):
         """The headline regression: one crashed spec, siblings persisted."""
-        specs = tiny_specs()
-        victim = specs[1]
-        real = executor._simulate
-        monkeypatch.setattr(executor, "_simulate", failing_simulate(victim, real))
+        siblings_survive_a_worker_failure(monkeypatch, "reference", "processes")
+
+    @needs_kernel
+    def test_sibling_results_survive_a_worker_thread_failure(self, monkeypatch):
+        siblings_survive_a_worker_failure(monkeypatch, "jit", "threads")
+
+    @needs_kernel
+    def test_spec_whose_pool_check_raises_fails_alone(self):
+        """A spec the fallback check cannot judge (here, an unregistered
+        prefetcher that bypassed ``RunSpec.create``) sends the batch to
+        the process pool, where it fails in isolation."""
+        specs = tiny_specs("jit")
+        bad = dataclasses.replace(specs[0], prefetcher="no-such-prefetcher")
         with pytest.raises(SweepError) as excinfo:
-            run_specs(specs, jobs=2)
+            run_specs([bad, *specs[1:]], jobs=2)
         error = excinfo.value
-        assert set(error.failures) == {victim}
-        assert "injected simulation failure" in error.failures[victim]
-        assert set(error.results) == set(specs) - {victim}
-        assert error.report.failed == 1
-        assert error.report.retried == 0
-        assert error.report.simulated == 2
-        assert "salvaged" in str(error)
-        # Both siblings reached the disk cache before the error propagated.
-        assert diskcache.entry_count() == 2
-        for spec in error.results:
-            assert diskcache.load(spec) is not None
-
-        # A re-run simulates ONLY the failed spec: siblings replay from
-        # disk (the memo is cleared to prove it is really the disk copy).
-        # The failure patch is *overwritten*, not undo()ne — undo would
-        # also revert the cache-dir isolation fixture's setenv.
-        executor.clear_memo()
-        simulated = []
-
-        def counting(spec):
-            simulated.append(spec)
-            return real(spec)
-
-        monkeypatch.setattr(executor, "_simulate", counting)
-        results, report = run_specs_report(specs, jobs=2)
-        assert simulated == [victim]
-        assert set(results) == set(specs)
-        assert report.disk_hits == 2
-        assert report.simulated == 1
-        assert report.failed == 0
+        assert error.report.pool == "processes"
+        assert error.report.fallback_reason.startswith("fallback check failed")
+        assert set(error.failures) == {bad}
+        assert set(error.results) == set(specs[1:])
 
     def test_serial_batch_isolates_failures_too(self, monkeypatch):
         specs = tiny_specs()
@@ -132,25 +189,64 @@ class TestCheckpointOnCompletion:
         assert error.report.failed == 1
 
 
-@fork_only
-class TestRetryAndDegradation:
-    def test_retry_succeeds_after_a_transient_worker_failure(self, monkeypatch):
-        specs = tiny_specs()
-        victim = specs[2]
-        monkeypatch.setattr(
-            executor,
-            "_simulate",
-            failing_simulate(victim, executor._simulate, child_only=True),
-        )
-        results, report = run_specs_report(specs, jobs=2)
-        assert set(results) == set(specs)
-        assert report.retried == 1
-        assert report.simulated == 2
-        assert report.failed == 0
-        assert diskcache.entry_count() == 3
+def retry_succeeds_after_a_transient_worker_failure(monkeypatch, backend, pool):
+    """A spec that fails only in a *pool* worker succeeds on its
+    in-parent serial retry."""
+    specs = tiny_specs(backend)
+    victim = specs[2]
+    monkeypatch.setattr(
+        executor,
+        "_simulate",
+        failing_simulate(victim, executor._simulate, child_only=True),
+    )
+    results, report = run_specs_report(specs, jobs=2)
+    assert report.pool == pool
+    assert set(results) == set(specs)
+    assert report.retried == 1
+    assert report.simulated == 2
+    assert report.failed == 0
+    assert diskcache.entry_count() == 3
 
+
+def keyboard_interrupt_propagates(monkeypatch, backend, pool):
+    """A ^C raised in a *pool* worker re-raises from the batch."""
+    specs = tiny_specs(backend)
+    victim = specs[0]
+    parent_pid = os.getpid()
+    real = executor._simulate
+    #: interrupts raised in this process (a forked worker's list is its
+    #: own copy).
+    raised_here = []
+
+    def interrupting(spec):
+        if spec == victim and in_worker(parent_pid):
+            raised_here.append(spec)
+            raise KeyboardInterrupt
+        return real(spec)
+
+    monkeypatch.setattr(executor, "_simulate", interrupting)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_specs(specs, jobs=2)
+    finally:
+        join_pool_threads()
+    assert raised_here == ([victim] if pool == "threads" else [])
+
+
+class TestRetryAndDegradation:
+    @fork_only
+    def test_retry_succeeds_after_a_transient_worker_failure(self, monkeypatch):
+        retry_succeeds_after_a_transient_worker_failure(
+            monkeypatch, "reference", "processes"
+        )
+
+    @needs_kernel
+    def test_retry_succeeds_after_a_transient_worker_thread_failure(self, monkeypatch):
+        retry_succeeds_after_a_transient_worker_failure(monkeypatch, "jit", "threads")
+
+    @fork_only
     def test_broken_pool_degrades_to_serial_and_completes(self, monkeypatch):
-        specs = tiny_specs()
+        specs = tiny_specs("reference")
         victim = specs[0]
         monkeypatch.setattr(
             executor,
@@ -160,6 +256,7 @@ class TestRetryAndDegradation:
             ),
         )
         results, report = run_specs_report(specs, jobs=2)
+        assert report.pool == "processes"
         assert set(results) == set(specs)
         assert report.pool_rebuilds == 1
         assert report.degraded_to_serial
@@ -167,20 +264,13 @@ class TestRetryAndDegradation:
         assert report.simulated + report.retried == 3
         assert diskcache.entry_count() == 3
 
+    @fork_only
     def test_keyboard_interrupt_propagates(self, monkeypatch):
-        specs = tiny_specs()
-        victim = specs[0]
-        parent_pid = os.getpid()
-        real = executor._simulate
+        keyboard_interrupt_propagates(monkeypatch, "reference", "processes")
 
-        def interrupting(spec):
-            if spec == victim and os.getpid() != parent_pid:
-                raise KeyboardInterrupt
-            return real(spec)
-
-        monkeypatch.setattr(executor, "_simulate", interrupting)
-        with pytest.raises(KeyboardInterrupt):
-            run_specs(specs, jobs=2)
+    @needs_kernel
+    def test_keyboard_interrupt_propagates_from_a_worker_thread(self, monkeypatch):
+        keyboard_interrupt_propagates(monkeypatch, "jit", "threads")
 
 
 class TestSweepReport:
@@ -212,6 +302,8 @@ class TestSweepReport:
         assert summary["simulated"] == 1
         assert summary["retried"] == 0
         assert summary["failed"] == 0
+        assert summary["pool"] == "serial"
+        assert "fallback_reason" not in summary
         assert summary["slowest_spec"] == fresh_spec.describe()
         assert summary["slowest_seconds"] >= 0
         assert "\n" not in report.summary_json()

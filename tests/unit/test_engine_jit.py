@@ -348,7 +348,10 @@ def test_caches_installed_before_binding_step_on_reference(n_cores) -> None:
     ] * n_cores
     got = jit.run()
     assert not any(engine._twin_ready() for engine in jit.engines)
-    assert jit.engines[0].fallback_reason == "l1i touched before the kernel bound"
+    # Every core names its own touched component, not "a sibling core".
+    assert [engine.fallback_reason for engine in jit.engines] == [
+        "l1i touched before the kernel bound"
+    ] * n_cores
     assert [repr(_core_to_dict(core)) for core in got.cores] == [
         repr(_core_to_dict(core)) for core in expected.cores
     ]

@@ -10,6 +10,9 @@ count pins kernel coverage: porting a family lowers it, and a family that
 silently drops out of the kernel raises it.  The kernel binds construction
 state only, so an engine touched before it binds would count under its own
 reason ("... touched before the kernel bound"): none of the catalog's is.
+The executor's spec-side check (:func:`repro.eval.runner.kernel_fallback_reason`),
+which picks a batch's pool before any system exists, must give each spec
+the reason its engines give.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.core import jitted
 from repro.eval import executor
 from repro.eval.catalog import CATALOG
 from repro.eval.profiles import ExperimentScale, get_scale
+from repro.eval.runner import kernel_fallback_reason
 from repro.swpf import prefetcher as swpf
 from repro.swpf.analysis import PrefetchPlan
 
@@ -86,10 +90,13 @@ def test_smoke_catalog_fallbacks_are_pinned(monkeypatch) -> None:
     assert len(specs) == 440
     fallbacks: Counter = Counter()
     for spec in specs:
-        reasons = executor._simulate(
-            dataclasses.replace(spec, scale=TINY, engine_backend="jit")
-        )
+        jit_spec = dataclasses.replace(spec, scale=TINY, engine_backend="jit")
+        reasons = executor._simulate(jit_spec)
         assert len(set(reasons)) == 1, f"{spec.describe()}: cores disagree {reasons}"
+        if spec.software_prefetch:
+            assert kernel_fallback_reason(jit_spec) is not None
+        else:
+            assert kernel_fallback_reason(jit_spec) == reasons[0], spec.describe()
         if reasons[0] is not None:
             fallbacks[_category(reasons[0])] += 1
     assert dict(fallbacks) == EXPECTED

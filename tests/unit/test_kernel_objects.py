@@ -3,11 +3,11 @@
 Covers what the split build promises: a family object that cannot be
 built sends only that family to reference stepping, the source hash and
 the compile-time report cover every object, and concurrent first-use
-builds from real pool workers publish one object per family and leave no
-temporary files behind.  No object is checked against its struct
-layouts when it loads: every ctypes type is read from its C typedef
-(``jitted.STRUCTS``), and ``test_ccompile.py`` proves that reader against
-the compiler.
+builds, from threads of one process or from a pooled batch, publish one
+object per family and leave no temporary files behind.  No object is
+checked against its struct layouts when it loads: every ctypes type is
+read from its C typedef (``jitted.STRUCTS``), and ``test_ccompile.py``
+proves that reader against the compiler.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,8 @@ from repro.core import jitted
 from repro.envvars import REPRO_JIT_CACHE_DIR
 from repro.eval.diskcache import _core_to_dict
 from repro.eval.runner import get_compiled_traces
+from repro.trace.synth import native
+from repro.util import ccompile
 
 pytestmark = pytest.mark.skipif(
     not jitted.jit_available(), reason="no C compiler: jit kernel unbuildable"
@@ -100,9 +103,60 @@ def test_compile_seconds_cover_every_object(monkeypatch, tmp_path, fresh_familie
     assert jitted.kernel_compile_seconds() == sum(seconds.values()) > 0.0
 
 
-#: two forked pool workers start markov and mana specs on an empty jit
-#: cache, then the same specs run serially; prints both payload sets and
-#: the cache directory's file names as JSON.
+def test_concurrent_first_probes_build_each_object_once(
+    monkeypatch, tmp_path, fresh_families
+) -> None:
+    """Threads of one process probing an empty jit cache all get their
+    object: each compiles once, and no tmp file is left behind."""
+    monkeypatch.setenv(REPRO_JIT_CACHE_DIR, str(tmp_path))
+    monkeypatch.setattr(jitted, "_kernel_lib", None)
+    monkeypatch.setattr(jitted, "_kernel_probed", False)
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_probed", False)
+    monkeypatch.setattr(native, "_compile_seconds", 0.0)
+    compiled = []
+    real_load = ccompile.load
+
+    def counting_load(stem, source):
+        lib, seconds = real_load(stem, source)
+        if seconds:
+            compiled.append(stem)
+        return lib, seconds
+
+    monkeypatch.setattr(ccompile, "load", counting_load)
+    stems = ("repro_jit_disc", "repro_jit_mana")
+    start = threading.Barrier(4)
+    answers = []
+
+    def probe(stem: str) -> None:
+        start.wait(timeout=60)
+        answers.append((jitted.jit_available(stem), native.available()))
+
+    threads = [threading.Thread(target=probe, args=(stems[i % 2],)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [(True, True)] * 4
+    assert sorted(compiled) == sorted((jitted.CORE, "repro_synth") + stems)
+    leftovers = [
+        path.name
+        for path in tmp_path.iterdir()
+        if path.name.startswith(".") or path.name.endswith(".tmp")
+    ]
+    assert leftovers == []
+
+
+#: a pooled batch starts markov and mana specs on an empty jit cache (the
+#: parent builds their objects before the pool starts), then the same
+#: specs run serially; prints both payload sets and the cache directory's
+#: file names as JSON.
 _RACE = """
 import json, os
 from repro.eval import diskcache, executor
