@@ -3,7 +3,6 @@
 from repro.core.backends import (
     AUTO_BACKEND,
     BACKEND_NAMES,
-    ENGINE_BACKEND_ENV,
     create_engine,
     resolve_backend,
 )
@@ -19,7 +18,6 @@ from repro.core.metrics import CoreStats, PrefetchStats
 __all__ = [
     "AUTO_BACKEND",
     "BACKEND_NAMES",
-    "ENGINE_BACKEND_ENV",
     "create_engine",
     "resolve_backend",
     "CoreEngine",

@@ -33,9 +33,6 @@ from typing import Optional
 from repro.core.engine import CoreEngine
 from repro.envvars import REPRO_ENGINE_BACKEND
 
-#: environment variable consulted when the backend is ``"auto"``.
-ENGINE_BACKEND_ENV = REPRO_ENGINE_BACKEND
-
 #: the selectable backends.
 BACKEND_NAMES = ("reference", "jit")
 
@@ -63,7 +60,7 @@ def resolve_backend(name: Optional[str] = None, n_cores: int = 1) -> str:
     existing positional callers still work.
     """
     if not name or name == AUTO_BACKEND:
-        name = os.environ.get(ENGINE_BACKEND_ENV, "") or AUTO_BACKEND
+        name = os.environ.get(REPRO_ENGINE_BACKEND, "") or AUTO_BACKEND
     validate_backend(name)
     if name == AUTO_BACKEND:
         return "jit" if _jit_available() else "reference"

@@ -5,12 +5,15 @@ constant whose *name equals its value* (``REPRO_JOBS = "REPRO_JOBS"``)
 plus an :class:`EnvVar` metadata record (default and documentation row).
 Everything else in the tree imports the constant instead of spelling the
 string — lint rule R7 enforces that statically, so a typo'd variable name
-(``REPRO_JOB``) can never silently read an empty environment.
+(``REPRO_JOB``) can never silently read an empty environment.  Each knob
+has this one name; no module re-exports it under an alias.
 
 The registry is also the single source of the environment table in
 ``docs/performance.md``: ``scripts/gen_env_docs.py`` regenerates the
-marked block from :func:`render_env_table`, and R7 fails lint whenever the
-committed block differs from the rendered one — the docs cannot drift.
+marked block from :func:`render_env_table`.  ``tests/unit/test_envvars.py``
+imports this module and checks that each constant equals its name, that
+constants and :data:`REGISTRY` match one to one, and that the committed
+block equals the rendered one — the docs cannot drift.
 
 This module deliberately has **no imports from the rest of the package**
 (everything may import it, including ``repro.trace`` which must not depend
@@ -139,16 +142,14 @@ REGISTRY: Tuple[EnvVar, ...] = (
     ),
 )
 
-#: declared names, for membership checks (lint R7, tests).
-DECLARED_NAMES = frozenset(entry.name for entry in REGISTRY)
-
 
 def render_env_table() -> str:
     """The docs environment table, rendered from the registry.
 
     ``scripts/gen_env_docs.py`` writes this between the marker comments in
-    ``docs/performance.md``; lint R7 recomputes it and fails on any
-    difference, so the committed table can never drift from the code.
+    ``docs/performance.md``; ``tests/unit/test_envvars.py`` recomputes it
+    and fails on any difference, so the committed table can never drift
+    from the code.
     """
     lines = [
         "| Variable | Default | Meaning |",

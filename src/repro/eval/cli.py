@@ -55,9 +55,6 @@ from repro.eval.runspec import RunSpec, dedupe_specs
 from repro.util.clock import Stopwatch
 from repro.util.validation import parse_env_flag
 
-#: env var: treat failing expectation verdicts as a non-zero exit.
-STRICT_ENV = REPRO_STRICT_EXPECTATIONS
-
 #: the reserved first positional tokens that are verbs, not experiments.
 VERBS = ("list", "sources", "describe", "check", "precompile")
 
@@ -112,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=None,
         help="exit non-zero if any expectation verdict fails "
-        f"(default: ${STRICT_ENV})",
+        f"(default: ${REPRO_STRICT_EXPECTATIONS})",
     )
     parser.add_argument(
         "--json",
@@ -174,7 +171,11 @@ def _expand_names(tokens: List[str]) -> List[str]:
 def _strict_enabled(flag: Optional[bool]) -> bool:
     if flag is not None:
         return flag
-    return parse_env_flag(STRICT_ENV, os.environ.get(STRICT_ENV), default=False)
+    return parse_env_flag(
+        REPRO_STRICT_EXPECTATIONS,
+        os.environ.get(REPRO_STRICT_EXPECTATIONS),
+        default=False,
+    )
 
 
 def _run_list() -> int:

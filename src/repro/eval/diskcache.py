@@ -47,8 +47,6 @@ from repro.timing.params import TimingParams
 from repro.util.filestore import TMP_MAX_AGE_SECONDS, EntryDir
 from repro.util.validation import parse_env_flag
 
-CACHE_DIR_ENV = REPRO_CACHE_DIR
-DISABLE_ENV = REPRO_DISK_CACHE
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 _CORE_SCALARS = (
@@ -70,11 +68,13 @@ _CORE_SCALARS = (
 
 def enabled() -> bool:
     """Is the disk cache active?  ``REPRO_DISK_CACHE=0`` opts out."""
-    return parse_env_flag(DISABLE_ENV, os.environ.get(DISABLE_ENV), default=True)
+    return parse_env_flag(
+        REPRO_DISK_CACHE, os.environ.get(REPRO_DISK_CACHE), default=True
+    )
 
 
 def cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
+    return Path(os.environ.get(REPRO_CACHE_DIR) or DEFAULT_CACHE_DIR)
 
 
 _ENTRIES = EntryDir(cache_dir, ".json")

@@ -69,10 +69,6 @@ from repro.eval import diskcache
 from repro.eval.runspec import RunSpec, dedupe_specs
 from repro.util import clock
 
-#: environment variable bounding the worker count; 1 forces the
-#: in-process serial path (no pool, no pickling).
-JOBS_ENV = REPRO_JOBS
-
 _MEMO: Dict[RunSpec, SystemResult] = {}
 
 #: progress callback: ``(done, total, spec, source, seconds)`` where
@@ -190,12 +186,12 @@ class SweepError(RuntimeError):
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Effective worker count: explicit arg → ``$REPRO_JOBS`` → cpu count."""
     if jobs is None:
-        env = os.environ.get(JOBS_ENV, "").strip()
+        env = os.environ.get(REPRO_JOBS, "").strip()
         if env:
             try:
                 jobs = int(env)
             except ValueError:
-                raise ValueError(f"{JOBS_ENV} must be an integer, got {env!r}") from None
+                raise ValueError(f"{REPRO_JOBS} must be an integer, got {env!r}") from None
         else:
             jobs = os.cpu_count() or 1
     return max(1, jobs)

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 from repro.envvars import REPRO_PROFILE
 
-#: environment variable selecting the scale profile.
-SCALE_ENV_VAR = REPRO_PROFILE
-
 
 @dataclass(frozen=True)
 class ExperimentScale:
@@ -78,7 +75,7 @@ def get_scale(name: str = "") -> ExperimentScale:
     Resolution order: explicit *name* argument → ``REPRO_PROFILE``
     environment variable → ``"default"``.
     """
-    resolved = name or os.environ.get(SCALE_ENV_VAR, "") or "default"
+    resolved = name or os.environ.get(REPRO_PROFILE, "") or "default"
     try:
         return SCALES[resolved]
     except KeyError:

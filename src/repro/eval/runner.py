@@ -60,11 +60,6 @@ __all__ = [
     "clear_result_cache",
 ]
 
-#: when set to a path, every *actual* trace synthesis appends one JSON line
-#: ``{"pid": ..., "workload": ...}`` there — lets tests assert that pool
-#: workers served traces from the store instead of re-synthesizing.
-SYNTH_LOG_ENV = REPRO_SYNTH_LOG
-
 _TRACE_CACHE: Dict[Tuple[str, int, int, int], List[Trace]] = {}
 _BLOCK_CACHE: Dict[Tuple[str, int, int, int], List[native.BlockColumns]] = {}
 _COMPILED_CACHE: Dict[Tuple[str, int, int, int, int], List[CompiledTrace]] = {}
@@ -82,7 +77,7 @@ def synthesis_count() -> int:
 def _note_synthesis(workload: str, n_cores: int, seed: int, n_instructions: int) -> None:
     global _synthesis_count
     _synthesis_count += 1
-    log_path = os.environ.get(SYNTH_LOG_ENV)
+    log_path = os.environ.get(REPRO_SYNTH_LOG)
     if not log_path:
         return
     record = {

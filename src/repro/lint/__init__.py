@@ -2,20 +2,12 @@
 environment-variable registry.
 
 See ``docs/static_analysis.md`` for the rule catalogue (R1, R4, R7, R8),
-how the persistent caches invalidate without a lint rule, the
-``repro.envvars`` registry R7 enforces, autofixes, SARIF output, and how to
-allowlist a legitimate exception.
+how the persistent caches invalidate without a lint rule, how R7 and
+``tests/unit/test_envvars.py`` split the ``repro.envvars`` checks, SARIF
+output, and how to allowlist a legitimate exception.
 """
 
-from repro.lint.engine import (
-    Fix,
-    LintError,
-    Project,
-    Rule,
-    TextEdit,
-    Violation,
-    run_rules,
-)
+from repro.lint.engine import LintError, Project, Rule, Violation, run_rules
 from repro.lint.rules import (
     DeterminismRule,
     DeterminismTaintRule,
@@ -29,11 +21,9 @@ __all__ = [
     "DeterminismTaintRule",
     "EnvRegistryRule",
     "ExecutorBoundaryRule",
-    "Fix",
     "LintError",
     "Project",
     "Rule",
-    "TextEdit",
     "Violation",
     "default_rules",
     "run_rules",

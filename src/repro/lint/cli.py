@@ -9,12 +9,9 @@ Usage::
     python -m repro.lint --rules R1,R4    # subset
     python -m repro.lint --list-rules
     python -m repro.lint --format sarif --output lint.sarif
-    python -m repro.lint --fix            # apply mechanical autofixes
     python -m repro.lint src/repro/core/engine.py   # scope the report
 
-Analysis facts are cached per file (content-hash keyed) under
-``.repro-cache/lint-facts.json``, so warm runs on an unchanged tree are
-sub-second; ``--no-cache`` forces full re-analysis.
+Every run parses the tree afresh and writes nothing but its report.
 """
 
 from __future__ import annotations
@@ -25,9 +22,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.cache import FactsCache
 from repro.lint.engine import LintError, Project, run_rules
-from repro.lint.fixes import apply_fixes
 from repro.lint.rules import default_rules
 from repro.lint.sarif import to_sarif
 
@@ -56,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         "files",
         nargs="*",
         help="optional file paths: rules still run on the whole tree, but "
-        "the report (and autofixes) are scoped to these files plus "
-        "project-level findings — what pre-commit passes",
+        "the report is scoped to these files plus project-level findings "
+        "— what pre-commit passes",
     )
     parser.add_argument(
         "--root",
@@ -84,17 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical autofixes (R1 clock/rng rewrites, R7 "
-        "registry-constant rewrites), then re-check",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the per-file analysis cache",
     )
     return parser
 
@@ -138,8 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except LintError as error:
         print(f"repro.lint: error: {error}", file=sys.stderr)
         return 2
-    facts_cache = None if args.no_cache else FactsCache.for_root(root)
-    project = Project(root, facts_cache=facts_cache)
+    project = Project(root)
 
     names = None
     if args.rules:
@@ -147,21 +130,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         scope = _relative_paths(project, args.files)
         violations = run_rules(project, rules, names=names)
-        if args.fix:
-            fixed = apply_fixes(
-                project,
-                [v for v in violations if not scope or v.path in scope],
-            )
-            for rel, count in sorted(fixed.items()):
-                print(f"repro.lint: fixed {count} violation(s) in {rel}")
-            if fixed:
-                violations = run_rules(project, rules, names=names)
     except LintError as error:
         print(f"repro.lint: error: {error}", file=sys.stderr)
         return 1
-    finally:
-        if facts_cache is not None:
-            facts_cache.save()
 
     if scope:
         keep = set(scope)

@@ -1,30 +1,20 @@
 """Shared per-module analysis pass for the lint rules.
 
 One walk over each module's AST produces a :data:`ModuleFacts` dict — a
-JSON-serializable summary of everything any rule wants to know about the
-file: import bindings, resolved dotted-name uses, ``os.environ`` accesses,
-module-level string constants, and intra-procedural determinism-taint
-flows.  Rules consume facts instead of
-re-walking the tree, so the whole rule set costs one parse per module —
-and, with the incremental cache (:mod:`repro.lint.cache`), zero parses for
-unchanged files.
-
-Facts are deliberately plain data (dicts/lists/strings/ints): they
-round-trip through JSON unchanged, which is what makes the on-disk cache
-trivial and trustworthy.  :data:`FACTS_VERSION` is baked into every cache
-entry; bump it whenever the shape or semantics of the facts change so
-stale cached analyses can never satisfy a newer rule.
+plain-data summary of everything any rule wants to know about the file:
+import bindings, resolved dotted-name uses, ``os.environ`` accesses,
+string literals that spell a ``REPRO_*`` name, and intra-procedural
+determinism-taint flows.  Rules consume facts instead of re-walking the
+tree, so the whole rule set costs one parse per module.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.engine import dotted_name
-
-#: bump on any change to the facts layout or the analyses that fill it.
-FACTS_VERSION = 2
 
 #: facts dict — see :func:`analyze_module` for the key inventory.
 ModuleFacts = Dict[str, Any]
@@ -74,17 +64,13 @@ _ENV_READ_CALLS = frozenset(
     {"os.environ.get", "os.environ.pop", "os.environ.setdefault", "os.getenv"}
 )
 
-Span = Tuple[int, int, int, int]
+#: a *complete* REPRO_* variable name (the bare prefix, or prose that
+#: merely starts with it, is not an env-var spelling).
+_ENV_NAME_RE = re.compile(r"^REPRO_[A-Z0-9][A-Z0-9_]*$")
 
 
-def _span(node: ast.AST) -> List[int]:
-    """``[lineno, col, end_lineno, end_col]`` of one node (JSON-friendly)."""
-    return [
-        node.lineno,
-        node.col_offset,
-        getattr(node, "end_lineno", node.lineno) or node.lineno,
-        getattr(node, "end_col_offset", node.col_offset) or node.col_offset,
-    ]
+def is_env_name(value: object) -> bool:
+    return isinstance(value, str) and _ENV_NAME_RE.match(value) is not None
 
 
 def module_matches(module: str, forbidden: str) -> bool:
@@ -105,17 +91,15 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
     Returns a plain-data facts dict with these keys:
 
     - ``bindings`` — name bound in the module → dotted path it resolves to.
-    - ``plain_imports`` — per ``import`` statement: ``{"names": [[module,
-      asname|None], ...], "span": [l, c, el, ec]}``.
+    - ``plain_imports`` — per ``import`` statement: ``{"names": [module,
+      ...], "lineno"}``.
     - ``from_imports`` — per ``from`` statement: ``{"module", "level",
-      "names": [[name, asname|None], ...], "lineno"}``.
-    - ``uses`` — resolved dotted attribute uses: ``[[dotted, span], ...]``.
+      "names": [name, ...], "lineno"}``.
+    - ``uses`` — resolved dotted attribute uses: ``[[dotted, lineno], ...]``.
     - ``env_accesses`` — every ``os.environ``/``os.getenv`` access:
-      ``{"key_kind": "literal"|"name"|"dynamic", "key", "span", "lineno",
-      "write": bool}`` (span covers the key expression, for autofix).
-    - ``module_constants`` — module-level ``NAME = "literal"`` or ``NAME =
-      other_name`` assignments: ``{name: {"kind": "literal"|"alias",
-      "value", "lineno"}}``.
+      ``{"key_kind": "literal"|"name"|"dynamic", "key", "lineno"}``.
+    - ``env_literals`` — every string literal that is a whole ``REPRO_*``
+      name: ``[[value, lineno], ...]``.
     - ``taint`` — R8 findings: ``{"lineno", "sink", "source",
       "source_line", "via"}`` per tainted-value-reaches-sink flow.
     """
@@ -124,24 +108,23 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
     from_imports: List[Dict[str, Any]] = []
     uses: List[List[Any]] = []
     env_accesses: List[Dict[str, Any]] = []
-    module_constants: Dict[str, Dict[str, Any]] = {}
+    env_literals: List[List[Any]] = []
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = []
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 bindings[bound] = alias.name if alias.asname else alias.name.split(".")[0]
-                names.append([alias.name, alias.asname])
-            plain_imports.append({"names": names, "span": _span(node)})
+            plain_imports.append(
+                {"names": [alias.name for alias in node.names], "lineno": node.lineno}
+            )
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
-            names = [[alias.name, alias.asname] for alias in node.names]
             from_imports.append(
                 {
                     "module": module,
                     "level": node.level,
-                    "names": names,
+                    "names": [alias.name for alias in node.names],
                     "lineno": node.lineno,
                 }
             )
@@ -160,18 +143,11 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
             if resolved is None:
                 continue
             full = f"{resolved}.{rest}" if rest else resolved
-            uses.append([full, _span(node)])
+            uses.append([full, node.lineno])
+        elif isinstance(node, ast.Constant) and is_env_name(node.value):
+            env_literals.append([node.value, node.lineno])
 
     _collect_env_accesses(tree, bindings, env_accesses)
-
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                _record_constant(module_constants, target.id, node.value, bindings)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                _record_constant(module_constants, node.target.id, node.value, bindings)
 
     taint = _analyze_taint(tree, bindings)
 
@@ -181,25 +157,9 @@ def analyze_module(tree: ast.Module) -> ModuleFacts:
         "from_imports": from_imports,
         "uses": uses,
         "env_accesses": env_accesses,
-        "module_constants": module_constants,
+        "env_literals": env_literals,
         "taint": taint,
     }
-
-
-def _record_constant(
-    constants: Dict[str, Dict[str, Any]],
-    name: str,
-    value: ast.expr,
-    bindings: Dict[str, str],
-) -> None:
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        constants[name] = {"kind": "literal", "value": value.value, "lineno": value.lineno}
-    elif isinstance(value, ast.Name):
-        constants[name] = {
-            "kind": "alias",
-            "value": bindings.get(value.id, value.id),
-            "lineno": value.lineno,
-        }
 
 
 # --------------------------------------------------------------------- #
@@ -217,20 +177,14 @@ def _resolve_dotted(node: ast.AST, bindings: Dict[str, str]) -> Optional[str]:
     return f"{resolved}.{rest}" if rest else resolved
 
 
-def _key_record(key: ast.expr, lineno: int, write: bool) -> Dict[str, Any]:
+def _key_record(key: ast.expr, lineno: int) -> Dict[str, Any]:
     if isinstance(key, ast.Constant) and isinstance(key.value, str):
         kind, value = "literal", key.value
     elif isinstance(key, ast.Name):
         kind, value = "name", key.id
     else:
         kind, value = "dynamic", ""
-    return {
-        "key_kind": kind,
-        "key": value,
-        "span": _span(key),
-        "lineno": lineno,
-        "write": write,
-    }
+    return {"key_kind": kind, "key": value, "lineno": lineno}
 
 
 def _collect_env_accesses(
@@ -240,17 +194,16 @@ def _collect_env_accesses(
         if isinstance(node, ast.Call):
             resolved = _resolve_dotted(node.func, bindings)
             if resolved in _ENV_READ_CALLS and node.args:
-                out.append(_key_record(node.args[0], node.lineno, write=False))
+                out.append(_key_record(node.args[0], node.lineno))
         elif isinstance(node, ast.Subscript):
             resolved = _resolve_dotted(node.value, bindings)
             if resolved == "os.environ":
-                write = isinstance(node.ctx, (ast.Store, ast.Del))
-                out.append(_key_record(node.slice, node.lineno, write=write))
+                out.append(_key_record(node.slice, node.lineno))
         elif isinstance(node, ast.Compare):
             if len(node.ops) == 1 and isinstance(node.ops[0], (ast.In, ast.NotIn)):
                 resolved = _resolve_dotted(node.comparators[0], bindings)
                 if resolved == "os.environ":
-                    out.append(_key_record(node.left, node.lineno, write=False))
+                    out.append(_key_record(node.left, node.lineno))
 
 
 # --------------------------------------------------------------------- #

@@ -16,10 +16,9 @@ fixture trees in its own unit tests.
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 
 class LintError(RuntimeError):
@@ -33,31 +32,6 @@ class LintError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TextEdit:
-    """One span replacement in a file (0-based columns, 1-based lines)."""
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical autofix: span edits plus imports the edits rely on.
-
-    ``imports`` entries are whole import statements (``from repro.util
-    import clock``); the applier inserts each one only when the file does
-    not already contain it.
-    """
-
-    edits: Tuple[TextEdit, ...]
-    imports: Tuple[str, ...] = ()
-    description: str = ""
-
-
-@dataclass(frozen=True)
 class Violation:
     """One finding: where, which rule, what is wrong, and how to fix it."""
 
@@ -66,7 +40,6 @@ class Violation:
     line: int  #: 1-based line number, 0 for file- or project-level findings
     message: str
     hint: str = ""
-    fix: Optional[Fix] = field(default=None, compare=False)
 
     def format(self) -> str:
         location = self.path or "<project>"
@@ -86,15 +59,11 @@ class Project:
     lives (the unit tests lint fixture trees under ``tmp_path``).
     """
 
-    def __init__(self, root, facts_cache: Optional[Any] = None) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root).resolve()
         self._sources: Dict[str, str] = {}
         self._trees: Dict[str, ast.Module] = {}
-        self._hashes: Dict[str, str] = {}
         self._facts: Dict[str, Dict[str, Any]] = {}
-        #: optional repro.lint.cache.FactsCache; when attached, per-file
-        #: analysis facts persist across runs keyed on content hash.
-        self.facts_cache = facts_cache
 
     def path(self, rel: str) -> Path:
         return self.root / rel
@@ -125,51 +94,23 @@ class Project:
             self._trees[rel] = cached
         return cached
 
-    def content_hash(self, rel: str) -> str:
-        """SHA-256 of the file's newline-normalized source (cached)."""
-        cached = self._hashes.get(rel)
-        if cached is None:
-            cached = hashlib.sha256(self.source(rel).encode("utf-8")).hexdigest()
-            self._hashes[rel] = cached
-        return cached
-
     def facts(self, rel: str) -> Dict[str, Any]:
-        """Per-file analysis facts (:mod:`repro.lint.dataflow`), cached.
-
-        Resolution order: this Project's in-memory map → the attached
-        persistent facts cache (content-hash keyed) → a fresh analysis of
-        the parsed tree (which is then offered back to the cache).
-        """
+        """Per-file analysis facts (:mod:`repro.lint.dataflow`), cached."""
         cached = self._facts.get(rel)
-        if cached is not None:
-            return cached
-        from repro.lint.dataflow import analyze_module
+        if cached is None:
+            from repro.lint.dataflow import analyze_module
 
-        digest = self.content_hash(rel)
-        facts: Optional[Dict[str, Any]] = None
-        if self.facts_cache is not None:
-            facts = self.facts_cache.get(rel, digest)
-        if facts is None:
-            facts = analyze_module(self.tree(rel))
-            if self.facts_cache is not None:
-                self.facts_cache.put(rel, digest, facts)
-        self._facts[rel] = facts
-        return facts
+            cached = analyze_module(self.tree(rel))
+            self._facts[rel] = cached
+        return cached
 
     def iter_python(self, rel_dir: str) -> List[str]:
         """Sorted relative paths of every ``*.py`` file under *rel_dir*."""
-        return self.iter_files(rel_dir, ("*.py",))
-
-    def iter_files(self, rel_dir: str, patterns: Sequence[str]) -> List[str]:
-        """Sorted relative paths of every file under *rel_dir* matching one
-        of the glob *patterns*."""
         base = self.path(rel_dir)
         if not base.is_dir():
             return []
         return sorted(
-            found.relative_to(self.root).as_posix()
-            for pattern in patterns
-            for found in base.rglob(pattern)
+            found.relative_to(self.root).as_posix() for found in base.rglob("*.py")
         )
 
 
@@ -178,8 +119,8 @@ class Rule:
 
     Subclasses set :attr:`name` (the short ``R<n>`` id used in reports and
     ``--rules`` selection) and :attr:`title`, and implement :meth:`check`.
-    Each rule owns its allowlist — exceptions are explicit, reviewed data,
-    never silent scope carve-outs.
+    Exceptions are explicit, reviewed data in the rule's own source (R1's
+    allowlist), never silent scope carve-outs.
     """
 
     name = "R?"

@@ -47,15 +47,12 @@ from repro.trace.io import read_trace, write_trace
 from repro.trace.record import INSTRUCTION_SIZE, BlockEvent
 from repro.trace.stream import Trace
 
-EXTERNAL_DIR_ENV = REPRO_EXTERNAL_TRACES
-
 #: workload-name prefix under which ingested traces are addressable from a
 #: :class:`~repro.eval.runspec.RunSpec` (resolved by :mod:`repro.trace.source`).
 EXTERNAL_PREFIX = "external:"
 
 #: mirrors the trace store's default-directory derivation without importing
-#: eval (both alias constants from the shared :mod:`repro.envvars` registry).
-_RESULT_CACHE_DIR_ENV = REPRO_CACHE_DIR
+#: eval.
 _DEFAULT_RESULT_CACHE_DIR = ".repro-cache"
 _SUBDIR = "external"
 
@@ -102,10 +99,10 @@ class IngestError(ValueError):
 
 def external_dir() -> Path:
     """Directory holding ingested external traces."""
-    explicit = os.environ.get(EXTERNAL_DIR_ENV)
+    explicit = os.environ.get(REPRO_EXTERNAL_TRACES)
     if explicit:
         return Path(explicit)
-    cache_root = os.environ.get(_RESULT_CACHE_DIR_ENV) or _DEFAULT_RESULT_CACHE_DIR
+    cache_root = os.environ.get(REPRO_CACHE_DIR) or _DEFAULT_RESULT_CACHE_DIR
     return Path(cache_root) / _SUBDIR
 
 

@@ -34,13 +34,8 @@ from repro.trace.compiled import CompiledTrace, CompiledTraceError
 from repro.util.filestore import EntryDir
 from repro.util.validation import parse_env_flag
 
-TRACE_DIR_ENV = REPRO_TRACE_DIR
-DISABLE_ENV = REPRO_TRACE_STORE
-
-#: mirrors :data:`repro.eval.diskcache.CACHE_DIR_ENV` / ``DEFAULT_CACHE_DIR``
-#: without importing eval from trace (layering — both alias constants from
-#: the shared top-level :mod:`repro.envvars` registry).
-_RESULT_CACHE_DIR_ENV = REPRO_CACHE_DIR
+#: mirrors :data:`repro.eval.diskcache.DEFAULT_CACHE_DIR` without importing
+#: eval from trace (layering).
 _DEFAULT_RESULT_CACHE_DIR = ".repro-cache"
 _SUBDIR = "traces"
 
@@ -49,14 +44,16 @@ SUFFIX = ".ctrace"
 
 def enabled() -> bool:
     """Is the trace store active?  ``REPRO_TRACE_STORE=0`` opts out."""
-    return parse_env_flag(DISABLE_ENV, os.environ.get(DISABLE_ENV), default=True)
+    return parse_env_flag(
+        REPRO_TRACE_STORE, os.environ.get(REPRO_TRACE_STORE), default=True
+    )
 
 
 def trace_dir() -> Path:
-    explicit = os.environ.get(TRACE_DIR_ENV)
+    explicit = os.environ.get(REPRO_TRACE_DIR)
     if explicit:
         return Path(explicit)
-    cache_root = os.environ.get(_RESULT_CACHE_DIR_ENV) or _DEFAULT_RESULT_CACHE_DIR
+    cache_root = os.environ.get(REPRO_CACHE_DIR) or _DEFAULT_RESULT_CACHE_DIR
     return Path(cache_root) / _SUBDIR
 
 

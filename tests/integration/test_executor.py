@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.core import jitted
+from repro.envvars import REPRO_CACHE_DIR, REPRO_JOBS
 from repro.eval import diskcache, executor
 from repro.eval.executor import (
     execute_spec,
@@ -65,13 +66,13 @@ def metrics(result):
 def parallel_matches_serial(tmp_path, monkeypatch, specs, pool):
     """A jobs=2 batch of *specs* runs on *pool*, and its results equal a
     serial batch's exactly."""
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "serial"))
+    monkeypatch.setenv(REPRO_CACHE_DIR, str(tmp_path / "serial"))
     serial_results, serial_report = run_specs_report(specs, jobs=1)
     serial = {s: metrics(r) for s, r in serial_results.items()}
     assert serial_report.pool == "serial"
 
     executor.clear_memo()
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "parallel"))
+    monkeypatch.setenv(REPRO_CACHE_DIR, str(tmp_path / "parallel"))
     results, report = run_specs_report(specs, jobs=2)
     parallel = {s: metrics(r) for s, r in results.items()}
 
@@ -89,18 +90,18 @@ def fresh_memo():
 
 class TestResolveJobs:
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(executor.JOBS_ENV, "8")
+        monkeypatch.setenv(REPRO_JOBS, "8")
         assert resolve_jobs(3) == 3
 
     def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(executor.JOBS_ENV, "5")
+        monkeypatch.setenv(REPRO_JOBS, "5")
         assert resolve_jobs() == 5
-        monkeypatch.setenv(executor.JOBS_ENV, "not-a-number")
+        monkeypatch.setenv(REPRO_JOBS, "not-a-number")
         with pytest.raises(ValueError, match="REPRO_JOBS"):
             resolve_jobs()
 
     def test_floor_of_one(self, monkeypatch):
-        monkeypatch.delenv(executor.JOBS_ENV, raising=False)
+        monkeypatch.delenv(REPRO_JOBS, raising=False)
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-4) == 1
 
@@ -173,7 +174,7 @@ class TestBitIdenticalDeterminism:
 
     def test_parallel_results_land_in_memo_and_disk(self, tmp_path, monkeypatch):
         specs = tiny_specs()
-        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "pool"))
+        monkeypatch.setenv(REPRO_CACHE_DIR, str(tmp_path / "pool"))
         run_specs(specs, jobs=2)
         assert memo_size() == len(specs)
         assert diskcache.entry_count() == len(specs)
@@ -187,7 +188,7 @@ class TestBitIdenticalDeterminism:
         )
         serial = metrics(execute_spec(spec))
         executor.clear_memo()
-        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "swpf"))
+        monkeypatch.setenv(REPRO_CACHE_DIR, str(tmp_path / "swpf"))
         # Force the pool path by pairing it with a second pending spec.
         other = tiny_specs()[0]
         results, report = run_specs_report([spec, other], jobs=2)

@@ -8,6 +8,7 @@ identically), and lands ordinary :class:`SystemResult`\\ s.
 
 import pytest
 
+from repro.envvars import REPRO_CACHE_DIR
 from repro.eval import executor
 from repro.eval.executor import run_specs_report
 from repro.eval.profiles import ExperimentScale
@@ -90,14 +91,12 @@ def metrics(result):
 
 
 def test_pooled_external_sweep_matches_serial(ingested, tmp_path, monkeypatch):
-    from repro.eval import diskcache
-
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "serial"))
+    monkeypatch.setenv(REPRO_CACHE_DIR, str(tmp_path / "serial"))
     serial, _ = run_specs_report(sweep_specs(ingested), jobs=1)
 
     executor.clear_memo()
     clear_trace_cache()
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "pool"))
+    monkeypatch.setenv(REPRO_CACHE_DIR, str(tmp_path / "pool"))
     pooled, _ = run_specs_report(sweep_specs(ingested), jobs=2)
 
     assert set(serial) == set(pooled)

@@ -12,10 +12,10 @@ import os
 
 import pytest
 
+from repro.envvars import REPRO_JOBS, REPRO_SYNTH_LOG
 from repro.eval import executor
 from repro.eval.profiles import ExperimentScale
 from repro.eval.runner import (
-    SYNTH_LOG_ENV,
     clear_trace_cache,
     precompile_for_specs,
     synthesis_count,
@@ -94,8 +94,8 @@ class TestPrecompile:
 class TestPooledSweep:
     def test_workers_load_from_store_parent_synthesizes(self, tmp_path, monkeypatch):
         log_path = str(tmp_path / "synth.jsonl")
-        monkeypatch.setenv(SYNTH_LOG_ENV, log_path)
-        monkeypatch.setenv(executor.JOBS_ENV, "2")
+        monkeypatch.setenv(REPRO_SYNTH_LOG, log_path)
+        monkeypatch.setenv(REPRO_JOBS, "2")
 
         specs = tiny_specs()
         results = executor.run_specs(specs, jobs=2)

@@ -33,6 +33,7 @@ from repro.caches.missclass import MissBreakdown
 from repro.cmp.system import System, SystemResult
 from repro.core import backends, jitted
 from repro.core.metrics import CoreStats, PrefetchStats
+from repro.envvars import REPRO_ENGINE_BACKEND
 from repro.eval.profiles import get_scale
 from repro.eval.runner import run_system
 from repro.eval.runspec import RunSpec
@@ -179,11 +180,11 @@ def test_resolve_backend_rejects_unknown() -> None:
 
 
 def test_resolve_backend_env(monkeypatch) -> None:
-    monkeypatch.setenv(backends.ENGINE_BACKEND_ENV, "jit")
+    monkeypatch.setenv(REPRO_ENGINE_BACKEND, "jit")
     assert backends.resolve_backend("auto") == "jit"
     assert backends.resolve_backend(None) == "jit"
     assert backends.resolve_backend("reference") == "reference"
-    monkeypatch.delenv(backends.ENGINE_BACKEND_ENV)
+    monkeypatch.delenv(REPRO_ENGINE_BACKEND)
     monkeypatch.setattr(backends, "_jit_available", lambda: True)
     assert backends.resolve_backend("auto") == "jit"
     monkeypatch.setattr(backends, "_jit_available", lambda: False)
@@ -233,9 +234,9 @@ UNKNOWN = ValueError
 )
 def test_resolve_backend_table(monkeypatch, request_name, n_cores, env, jit_ok, expected):
     if env is None:
-        monkeypatch.delenv(backends.ENGINE_BACKEND_ENV, raising=False)
+        monkeypatch.delenv(REPRO_ENGINE_BACKEND, raising=False)
     else:
-        monkeypatch.setenv(backends.ENGINE_BACKEND_ENV, env)
+        monkeypatch.setenv(REPRO_ENGINE_BACKEND, env)
     monkeypatch.setattr(backends, "_jit_available", lambda: jit_ok)
     if expected is UNKNOWN:
         with pytest.raises(ValueError, match="unknown engine backend"):
@@ -284,7 +285,7 @@ def test_auto_system_engines_follow_core_count(monkeypatch) -> None:
         pytest.skip("no C compiler: jit kernel unbuildable")
     from repro.core.jitted import JittedCoreEngine
 
-    monkeypatch.delenv(backends.ENGINE_BACKEND_ENV, raising=False)
+    monkeypatch.delenv(REPRO_ENGINE_BACKEND, raising=False)
     for n_cores in (1, 2):
         system = System(
             SystemConfig(n_cores=n_cores, engine_backend="auto"),
@@ -303,7 +304,7 @@ def test_multicore_auto_without_jit_uses_reference(monkeypatch) -> None:
     from repro.core.engine import CoreEngine
     from repro.eval.runner import get_traces
 
-    monkeypatch.delenv(backends.ENGINE_BACKEND_ENV, raising=False)
+    monkeypatch.delenv(REPRO_ENGINE_BACKEND, raising=False)
     monkeypatch.setattr(backends, "_jit_available", lambda: False)
     for n_cores in (1, 2):
         system = System(

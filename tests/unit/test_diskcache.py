@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import version
+from repro.envvars import REPRO_CACHE_DIR, REPRO_DISK_CACHE
 from repro.eval import diskcache
 from repro.eval.profiles import ExperimentScale
 from repro.eval.runner import run_system
@@ -90,11 +91,11 @@ def test_corrupt_entry_is_a_miss_not_an_error(tiny_run):
 def test_disable_env_turns_the_cache_off(tiny_run, monkeypatch):
     spec, result = tiny_run
     for value in ("0", "off", "false", "no"):
-        monkeypatch.setenv(diskcache.DISABLE_ENV, value)
+        monkeypatch.setenv(REPRO_DISK_CACHE, value)
         assert not diskcache.enabled()
         assert not diskcache.store(spec, result)
         assert diskcache.load(spec) is None
-    monkeypatch.setenv(diskcache.DISABLE_ENV, "1")
+    monkeypatch.setenv(REPRO_DISK_CACHE, "1")
     assert diskcache.enabled()
 
 
@@ -156,7 +157,7 @@ def test_unwritable_cache_dir_degrades_gracefully(tiny_run, tmp_path, monkeypatc
     spec, result = tiny_run
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(blocker / "cache"))
+    monkeypatch.setenv(REPRO_CACHE_DIR, str(blocker / "cache"))
     assert not diskcache.store(spec, result)
     assert diskcache.load(spec) is None
 

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.envvars import REPRO_STRICT_EXPECTATIONS
 from repro.eval import cli
 from repro.eval.executor import SweepError, SweepReport
 from repro.eval.profiles import ExperimentScale
@@ -171,7 +172,7 @@ class TestStrictMode:
     def test_failed_verdicts_are_advisory_by_default(
         self, failing_run, monkeypatch, capsys
     ):
-        monkeypatch.delenv(cli.STRICT_ENV, raising=False)
+        monkeypatch.delenv(REPRO_STRICT_EXPECTATIONS, raising=False)
         assert cli.main(["fake-experiment"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" in out
@@ -181,7 +182,7 @@ class TestStrictMode:
         assert "strict mode" in capsys.readouterr().err
 
     def test_strict_env_exits_nonzero(self, failing_run, monkeypatch, capsys):
-        monkeypatch.setenv(cli.STRICT_ENV, "1")
+        monkeypatch.setenv(REPRO_STRICT_EXPECTATIONS, "1")
         assert cli.main(["fake-experiment"]) == 1
         assert "strict mode" in capsys.readouterr().err
 

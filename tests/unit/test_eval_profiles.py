@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.envvars import REPRO_PROFILE
 from repro.eval.profiles import ExperimentScale
-from repro.eval.profiles import SCALE_ENV_VAR, SCALES, get_scale
+from repro.eval.profiles import SCALES, get_scale
 from repro.eval.runner import (
     clear_result_cache,
     clear_trace_cache,
@@ -40,11 +41,11 @@ class TestScales:
         assert get_scale("smoke") is SCALES["smoke"]
 
     def test_get_scale_env(self, monkeypatch):
-        monkeypatch.setenv(SCALE_ENV_VAR, "full")
+        monkeypatch.setenv(REPRO_PROFILE, "full")
         assert get_scale() is SCALES["full"]
 
     def test_get_scale_default(self, monkeypatch):
-        monkeypatch.delenv(SCALE_ENV_VAR, raising=False)
+        monkeypatch.delenv(REPRO_PROFILE, raising=False)
         assert get_scale() is SCALES["default"]
 
     def test_get_scale_unknown(self):

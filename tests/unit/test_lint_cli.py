@@ -1,5 +1,5 @@
-"""CLI surface of the analysis framework: SARIF output, ``--fix``,
-file scoping, ``--output``, and the incremental facts cache.
+"""CLI surface of the analysis framework: SARIF output, file scoping and
+``--output``.
 
 Exit-code basics (clean/violation/usage, ``--rules``, ``--list-rules``)
 live in ``test_lint_engine.py``; this file covers everything added with the
@@ -12,24 +12,10 @@ import json
 
 import pytest
 
-from repro.lint.cache import CACHE_REL_PATH
 from repro.lint.cli import main
-from tests.unit.conftest import write_tree_file
-from tests.unit.test_lint_env_registry import (
-    READER_MODULE,
-    REGISTRY_MODULE,
-    REGISTRY_OK,
-)
+from tests.unit.test_lint_env_registry import READER_MODULE
 
 R1_VIOLATION = {"src/repro/core/walker.py": "import random\n"}
-
-FIXABLE_READER = """
-    import os
-
-
-    def jobs():
-        return os.environ.get("REPRO_JOBS", "1")
-    """
 
 #: enough of the SARIF 2.1.0 shape to catch structural regressions; the
 #: full OASIS schema needs a network fetch, so validation is best-effort
@@ -184,45 +170,8 @@ def test_sarif_validates_against_minimal_schema(lint_tree, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# --fix
+# file scoping
 # --------------------------------------------------------------------- #
-
-
-def test_fix_repairs_a_literal_env_read(lint_tree, capsys):
-    project = lint_tree(
-        {REGISTRY_MODULE: REGISTRY_OK, READER_MODULE: FIXABLE_READER}
-    )
-    assert main(["--root", str(project.root)]) == 1
-    capsys.readouterr()
-    assert main(["--root", str(project.root), "--fix"]) == 0
-    out = capsys.readouterr().out
-    assert f"fixed 1 violation(s) in {READER_MODULE}" in out
-    repaired = project.path(READER_MODULE).read_text(encoding="utf-8")
-    assert "from repro.envvars import REPRO_JOBS" in repaired
-    assert '"REPRO_JOBS"' not in repaired
-    assert main(["--root", str(project.root)]) == 0
-
-
-def test_fix_is_scoped_to_the_named_files(lint_tree, capsys):
-    other = "src/repro/eval/other_report.py"
-    project = lint_tree(
-        {
-            REGISTRY_MODULE: REGISTRY_OK,
-            READER_MODULE: FIXABLE_READER,
-            other: FIXABLE_READER,
-        }
-    )
-    # pre-commit semantics: only the named file is fixed *and* reported.
-    code = main(
-        ["--root", str(project.root), "--fix", str(project.path(READER_MODULE))]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert f"fixed 1 violation(s) in {READER_MODULE}" in out
-    assert other not in out
-    assert '"REPRO_JOBS"' in project.path(other).read_text(encoding="utf-8")
-    # the unscoped run still sees the untouched file's violation.
-    assert main(["--root", str(project.root)]) == 1
 
 
 def test_report_scoping_filters_clean_files_to_exit_zero(lint_tree, capsys):
@@ -242,38 +191,6 @@ def test_file_outside_the_root_is_an_error(lint_tree, tmp_path, capsys):
 
 
 # --------------------------------------------------------------------- #
-# incremental facts cache
-# --------------------------------------------------------------------- #
-
-
-def test_cache_is_written_and_warm_runs_stay_correct(lint_tree):
-    project = lint_tree()
-    cache_path = project.path(CACHE_REL_PATH)
-    assert main(["--root", str(project.root)]) == 0
-    assert cache_path.is_file()
-    # warm run, unchanged tree: still clean.
-    assert main(["--root", str(project.root)]) == 0
-    # an edit must invalidate its entry (content-hash keying): the new
-    # violation shows even though every other file is served from cache.
-    write_tree_file(project.root, "src/repro/core/walker.py", "import random\n")
-    assert main(["--root", str(project.root)]) == 1
-
-
-def test_no_cache_flag_skips_the_cache_file(lint_tree):
-    project = lint_tree()
-    assert main(["--root", str(project.root), "--no-cache"]) == 0
-    assert not project.path(CACHE_REL_PATH).exists()
-
-
-def test_corrupt_cache_degrades_to_reanalysis(lint_tree):
-    project = lint_tree()
-    cache_path = project.path(CACHE_REL_PATH)
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    cache_path.write_text("{not json", encoding="utf-8")
-    assert main(["--root", str(project.root)]) == 0
-
-
-# --------------------------------------------------------------------- #
 # odds and ends
 # --------------------------------------------------------------------- #
 
@@ -290,3 +207,9 @@ def test_text_output_goes_to_the_named_file(lint_tree, tmp_path):
     assert main(["--root", str(project.root), "--output", str(out)]) == 0
     assert "repro.lint: OK" in out.read_text(encoding="utf-8")
 
+
+def test_a_run_writes_no_file(lint_tree):
+    project = lint_tree(R1_VIOLATION)
+    before = sorted(project.root.rglob("*"))
+    assert main(["--root", str(project.root)]) == 1
+    assert sorted(project.root.rglob("*")) == before

@@ -79,7 +79,7 @@ def test_lambda_and_set_literal_in_worker_fail(lint_tree):
     assert any("set constructed" in message for message in messages)
 
 
-def test_class_instance_in_payload_fails_unless_allowlisted(lint_tree):
+def test_class_instance_in_payload_fails(lint_tree):
     overrides = {
         "src/repro/eval/executor.py": """
         from repro.eval import diskcache
@@ -98,11 +98,6 @@ def test_class_instance_in_payload_fails_unless_allowlisted(lint_tree):
     violations = ExecutorBoundaryRule().check(project)
     assert len(violations) == 1
     assert "Payload()" in violations[0].message
-
-    allowing = ExecutorBoundaryRule(
-        allowed_calls={"Payload": "returns a plain dict, verified in review"}
-    )
-    assert allowing.check(project) == []
 
 
 def test_sweep_summary_builder_is_guarded(lint_tree):
@@ -147,4 +142,4 @@ def test_renamed_builder_is_reported(lint_tree):
     violations = ExecutorBoundaryRule().check(project)
     assert len(violations) == 1
     assert "'_worker' not found" in violations[0].message
-    assert "DEFAULT_TARGETS" in violations[0].hint
+    assert "ExecutorBoundaryRule.TARGETS" in violations[0].hint

@@ -22,6 +22,7 @@ from repro import version
 from repro.cmp.link import OffChipLink
 from repro.cmp.system import SystemConfig, SystemResult
 from repro.core.metrics import CoreStats
+from repro.envvars import REPRO_CACHE_DIR, REPRO_TRACE_DIR
 from repro.eval import diskcache
 from repro.eval.runspec import RunSpec
 from repro.trace import store as trace_store
@@ -50,7 +51,7 @@ def _result_cache() -> Store:
         SystemConfig(n_cores=1), [core], OffChipLink(bytes_per_cycle=2.0, line_size=64)
     )
     return Store(
-        diskcache.CACHE_DIR_ENV,
+        REPRO_CACHE_DIR,
         diskcache.cache_dir,
         lambda: diskcache.store(spec, result),
         lambda: diskcache.load(spec),
@@ -64,7 +65,7 @@ def _trace_store() -> Store:
     key = dict(workload="manual", seed=3, core=0, n_instructions=24)
     compiled = CompiledTrace.compile(Trace("manual", 3, events), 64, **key)
     return Store(
-        trace_store.TRACE_DIR_ENV,
+        REPRO_TRACE_DIR,
         trace_store.trace_dir,
         lambda: trace_store.store(compiled),
         lambda: trace_store.load(**key, line_size=64),

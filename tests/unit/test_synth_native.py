@@ -20,9 +20,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.jitted import CORE, kernel_source_hash
+from repro.envvars import REPRO_TRACE_STORE
 from repro.eval import runner
 from repro.eval.runspec import DEFAULT_SEED
-from repro.trace import store as trace_store
 from repro.trace.compiled import CompiledTrace
 from repro.trace.source import resolve, source_names
 from repro.trace.synth import native
@@ -146,7 +146,7 @@ def test_invalid_requests_raise_like_python():
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    monkeypatch.setenv(trace_store.DISABLE_ENV, "0")
+    monkeypatch.setenv(REPRO_TRACE_STORE, "0")
     runner.clear_trace_cache()
     yield
     runner.clear_trace_cache()

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.envvars import REPRO_TRACE_DIR, REPRO_TRACE_STORE
 from repro.eval.runner import (
     clear_trace_cache,
     get_compiled_traces,
@@ -107,7 +108,7 @@ class TestStore:
         assert store.load("other", 3, 0, 500, 64) is None
 
     def test_disable_env(self, monkeypatch):
-        monkeypatch.setenv(store.DISABLE_ENV, "0")
+        monkeypatch.setenv(REPRO_TRACE_STORE, "0")
         assert not store.store(make_compiled())
         assert store.load(**KEY, line_size=64) is None
         assert not store.enabled()
@@ -118,9 +119,9 @@ class TestStore:
         assert store.entry_count() == 0
 
     def test_trace_dir_env_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(store.TRACE_DIR_ENV, str(tmp_path / "override"))
+        monkeypatch.setenv(REPRO_TRACE_DIR, str(tmp_path / "override"))
         assert store.trace_dir() == tmp_path / "override"
-        monkeypatch.delenv(store.TRACE_DIR_ENV)
+        monkeypatch.delenv(REPRO_TRACE_DIR)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert store.trace_dir() == tmp_path / "cache" / "traces"
 

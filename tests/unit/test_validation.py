@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.envvars import (
+    REPRO_DISK_CACHE,
+    REPRO_STRICT_EXPECTATIONS,
+    REPRO_TRACE_STORE,
+)
 from repro.eval import cli, diskcache
 from repro.trace import store
 from repro.util.validation import check_positive, check_power_of_two, check_probability
@@ -42,9 +47,9 @@ class TestCheckProbability:
 
 #: every boolean REPRO_* knob: (variable, reader, default when unset/empty).
 BOOLEAN_KNOBS = [
-    (diskcache.DISABLE_ENV, diskcache.enabled, True),
-    (store.DISABLE_ENV, store.enabled, True),
-    (cli.STRICT_ENV, lambda: cli._strict_enabled(None), False),
+    (REPRO_DISK_CACHE, diskcache.enabled, True),
+    (REPRO_TRACE_STORE, store.enabled, True),
+    (REPRO_STRICT_EXPECTATIONS, lambda: cli._strict_enabled(None), False),
 ]
 
 
