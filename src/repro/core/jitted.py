@@ -29,7 +29,7 @@ concatenated into one translation unit by :func:`kernel_source`:
   its family to reference stepping, with a logged reason.
 
 Each object is compiled once per hash of its flags and source with the
-system C compiler (``cc -O1 -fPIC -shared -ffp-contract=off``), cached
+system C compiler (``-O1 -fPIC -ffp-contract=off``, linked ``-shared``), cached
 under ``REPRO_JIT_CACHE_DIR`` (default ``.repro-cache/jit``), and loaded
 through :mod:`ctypes` — all by :mod:`repro.util.ccompile`, which also
 builds the compiled trace synthesizer.  :func:`kernel_source_hash` with no

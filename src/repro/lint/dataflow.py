@@ -218,6 +218,10 @@ def _sink_match(resolved: str) -> Optional[str]:
     return None
 
 
+def _call_args(call: ast.Call) -> List[ast.expr]:
+    return list(call.args) + [kw.value for kw in call.keywords]
+
+
 class _FunctionTaint:
     """One-function def-use taint walk (source order, two passes so
     loop-carried taint converges)."""
@@ -261,7 +265,7 @@ class _FunctionTaint:
             direct = self.call_source(node)
             if direct is not None:
                 return direct
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+            for arg in _call_args(node):
                 found = self.expr_taint(arg)
                 if found is not None:
                     return found
@@ -313,19 +317,30 @@ class _FunctionTaint:
                 else:
                     self.set_vars.discard(name)
 
+    def sink_of(self, node: ast.AST) -> Optional[str]:
+        """The TAINT_SINKS entry *node* calls, if it is a sink call."""
+        if not isinstance(node, ast.Call):
+            return None
+        resolved = self.resolve(node.func)
+        return None if resolved is None else _sink_match(resolved)
+
+    def reaches_inner_sink(self, arg: ast.AST, found: Tuple[str, int]) -> bool:
+        """Does *found* reach a sink call inside *arg*?  That sink reports
+        the flow, so each flow is reported once, at its innermost sink."""
+        return any(
+            self.sink_of(inner) is not None
+            and any(self.expr_taint(a) == found for a in _call_args(inner))
+            for inner in ast.walk(arg)
+        )
+
     def check_sinks(self, node: ast.AST) -> None:
         for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            resolved = self.resolve(call.func)
-            if resolved is None:
-                continue
-            sink = _sink_match(resolved)
+            sink = self.sink_of(call)
             if sink is None:
                 continue
-            for arg in list(call.args) + [kw.value for kw in call.keywords]:
+            for arg in _call_args(call):
                 found = self.expr_taint(arg)
-                if found is None:
+                if found is None or self.reaches_inner_sink(arg, found):
                     continue
                 key = (call.lineno, found[0])
                 if key in self.reported:

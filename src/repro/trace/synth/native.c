@@ -687,9 +687,10 @@ enum {
     K_TRAP = 8
 };
 
-/* Make room for one more event (and its closing data offset). */
+/* Make room for one more event and its closing data offset, which emit
+ * writes at n_events + 1: all four arrays share one capacity. */
 static int reserve_event(Blocks *out) {
-    int64_t need = out->n_events + 1, cap;
+    int64_t need = out->n_events + 2, cap;
     if (need <= out->events_cap) {
         return 0;
     }
@@ -706,7 +707,7 @@ static int reserve_event(Blocks *out) {
         return -1;
     }
     cap = out->events_cap;
-    if (reserve((void **)&out->data_offsets, &cap, need + 1, sizeof(int64_t))) {
+    if (reserve((void **)&out->data_offsets, &cap, need, sizeof(int64_t))) {
         return -1;
     }
     out->events_cap = cap;

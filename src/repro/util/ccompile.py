@@ -6,22 +6,30 @@ The compiled parts of the simulator (the jit engine kernel in
 toolchain.  This module is the one place that knows how:
 
 - the compiler is the first of ``cc``, ``gcc`` and ``clang`` on ``PATH``;
-- every unit builds with one flag set, ``-O1 -fPIC -shared
-  -ffp-contract=off``.  ``-O1`` compiles in about half the time of
-  ``-O2``, which every cold set-up pays; the kernel runs as fast at
-  ``-O1``, and the synthesizer's somewhat slower run costs a cold sweep
-  less than the build time it saves.  ``-ffp-contract=off`` forbids fused
-  multiply-add contraction, and nothing enables fast-math, so every
-  ``double`` operation rounds exactly like the CPython interpreter's,
-  which is what makes the compiled units bit-identical to their Python
-  specifications;
-- each unit's shared object is named by a hash of the flags and its
-  source and cached under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``, default
-  ``.repro-cache/jit``), so editing one unit stales only that unit;
+- every unit compiles with :data:`COMPILE_FLAGS` (``-O1 -fPIC
+  -ffp-contract=off``) and links with :data:`LINK_FLAGS` (``-shared``).
+  ``-O1`` compiles in about half the time of ``-O2``, which every cold
+  set-up pays; the kernel runs as fast at ``-O1``, and the synthesizer's
+  somewhat slower run costs a cold sweep less than the build time it
+  saves.  ``-ffp-contract=off`` forbids fused multiply-add contraction,
+  and nothing enables fast-math, so every ``double`` operation rounds
+  exactly like the CPython interpreter's, which is what makes the
+  compiled units bit-identical to their Python specifications;
+- a build is three toolchain calls, one per phase: compile the source to
+  assembly (``-S``), assemble it (``-c``), link the shared object.  Each
+  writes a file named under the build's private stem, so the compiler
+  driver never creates, truncates and deletes temporary files of its
+  own; on an ext4 host those cost about 50 ms each, more than half of a
+  one-call build;
+- each unit's shared object is named by a hash of both flag tuples and
+  its source and cached under :func:`cache_dir` (``REPRO_JIT_CACHE_DIR``,
+  default ``.repro-cache/jit``), so editing one unit stales only that
+  unit;
 - a build compiles a per-process, per-thread copy of the source, so a
-  concurrent builder never reads a file another one is rewriting, and is
-  published atomically (tmp file + ``os.replace``) together with a
-  ``.sha256`` sidecar of the object's bytes.  An object whose
+  concurrent builder never reads a file another one is rewriting, removes
+  its intermediates whatever happens, and is published atomically (tmp
+  file + ``os.replace``) together with a ``.sha256`` sidecar of the
+  object's bytes.  An object whose
   sidecar is missing or does not match (a truncated or corrupt file) is
   rebuilt instead of loaded: ``dlopen`` of a truncated object can kill
   the process with ``SIGBUS``.
@@ -53,8 +61,10 @@ from repro.util import clock
 
 T = TypeVar("T")
 
-#: the compiler flags of every unit (see the module docstring).
-FLAGS = ("-O1", "-fPIC", "-shared", "-ffp-contract=off")
+#: the compile flags of every unit (see the module docstring).
+COMPILE_FLAGS = ("-O1", "-fPIC", "-ffp-contract=off")
+#: the link flags of every unit.
+LINK_FLAGS = ("-shared",)
 
 
 def cache_dir() -> Path:
@@ -68,8 +78,8 @@ def cache_dir() -> Path:
 
 def source_hash(source: str) -> str:
     """Hash naming a unit's cached shared object (and its CI cache key):
-    the compiler flags and the source."""
-    text = " ".join(FLAGS) + "\n" + source
+    the compile and link flags and the source."""
+    text = " ".join(COMPILE_FLAGS) + "\n" + " ".join(LINK_FLAGS) + "\n" + source
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -114,23 +124,29 @@ def load(stem: str, source: str) -> Tuple[ctypes.CDLL, float]:
         # only forces a rebuild.
         tmp_stem = f".{stem}_{digest}.{os.getpid()}.{threading.get_ident()}"
         c_path = directory / f"{tmp_stem}.c"
-        c_path.write_text(source)
+        s_path = directory / f"{tmp_stem}.s"
+        o_path = directory / f"{tmp_stem}.o"
         tmp_path = directory / f"{tmp_stem}.so.tmp"
         tmp_sidecar = directory / f"{tmp_stem}.sha256.tmp"
+        # One toolchain call per phase, each writing a file named here:
+        # the driver then makes no temporary file of its own.
+        steps = (
+            [cc, *COMPILE_FLAGS, "-S", "-o", str(s_path), str(c_path)],
+            [cc, "-c", "-o", str(o_path), str(s_path)],
+            [cc, *LINK_FLAGS, "-o", str(tmp_path), str(o_path)],
+        )
+        c_path.write_text(source)
         # Wall-clock times the one-off toolchain run for the compile-cost
         # report; it never reaches a simulated result.
         started = clock.perf_counter()
         try:
-            subprocess.run(
-                [cc, *FLAGS, "-o", str(tmp_path), str(c_path)],
-                check=True,
-                capture_output=True,
-                text=True,
-            )
+            for argv in steps:
+                subprocess.run(argv, check=True, capture_output=True, text=True)
         except subprocess.CalledProcessError as exc:
             raise RuntimeError(f"{stem} compilation failed: {exc.stderr}") from exc
         finally:
-            c_path.unlink(missing_ok=True)
+            for path in (c_path, s_path, o_path):
+                path.unlink(missing_ok=True)
         seconds = clock.perf_counter() - started
         tmp_sidecar.write_text(_digest(tmp_path) + "\n")
         os.replace(tmp_path, so_path)

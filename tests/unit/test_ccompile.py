@@ -18,6 +18,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,55 @@ def test_build_publishes_object_and_sidecar(cache):
     assert seconds > 0.0
     sidecar = _so(cache).with_name(_so(cache).name + ".sha256")
     assert sidecar.read_text().strip() == ccompile._digest(_so(cache))
-    assert not list(cache.glob(".*.tmp"))
+    assert not list(cache.glob(".*"))
+
+
+@needs_cc
+def test_each_toolchain_call_runs_one_phase_into_a_named_private_file(
+    cache, monkeypatch
+):
+    """The build compiles, assembles and links in three calls, each with
+    an explicit ``-o`` under the build's private stem, so the compiler
+    driver never makes a temporary file of its own."""
+    calls = []
+    real_run = subprocess.run
+
+    def recording_run(args, **kwargs):
+        calls.append(list(args))
+        return real_run(args, **kwargs)
+
+    monkeypatch.setattr(ccompile.subprocess, "run", recording_run)
+    ccompile.load("repro_test", UNIT)
+    private = f".repro_test_{ccompile.source_hash(UNIT)}.{os.getpid()}.{threading.get_ident()}"
+    stem = str(cache / private)
+    phases = []
+    for argv in calls:
+        assert argv.count("-o") == 1, argv
+        output = argv[argv.index("-o") + 1]
+        (source,) = [arg for arg in argv[1:] if not arg.startswith("-") and arg != output]
+        phase = "-S" if "-S" in argv else "-c" if "-c" in argv else "link"
+        phases.append((phase, source, output))
+    assert phases == [
+        ("-S", f"{stem}.c", f"{stem}.s"),
+        ("-c", f"{stem}.s", f"{stem}.o"),
+        ("link", f"{stem}.o", f"{stem}.so.tmp"),
+    ]
+    assert set(ccompile.COMPILE_FLAGS) <= set(calls[0])
+    assert set(ccompile.LINK_FLAGS) <= set(calls[2])
+    assert not set(ccompile.LINK_FLAGS) & set(calls[0] + calls[1])
+
+
+@needs_cc
+def test_a_compile_error_leaves_no_intermediate_file(cache):
+    with pytest.raises(RuntimeError, match="repro_test compilation failed"):
+        ccompile.load("repro_test", "this is not C;\n")
+    assert list(cache.iterdir()) == []
+
+
+def test_source_hash_covers_the_link_flags(monkeypatch):
+    before = ccompile.source_hash(UNIT)
+    monkeypatch.setattr(ccompile, "LINK_FLAGS", (*ccompile.LINK_FLAGS, "-Wl,-O1"))
+    assert ccompile.source_hash(UNIT) != before
 
 
 @needs_cc

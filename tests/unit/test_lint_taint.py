@@ -255,6 +255,30 @@ def test_r1_allowlisted_scripts_are_scanned_too(lint_tree):
     assert one(check(project)).path == "scripts/profile_engine.py"
 
 
+def test_nested_sinks_report_one_flow_at_the_innermost(lint_tree):
+    """``run_system(RunSpec.create(..., seed=clock))`` is one flow: it is
+    reported once, at ``RunSpec.create``, not again at ``run_system``."""
+    project = lint_tree(
+        {
+            TAINTED_MODULE: """
+                import time
+
+                from repro.eval.runner import run_system
+                from repro.eval.runspec import RunSpec
+
+
+                def run(workload):
+                    return run_system(
+                        RunSpec.create(workload, 1, "none",
+                                       seed=int(time.time())))
+                """
+        }
+    )
+    finding = one(check(project))
+    assert "flows into RunSpec.create(...)" in finding.message
+    assert "time.time()" in finding.message
+
+
 def test_untainted_spec_construction_is_clean(lint_tree):
     project = lint_tree(
         {

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.jitted import CORE, kernel_source_hash
-from repro.envvars import REPRO_TRACE_STORE
+from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR, REPRO_TRACE_STORE
 from repro.eval import runner
 from repro.eval.runspec import DEFAULT_SEED
 from repro.trace.compiled import CompiledTrace
@@ -28,6 +27,7 @@ from repro.trace.source import resolve, source_names
 from repro.trace.synth import native
 from repro.trace.synth.walker import CoreWalk, walk_traces
 from repro.trace.synth.workloads import synth_workload_names
+from repro.util import ccompile
 
 #: the seed kept out of tuning (perfbench's ``--workload-seed heldout``).
 HELDOUT_SEED = 2718
@@ -130,6 +130,61 @@ def test_line_data_column_is_shared_across_line_sizes():
     assert small.offsets[-1] == len(blocks.data)
 
 
+#: appended to both of ``ccompile``'s flag tuples to build a unit under
+#: AddressSanitizer and UBSan.
+SANITIZE = ("-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=undefined")
+
+_SANITIZED_PROBE = f"""
+from repro.util import ccompile
+ccompile.COMPILE_FLAGS += {SANITIZE!r}
+ccompile.LINK_FLAGS += {SANITIZE!r}
+from repro.eval import runner
+runner.get_compiled_traces("db", 1, 200_000)
+print("OK")
+"""
+
+
+def _sanitizer_runtimes():
+    """The compiler's libasan and libubsan, or None when either is absent
+    (``-print-file-name`` echoes a name it cannot find)."""
+    paths = [
+        subprocess.run(
+            [ccompile.compiler(), f"-print-file-name={name}"],
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+        for name in ("libasan.so", "libubsan.so")
+    ]
+    return paths if all(os.path.isabs(path) and os.path.exists(path) for path in paths) else None
+
+
+def test_synthesis_is_clean_under_address_and_undefined_sanitizers(tmp_path):
+    """A long synthesis grows the event arrays past their first 1024
+    entries.  ``emit`` writes ``data_offsets[n_events + 1]``, so all four
+    arrays must share one capacity that leaves room for it: one past it
+    is a heap overflow that no byte comparison can see."""
+    runtimes = _sanitizer_runtimes()
+    if runtimes is None:
+        pytest.skip("needs the compiler's libasan and libubsan")
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env.update(
+        {
+            "PYTHONPATH": str(Path(native.__file__).resolve().parents[3]),
+            REPRO_JIT_CACHE_DIR: str(tmp_path / "jit"),
+            REPRO_CACHE_DIR: str(tmp_path / "cache"),
+            REPRO_TRACE_STORE: "0",
+            "LD_PRELOAD": " ".join(runtimes),
+            "ASAN_OPTIONS": "detect_leaks=0",
+        }
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _SANITIZED_PROBE], env=env, capture_output=True, text=True
+    )
+    assert "heap-buffer-overflow" not in done.stderr
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert done.stdout.split() == ["OK"]
+
+
 def test_invalid_requests_raise_like_python():
     walks = resolve("web").walks(1, 3)
     with pytest.raises(ValueError, match="n_instructions must be positive"):
@@ -213,6 +268,7 @@ def test_library_builds_lazily(tmp_path):
         "print(native._probed)\n"
         "runner.get_compiled_traces('web', 1, 2_000)\n"
         "print(native._probed, native.available())\n"
+        "print(jitted.kernel_source_hash(jitted.CORE), native.source_hash())\n"
     )
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
@@ -224,8 +280,8 @@ def test_library_builds_lazily(tmp_path):
     ).stdout.split("\n")
     assert out[0] == "False"
     assert out[1] == "True True"
+    # The child names the objects it built: this process may have added
+    # flags of its own (the sanitizer run does), which change every hash.
+    kernel_hash, synth_hash = out[2].split()
     built = sorted(path.name for path in (tmp_path / "cache" / "jit").glob("*.so"))
-    assert built == [
-        f"repro_jit_{kernel_source_hash(CORE)}.so",
-        f"repro_synth_{native.source_hash()}.so",
-    ]
+    assert built == [f"repro_jit_{kernel_hash}.so", f"repro_synth_{synth_hash}.so"]
