@@ -17,6 +17,12 @@ Invalidation rules:
   behaviour change can never serve a stale result;
 - corrupt or truncated files are treated as misses, never as errors.
 
+An entry's bytes (:func:`encode`, :func:`decode`) are also the only form
+in which a result crosses the executor's worker boundary: a pool worker
+returns them, and the parent stores them unchanged and decodes them once.
+So only JSON can cross, and a statistic JSON cannot represent fails the
+one spec that produced it.
+
 The file mechanics (atomic writes, world-readable entries, orphaned tmp
 sweeps, degrade-to-no-cache) are :class:`repro.util.filestore.EntryDir`'s.
 
@@ -201,20 +207,26 @@ def payload_to_result(payload: Dict) -> SystemResult:
 
 
 # ---------------------------------------------------------------------- #
-# Load / store
+# Entry bytes, load / store
 # ---------------------------------------------------------------------- #
 
-def load(spec: RunSpec) -> Optional[SystemResult]:
-    """Return the cached result for *spec*, or None.
+def encode(spec: RunSpec, result: SystemResult) -> bytes:
+    """The cache entry for *result*: its payload as JSON bytes.
 
-    Disabled cache, missing file, an entry from other code and corrupt
-    payloads all read as misses; the cache never raises on a bad entry.
+    This is the only serialized form of a result: pool workers return it,
+    and the parent stores it as it came.  A statistic JSON cannot
+    represent (a set, an object) raises ``TypeError`` here, in whichever
+    worker or serial run produced it.
     """
-    if not enabled():
-        return None
-    blob = _ENTRIES.read(spec.content_hash())
-    if blob is None:
-        return None
+    return json.dumps(result_to_payload(result, spec)).encode("utf-8")
+
+
+def decode(blob: bytes) -> Optional[SystemResult]:
+    """The result an :func:`encode` entry holds, or None.
+
+    An entry from other code (its ``schema`` is not this package's code
+    hash) and a corrupt or truncated one read as None, never as an error.
+    """
     try:
         payload = json.loads(blob)
         if payload.get("schema") != version.code_hash():
@@ -224,16 +236,25 @@ def load(spec: RunSpec) -> Optional[SystemResult]:
         return None
 
 
-def store(spec: RunSpec, result: SystemResult) -> bool:
-    """Persist *result* under *spec*'s hash; False when disabled or unwritable.
+def load(spec: RunSpec) -> Optional[SystemResult]:
+    """Return the cached result for *spec*, or None (disabled cache,
+    missing file or any entry :func:`decode` rejects)."""
+    if not enabled():
+        return None
+    blob = _ENTRIES.read(spec.content_hash())
+    return None if blob is None else decode(blob)
+
+
+def store(spec: RunSpec, entry: bytes) -> bool:
+    """Persist *entry* (:func:`encode` bytes) under *spec*'s hash; False
+    when the cache is disabled or unwritable.
 
     Writes are atomic, so concurrent executors can share one cache
     directory without readers ever seeing a partial file.
     """
     if not enabled():
         return False
-    payload = json.dumps(result_to_payload(result, spec))
-    return _ENTRIES.write(spec.content_hash(), payload.encode("utf-8"))
+    return _ENTRIES.write(spec.content_hash(), entry)
 
 
 def sweep_stale_tmp(max_age_seconds: float = TMP_MAX_AGE_SECONDS) -> int:

@@ -25,9 +25,13 @@ fills the trace memo and the trace store for the batch before either
 pool starts, and deciding on threads builds every kernel object the
 batch needs, so worker threads neither synthesize nor compile.
 
-Workers return results in the disk cache's plain-data form, which the
-parent rehydrates and persists; JSON round-trips ints and floats exactly,
-so parallel results are bit-identical to a serial ``run_system`` call.
+Workers return each result as its disk-cache entry
+(:func:`~repro.eval.diskcache.encode`), the only serialized form of a
+result, so only JSON crosses the worker boundary; the parent stores the
+bytes unchanged and decodes them once.  JSON round-trips ints and floats
+exactly, so parallel results are bit-identical to a serial ``run_system``
+call, and a statistic JSON cannot represent fails its own spec in the
+worker (and again in its retry), never the parent's harvest loop.
 Submission is ordered by :meth:`RunSpec.trace_key`, so specs replaying the
 same synthetic traces tend to land on the same process worker, whose
 inherited :func:`~repro.eval.runner.get_compiled_traces` memo then serves
@@ -120,11 +124,7 @@ class SweepReport:
 
 
 def report_to_summary(report: SweepReport) -> Dict[str, Any]:
-    """Plain-data summary of a sweep, suitable for one-line JSON CI logs.
-
-    Registered as a lint R4 payload builder: everything here must stay
-    JSON-safe plain data.
-    """
+    """Plain-data summary of a sweep, suitable for one-line JSON CI logs."""
     summary: Dict[str, Any] = {
         "event": "sweep",
         "label": report.label,
@@ -213,25 +213,26 @@ def _simulate(spec: RunSpec) -> SystemResult:
     return run_system(spec)
 
 
-def _worker(spec: RunSpec) -> Dict:
+def _worker(spec: RunSpec) -> Tuple[bytes, float]:
     """Pool entry point (thread or process): simulate and return the
-    plain-data payload.
+    disk-cache entry (:func:`~repro.eval.diskcache.encode`) and the
+    worker's wall seconds.
 
-    Returning the payload (not the live ``SystemResult``) keeps the parallel
-    path identical to a disk-cache hit — and sidesteps unpicklable state
-    such as the software-prefetch factory closure.  Traces inside the
-    worker resolve through the compiled-trace layers: the parent's
-    pre-pool :func:`~repro.eval.runner.precompile_for_specs` pass has
-    usually filled the trace memo, which threads share and forked
-    processes inherit; otherwise a worker loads packed files from the
-    on-disk trace store, or generates them into its memo.  The payload
-    carries the worker's wall time under ``wall_seconds``; the parent pops
-    it before rehydrating.
+    Returning the entry (not the live ``SystemResult``) makes JSON the only
+    thing that crosses the boundary: the parent stores the bytes as they
+    came and decodes them once, exactly like a disk-cache hit, and
+    unpicklable state such as the software-prefetch factory closure never
+    travels.  A statistic JSON cannot represent raises here, in the worker,
+    and fails that spec alone.  Traces inside the worker resolve through
+    the compiled-trace layers: the parent's pre-pool
+    :func:`~repro.eval.runner.precompile_for_specs` pass has usually filled
+    the trace memo, which threads share and forked processes inherit;
+    otherwise a worker loads packed files from the on-disk trace store, or
+    generates them into its memo.
     """
     started = clock.now()
-    payload = diskcache.result_to_payload(_simulate(spec), spec)
-    payload["wall_seconds"] = clock.now() - started
-    return payload
+    entry = diskcache.encode(spec, _simulate(spec))
+    return entry, clock.now() - started
 
 
 def _simulate_and_store(spec: RunSpec) -> SystemResult:
@@ -242,7 +243,7 @@ def _simulate_and_store(spec: RunSpec) -> SystemResult:
     spec would be pure overhead.
     """
     result = _simulate(spec)
-    diskcache.store(spec, result)
+    diskcache.store(spec, diskcache.encode(spec, result))
     _MEMO[spec] = result
     return result
 
@@ -487,7 +488,7 @@ def _pool_attempt(
         for future in as_completed(future_map):
             spec = future_map[future]
             try:
-                payload = future.result()
+                entry, seconds = future.result()
             except BrokenProcessPool:
                 # The pool is gone; siblings' futures resolve too (some
                 # with results that already landed) — keep draining.
@@ -497,18 +498,22 @@ def _pool_attempt(
                 worker_errors[spec] = traceback.format_exc()
                 harvested.add(spec)
                 continue
-            seconds = float(payload.pop("wall_seconds", 0.0))
-            result = diskcache.payload_to_result(payload)
+            harvested.add(spec)
+            result = diskcache.decode(entry)
+            if result is None:
+                # A forked worker that hashed sources edited since this
+                # process did writes an entry that reads here as foreign.
+                worker_errors[spec] = "the worker's cache entry does not decode\n"
+                continue
             # Checkpoint on completion: persist *now*, so this result
             # survives any later failure in the batch.  The parent's main
             # thread is the single cache writer; workers stay read-free so
             # a shared cache directory never sees write races.
-            diskcache.store(spec, result)
+            diskcache.store(spec, entry)
             _MEMO[spec] = result
             results[spec] = result
             report.simulated += 1
             report.durations[spec] = seconds
-            harvested.add(spec)
             emit(spec, "simulated", seconds)
     except BrokenProcessPool:
         # Submission itself hit the broken pool.

@@ -1,7 +1,7 @@
-"""AST-based invariant checker for determinism, executor boundaries and the
-environment-variable registry.
+"""AST-based invariant checker for determinism and the environment-variable
+registry.
 
-See ``docs/static_analysis.md`` for the rule catalogue (R1, R4, R7, R8),
+See ``docs/static_analysis.md`` for the rule catalogue (R1, R7, R8),
 how the persistent caches invalidate without a lint rule, how R7 and
 ``tests/unit/test_envvars.py`` split the ``repro.envvars`` checks, SARIF
 output, and how to allowlist a legitimate exception.
@@ -12,7 +12,6 @@ from repro.lint.rules import (
     DeterminismRule,
     DeterminismTaintRule,
     EnvRegistryRule,
-    ExecutorBoundaryRule,
     default_rules,
 )
 
@@ -20,7 +19,6 @@ __all__ = [
     "DeterminismRule",
     "DeterminismTaintRule",
     "EnvRegistryRule",
-    "ExecutorBoundaryRule",
     "LintError",
     "Project",
     "Rule",

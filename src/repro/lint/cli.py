@@ -6,7 +6,7 @@ errors.  CI runs the bare form as a gate in front of the test matrix.
 Usage::
 
     python -m repro.lint                  # run every rule on the repo
-    python -m repro.lint --rules R1,R4    # subset
+    python -m repro.lint --rules R1,R7    # subset
     python -m repro.lint --list-rules
     python -m repro.lint --format sarif --output lint.sarif
     python -m repro.lint src/repro/core/engine.py   # scope the report
@@ -43,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "AST-based invariant checker for the reproduction: determinism "
-            "(R1), executor boundary (R4), env registry (R7) and determinism "
-            "taint (R8)."
+            "(R1), env registry (R7) and determinism taint (R8)."
         ),
     )
     parser.add_argument(
@@ -62,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules",
         default=None,
-        metavar="R1,R4,...",
+        metavar="R1,R7,...",
         help="comma-separated subset of rules to run (default: all)",
     )
     parser.add_argument(

@@ -2,9 +2,11 @@
 
 The reproduction's headline numbers are only trustworthy because of a few
 repository-wide contracts: the simulator is bit-deterministic, RunSpec
-content hashes fully key the on-disk result cache, and executor worker
-payloads are plain data.  None of those contracts can be expressed in a
-generic linter, so this package checks them with project-specific AST
+content hashes fully key the on-disk result cache, and every ``REPRO_*``
+knob is declared in one registry.  (That results cross the executor's
+worker boundary as plain data needs no rule: a worker returns its
+disk-cache entry, JSON bytes.)  None of those contracts can be expressed
+in a generic linter, so this package checks them with project-specific AST
 rules (:mod:`repro.lint.rules`) driven by the small engine defined here.
 
 The engine is deliberately filesystem-only: rules parse source with
@@ -37,7 +39,7 @@ class Violation:
 
     rule: str
     path: str  #: project-root-relative POSIX path ("" for project-level findings)
-    line: int  #: 1-based line number, 0 for file- or project-level findings
+    line: int  #: 1-based line number, 0 for project-level findings
     message: str
     hint: str = ""
 

@@ -1,12 +1,10 @@
-"""The project-specific invariant rules (R1, R4, R7, R8).
+"""The project-specific invariant rules (R1, R7, R8).
 
 Each rule encodes one contract the reproduction's results depend on:
 
 - **R1 determinism** — simulator code never reads ambient randomness or the
   host clock; only :mod:`repro.util.rng` streams (and the allowlisted
   :mod:`repro.util.clock` shim) are permitted.
-- **R4 executor boundary** — worker-payload builders construct JSON-safe
-  plain data only (no sets, lambdas, or ad-hoc class instances).
 - **R7 env registry** — no module spells a ``REPRO_*`` name as a string,
   and every environment key is a literal or a constant imported from
   :mod:`repro.envvars`.  The registry's own shape and the docs table it
@@ -15,7 +13,7 @@ Each rule encodes one contract the reproduction's results depend on:
   (clock, entropy, unordered-set iteration) may not flow into
   RunSpec-keyed state, even when the importing module itself is clean.
 
-R1, R7 and R8 scan the same files (:data:`SCAN_DIRS`) through the shared
+All three rules scan the same files (:data:`SCAN_DIRS`) through the shared
 per-module analysis pass (:mod:`repro.lint.dataflow`), so adding rules
 does not add parses.  R1's legitimate exceptions are explicit allowlist
 data (``docs/static_analysis.md`` documents the workflow).
@@ -24,12 +22,12 @@ data (``docs/static_analysis.md`` documents the workflow).
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.lint.dataflow import FORBIDDEN_ATTRS, forbidden_module_of, is_env_name
 from repro.lint.engine import Project, Rule, Violation
 
-#: the trees R1, R7 and R8 scan.
+#: the trees every rule scans.
 SCAN_DIRS = ("src/repro", "scripts")
 
 
@@ -120,119 +118,6 @@ class DeterminismRule(Rule):
             else:
                 continue
             violations.append(self.violation(rel, lineno, message, R1_HINT))
-        return violations
-
-
-# --------------------------------------------------------------------- #
-# R4 — executor boundary
-# --------------------------------------------------------------------- #
-
-#: builtins that construct values JSON cannot represent faithfully.
-NON_JSON_BUILTINS = frozenset(
-    {"set", "frozenset", "bytes", "bytearray", "complex", "memoryview", "object"}
-)
-
-R4_HINT = (
-    "worker payloads must be JSON-safe plain data (dict/list/str/int/float/"
-    "bool/None): encode sets as sorted lists and objects via their "
-    "plain-data form, exactly like diskcache.result_to_payload does"
-)
-
-
-class ExecutorBoundaryRule(Rule):
-    """R4: worker-payload builders construct JSON-safe plain data only.
-
-    The executor ships payloads across process boundaries and persists them
-    as JSON; anything that is not plain data either crashes the pool or —
-    worse — silently round-trips to a different value (sets to lists,
-    tuples losing identity).  This rule walks the designated payload
-    builders and rejects non-plain constructions.
-    """
-
-    name = "R4"
-    title = "executor boundary: payload builders emit JSON-safe plain data"
-
-    TARGETS: Mapping[str, Tuple[str, ...]] = {
-        "src/repro/eval/diskcache.py": (
-            "result_to_payload",
-            "_config_to_dict",
-            "_core_to_dict",
-            "_link_to_dict",
-        ),
-        "src/repro/eval/executor.py": ("_worker", "report_to_summary"),
-    }
-
-    def check(self, project: Project) -> List[Violation]:
-        violations: List[Violation] = []
-        for rel, names in sorted(self.TARGETS.items()):
-            tree = project.tree(rel)
-            functions = {
-                node.name: node
-                for node in tree.body
-                if isinstance(node, ast.FunctionDef)
-            }
-            for name in names:
-                func = functions.get(name)
-                if func is None:
-                    violations.append(
-                        self.violation(
-                            rel,
-                            0,
-                            f"payload builder {name!r} not found — R4 no longer "
-                            "guards the executor boundary",
-                            "update ExecutorBoundaryRule.TARGETS to the "
-                            "current payload-builder names",
-                        )
-                    )
-                    continue
-                violations.extend(self._check_builder(rel, func))
-        return violations
-
-    def _check_builder(self, rel: str, func: ast.FunctionDef) -> List[Violation]:
-        violations: List[Violation] = []
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Set, ast.SetComp)):
-                violations.append(
-                    self.violation(
-                        rel,
-                        node.lineno,
-                        f"set constructed inside payload builder {func.name!r} "
-                        "(JSON cannot represent sets)",
-                        R4_HINT,
-                    )
-                )
-            elif isinstance(node, ast.Lambda):
-                violations.append(
-                    self.violation(
-                        rel,
-                        node.lineno,
-                        f"lambda inside payload builder {func.name!r} "
-                        "(functions cannot cross the worker boundary)",
-                        R4_HINT,
-                    )
-                )
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called = node.func.id
-                if called in NON_JSON_BUILTINS:
-                    violations.append(
-                        self.violation(
-                            rel,
-                            node.lineno,
-                            f"{called}() constructed inside payload builder "
-                            f"{func.name!r} is not JSON-representable",
-                            R4_HINT,
-                        )
-                    )
-                elif called[:1].isupper():
-                    violations.append(
-                        self.violation(
-                            rel,
-                            node.lineno,
-                            f"class instance {called}() constructed inside payload "
-                            f"builder {func.name!r}; payloads must stay plain data",
-                            R4_HINT,
-                        )
-                    )
         return violations
 
 
@@ -414,7 +299,6 @@ def default_rules() -> List[Rule]:
     """The full rule set, in report order."""
     return [
         DeterminismRule(),
-        ExecutorBoundaryRule(),
         EnvRegistryRule(),
         DeterminismTaintRule(),
     ]

@@ -36,11 +36,10 @@ def _result(violation: Violation, rule_index: Dict[str, int]) -> Dict[str, Any]:
     if index is not None:
         result["ruleIndex"] = index
     if violation.path:
-        physical: Dict[str, Any] = {
-            "artifactLocation": {"uri": violation.path, "uriBaseId": "SRCROOT"}
+        physical = {
+            "artifactLocation": {"uri": violation.path, "uriBaseId": "SRCROOT"},
+            "region": {"startLine": violation.line},
         }
-        if violation.line:
-            physical["region"] = {"startLine": violation.line}
         result["locations"] = [{"physicalLocation": physical}]
     return result
 

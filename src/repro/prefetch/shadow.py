@@ -17,7 +17,9 @@ architecturally visible — unlike the run-ahead BTB, which only helps
 along the *predicted-taken* path).  Run-ahead then works in two stages:
 
 1. the inherited gshare/BTB/RAS walk fills a bounded **FTQ** with the
-   predicted fetch lines;
+   predicted fetch lines (its run-ahead RAS pop fires rarely, e.g. in
+   ``microsvc/4c/shadow/bypass`` at seed 2718; see
+   :mod:`repro.prefetch.fdp`);
 2. draining the FTQ, every line is prefetched and *predecoded*: if the
    walk left the line sequentially (predicted not-taken) but the STB
    knows a target for it, the shadow target and its next

@@ -19,7 +19,8 @@ workloads.
 
 Ingested traces are persisted under ``$REPRO_EXTERNAL_TRACES`` (default:
 an ``external/`` subdirectory of the result-cache directory) as one
-RPTRACE1 file plus a JSON manifest per name.  The manifest records the
+RPTRACE1 file plus a JSON manifest per name, each written atomically
+through :class:`~repro.util.filestore.EntryDir`.  The manifest records the
 SHA-256 of the *source* bytes, so an entry is content-addressed: re-ingest
 of identical input is a no-op, and a changed source is detectable.  The
 ``external:<name>`` trace source (:mod:`repro.trace.source`) serves these
@@ -35,7 +36,6 @@ import json
 import os
 import re
 import struct
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -43,9 +43,10 @@ from repro.envvars import REPRO_CACHE_DIR, REPRO_EXTERNAL_TRACES
 from repro.isa.kinds import TransitionKind
 from repro.trace import store as trace_store
 from repro.trace.compiled import CompiledTrace
-from repro.trace.io import read_trace, write_trace
+from repro.trace.io import read_trace, trace_bytes
 from repro.trace.record import INSTRUCTION_SIZE, BlockEvent
 from repro.trace.stream import Trace
+from repro.util.filestore import EntryDir
 
 #: workload-name prefix under which ingested traces are addressable from a
 #: :class:`~repro.eval.runspec.RunSpec` (resolved by :mod:`repro.trace.source`).
@@ -106,12 +107,16 @@ def external_dir() -> Path:
     return Path(cache_root) / _SUBDIR
 
 
+_TRACES = EntryDir(external_dir, TRACE_SUFFIX)
+_MANIFESTS = EntryDir(external_dir, MANIFEST_SUFFIX)
+
+
 def trace_path(name: str) -> Path:
-    return external_dir() / f"{name}{TRACE_SUFFIX}"
+    return _TRACES.path(name)
 
 
 def manifest_path(name: str) -> Path:
-    return external_dir() / f"{name}{MANIFEST_SUFFIX}"
+    return _MANIFESTS.path(name)
 
 
 def validate_name(name: str) -> str:
@@ -278,22 +283,6 @@ def ingest_bytes(name: str, blob: bytes, fmt: str = "auto") -> Tuple[Trace, Dict
     return trace, manifest
 
 
-def _write_atomic(path: Path, blob: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.chmod(tmp_name, 0o644)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def ingest_file(
     source: Union[str, Path], name: Optional[str] = None, fmt: str = "auto"
 ) -> Dict[str, object]:
@@ -312,12 +301,14 @@ def ingest_file(
             previous["unchanged"] = True
             return previous
     trace, manifest = ingest_bytes(name, blob, fmt=fmt)
-    external_dir().mkdir(parents=True, exist_ok=True)
-    write_trace(trace, trace_path(name))
-    _write_atomic(
-        manifest_path(name),
-        (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
+    manifest_blob = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    # Both files are serialised before either is replaced, and each is
+    # replaced atomically: a failed or concurrent ingest never leaves a
+    # partial trace under any manifest.
+    if not (
+        _TRACES.write(name, trace_bytes(trace)) and _MANIFESTS.write(name, manifest_blob)
+    ):
+        raise IngestError(f"cannot write external trace {name!r} to {external_dir()}")
     return manifest
 
 

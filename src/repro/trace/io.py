@@ -46,24 +46,32 @@ class TraceFormatError(Exception):
     """Raised when a trace file is malformed."""
 
 
-def write_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Serialise *trace* to *path* in the RPTRACE1 format."""
+def trace_bytes(trace: Trace) -> bytes:
+    """*trace* serialised in the RPTRACE1 format."""
     name_bytes = trace.name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
         raise ValueError("trace name too long to serialise")
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, trace.seed, len(trace.events), len(name_bytes)))
-        handle.write(name_bytes)
-        pack_event = _EVENT.pack
-        write = handle.write
-        for addr, ninstr, kind, data in trace.events:
-            ndata = len(data)
-            if ndata > 255:
-                data = data[:255]
-                ndata = 255
-            write(pack_event(addr, ninstr, kind, ndata))
-            if ndata:
-                write(struct.pack(f"<{ndata}Q", *data))
+    parts = [_HEADER.pack(_MAGIC, trace.seed, len(trace.events), len(name_bytes)), name_bytes]
+    pack_event = _EVENT.pack
+    append = parts.append
+    for addr, ninstr, kind, data in trace.events:
+        ndata = len(data)
+        if ndata > 255:
+            data = data[:255]
+            ndata = 255
+        append(pack_event(addr, ninstr, kind, ndata))
+        if ndata:
+            append(struct.pack(f"<{ndata}Q", *data))
+    return b"".join(parts)
+
+
+def write_trace(trace: Trace, path: Union[str, Path]) -> None:
+    """Serialise *trace* to *path* in the RPTRACE1 format.
+
+    The whole file is serialised before *path* is opened, so a trace that
+    cannot be serialised leaves an existing file untouched.
+    """
+    Path(path).write_bytes(trace_bytes(trace))
 
 
 def read_trace(path: Union[str, Path]) -> Trace:

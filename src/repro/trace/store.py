@@ -10,9 +10,10 @@ re-running synthesis and lowering.
 Robustness contract (shared with :mod:`repro.eval.diskcache` through
 :class:`repro.util.filestore.EntryDir`):
 
-- writes are atomic (same-directory tmp file + ``os.replace``), entries are
-  chmod'd world-readable, orphaned tmp files of crashed writers are swept,
-  and an unwritable directory degrades to "no store", never a crash;
+- writes are atomic (a same-directory tmp file renamed into place),
+  entries are chmod'd world-readable, orphaned tmp files of crashed
+  writers are swept, and an unwritable directory degrades to "no store",
+  never a crash;
 - corrupt or truncated files read as **misses** (the caller recompiles);
   so does a file whose embedded provenance does not match the requested
   key (e.g. a renamed file);

@@ -26,13 +26,14 @@ toolchain.  This module is the one place that knows how:
   default ``.repro-cache/jit``), so editing one unit stales only that
   unit;
 - a build compiles a per-process, per-thread copy of the source, so a
-  concurrent builder never reads a file another one is rewriting, removes
-  its intermediates whatever happens, and is published atomically (tmp
-  file + ``os.replace``) together with a ``.sha256`` sidecar of the
-  object's bytes.  An object whose
-  sidecar is missing or does not match (a truncated or corrupt file) is
-  rebuilt instead of loaded: ``dlopen`` of a truncated object can kill
-  the process with ``SIGBUS``.
+  concurrent builder never reads a file another one is rewriting, and
+  removes its intermediates whatever happens.  The object and a
+  ``.sha256`` sidecar of its bytes are published as two
+  :class:`~repro.util.filestore.EntryDir` entries (atomic writes, and the
+  first write of a process sweeps ``*.tmp`` orphans a crashed writer
+  left).  An object whose sidecar is missing or does not match (a
+  truncated or corrupt file) is rebuilt instead of loaded: ``dlopen`` of
+  a truncated object can kill the process with ``SIGBUS``.
 
 A unit that cannot be built (no compiler, a compiler error) is reported
 once, through :func:`load_or_warn`, with one warning naming the cause.
@@ -57,7 +58,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.envvars import REPRO_CACHE_DIR, REPRO_JIT_CACHE_DIR
-from repro.util import clock
+from repro.util import clock, filestore
 
 T = TypeVar("T")
 
@@ -88,6 +89,12 @@ def compiler() -> Optional[str]:
     return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
 
 
+#: the cached objects and their ``.sha256`` sidecars, one pair per unit
+#: key ``<stem>_<source hash>``, published atomically.
+_OBJECTS = filestore.EntryDir(cache_dir, ".so")
+_SIDECARS = filestore.EntryDir(cache_dir, ".so.sha256")
+
+
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -107,50 +114,55 @@ def load(stem: str, source: str) -> Tuple[ctypes.CDLL, float]:
     The object is ``<stem>_<source hash>.so`` under :func:`cache_dir`.
     Returns the library and the seconds this call spent compiling (0.0
     when a verified object was already cached).  Raises ``RuntimeError``
-    when there is no compiler or the compiler fails.
+    when there is no compiler, the compiler fails or the cache directory
+    is unwritable.
     """
-    digest = source_hash(source)
-    directory = cache_dir()
-    so_path = directory / f"{stem}_{digest}.so"
+    key = f"{stem}_{source_hash(source)}"
+    so_path = _OBJECTS.path(key)
     seconds = 0.0
     if not _verified(so_path):
         cc = compiler()
         if cc is None:
             raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-        directory.mkdir(parents=True, exist_ok=True)
+        directory = so_path.parent
         # Every file a build writes before publishing is private to this
         # process and thread, so concurrent builders race benignly: each
         # publishes a complete object and sidecar, and a mismatched pair
         # only forces a rebuild.
-        tmp_stem = f".{stem}_{digest}.{os.getpid()}.{threading.get_ident()}"
-        c_path = directory / f"{tmp_stem}.c"
-        s_path = directory / f"{tmp_stem}.s"
-        o_path = directory / f"{tmp_stem}.o"
-        tmp_path = directory / f"{tmp_stem}.so.tmp"
-        tmp_sidecar = directory / f"{tmp_stem}.sha256.tmp"
+        tmp_stem = f".{key}.{os.getpid()}.{threading.get_ident()}"
+        c_path, s_path, o_path, built = (
+            directory / f"{tmp_stem}{ext}" for ext in (".c", ".s", ".o", ".so")
+        )
         # One toolchain call per phase, each writing a file named here:
         # the driver then makes no temporary file of its own.
         steps = (
             [cc, *COMPILE_FLAGS, "-S", "-o", str(s_path), str(c_path)],
             [cc, "-c", "-o", str(o_path), str(s_path)],
-            [cc, *LINK_FLAGS, "-o", str(tmp_path), str(o_path)],
+            [cc, *LINK_FLAGS, "-o", str(built), str(o_path)],
         )
-        c_path.write_text(source)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            c_path.write_text(source)
+        except OSError as exc:
+            raise RuntimeError(f"cannot write the jit cache {directory}: {exc}") from exc
         # Wall-clock times the one-off toolchain run for the compile-cost
         # report; it never reaches a simulated result.
         started = clock.perf_counter()
         try:
             for argv in steps:
                 subprocess.run(argv, check=True, capture_output=True, text=True)
+            seconds = clock.perf_counter() - started
+            blob = built.read_bytes()
         except subprocess.CalledProcessError as exc:
             raise RuntimeError(f"{stem} compilation failed: {exc.stderr}") from exc
         finally:
-            for path in (c_path, s_path, o_path):
+            for path in (c_path, s_path, o_path, built):
                 path.unlink(missing_ok=True)
-        seconds = clock.perf_counter() - started
-        tmp_sidecar.write_text(_digest(tmp_path) + "\n")
-        os.replace(tmp_path, so_path)
-        os.replace(tmp_sidecar, so_path.with_name(so_path.name + ".sha256"))
+        digest = hashlib.sha256(blob).hexdigest() + "\n"
+        if not (
+            _OBJECTS.write(key, blob) and _SIDECARS.write(key, digest.encode("ascii"))
+        ):
+            raise RuntimeError(f"cannot write the jit cache {directory}")
     return ctypes.CDLL(str(so_path)), seconds
 
 

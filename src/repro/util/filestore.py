@@ -1,9 +1,12 @@
 """A directory of whole-file entries, written atomically and read leniently.
 
-The persistent result cache (:mod:`repro.eval.diskcache`) and the
-compiled-trace store (:mod:`repro.trace.store`) both keep one file per key
-in a directory that concurrent processes share.  :class:`EntryDir` is their
-common mechanics:
+The persistent result cache (:mod:`repro.eval.diskcache`), the
+compiled-trace store (:mod:`repro.trace.store`), the compiled C objects
+(:mod:`repro.util.ccompile`) and the ingested external traces
+(:mod:`repro.trace.ingest`) each keep one file per key in a directory that
+concurrent processes share.  :class:`EntryDir` is their common mechanics,
+and the only code in the package that writes through a tmp file and a
+rename:
 
 - a write goes to a same-directory ``*.tmp`` file (``mkstemp``), is chmod'd
   to :data:`ENTRY_MODE` so a shared directory stays readable by other

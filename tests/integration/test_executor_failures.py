@@ -149,6 +149,44 @@ def siblings_survive_a_worker_failure(monkeypatch, backend, pool):
     assert report.failed == 0
 
 
+def set_in_stats_simulate(victim, real_simulate):
+    """A ``_simulate`` stand-in whose result for *victim* carries a set in
+    a ``PrefetchStats`` counter, which no cache entry can hold."""
+
+    def simulate(spec):
+        result = real_simulate(spec)
+        if spec == victim:
+            stats = result.cores[0].prefetch
+            stats.generated = {stats.generated}
+        return result
+
+    return simulate
+
+
+def non_json_stat_fails_its_spec_alone(monkeypatch, backend, pool):
+    """The worker encodes its result, so a set in the stats fails that
+    spec (in the worker and in its retry), not the parent's harvest."""
+    specs = tiny_specs(backend)
+    victim = specs[1]
+    monkeypatch.setattr(
+        executor, "_simulate", set_in_stats_simulate(victim, executor._simulate)
+    )
+    with pytest.raises(SweepError) as excinfo:
+        run_specs_report(specs, jobs=2)
+    error = excinfo.value
+    assert error.report.pool == pool
+    assert set(error.failures) == {victim}
+    assert "TypeError" in error.failures[victim]
+    assert "retry also failed" in error.failures[victim]
+    assert set(error.results) == set(specs) - {victim}
+    assert error.report.simulated == 2
+    assert error.report.failed == 1
+    assert diskcache.entry_count() == 2
+    for spec in error.results:
+        assert diskcache.load(spec) is not None
+    assert executor.memo_size() == 2
+
+
 class TestCheckpointOnCompletion:
     @fork_only
     def test_sibling_results_survive_a_worker_failure(self, monkeypatch):
@@ -158,6 +196,14 @@ class TestCheckpointOnCompletion:
     @needs_kernel
     def test_sibling_results_survive_a_worker_thread_failure(self, monkeypatch):
         siblings_survive_a_worker_failure(monkeypatch, "jit", "threads")
+
+    @fork_only
+    def test_non_json_stat_fails_its_spec_alone(self, monkeypatch):
+        non_json_stat_fails_its_spec_alone(monkeypatch, "reference", "processes")
+
+    @needs_kernel
+    def test_non_json_stat_fails_its_spec_alone_on_threads(self, monkeypatch):
+        non_json_stat_fails_its_spec_alone(monkeypatch, "jit", "threads")
 
     @needs_kernel
     def test_spec_whose_pool_check_raises_fails_alone(self):
@@ -243,6 +289,28 @@ class TestRetryAndDegradation:
     @needs_kernel
     def test_retry_succeeds_after_a_transient_worker_thread_failure(self, monkeypatch):
         retry_succeeds_after_a_transient_worker_failure(monkeypatch, "jit", "threads")
+
+    @needs_kernel
+    def test_a_worker_entry_that_reads_as_foreign_is_retried(self, monkeypatch):
+        """An entry the parent cannot decode (a worker that hashed other
+        sources) is never stored or returned; the spec runs again here."""
+        specs = tiny_specs("jit")
+        victim_hash = specs[0].content_hash()
+        real_decode = diskcache.decode
+
+        def decode(blob):
+            if json.loads(blob)["spec_hash"] == victim_hash:
+                return None
+            return real_decode(blob)
+
+        monkeypatch.setattr(diskcache, "decode", decode)
+        results, report = run_specs_report(specs, jobs=2)
+        assert report.pool == "threads"
+        assert set(results) == set(specs)
+        assert all(result is not None for result in results.values())
+        assert report.retried == 1
+        assert report.simulated == 2
+        assert diskcache.entry_count() == 3
 
     @fork_only
     def test_broken_pool_degrades_to_serial_and_completes(self, monkeypatch):

@@ -1,10 +1,8 @@
 """Shared fixtures for the ``repro.lint`` unit tests.
 
-``lint_tree`` builds a minimal-but-structurally-complete project checkout
-under ``tmp_path`` — every module the rules parse by path (R4), in
-its smallest valid form — and returns a
-:class:`repro.lint.engine.Project` rooted there.  Tests seed violations
-by overriding individual files, and "apply the fix-it hint" by
+``lint_tree`` builds a minimal project checkout under ``tmp_path`` and
+returns a :class:`repro.lint.engine.Project` rooted there.  Tests seed
+violations by overriding individual files, and "apply the fix-it hint" by
 overriding them again with the repaired source.
 """
 
@@ -23,41 +21,6 @@ BASE_FILES: Dict[str, str] = {
     "src/repro/core/engine.py": """
         def step(state):
             return state + 1
-        """,
-    "src/repro/eval/diskcache.py": """
-        from repro.version import code_hash
-
-
-        def _config_to_dict(config):
-            return {"n_cores": config.n_cores}
-
-
-        def _core_to_dict(core):
-            return {"instructions": core.instructions}
-
-
-        def _link_to_dict(link):
-            return {"requests": link.requests}
-
-
-        def result_to_payload(result, spec=None):
-            return {
-                "schema": code_hash(),
-                "config": _config_to_dict(result.config),
-                "cores": [_core_to_dict(core) for core in result.cores],
-                "link": _link_to_dict(result.link),
-            }
-        """,
-    "src/repro/eval/executor.py": """
-        from repro.eval import diskcache
-
-
-        def _worker(spec):
-            return diskcache.result_to_payload(spec.simulate(), spec)
-
-
-        def report_to_summary(report):
-            return {"event": "sweep", "total": report.total}
         """,
 }
 

@@ -26,7 +26,7 @@ import pytest
 from repro.core import jitted
 from repro.envvars import REPRO_JIT_CACHE_DIR
 from repro.trace.synth import native
-from repro.util import ccompile
+from repro.util import ccompile, clock, filestore
 
 SRC = Path(ccompile.__file__).resolve().parents[2]
 
@@ -83,7 +83,7 @@ def test_each_toolchain_call_runs_one_phase_into_a_named_private_file(
     assert phases == [
         ("-S", f"{stem}.c", f"{stem}.s"),
         ("-c", f"{stem}.s", f"{stem}.o"),
-        ("link", f"{stem}.o", f"{stem}.so.tmp"),
+        ("link", f"{stem}.o", f"{stem}.so"),
     ]
     assert set(ccompile.COMPILE_FLAGS) <= set(calls[0])
     assert set(ccompile.LINK_FLAGS) <= set(calls[2])
@@ -95,6 +95,38 @@ def test_a_compile_error_leaves_no_intermediate_file(cache):
     with pytest.raises(RuntimeError, match="repro_test compilation failed"):
         ccompile.load("repro_test", "this is not C;\n")
     assert list(cache.iterdir()) == []
+
+
+@needs_cc
+def test_a_build_sweeps_stale_tmp_orphans(cache):
+    """A writer that crashed between creating and renaming its ``*.tmp``
+    file left an orphan; the next build's publish removes it once it is
+    older than the sweep age, and spares a concurrent writer's fresh one."""
+    stale = cache / "tmpcrashed.tmp"
+    stale.write_bytes(b"half an object")
+    hour_ago = clock.now() - filestore.TMP_MAX_AGE_SECONDS - 60
+    os.utime(stale, (hour_ago, hour_ago))
+    fresh = cache / "tmplive.tmp"
+    fresh.write_bytes(b"a concurrent writer's live file")
+    ccompile.load("repro_test", UNIT)
+    assert not stale.exists()
+    assert fresh.exists()
+
+
+def test_unwritable_cache_dir_raises_and_is_named_once(tmp_path, monkeypatch, caplog):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    monkeypatch.setenv(REPRO_JIT_CACHE_DIR, str(blocker / "jit"))
+    monkeypatch.setattr(ccompile, "compiler", lambda: "cc")
+    with pytest.raises(RuntimeError, match="cannot write the jit cache"):
+        ccompile.load("repro_test", UNIT)
+    logger = logging.getLogger("repro.test.ccompile")
+    with caplog.at_level(logging.WARNING, logger=logger.name):
+        assert ccompile.load_or_warn(
+            lambda: ccompile.load("repro_test", UNIT), logger, "widget", "slow path"
+        ) is None
+    (record,) = [r for r in caplog.records if r.name == logger.name]
+    assert "cannot write the jit cache" in record.getMessage()
 
 
 def test_source_hash_covers_the_link_flags(monkeypatch):

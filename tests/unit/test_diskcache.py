@@ -28,6 +28,11 @@ def tiny_run():
     return spec, result
 
 
+def put(spec, result):
+    """Store *result* the way the executor does: as its encoded entry."""
+    return diskcache.store(spec, diskcache.encode(spec, result))
+
+
 def assert_results_identical(a, b):
     """Exact (repr-level) equality of every metric the figures read."""
     assert a.aggregate_ipc == b.aggregate_ipc
@@ -47,7 +52,7 @@ def assert_results_identical(a, b):
 
 def test_store_then_load_is_bit_identical(tiny_run):
     spec, result = tiny_run
-    assert diskcache.store(spec, result)
+    assert put(spec, result)
     loaded = diskcache.load(spec)
     assert loaded is not None
     assert_results_identical(loaded, result)
@@ -63,7 +68,7 @@ def test_payload_round_trip_without_disk(tiny_run):
 
 def test_schema_bump_invalidates(tiny_run, monkeypatch):
     spec, result = tiny_run
-    assert diskcache.store(spec, result)
+    assert put(spec, result)
     assert diskcache.load(spec) is not None
     # An entry written by other code (any edit to the package) is a miss.
     monkeypatch.setattr(version, "code_hash", lambda: "0" * 64)
@@ -74,13 +79,13 @@ def test_spec_change_selects_a_different_file(tiny_run):
     spec, result = tiny_run
     other = RunSpec.create("db", 1, "discontinuity", scale=TINY, l2_policy="bypass", seed=spec.seed + 1)
     assert diskcache.path_for(other) != diskcache.path_for(spec)
-    diskcache.store(spec, result)
+    put(spec, result)
     assert diskcache.load(other) is None
 
 
 def test_corrupt_entry_is_a_miss_not_an_error(tiny_run):
     spec, result = tiny_run
-    assert diskcache.store(spec, result)
+    assert put(spec, result)
     path = diskcache.path_for(spec)
     path.write_text("{not json")
     assert diskcache.load(spec) is None
@@ -93,7 +98,7 @@ def test_disable_env_turns_the_cache_off(tiny_run, monkeypatch):
     for value in ("0", "off", "false", "no"):
         monkeypatch.setenv(REPRO_DISK_CACHE, value)
         assert not diskcache.enabled()
-        assert not diskcache.store(spec, result)
+        assert not put(spec, result)
         assert diskcache.load(spec) is None
     monkeypatch.setenv(REPRO_DISK_CACHE, "1")
     assert diskcache.enabled()
@@ -102,7 +107,7 @@ def test_disable_env_turns_the_cache_off(tiny_run, monkeypatch):
 def test_clear_and_entry_count(tiny_run):
     spec, result = tiny_run
     assert diskcache.entry_count() == 0
-    diskcache.store(spec, result)
+    put(spec, result)
     assert diskcache.entry_count() == 1
     assert diskcache.clear() == 1
     assert diskcache.entry_count() == 0
@@ -110,7 +115,7 @@ def test_clear_and_entry_count(tiny_run):
 
 def test_clear_removes_orphaned_tmp_files(tiny_run):
     spec, result = tiny_run
-    diskcache.store(spec, result)
+    put(spec, result)
     orphan = diskcache.cache_dir() / "deadbeef.tmp"
     orphan.write_text("partial write from a crashed process")
     assert diskcache.clear() == 2  # the entry and the orphan
@@ -131,7 +136,7 @@ def test_store_sweeps_stale_tmp_but_spares_live_writers(tiny_run):
     fresh = directory / "fresh.tmp"
     fresh.write_text("a concurrent writer's live file")
 
-    assert diskcache.store(spec, result)
+    assert put(spec, result)
     assert not stale.exists()
     assert fresh.exists()
 
@@ -147,7 +152,7 @@ def test_sweep_stale_tmp_age_zero_removes_everything(tiny_run):
 
 def test_entries_are_world_readable(tiny_run):
     spec, result = tiny_run
-    assert diskcache.store(spec, result)
+    assert put(spec, result)
     mode = diskcache.path_for(spec).stat().st_mode & 0o777
     assert mode == filestore.ENTRY_MODE  # mkstemp's 0600 would hide the
     # entry from other users of a shared cache directory
@@ -158,13 +163,13 @@ def test_unwritable_cache_dir_degrades_gracefully(tiny_run, tmp_path, monkeypatc
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     monkeypatch.setenv(REPRO_CACHE_DIR, str(blocker / "cache"))
-    assert not diskcache.store(spec, result)
+    assert not put(spec, result)
     assert diskcache.load(spec) is None
 
 
 def test_non_plain_scalar_fails_loudly(tiny_run):
     """A stat that is not a plain int/float (a NumPy-style scalar) never
-    reaches disk: ``json.dumps`` rejects it and nothing is written."""
+    reaches disk: ``encode`` rejects it and nothing is written."""
     import copy
 
     class Scalar:
@@ -175,5 +180,40 @@ def test_non_plain_scalar_fails_loudly(tiny_run):
     tainted = copy.deepcopy(result)
     tainted.cores[0].instructions = Scalar()
     with pytest.raises(TypeError):
-        diskcache.store(spec, tainted)
+        put(spec, tainted)
     assert diskcache.entry_count() == 0
+
+
+#: the only types a cache entry's JSON holds.
+PLAIN_TYPES = {dict, list, str, int, float, bool, type(None)}
+
+
+def value_types(value):
+    """The exact type of *value* and of everything nested inside it."""
+    found = {type(value)}
+    if isinstance(value, dict):
+        for key, item in value.items():
+            found |= value_types(key) | value_types(item)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            found |= value_types(item)
+    return found
+
+
+def test_entry_round_trips_and_holds_plain_data_only():
+    """The entry is the only form a result crosses the worker boundary
+    in: decoding and re-encoding it gives the same bytes, and the payload
+    behind it is plain JSON data (a tuple would load back as a list)."""
+    spec = RunSpec.create("db", 4, "discontinuity", scale=TINY, l2_policy="bypass")
+    result = run_system(spec)
+    assert all(sum(core.l1i_breakdown.counts()) > 0 for core in result.cores)
+    assert all(sum(core.l2i_breakdown.counts()) > 0 for core in result.cores)
+    assert all(core.prefetch.issued > 0 for core in result.cores)
+
+    entry = diskcache.encode(spec, result)
+    assert diskcache.encode(spec, diskcache.decode(entry)) == entry
+    payload = diskcache.result_to_payload(result, spec)
+    assert value_types(payload) <= PLAIN_TYPES
+    assert value_types(json.loads(entry)) <= PLAIN_TYPES
+    assert json.loads(entry) == payload
+

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.envvars import REPRO_EXTERNAL_TRACES
 from repro.isa.kinds import TransitionKind
 from repro.trace import ingest
+from repro.trace import io as trace_io
 from repro.trace import store as trace_store
 from repro.trace.compiled import CompiledTrace
 from repro.trace.io import read_trace
@@ -125,6 +127,46 @@ class TestPersistence:
         assert second["sha256"] != first["sha256"]
         assert "unchanged" not in second
         assert ingest.load_external("s").events[0].addr == 0x2000
+
+    def test_failed_reingest_leaves_the_previous_trace_whole(self, tmp_path, monkeypatch):
+        """Event packing that fails after the header leaves the previous
+        ``.trc`` byte-identical under its manifest, so re-ingesting the old
+        source is still a no-op over a readable trace."""
+        stream = tmp_path / "s.txt"
+        old_text = "0x1000\n0x1004\n0x9000\n"
+        stream.write_text(old_text)
+        ingest.ingest_file(stream, name="s")
+        trace_before = ingest.trace_path("s").read_bytes()
+        manifest_before = ingest.manifest_path("s").read_bytes()
+
+        real_event = trace_io._EVENT
+
+        class FailingEvent:
+            size = real_event.size
+
+            def pack(self, *fields):
+                raise OSError("the disk gave out mid-trace")
+
+        monkeypatch.setattr(trace_io, "_EVENT", FailingEvent())
+        stream.write_text("0x2000\n0x2004\n")
+        with pytest.raises(OSError, match="mid-trace"):
+            ingest.ingest_file(stream, name="s")
+        monkeypatch.setattr(trace_io, "_EVENT", real_event)
+
+        assert ingest.trace_path("s").read_bytes() == trace_before
+        assert ingest.manifest_path("s").read_bytes() == manifest_before
+        stream.write_text(old_text)
+        assert ingest.ingest_file(stream, name="s")["unchanged"] is True
+        assert ingest.load_external("s").events[0].addr == 0x1000
+
+    def test_unwritable_directory_raises_an_ingest_error(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        monkeypatch.setenv(REPRO_EXTERNAL_TRACES, str(blocker / "external"))
+        stream = tmp_path / "s.txt"
+        stream.write_text("0x1000\n")
+        with pytest.raises(ingest.IngestError, match="cannot write external trace 's'"):
+            ingest.ingest_file(stream, name="s")
 
     def test_load_missing_raises(self):
         with pytest.raises(ingest.IngestError, match="not ingested"):

@@ -84,9 +84,7 @@ def test_sarif_reports_violations_with_locations(lint_tree, tmp_path):
     (run,) = document["runs"]
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro.lint"
-    assert [rule["id"] for rule in driver["rules"]] == [
-        "R1", "R4", "R7", "R8",
-    ]
+    assert [rule["id"] for rule in driver["rules"]] == ["R1", "R7", "R8"]
     results = run["results"]
     assert results, "the R1 violation must appear as a result"
     for result in results:
@@ -113,10 +111,9 @@ def test_sarif_clean_tree_exits_zero_with_empty_results(lint_tree, tmp_path):
 def test_sarif_location_shapes_for_file_and_project_findings(
     lint_tree, tmp_path
 ):
-    # A tree producing all three location shapes at once: a line-level
-    # finding (undeclared REPRO read), a file-level one (a renamed payload
-    # builder, line 0 → no region), and a project-level one (missing
-    # registry → no locations at all).
+    # A tree producing both location shapes at once: a line-level finding
+    # (undeclared REPRO read) and a project-level one (missing registry →
+    # no locations at all).  No rule reports a file-level finding.
     project = lint_tree(
         {
             READER_MODULE: """
@@ -124,10 +121,6 @@ def test_sarif_location_shapes_for_file_and_project_findings(
 
                 def read():
                     return os.environ.get("REPRO_JOBS")
-                """,
-            "src/repro/eval/executor.py": """
-                def report_to_summary(report):
-                    return {"event": "sweep", "total": report.total}
                 """,
         },
     )
@@ -146,18 +139,15 @@ def test_sarif_location_shapes_for_file_and_project_findings(
         == 1
     )
     results = read_sarif(out)["runs"][0]["results"]
-    by_shape = {"line": 0, "file": 0, "project": 0}
+    by_shape = {"line": 0, "project": 0}
     for result in results:
         locations = result.get("locations")
         if locations is None:
             by_shape["project"] += 1
             continue
         physical = locations[0]["physicalLocation"]
-        if "region" in physical:
-            assert physical["region"]["startLine"] >= 1
-            by_shape["line"] += 1
-        else:
-            by_shape["file"] += 1
+        assert physical["region"]["startLine"] >= 1
+        by_shape["line"] += 1
     assert all(count > 0 for count in by_shape.values()), by_shape
 
 

@@ -17,8 +17,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_violation_format_variants():
     full = Violation(rule="R1", path="src/x.py", line=3, message="bad", hint="fix it")
     assert full.format() == "src/x.py:3: [R1] bad\n    fix: fix it"
-    file_level = Violation(rule="R4", path="src/x.py", line=0, message="gone")
-    assert file_level.format() == "src/x.py: [R4] gone"
     project_level = Violation(rule="R7", path="", line=0, message="missing")
     assert project_level.format() == "<project>: [R7] missing"
 
@@ -39,9 +37,9 @@ def test_run_rules_rejects_unknown_names(lint_tree):
 
 
 def test_run_rules_name_filter_runs_subset(lint_tree):
-    # Tree with an R1 violation only: selecting R4 alone must stay clean.
+    # Tree with an R1 violation only: selecting R7 alone must stay clean.
     project = lint_tree({"src/repro/core/walker.py": "import random\n"})
-    assert run_rules(project, default_rules(), names=["R4"]) == []
+    assert run_rules(project, default_rules(), names=["R7"]) == []
     assert run_rules(project, default_rules(), names=["R1"]) != []
 
 
@@ -70,7 +68,7 @@ def test_cli_violations_exit_one_with_hints(lint_tree, capsys):
 
 def test_cli_rules_subset(lint_tree, capsys):
     project = lint_tree({"src/repro/core/walker.py": "import random\n"})
-    assert main(["--root", str(project.root), "--rules", "R4,R7"]) == 0
+    assert main(["--root", str(project.root), "--rules", "R7,R8"]) == 0
     assert main(["--root", str(project.root), "--rules", "R1"]) == 1
     capsys.readouterr()
 
@@ -79,11 +77,14 @@ def test_cli_unknown_rule_fails(lint_tree, capsys):
     project = lint_tree()
     assert main(["--root", str(project.root), "--rules", "R99"]) == 1
     assert "unknown rule" in capsys.readouterr().err
-    # R2 (behavior manifest), R3 (RunSpec sync), R5 (catalog sync) and R6
-    # (backend drift) were retired; their names are not reused.
+    # R2 (behavior manifest), R3 (RunSpec sync), R4 (executor boundary),
+    # R5 (catalog sync) and R6 (backend drift) were retired; their names
+    # are not reused.
     for retired in ("R2", "R3"):
         assert main(["--root", str(project.root), "--rules", retired]) == 1
         assert f"unknown rule(s) ['{retired}']" in capsys.readouterr().err
+    assert main(["--root", str(project.root), "--rules", "R4"]) == 1
+    assert "unknown rule(s) ['R4']" in capsys.readouterr().err
     assert main(["--root", str(project.root), "--rules", "R5"]) == 1
     assert "unknown rule(s) ['R5']" in capsys.readouterr().err
     assert main(["--root", str(project.root), "--rules", "R6"]) == 1
@@ -93,7 +94,7 @@ def test_cli_unknown_rule_fails(lint_tree, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert [line.split()[0] for line in out.splitlines()] == ["R1", "R4", "R7", "R8"]
+    assert [line.split()[0] for line in out.splitlines()] == ["R1", "R7", "R8"]
 
 
 def test_cli_bad_root_exits_two(tmp_path, capsys):

@@ -53,7 +53,7 @@ def _result_cache() -> Store:
     return Store(
         REPRO_CACHE_DIR,
         diskcache.cache_dir,
-        lambda: diskcache.store(spec, result),
+        lambda: diskcache.store(spec, diskcache.encode(spec, result)),
         lambda: diskcache.load(spec),
         lambda: diskcache.path_for(spec),
         diskcache.entry_count,
