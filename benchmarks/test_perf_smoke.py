@@ -33,6 +33,12 @@ Measurements, written to ``BENCH_perf.json`` at the repo root:
   sum.  Each of 5 fresh processes takes its best of 5; the record is the
   process with the median sum.  Python-side set-up that every jit spec
   pays.
+- ``l1d_filter_reuse``: one 4-core smoke trace (interp) run on jit under
+  the 8 prefetcher configurations of perfbench's ``cmp-warmstore``
+  (``none`` plus seven families under bypass), with the traces' L1D
+  filters cold (``cold_seconds``: the first run computes them) and
+  memoized (``warm_seconds``); ``filter_seconds`` is the four filters'
+  computation alone and ``filter_bytes`` what they hold.  Best of 3.
 - ``trace_compile_seconds`` and the store's cold/warm load times: how much
   one-time work the packed format costs and how cheap reloading it is.
 - ``synth``: synthesis plus lowering to packed columns, Python
@@ -269,6 +275,65 @@ def _measure_engine_cmp() -> dict:
     return report
 
 
+#: the prefetcher configurations of perfbench's cmp-warmstore sweep.
+_WARMSTORE_CONFIGS = (("none", "normal"),) + tuple(
+    (name, "bypass")
+    for name in ("next-4-line", "target", "markov", "fdp", "mana", "shadow", "discontinuity")
+)
+
+
+def _measure_l1d_filter_reuse() -> Optional[dict]:
+    """One 4-core trace under the 8 cmp-warmstore configurations on jit,
+    with its L1D filters cold and warm (best of 3 each)."""
+    from repro.core import jitted
+
+    if not jitted.jit_available():
+        return None
+    smoke = get_scale("smoke")
+    total, _ = trace_budget(smoke, 4)
+    traces = get_compiled_traces("interp", 4, total, DEFAULT_SEED, 64)
+    specs = [
+        RunSpec.create(
+            "interp", 4, name, scale=smoke, l2_policy=policy, engine_backend="jit"
+        )
+        for name, policy in _WARMSTORE_CONFIGS
+    ]
+
+    def sweep():
+        for spec in specs:
+            run_system(spec)
+
+    def forget():
+        for trace in traces:
+            trace.l1d_filters.clear()
+
+    sweep()  # untimed warm-up: every kernel object loaded
+    key = next(iter(traces[0].l1d_filters))
+    cold = warm = compute = None
+    for _ in range(3):
+        forget()
+        _, seconds = _timed(lambda: [jitted.l1d_filter(trace, key) for trace in traces])
+        compute = seconds if compute is None else min(compute, seconds)
+        forget()
+        _, seconds = _timed(sweep)
+        cold = seconds if cold is None else min(cold, seconds)
+        _, seconds = _timed(sweep)
+        warm = seconds if warm is None else min(warm, seconds)
+    filter_bytes = sum(
+        len(column) * column.itemsize
+        for trace in traces
+        for column in trace.l1d_filters[key]
+    )
+    return {
+        "config": "interp/4c/smoke, 8 cmp-warmstore prefetcher configurations",
+        "runs": len(specs),
+        "cold_seconds": round(cold, 4),
+        "warm_seconds": round(warm, 4),
+        "filter_seconds": round(compute, 5),
+        "filter_bytes": filter_bytes,
+    }
+
+
 #: a fresh process's best-of-5 set-up, as JSON ``[construct, bind]``.
 _SETUP_4C = (
     "import json; from benchmarks.test_perf_smoke import _setup_4c_best; "
@@ -492,6 +557,7 @@ def test_perf_smoke(scale, tmp_path):
         engine["jit_object_compile_seconds"] = objects
     engine_4c = _measure_engine_cmp()
     setup_4c = _measure_setup_4c()
+    l1d_filter_reuse = _measure_l1d_filter_reuse()
     branch_family = _measure_family(("fdp", "shadow"))
     history_family = _measure_family(("target", "markov", "mana"))
     synth = _measure_synth(tmp_path)
@@ -504,6 +570,7 @@ def test_perf_smoke(scale, tmp_path):
         "engine": engine,
         "engine_4c": engine_4c,
         "setup_4c": setup_4c,
+        "l1d_filter_reuse": l1d_filter_reuse,
         "branch_family": branch_family,
         "history_family": history_family,
         "synth": synth,

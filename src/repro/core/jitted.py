@@ -131,18 +131,32 @@ identity; a core that binds after a sibling uses that image as it is.
 Cache sets through a kernel run (:class:`~repro.caches.cache.LazySets`):
 
 1. **unbuilt** — a new cache holds a ``LazySets`` stand-in, no per-set
-   ``OrderedDict``.  Binding it (:class:`_CacheImage`) only allocates the
-   C arrays, which ctypes zero-fills: an empty cache, with no Python loop
-   (a 2 MB L2 has 8,192 sets).  A cache that was read or installed into
-   before binding has built sets, so its engine steps on reference;
+   ``OrderedDict``.  Binding the L1I or the L2 (:class:`_CacheImage`) only
+   allocates the C arrays, which ctypes zero-fills: an empty cache, with
+   no Python loop (a 2 MB L2 has 8,192 sets).  The L1D binds its counters
+   only (see below).  A cache that was read or installed into before
+   binding has built sets, so its engine steps on reference;
 2. **C image** — while the kernel runs, the image is authoritative;
 3. **decoded on read** — when an engine finishes inside the kernel
-   (``run()``, ``run_multicore()`` or the final ``step()``), its L1I, L1D
-   and the shared L2 get a ``LazySets`` whose builder is the image's
+   (``run()``, ``run_multicore()`` or the final ``step()``), its L1I and
+   the shared L2 get a ``LazySets`` whose builder is the image's
    :meth:`_CacheImage.decode`.  The first read (``probe``,
    ``resident_lines``, ``in``, ``len``) decodes it into the plain list the
    reference engine would have left, so a sweep that never inspects a
-   cache never builds its sets.
+   cache never builds its sets.  The L1D is decoded by replay: after
+   every kernel call, a partial ``step()`` run's too, it gets a
+   ``LazySets`` whose builder replays the trace's data column through
+   ``repro_l1d_filter`` up to the engine's visit index (:func:`_l1d_sets`).
+
+The L1D filter (:func:`l1d_filter`): in the kernel only the core's own
+demand data reaches its L1D, an LRU cache that no inclusive L2
+back-invalidates, so its hits, misses and evictions depend on the trace
+and the L1D geometry alone.  ``repro_l1d_filter`` runs a trace's data
+column through an empty L1D once per geometry and lists each visit's
+misses (the evicted bit :data:`L1D_EVICTED` set when the install
+evicted); the filter is memoized on the :class:`CompiledTrace`, and
+``process_visit`` counts a visit's lookups and hits in bulk and steps
+only its listed misses through the L2.
 
 Family tables follow the same first state: the discontinuity table's
 columns, the gshare PHT, the BTB, the shadow target buffer's sets and
@@ -167,6 +181,7 @@ import functools
 import logging
 import threading
 import weakref
+from array import array
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -191,6 +206,7 @@ from repro.prefetch.sequential import (
 )
 from repro.prefetch.shadow import ShadowBranchPrefetcher
 from repro.prefetch.target import TargetPrefetcher
+from repro.trace.compiled import CompiledTrace
 from repro.util import ccompile
 from repro.util.containers import LazyTable, pristine
 
@@ -300,6 +316,19 @@ def _build_kernel():
     lib.repro_run_system.restype = None
     lib.repro_queue_init.argtypes = [ctypes.POINTER(STRUCTS["CQueue"])]
     lib.repro_queue_init.restype = None
+    lib.repro_l1d_filter.argtypes = [
+        ctypes.POINTER(_LL),
+        ctypes.POINTER(_LL),
+        _LL,
+        _LL,
+        _LL,
+        _LL,
+        ctypes.POINTER(_LL),
+        ctypes.POINTER(_LL),
+        ctypes.POINTER(_LL),
+        ctypes.POINTER(ctypes.c_uint),
+    ]
+    lib.repro_l1d_filter.restype = _LL
     return lib
 
 
@@ -400,6 +429,11 @@ def _ptr(buffer, ctype):
     or an image).
     """
     return ctypes.cast(ctypes.addressof(buffer), ctypes.POINTER(ctype))
+
+
+def _column(column: array, ctype):
+    """An ``array`` column as a ``POINTER(ctype)``; the caller holds it."""
+    return ctypes.cast(column.buffer_info()[0], ctypes.POINTER(ctype))
 
 
 def _filled(n: int, initial: int, ctype, keep: list):
@@ -796,6 +830,98 @@ def config_fallback_reason(
 
 
 # --------------------------------------------------------------------- #
+# The L1D filter
+# --------------------------------------------------------------------- #
+
+#: the bit of an L1D filter entry that says its install evicted a line
+#: (``L1D_EVICTED`` in ``engine.c``).
+L1D_EVICTED = 1 << 62
+
+#: held while an L1D filter is computed, so the pool threads of a sweep
+#: that share a trace compute its filter once.
+_filter_lock = threading.Lock()
+
+
+def _replay_l1d(trace: CompiledTrace, key: tuple, visits: int, misses=None, offsets=None):
+    """Run the first *visits* visits of *trace*'s data column through an
+    empty LRU L1D of geometry *key* (``repro_l1d_filter``); return the
+    L1D's image ``(tags, counts)`` and the number of misses.  With
+    *misses* and *offsets*, the misses and the per-visit offsets are
+    written to them."""
+    set_mask, assoc, line_shift = key
+    tags = (_LL * ((set_mask + 1) * assoc))()
+    counts = (_LL * (set_mask + 1))()
+    n = _kernel().repro_l1d_filter(
+        _column(trace.data, _LL),
+        _column(trace.offsets, _LL),
+        visits,
+        line_shift,
+        set_mask,
+        assoc,
+        _ptr(tags, _LL),
+        _ptr(counts, _LL),
+        None if misses is None else _ptr(misses, _LL),
+        None if offsets is None else _column(offsets, ctypes.c_uint),
+    )
+    if n < 0:
+        raise ValueError(f"trace {trace.name}: a data line does not fit below bit 62")
+    return tags, counts, n
+
+
+def _compute_l1d_filter(trace: CompiledTrace, key: tuple) -> Tuple[array, array]:
+    """*trace*'s L1D filter for geometry *key*: each miss's line (with
+    :data:`L1D_EVICTED` set when it evicted) and the per-visit offsets
+    into them, as 32-bit counts."""
+    if len(trace.data) > 0xFFFFFFFF:
+        raise ValueError(f"trace {trace.name}: too many data accesses for 32-bit offsets")
+    # ctypes allocates zeroed memory, so only the pages the misses fill
+    # become resident; the misses are then copied out at their size.
+    scratch = (_LL * len(trace.data))()
+    offsets = array("I", [0]) * (trace.visit_count + 1)
+    _, _, n = _replay_l1d(trace, key, trace.visit_count, scratch, offsets)
+    misses = array("q")
+    misses.frombytes(memoryview(scratch).cast("B")[: 8 * n])
+    return misses, offsets
+
+
+def l1d_filter(trace: CompiledTrace, key: tuple) -> Tuple[array, array]:
+    """*trace*'s L1D filter for the geometry *key* ``(set mask,
+    associativity, line shift)``: the misses and per-visit offsets that
+    ``process_visit`` steps.
+
+    Only the core's own demand data reaches its L1D in the kernel (an LRU
+    cache that no inclusive L2 back-invalidates), so its misses depend on
+    the trace and the geometry alone.  The filter is computed once per
+    trace and geometry under :data:`_filter_lock` and memoized on the
+    trace (``CompiledTrace.l1d_filters``): every run of a memoized trace,
+    on any pool thread, shares it, and it is dropped with the trace.
+    """
+    filters = trace.l1d_filters
+    found = filters.get(key)
+    if found is None:
+        with _filter_lock:
+            found = filters.get(key)
+            if found is None:
+                found = filters[key] = _compute_l1d_filter(trace, key)
+    return found
+
+
+def _l1d_sets(trace: CompiledTrace, key: tuple, visits: int) -> list:
+    """The L1D's sets after the first *visits* visits of *trace*, as the
+    reference engine leaves them: the filter replayed and decoded.  Every
+    line is a demand install, ``LineState(used=True)``, which no L1D hit
+    changes."""
+    assoc = key[1]
+    tags, counts, _ = _replay_l1d(trace, key, visits)
+    return [
+        OrderedDict(
+            (tag, LineState(used=True)) for tag in tags[si * assoc : si * assoc + count]
+        )
+        for si, count in enumerate(counts)
+    ]
+
+
+# --------------------------------------------------------------------- #
 # Cache and system images
 # --------------------------------------------------------------------- #
 
@@ -941,6 +1067,7 @@ class JittedCoreEngine(CoreEngine):
         self._pf_state: Optional[ctypes.Structure] = None
         self._buffers: list = []
         self._cache_images: tuple = ()
+        self._l1d_key: tuple = ()
 
     # ------------------------------------------------------------------ #
     # Eligibility + binding
@@ -1021,16 +1148,18 @@ class JittedCoreEngine(CoreEngine):
         c = STRUCTS["CCore"]()
         keep = self._buffers
 
-        def col(column, ctype):
-            return ctypes.cast(column.buffer_info()[0], ctypes.POINTER(ctype))
-
-        # Trace columns are borrowed; self.trace keeps the arrays alive.
-        c.t_lines = col(trace.lines, _LL)
-        c.t_kinds = col(trace.kinds, ctypes.c_byte)
-        c.t_ninstr = col(trace.ninstr, ctypes.c_int)
-        c.t_data = col(trace.data, _LL)
-        c.t_offsets = col(trace.offsets, _LL)
-        c.t_disc = col(trace.disc, ctypes.c_byte)
+        # Trace columns and filters are borrowed; self.trace keeps the
+        # arrays alive.
+        c.t_lines = _column(trace.lines, _LL)
+        c.t_kinds = _column(trace.kinds, ctypes.c_byte)
+        c.t_ninstr = _column(trace.ninstr, ctypes.c_int)
+        c.t_offsets = _column(trace.offsets, _LL)
+        c.t_disc = _column(trace.disc, ctypes.c_byte)
+        l1d = self.l1d
+        self._l1d_key = (l1d._set_mask, l1d._assoc, self._line_shift)
+        misses, offsets = l1d_filter(trace, self._l1d_key)
+        c.f_misses = _column(misses, _LL)
+        c.f_offsets = _column(offsets, ctypes.c_uint)
         c.visit_index = self._visit_index
         c.visit_count = self._c_count
 
@@ -1086,19 +1215,15 @@ class JittedCoreEngine(CoreEngine):
         self._c_l2i_bd = l2i_bd
 
         # Private caches are inline; the shared L2 + link live in the
-        # per-system image so sibling cores mutate one copy.
+        # per-system image so sibling cores mutate one copy.  The L1D
+        # binds its counters only: the filter holds its contents.
         l1i_image = _CacheImage(self.l1i)
-        l1d_image = _CacheImage(self.l1d)
-        keep.extend((l1i_image, l1d_image))
+        keep.append(l1i_image)
         c.l1i = l1i_image.struct
-        c.l1d = l1d_image.struct
+        c.l1d = STRUCTS["CCache"](set_mask=l1d._set_mask, assoc=l1d._assoc)
         jitsys = _system_for(self.link, self.l2)
         self._jit_system = jitsys
-        self._cache_images = (
-            (self.l1i, l1i_image),
-            (self.l1d, l1d_image),
-            (self.l2, jitsys.l2_image),
-        )
+        self._cache_images = ((self.l1i, l1i_image), (self.l2, jitsys.l2_image))
         c.l2 = ctypes.pointer(jitsys.c_l2)
         c.link = ctypes.pointer(jitsys.c_link)
 
@@ -1121,7 +1246,8 @@ class JittedCoreEngine(CoreEngine):
     def _sync_out(self) -> None:
         """Copy scalars and every stats object back to the Python side.
 
-        Cache contents follow once the run finishes (:meth:`_finish`);
+        The L1D's contents follow at once, as a replay to this visit; the
+        other caches' once the run finishes (:meth:`_finish`);
         queue/MSHR/predictor-table contents stay C-resident (see the
         module docstring) — everything result aggregation, ``--verify``
         lockstep or the CMP driver reads is synced exactly.
@@ -1155,6 +1281,10 @@ class JittedCoreEngine(CoreEngine):
         _sync_fields(stats.prefetch, c)
         _sync_fields(self.l1i.stats, c.l1i)
         _sync_fields(self.l1d.stats, c.l1d)
+        # The L1D holds what the filter's replay to this visit leaves.
+        self.l1d._sets = LazySets(  # type: ignore[assignment]
+            self.l1d, functools.partial(_l1d_sets, self.trace, self._l1d_key, c.visit_index)
+        )
         self._jit_system.sync_out()
         self.queue.waiting = c.queue.waiting
         _sync_fields(self.queue.stats, c.queue)
@@ -1194,8 +1324,8 @@ class JittedCoreEngine(CoreEngine):
         return self.stats
 
     def _finish(self) -> None:
-        """Mark the run finished and hand each cache its C image, decoded
-        on first read (see the module docstring)."""
+        """Mark the run finished and hand the L1I and the L2 their C
+        images, decoded on first read (see the module docstring)."""
         self._finished = True
         for cache, image in self._cache_images:
             cache._sets = LazySets(cache, image.decode)  # type: ignore[assignment]

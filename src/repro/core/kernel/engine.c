@@ -3,16 +3,24 @@
 /* repro.prefetch.base.NullPrefetcher */
 const PfOps repro_pf_none = {0, 0, 0};
 
+/* The bit of an L1D filter entry that says its install evicted a line. */
+#define L1D_EVICTED (1LL << 62)
+
 /* One core: CoreEngine scalars + CoreStats + private components.  The L2
  * and link are pointers so sibling cores of one system share them. */
 typedef struct {
-    /* compiled trace columns (borrowed from the Python arrays) */
+    /* compiled trace columns (borrowed from the Python arrays); the data
+     * column itself is read only through the trace's L1D filter */
     const long long *t_lines;
     const signed char *t_kinds;
     const int *t_ninstr;
-    const long long *t_data;
     const long long *t_offsets;
     const signed char *t_disc;
+
+    /* the trace's L1D filter (repro_l1d_filter): each visit's L1D misses
+     * are f_misses[f_offsets[i] .. f_offsets[i + 1]) */
+    const long long *f_misses;
+    const unsigned int *f_offsets;
     long long visit_index, visit_count;
 
     /* clock / slot credit / warm boundary */
@@ -50,7 +58,8 @@ typedef struct {
         issued_from_memory, useful, useful_late, useful_from_memory,
         useless_evicted, dropped_useless_hint, promoted_to_l2;
 
-    /* components */
+    /* components; l1d holds only its counters (lines and counts are
+     * NULL): its contents are the filter's, replayed on read */
     CCache l1i, l1d;
     CCache *l2;
     CLink *link;
@@ -179,11 +188,12 @@ static void issue_prefetches(CCore *c, double now) {
     }
 }
 
-/* CoreEngine._data_miss */
-static double data_miss(CCore *c, long long line, double now) {
+/* CoreEngine._data_miss, for a miss the L1D filter listed: the L1D
+ * install only counts (the filter did it, evicting when *evicted*) */
+static double data_miss(CCore *c, long long line, int evicted, double now) {
     CLine *l2_state;
     double exposed;
-    CLine fill, victim;
+    CLine fill;
     c->l1d_misses++;
     c->l2d_accesses++;
     l2_state = cache_lookup(c->l2, line);
@@ -199,8 +209,8 @@ static double data_miss(CCore *c, long long line, double now) {
         fill = mkline(line, 0, 1, now + raw, 0, 0, 0, 0, 0);
         install_l2(c, &fill);
     }
-    fill = mkline(line, 0, 1, 0.0, 0, 0, 0, 0, 0);
-    cache_install(&c->l1d, &fill, &victim);
+    c->l1d.installs++;
+    c->l1d.evictions += evicted;
     c->data_stall_cycles += exposed;
     return exposed;
 }
@@ -252,7 +262,7 @@ static void process_visit(CCore *c) {
     double last, credit, stall, exec_cycles;
     CLine *state;
     int first_use = 0, was_miss;
-    long long di;
+    long long mstart, mend, mi;
     c->visit_index = i + 1;
 
     /* (1) prefetch issue, with the inlined no-slot guard */
@@ -321,12 +331,18 @@ static void process_visit(CCore *c) {
 
     /* consume_overhead_cycles() is 0.0 for every kernel family */
 
-    /* (5) data accesses */
-    for (di = dstart; di < dend; di++) {
-        long long dline;
-        c->data_accesses++;
-        dline = c->t_data[di] >> c->line_shift;
-        if (cache_lookup(&c->l1d, dline) == 0) now += data_miss(c, dline, now);
+    /* (5) data accesses: every access is an L1D lookup, and only the ones
+     * the filter lists missed (integer counters, so adding them in bulk
+     * equals counting each access) */
+    mstart = c->f_offsets[i];
+    mend = c->f_offsets[i + 1];
+    c->data_accesses += dend - dstart;
+    c->l1d.lookups += dend - dstart;
+    c->l1d.hits += (dend - dstart) - (mend - mstart);
+    c->l1d.misses += mend - mstart;
+    for (mi = mstart; mi < mend; mi++) {
+        long long miss = c->f_misses[mi];
+        now += data_miss(c, miss & ~L1D_EVICTED, (miss & L1D_EVICTED) != 0, now);
     }
 
     /* (6) execution */
@@ -391,4 +407,51 @@ void repro_run_system(CCore **cores, long long n) {
             process_visit(c);
         } while (c->cycle < limit);
     }
+}
+
+/* The L1D filter of a trace: its data column run through an empty LRU L1D.
+ *
+ * Only the core's own demand data touches its L1D on the kernel's path (an
+ * LRU cache, no inclusive L2 back-invalidating it), so every L1D hit, miss
+ * and eviction depends only on the trace and the geometry, never on
+ * timing or on the prefetcher.  This replays CoreEngine's data loop (a
+ * lookup per access, an install on each miss) for the first *visits*
+ * visits into the L1D's image *tags* and *counts*: (set_mask + 1) * assoc
+ * tags, each set's ways LRU -> MRU, and each set's live count; both start
+ * zeroed (an empty cache).  When *misses* is not NULL it receives each
+ * missing line, with L1D_EVICTED set when its install evicted, and
+ * moffsets[v] the number of misses before visit v (visits + 1 entries);
+ * process_visit then steps only the listed misses.  Returns the number of
+ * misses, or -1 when a line does not fit below bit 62. */
+long long repro_l1d_filter(const long long *data, const long long *offsets,
+                           long long visits, long long line_shift,
+                           long long set_mask, long long assoc,
+                           long long *tags, long long *counts,
+                           long long *misses, unsigned int *moffsets) {
+    long long n = 0, v, di, k;
+    for (v = 0; v < visits; v++) {
+        if (misses) moffsets[v] = (unsigned int)n;
+        for (di = offsets[v]; di < offsets[v + 1]; di++) {
+            long long line = data[di] >> line_shift;
+            long long *base = tags + (line & set_mask) * assoc;
+            long long cnt = counts[line & set_mask];
+            if ((unsigned long long)line >= (unsigned long long)L1D_EVICTED) return -1;
+            for (k = 0; k < cnt && base[k] != line; k++) {}
+            if (k == cnt) {                      /* a miss: install */
+                if (cnt == assoc) {              /* popitem(last=False) */
+                    k = 0;
+                    if (misses) misses[n] = line | L1D_EVICTED;
+                } else {
+                    counts[line & set_mask] = ++cnt;
+                    if (misses) misses[n] = line;
+                }
+                n++;
+            }
+            /* the line moves (or goes) to the MRU end */
+            for (; k < cnt - 1; k++) base[k] = base[k + 1];
+            base[cnt - 1] = line;
+        }
+    }
+    if (misses) moffsets[visits] = (unsigned int)n;
+    return n;
 }

@@ -10,6 +10,10 @@
  * its ctypes type (repro.util.ccompile.struct_types), so a typedef is the
  * only declaration of its struct.
  *
+ * The core object also exports repro_l1d_filter (engine.c): a trace's L1D
+ * misses for one L1D geometry, computed once per trace, so process_visit
+ * steps only those misses and the L1D binds as counters alone.
+ *
  * Float discipline: compiled with -ffp-contract=off and no fast-math, so
  * every double op rounds exactly like the CPython interpreter's.  All
  * expressions copy the reference source's operation order verbatim.

@@ -70,7 +70,7 @@ def _column_bytes(column: array) -> bytes:
     return column.tobytes()
 
 
-def _column_from(typecode: str, blob: bytes) -> array:
+def _column_from(typecode: str, blob: Union[bytes, memoryview]) -> array:
     column = array(typecode)
     column.frombytes(blob)
     if sys.byteorder == "big":
@@ -94,6 +94,7 @@ class CompiledTrace:
         "data",
         "offsets",
         "disc",
+        "l1d_filters",
     )
 
     def __init__(
@@ -123,6 +124,10 @@ class CompiledTrace:
         self.data = data
         self.offsets = offsets
         self.disc = disc
+        #: the jit kernel's L1D filters of this trace, one per L1D geometry
+        #: (:func:`repro.core.jitted.l1d_filter`); they live as long as the
+        #: trace, so every run of a memoized trace shares them.
+        self.l1d_filters: dict = {}
 
     @property
     def visit_count(self) -> int:
@@ -278,10 +283,12 @@ class CompiledTrace:
         pos += workload_len
         name = blob[pos : pos + name_len].decode("utf-8")
         pos += name_len
-        payload = blob[pos:]
+        # Slices of a memoryview copy nothing: each column is copied once,
+        # into its array.
+        payload = memoryview(blob)[pos:]
         if zlib.crc32(payload) & 0xFFFFFFFF != crc_expected:
             raise CompiledTraceError("payload checksum mismatch (corrupt columns)")
-        chunks: List[bytes] = []
+        chunks: List[memoryview] = []
         for size in sizes:
             chunks.append(payload[:size])
             payload = payload[size:]

@@ -187,6 +187,7 @@ C_TYPES = {
     "int32_t": ctypes.c_int32,
     "int8_t": ctypes.c_int8,
     "int": ctypes.c_int,
+    "unsigned int": ctypes.c_uint,
     "signed char": ctypes.c_byte,
     "unsigned char": ctypes.c_ubyte,
     "double": ctypes.c_double,
